@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -24,6 +26,10 @@ from .kmc import (hitting_time, pred_all_plus, pred_exits_set,
 from .landscape import critical_constants, restricted_ensemble
 from .lattice import (BoundaryCondition, BoxGeometry, Configuration,
                       build_context)
+
+# read once at import, since reading the umask means setting it
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 
 @dataclass
@@ -527,8 +533,21 @@ def _rows_to_csv(rows, columns):
 
 
 def _write_atomic(path, text):
-    import os
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write text to path through a temp file of its own in the same
+    directory, fsynced and then renamed over path, so that concurrent
+    writers never share a temp file and readers see old or new content.
+    The temp file is removed if any step fails."""
+    fh = tempfile.NamedTemporaryFile(
+        "w", dir=os.path.dirname(path) or ".",
+        prefix=os.path.basename(path) + ".", suffix=".tmp", delete=False)
+    try:
+        with fh:
+            # the permissions open() would give, not the temp file's 0600
+            os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(fh.name, path)
+    except BaseException:
+        os.unlink(fh.name)
+        raise

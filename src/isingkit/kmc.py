@@ -385,9 +385,11 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
             reason = "time_cap"
             break
         r = rng.random() * total
-        site = int(np.searchsorted(np.cumsum(rates), r))
+        # side="right" skips zero-rate sites at r == 0.0 and at any r that
+        # lands on a cumulative sum; r can pass the last sum by rounding
+        site = int(np.searchsorted(np.cumsum(rates), r, side="right"))
         if site >= n:
-            site = n - 1
+            site = int(np.flatnonzero(rates > 0.0)[-1])
         state.apply_flip(site)
         state.time = t
         events.append((t, site, int(state.spins[site])))

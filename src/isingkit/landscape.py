@@ -1,10 +1,11 @@
 """Exhaustive energy-landscape analysis on small boxes.
 
-Enumerates all spin configurations of a box, computes communication energies
-by a sublevel sweep, partitions state sets into maximal cycles and maximal
-cycle compounds, builds reference filling paths, and derives the critical
-constants (droplet side, critical volume and barrier, relaxation exponents)
-from the reference path energy profile.
+Enumerates all spin configurations of a box, maps every state to an exact
+integer energy level, computes communication energies and maximal cycles
+from one ascending sublevel sweep (the merge tree of the sublevel sets),
+merges cycles into maximal cycle compounds, builds reference filling
+paths, and derives the critical constants (droplet side, critical volume
+and barrier, relaxation exponents) from the reference path energy profile.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .energy import NEG_INF_ENERGY, EnergyValue, MagneticField
 from .lattice import (BoundaryCondition, Configuration,
                       connected_components, hamiltonian)
-from .unionfind import UnionFind
 
 DEFAULT_ENUMERATION_CAP = 24
 
@@ -34,6 +34,7 @@ class LandscapeGraph:
         self.n_states = 1 << self.n_sites
         self._bonds = bonds
         self._pluses = pluses
+        self._levels = None
 
     def states(self):
         return range(self.n_states)
@@ -51,6 +52,14 @@ class LandscapeGraph:
     def state_of(self, config):
         return config.as_bitmask()
 
+    def levels(self):
+        """The exact integer level index of every state, built on first use."""
+        if self._levels is None:
+            self._levels = LevelIndex(np.arange(self.n_states, dtype=np.int64),
+                                      self._bonds, self._pluses,
+                                      self.ctx.field, self.n_sites)
+        return self._levels
+
 
 class TruncatedLandscape:
     """Flip-connected low-energy restriction of a landscape (a small state space)."""
@@ -61,6 +70,9 @@ class TruncatedLandscape:
         self._graph = graph
         self._ids = sorted(state_ids)
         self._set = frozenset(self._ids)
+        self._bonds = graph._bonds
+        self._pluses = graph._pluses
+        self._levels = None
 
     def states(self):
         return list(self._ids)
@@ -79,6 +91,14 @@ class TruncatedLandscape:
     @property
     def n_states(self):
         return len(self._ids)
+
+    def levels(self):
+        """The exact integer level index of the kept states, built on first use."""
+        if self._levels is None:
+            ids = np.array(self._ids, dtype=np.int64)
+            self._levels = LevelIndex(ids, self._bonds[ids], self._pluses[ids],
+                                      self.ctx.field, self.n_sites)
+        return self._levels
 
 
 def enumerate_landscape(ctx, cap=DEFAULT_ENUMERATION_CAP):
@@ -116,57 +136,181 @@ def enumerate_landscape(ctx, cap=DEFAULT_ENUMERATION_CAP):
     return LandscapeGraph(ctx, bonds, pluses)
 
 
-def _energy_levels(graph, states=None):
-    """Distinct energy values ascending, each with its member states."""
-    field = graph.ctx.field
-    groups = {}
-    for s in (states if states is not None else graph.states()):
-        e = graph.energy_pair(s)
-        groups.setdefault(field.level_key(e.bonds, e.pluses), [e, []])[1].append(s)
-    levels = sorted(groups.values(), key=functools.cmp_to_key(
-        lambda a, b: a[0]._cmp(b[0])))
-    return [(e, members) for e, members in levels]
+# -- level index and sublevel merge tree -----------------------------------------
+
+
+class LevelIndex:
+    """Exact integer energy levels of the states of a landscape.
+
+    Arrays are indexed by position in ``ids``, the states in ascending
+    order.  The few distinct (bonds, pluses) pairs are sorted once, exactly,
+    with ``compare_pair``; pairs of equal value (possible only for a rational
+    field) follow one another in the order of the first state carrying each.
+    ``rank[p]`` is the place of position p's pair in that order, and
+    ``level[p]`` numbers the distinct values, so two states share a level
+    exactly when their energies are equal.  ``values[r]`` is the energy of
+    rank r, ``rank_level[r]`` its level, and ``level_rank[k]`` the first
+    rank of level k, the pair that names level k.  ``order`` lists the
+    positions by level, states ascending within a level, and level k
+    occupies ``order[starts[k]:starts[k + 1]]``.
+    """
+
+    def __init__(self, ids, bonds, pluses, field, n_sites):
+        n = len(ids)
+        self.ids = ids
+        self.n_sites = n_sites
+        self.full = n == 1 << n_sites
+        # one small integer key per pair, since pluses never exceed n_sites
+        b0 = int(bonds.min())
+        width = n_sites + 1
+        key = (bonds - b0) * width + pluses
+        first = np.full(int(key.max()) + 1, n, dtype=np.int64)
+        np.minimum.at(first, key, np.arange(n))
+        present = np.flatnonzero(first < n)
+        groups = {}
+        for k in present[np.argsort(first[present])].tolist():
+            b, p = divmod(k, width)
+            groups.setdefault(field.level_key(b + b0, p), []).append(
+                (k, b + b0, p))
+        by_value = sorted(groups.values(), key=functools.cmp_to_key(
+            lambda x, y: field.compare_pair(x[0][1] - y[0][1],
+                                            x[0][2] - y[0][2])))
+        rank_of_key = np.zeros(len(first), dtype=np.int32)
+        self.values, self.level_rank, rank_level = [], [], []
+        for level, group in enumerate(by_value):
+            self.level_rank.append(len(self.values))
+            for k, b, p in group:
+                rank_of_key[k] = len(self.values)
+                self.values.append(EnergyValue(b, p, field))
+                rank_level.append(level)
+        self.n_levels = len(by_value)
+        self.rank_level = np.array(rank_level, dtype=np.int32)
+        self.rank = rank_of_key[key]
+        self.level = self.rank_level[self.rank]
+        self.order = np.argsort(self.level, kind="stable")
+        self.starts = np.searchsorted(self.level[self.order],
+                                      np.arange(self.n_levels + 1))
+
+    def positions(self, states):
+        """Positions of a collection of states, ascending, without repeats."""
+        s = np.unique(np.fromiter(states, dtype=np.int64))
+        pos = s if self.full else np.searchsorted(self.ids, s)
+        if np.any(self.ids[np.minimum(pos, len(self.ids) - 1)] != s):
+            raise ValueError("states outside the landscape")
+        return pos
+
+    def flips(self, pos, bit):
+        """(p, q): the positions p of ``pos`` whose states stay in the
+        landscape when ``bit`` flips, and the positions q they flip to."""
+        t = self.ids[pos] ^ bit
+        if self.full:
+            return pos, t
+        q = np.minimum(np.searchsorted(self.ids, t), len(self.ids) - 1)
+        ok = self.ids[q] == t
+        return pos[ok], q[ok]
+
+    def edges(self):
+        """Every flip edge once, as position arrays (p, q), one bit at a time."""
+        for i in range(self.n_sites):
+            bit = 1 << i
+            yield self.flips(np.flatnonzero((self.ids & bit) == 0), bit)
+
+
+class _Sweep:
+    """Ascending union-find sweep over the levels of a landscape.
+
+    Level by level, activates the states of the level and joins each to its
+    active flip neighbours, union by size: the merge tree of the sublevel
+    sets.  ``flags`` holds a small int per position, and a component
+    carries the OR of its states' flags.  Iterating yields ``(k, joined)``
+    after level k: for each component that level k touched, the list of its
+    pieces, each a ``[flags, members]`` pair (members a list of positions)
+    as it stood before level k, a state activated at k being a piece of its
+    own.  The pieces are merged when iteration resumes, so a caller copies
+    what it keeps.  ``components`` maps each live component's root to its
+    ``[flags, members]``.
+    """
+
+    def __init__(self, lv, flags):
+        self.lv = lv
+        self.flags = flags
+        self.components = {}
+
+    def _edges(self, new, k):
+        """Flip edges from the states of level k to active states, each once."""
+        lv = self.lv
+        ps, qs = [], []
+        for i in range(lv.n_sites):
+            p, q = lv.flips(new, 1 << i)
+            lq = lv.level[q]
+            keep = (lq < k) | ((lq == k) & (q > p))
+            ps.append(p[keep])
+            qs.append(q[keep])
+        return zip(np.concatenate(ps).tolist(), np.concatenate(qs).tolist())
+
+    def __iter__(self):
+        lv, comps = self.lv, self.components
+        # union by size keeps every tree O(log n) deep, so finds need no
+        # path compression and are written out inline
+        parent, size = {}, {}
+        for k in range(lv.n_levels):
+            new = lv.order[lv.starts[k]:lv.starts[k + 1]]
+            joined = {}
+            for p, f in zip(new.tolist(), self.flags[new].tolist()):
+                parent[p] = p
+                size[p] = 1
+                joined[p] = [[f, [p]]]
+            for rp, rq in self._edges(new, k):
+                while parent[rp] != rp:
+                    rp = parent[rp]
+                while parent[rq] != rq:
+                    rq = parent[rq]
+                if rp == rq:
+                    continue
+                for r in (rp, rq):
+                    if r not in joined:
+                        joined[r] = [comps.pop(r)]
+                if size[rp] < size[rq]:
+                    rp, rq = rq, rp
+                parent[rq] = rp
+                size[rp] += size.pop(rq)
+                keep, gone = joined[rp], joined.pop(rq)
+                if len(keep) < len(gone):
+                    keep, gone = gone, keep
+                    joined[rp] = keep
+                keep += gone
+            yield k, list(joined.values())
+            for r, pieces in joined.items():
+                big = max(pieces, key=lambda piece: len(piece[1]))
+                for piece in pieces:
+                    if piece is not big:
+                        big[0] |= piece[0]
+                        big[1] += piece[1]
+                comps[r] = big
 
 
 def communication_energy(graph, a_states, b_states):
     """Minimax energy over single-flip paths between two state sets.
 
-    Sweeps the distinct energy levels ascending, joining states whose energy
-    is at most the level, and returns the first level at which some component
-    contains states of both sets.
+    Sweeps the levels ascending, joining states whose energy is at most the
+    level, and returns the first level at which some component contains
+    states of both sets, named by the pair of the lowest state at that
+    level.  States above that level are never visited.
     """
-    a_set = set(a_states)
-    b_set = set(b_states)
-    if not a_set or not b_set:
+    lv = graph.levels()
+    a, b = lv.positions(a_states), lv.positions(b_states)
+    if not len(a) or not len(b):
         raise ValueError("communication energy needs non-empty state sets")
-    ids = list(graph.states())
-    index = {s: k for k, s in enumerate(ids)}
-    uf = UnionFind(len(ids))
-    active = [False] * len(ids)
-    has_a = [s in a_set for s in ids]
-    has_b = [s in b_set for s in ids]
-
-    for level, members in _energy_levels(graph):
-        for s in members:
-            active[index[s]] = True
-        for s in members:
-            k = index[s]
-            for t in graph.neighbors(s):
-                kt = index.get(t)
-                if kt is not None and active[kt]:
-                    ra, rb = uf.find(k), uf.find(kt)
-                    if ra != rb:
-                        r = uf.union(ra, rb)
-                        other = rb if r == ra else ra
-                        has_a[r] = has_a[r] or has_a[other]
-                        has_b[r] = has_b[r] or has_b[other]
-        # joined components necessarily contain an active state of A
-        for s in a_set:
-            k = index[s]
-            if active[k]:
-                r = uf.find(k)
-                if has_a[r] and has_b[r]:
-                    return level
+    flags = np.zeros(len(lv.ids), dtype=np.int8)
+    flags[a] = 1
+    flags[b] |= 2
+    for k, joined in _Sweep(lv, flags):
+        for pieces in joined:
+            seen = 0
+            for f, _ in pieces:
+                seen |= f
+            if seen == 3:
+                return lv.values[lv.level_rank[k]]
     raise RuntimeError("state graph is not connected")
 
 
@@ -197,23 +341,74 @@ class CyclePartition:
         raise KeyError(state)
 
 
+def _boundary_edges(lv, label):
+    """Flip edges whose two ends carry different labels, as arrays
+    (label_p, label_q, weight); the weight is the larger rank of the ends."""
+    out = []
+    for p, q in lv.edges():
+        lp, lq = label[p], label[q]
+        cut = lp != lq
+        p, q = p[cut], q[cut]
+        out.append((lp[cut], lq[cut], np.maximum(lv.rank[p], lv.rank[q])))
+    return [np.concatenate(arrays) for arrays in zip(*out)]
+
+
+def _blocks(lv, label, count):
+    """CycleBlocks of the positions labelled 0..count-1 (-1 is outside),
+    ordered by smallest state.
+
+    The exit of a block is the least weight over its boundary edges, its
+    height and bottom come from the highest and lowest ranks inside it.
+    """
+    none = len(lv.values)
+    y = np.flatnonzero(label >= 0)
+    lab = label[y]
+    first = np.full(count, len(lv.ids), dtype=np.int64)
+    np.minimum.at(first, lab, y)
+    renumber = np.empty(count, dtype=np.int64)
+    renumber[np.argsort(first)] = np.arange(count)
+    lab = renumber[lab]
+    lo = np.full(count, none, dtype=np.int64)
+    np.minimum.at(lo, lab, lv.rank[y])
+    hi = np.full(count, -1, dtype=np.int64)
+    np.maximum.at(hi, lab, lv.rank[y])
+    ex = np.full(count, none, dtype=np.int64)
+    la, lb, w = _boundary_edges(lv, label)
+    for side in (la, lb):
+        inside = side >= 0
+        np.minimum.at(ex, renumber[side[inside]], w[inside])
+    # y ascends, so a stable sort keeps each block's states ascending
+    o = np.argsort(lab, kind="stable")
+    states = lv.ids[y[o]].tolist()
+    at_bottom = (lv.level[y] == lv.rank_level[lo[lab]])[o].tolist()
+    ends = np.cumsum(np.bincount(lab, minlength=count)).tolist()
+    values = lv.values
+    blocks = []
+    start = 0
+    for end, r_lo, r_hi, r_ex in zip(ends, lo.tolist(), hi.tolist(),
+                                     ex.tolist()):
+        members = frozenset(states[start:end])
+        if end - start == 1:
+            bottom, height = members, NEG_INF_ENERGY
+        else:
+            bottom = frozenset(s for s, f in zip(states[start:end],
+                                                 at_bottom[start:end]) if f)
+            height = values[r_hi]
+        exit_energy = depth = None
+        if r_ex < none:
+            exit_energy = values[r_ex]
+            depth = exit_energy - values[r_lo]
+        blocks.append(CycleBlock(members, exit_energy, height, bottom, depth))
+        start = end
+    return blocks
+
+
 def _block_stats(graph, states):
-    """Exit energy, height, bottom and depth of one connected block."""
-    states = frozenset(states)
-    exit_energy = None
-    for s in states:
-        es = graph.energy_pair(s)
-        for t in graph.neighbors(s):
-            if t not in states:
-                cand = max(es, graph.energy_pair(t))
-                if exit_energy is None or cand < exit_energy:
-                    exit_energy = cand
-    energies = {s: graph.energy_pair(s) for s in states}
-    emin = min(energies.values())
-    bottom = frozenset(s for s, e in energies.items() if e == emin)
-    height = NEG_INF_ENERGY if len(states) == 1 else max(energies.values())
-    depth = exit_energy - emin if exit_energy is not None else None
-    return CycleBlock(states, exit_energy, height, bottom, depth)
+    """Exit energy, height, bottom and depth of one block."""
+    lv = graph.levels()
+    label = np.full(len(lv.ids), -1, dtype=np.int64)
+    label[lv.positions(states)] = 0
+    return _blocks(lv, label, 1)[0]
 
 
 def _is_connected(graph, states):
@@ -232,111 +427,123 @@ def _is_connected(graph, states):
     return seen == states
 
 
+def _cycle_labels(lv, y):
+    """Maximal-cycle label of every position (-1 outside Y), and the count.
+
+    A component of a sublevel set that lies inside Y is a cycle, so the
+    maximal cycles are the merge-tree nodes inside Y whose parent is not:
+    the pieces inside Y of a component that comes to hold a state outside
+    Y, and the components inside Y that never do.
+    """
+    outside = np.ones(len(lv.ids), dtype=np.int8)
+    outside[y] = 0
+    label = np.full(len(lv.ids), -1, dtype=np.int64)
+    count = 0
+    sweep = _Sweep(lv, outside)
+    for _, joined in sweep:
+        for pieces in joined:
+            if any(f for f, _ in pieces):
+                for f, members in pieces:
+                    if not f:
+                        label[members] = count
+                        count += 1
+    for f, members in sweep.components.values():
+        if not f:
+            label[members] = count
+            count += 1
+    return label, count
+
+
 def maximal_cycles(graph, y_states):
-    """Partition of Y into maximal cycles.
+    """Partition of Y into maximal cycles, blocks ordered by smallest state.
 
     A cycle with at least two states is a connected component of a sublevel
     set whose exterior neighbors all sit strictly above the level, so the
-    partition falls out of an ascending sweep: after each level, any active
-    component entirely inside Y is a cycle, and the last one recorded per
-    state is the maximal one.
+    maximal cycles are read off the merge tree of one ascending sweep.
     """
-    y_set = frozenset(y_states)
-    ids = list(graph.states())
-    index = {s: k for k, s in enumerate(ids)}
-    uf = UnionFind(len(ids))
-    active = [False] * len(ids)
-    members = {k: [ids[k]] for k in range(len(ids))}
-    bad = [0 if ids[k] in y_set else 1 for k in range(len(ids))]
-    # every singleton of Y is a cycle, the fallback when any sublevel
-    # component around it immediately leaks out of Y
-    latest = {s: frozenset((s,)) for s in y_set}
-    for level, level_members in _energy_levels(graph):
-        for s in level_members:
-            active[index[s]] = True
-        for s in level_members:
-            k = index[s]
-            for t in graph.neighbors(s):
-                kt = index.get(t)
-                if kt is not None and active[kt]:
-                    ra, rb = uf.find(k), uf.find(kt)
-                    if ra != rb:
-                        r = uf.union(ra, rb)
-                        o = rb if r == ra else ra
-                        members[r].extend(members.pop(o))
-                        bad[r] += bad[o]
-        for r in {uf.find(index[s]) for s in level_members}:
-            if bad[r] == 0:
-                snapshot = frozenset(members[r])
-                for s in snapshot:
-                    latest[s] = snapshot
-    blocks = []
-    seen = set()
-    for s in sorted(y_set):
-        blk = latest[s]
-        if id(blk) not in seen:
-            seen.add(id(blk))
-            blocks.append(_block_stats(graph, blk))
-    return CyclePartition(blocks=blocks, kind="cycles")
+    lv = graph.levels()
+    label, count = _cycle_labels(lv, lv.positions(y_states))
+    return CyclePartition(blocks=_blocks(lv, label, count), kind="cycles")
 
 
 def maximal_compounds(graph, y_states):
-    """Partition of Y into maximal cycle compounds.
+    """Partition of Y into maximal cycle compounds, ordered by smallest state.
 
-    Starts from the maximal cycles and merges adjacent blocks whose exit
-    energies are exactly equal, as long as the union still satisfies
-    height <= exit energy, until no merge applies.  Every final block is
-    re-verified against the compound definition.
+    Merges adjacent maximal cycles whose exit energies are exactly equal.
+    Such a merge always keeps height <= exit energy: a union of maximal
+    cycles is no cycle, so its height is at least its exit, while the cycles
+    sit strictly below their common exit level and the singletons at most
+    at it.  The exit level therefore never changes, and the compounds are
+    the components of adjacent cycles with equal exit levels.  Every final
+    block is re-verified against the compound definition.  Under a rational
+    field, a merge of blocks whose exit pairs differ in (bonds, pluses) but
+    not in value is recorded as a tie event.
     """
-    part = maximal_cycles(graph, y_states)
-    blocks = [b for b in part.blocks]
+    lv = graph.levels()
+    label, count = _cycle_labels(lv, lv.positions(y_states))
+    none = len(lv.values)
+    level = lv.rank_level.tolist()
+    la, lb, w = _boundary_edges(lv, label)
+    # per block: least weight to states outside Y, to each adjacent block
+    out = np.full(count, none, dtype=np.int64)
+    for side, other in ((la, lb), (lb, la)):
+        sel = (side >= 0) & (other < 0)
+        np.minimum.at(out, side[sel], w[sel])
+    both = (la >= 0) & (lb >= 0)
+    a, b, w = np.minimum(la, lb)[both], np.maximum(la, lb)[both], w[both]
+    adjacent = [{} for _ in range(count)]
+    for x, z, v in zip(a.tolist(), b.tolist(), w.tolist()):
+        if v < adjacent[x].get(z, none):
+            adjacent[x][z] = adjacent[z][x] = v
+    y = np.flatnonzero(label >= 0)
+    first = np.full(count, len(lv.ids), dtype=np.int64)
+    np.minimum.at(first, label[y], y)
+    out, first = out.tolist(), first.tolist()
+    exit_rank = [min([out[c], *adjacent[c].values()]) for c in range(count)]
+    parent = list(range(count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    ties = [(c, d) for c in range(count) for d in adjacent[c]
+            if c < d and exit_rank[c] < none and exit_rank[d] < none
+            and level[exit_rank[c]] == level[exit_rank[d]]]
     tie_events = []
-    irr = graph.ctx.field.is_irrational
-    changed = True
-    while changed:
-        changed = False
-        n = len(blocks)
-        merged = False
-        for i in range(n):
-            if merged:
-                break
-            for j in range(i + 1, n):
-                bi, bj = blocks[i], blocks[j]
-                if bi.exit_energy is None or bj.exit_energy is None:
-                    continue
-                if bi.exit_energy != bj.exit_energy:
-                    continue
-                if not _adjacent(graph, bi.states, bj.states):
-                    continue
-                union = bi.states | bj.states
-                stats = _block_stats(graph, union)
-                if stats.exit_energy is not None and not (
-                        stats.height <= stats.exit_energy):
-                    continue
-                if not irr and not bi.exit_energy.same_pair(bj.exit_energy):
-                    tie_events.append((min(bi.states), min(bj.states),
-                                       bi.exit_energy.pair(), bj.exit_energy.pair()))
-                blocks = [b for k, b in enumerate(blocks) if k not in (i, j)]
-                blocks.append(stats)
-                merged = True
-                changed = True
-                break
-    for b in blocks:
-        if not _is_connected(graph, b.states):
+    for c, d in ties:
+        c, d = find(c), find(d)
+        if c == d:
+            continue
+        if exit_rank[c] != exit_rank[d]:
+            tie_events.append((int(lv.ids[first[c]]), int(lv.ids[first[d]]),
+                               lv.values[exit_rank[c]].pair(),
+                               lv.values[exit_rank[d]].pair()))
+        # the merged block keeps the larger neighbour map; its exit pair
+        # is the least weight left on its boundary
+        if len(adjacent[c]) < len(adjacent[d]):
+            c, d = d, c
+        parent[d] = c
+        kept, gone = adjacent[c], adjacent[d]
+        del kept[d], gone[c]
+        for e, v in gone.items():
+            del adjacent[e][d]
+            kept[e] = adjacent[e][c] = min(v, kept.get(e, none))
+        adjacent[d] = None
+        out[c] = min(out[c], out[d])
+        first[c] = min(first[c], first[d])
+        exit_rank[c] = min([out[c], *kept.values()])
+    roots, compound = np.unique([find(c) for c in range(count)],
+                                return_inverse=True)
+    final = np.where(label >= 0, compound[label], -1)
+    blocks = _blocks(lv, final, len(roots))
+    for blk in blocks:
+        if not _is_connected(graph, blk.states):
             raise AssertionError("compound block is not connected")
-        if b.exit_energy is not None and not (b.height <= b.exit_energy):
+        if blk.exit_energy is not None and not (blk.height <= blk.exit_energy):
             raise AssertionError("compound block violates height <= exit energy")
     return CyclePartition(blocks=blocks, kind="compounds", tie_events=tie_events)
-
-
-def _adjacent(graph, a_states, b_states):
-    small, big = (a_states, b_states) if len(a_states) <= len(b_states) \
-        else (b_states, a_states)
-    for s in small:
-        for t in graph.neighbors(s):
-            if t in big:
-                return True
-    return False
 
 
 def bottom_of(graph, states):
@@ -357,10 +564,13 @@ def bottom_of(graph, states):
 
 
 def truncate_landscape(graph, k):
-    """Lowest-k-energy flip-connected piece of a landscape around its minimum."""
-    order = sorted(graph.states(), key=functools.cmp_to_key(
-        lambda a, b: graph.energy_pair(a)._cmp(graph.energy_pair(b)) or (a - b)))
-    chosen = set(order[:k])
+    """Lowest-k-energy flip-connected piece of a landscape around its minimum.
+
+    States are taken by exact energy, states of equal energy by number.
+    """
+    lv = graph.levels()
+    order = lv.ids[lv.order[:k]].tolist()
+    chosen = set(order)
     start = order[0]
     seen = {start}
     stack = [start]
@@ -754,9 +964,6 @@ class RestrictedEnsemble:
                       for s in members])
         w /= w.sum()
         return dict(zip(members, w))
-
-    def as_state_set(self, graph):
-        return frozenset(self.members())
 
 
 def restricted_ensemble(ctx, n, constants):

@@ -244,7 +244,7 @@ class LatticeContext:
     """
 
     __slots__ = ("geometry", "bc", "field", "origin", "neighbors",
-                 "boundary_plus", "boundary_minus", "_nb_array")
+                 "boundary_plus", "boundary_minus")
 
     def __init__(self, geometry, bc, h, origin=None):
         if bc.kind == BoundaryCondition.N_PM and not 0 <= bc.n <= geometry.dimension:
@@ -275,18 +275,10 @@ class LatticeContext:
                         else:
                             self.boundary_minus[i] += 1
             self.neighbors.append(tuple(nbrs))
-        # padded array form for vectorized loops: -1 marks a missing slot
-        deg = 2 * geometry.dimension
-        self._nb_array = np.full((n, deg), -1, dtype=np.int64)
-        for i, nbrs in enumerate(self.neighbors):
-            self._nb_array[i, : len(nbrs)] = nbrs
 
     @property
     def n_sites(self):
         return self.geometry.n_sites
-
-    def neighbor_array(self):
-        return self._nb_array
 
     def global_coord(self, site):
         local = self.geometry.coord(site)

@@ -174,6 +174,50 @@ class TestGrowthThreshold:
                     assert res["equal"], (d, tok, float(L), res)
 
 
+class TestWriteAtomic:
+    def test_concurrent_writers_share_no_temp_file(self, tmp_path):
+        import stat
+        import threading
+        from isingkit.experiments import _UMASK, _write_atomic
+        path = str(tmp_path / "results.csv")
+        texts = [f"{k}\n" * 20_000 for k in range(4)]
+        errors = []
+
+        def writer(text):
+            try:
+                for _ in range(50):
+                    _write_atomic(path, text)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(t,)) for t in texts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        with open(path) as fh:
+            assert fh.read() in texts
+        assert os.listdir(tmp_path) == ["results.csv"]
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~_UMASK
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        from isingkit.experiments import _write_atomic
+        path = str(tmp_path / "fit.json")
+        _write_atomic(path, "old")
+        with pytest.raises(TypeError):
+            _write_atomic(path, 123)
+        assert os.listdir(tmp_path) == ["fit.json"]
+        with open(path) as fh:
+            assert fh.read() == "old"
+
+
 class TestStcAudit:
     def test_small_audit_passes(self):
         cfg = RunConfig(experiment="stc_audit", dims=[4, 4], h="sqrt2/2",

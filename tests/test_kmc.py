@@ -370,6 +370,44 @@ class _FrozenEnsemble:
         return config.plus_count() == 0
 
 
+class _EdgeDraws:
+    """Generator stub: unit holding draws and a fixed site draw."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def exponential(self):
+        return 1.0
+
+    def random(self):
+        return self.u
+
+
+class _NoAllMinus:
+    """Membership stub: every configuration but all-minus belongs."""
+
+    def contains_pair(self, bonds, pluses):
+        return pluses != 0
+
+
+class TestRejectionFreeSiteSelection:
+    @pytest.mark.parametrize("plus_site, u, want", [
+        # r == 0.0 with site 0 at zero rate: the first positive-rate site
+        (0, 0.0, 1),
+        # r past the last cumulative sum by rounding, site n-1 at zero
+        # rate: the last positive-rate site
+        (2, float(np.nextafter(1.0, 2.0)), 1)])
+    def test_zero_rate_site_never_picked(self, monkeypatch, plus_site, u,
+                                         want):
+        ctx = ctx_1d(3)
+        alpha = Configuration.from_plus_sites(ctx.geometry, [plus_site])
+        monkeypatch.setattr(np.random, "Generator",
+                            lambda bit_generator: _EdgeDraws(u))
+        traj = evolve_rejection_free(0, ctx, alpha, beta=1.0, max_events=1,
+                                     restrict=_NoAllMinus())
+        assert traj.events[0][1] == want
+
+
 class TestRestrictedFrozen:
     def test_single_member_ensemble_freezes(self):
         ctx = ctx_1d(3)

@@ -384,6 +384,7 @@ class TestTieAudit:
         for s_a, s_b, pair_a, pair_b in part.tie_events:
             assert pair_a != pair_b
             assert h.exact_value(*pair_a) == h.exact_value(*pair_b)
+            assert part.block_of(s_a) is part.block_of(s_b)
         seen = set()
         for blk in part.blocks:
             assert not (blk.states & seen)
@@ -411,7 +412,7 @@ class TestDomainBulletTwo:
 def _brute_maximal_blocks(graph, y_set, strict):
     """All maximal cycles (strict) or compounds (non-strict) by trying every
     subset of Y: the independent oracle for the partition algorithms."""
-    from isingkit.landscape import _block_stats, _is_connected
+    from landscape_oracle import _block_stats, _is_connected
     states = sorted(y_set)
     n = len(states)
     valid = []

@@ -1,8 +1,11 @@
-"""Cross-module landscape properties: depths of metastable cycles, the
-reference cycle path depth bound, energy cutting across nested boxes, and
-the control-inequality report."""
+"""Cross-module landscape properties: exact pair comparison and the level
+index, depths of metastable cycles, the reference cycle path depth bound,
+energy cutting across nested boxes, and the control-inequality report."""
 
+import math
 import random
+
+from hypothesis import given, settings, strategies as st
 
 from isingkit.energy import MagneticField
 from isingkit.landscape import (communication_energy, control_inequality_report,
@@ -13,6 +16,69 @@ from isingkit.lattice import (BoundaryCondition, BoxGeometry, Configuration,
 
 SQRT2_2 = MagneticField("sqrt2/2")
 SQRT3_2 = MagneticField("sqrt3/2")
+
+
+@st.composite
+def surd_fields(draw):
+    p = draw(st.integers(2, 300).filter(lambda p: math.isqrt(p) ** 2 != p))
+    q = draw(st.integers(math.isqrt(p) + 1, 40))
+    return MagneticField(f"sqrt{p}/{q}")
+
+
+@st.composite
+def rational_fields(draw):
+    den = draw(st.integers(2, 12))
+    return MagneticField(f"{draw(st.integers(1, den - 1))}/{den}")
+
+
+fields = st.one_of(surd_fields(), rational_fields())
+pairs = st.tuples(st.integers(-60, 60), st.integers(-30, 30))
+
+
+class TestComparePair:
+    @given(field=fields, x=pairs, y=pairs)
+    def test_antisymmetric(self, field, x, y):
+        assert field.compare_pair(x[0] - y[0], x[1] - y[1]) == \
+            -field.compare_pair(y[0] - x[0], y[1] - x[1])
+
+    @given(field=fields, x=pairs, y=pairs, z=pairs)
+    def test_transitive(self, field, x, y, z):
+        def cmp(a, b):
+            return field.compare_pair(a[0] - b[0], a[1] - b[1])
+
+        if cmp(x, y) <= 0 and cmp(y, z) <= 0:
+            assert cmp(x, z) <= 0
+            if cmp(x, y) < 0 or cmp(y, z) < 0:
+                assert cmp(x, z) < 0
+
+
+class TestLevelIndex:
+    @settings(max_examples=30, deadline=None)
+    @given(field=fields,
+           dims=st.sampled_from([(3,), (2, 3), (3, 3), (2, 2, 2)]),
+           bc=st.sampled_from([BoundaryCondition.all_minus(),
+                               BoundaryCondition.n_pm(1)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_levels_order_states_as_compare_pair(self, field, dims, bc, seed):
+        g = enumerate_landscape(build_context(BoxGeometry(dims), bc, field))
+        lv = g.levels()
+        # every pair of distinct energy pairs, through their ranks
+        for r, a in enumerate(lv.values):
+            for s, b in enumerate(lv.values):
+                sign = field.compare_pair(a.bonds - b.bonds, a.pluses - b.pluses)
+                diff = int(lv.rank_level[r]) - int(lv.rank_level[s])
+                assert (diff > 0) - (diff < 0) == sign
+                if sign == 0:
+                    assert r == s or not field.is_irrational
+        # and the per-state arrays against the states' own pairs
+        rng = random.Random(seed)
+        for _ in range(50):
+            s, t = rng.randrange(g.n_states), rng.randrange(g.n_states)
+            a, b = g.energy_pair(s), g.energy_pair(t)
+            sign = field.compare_pair(a.bonds - b.bonds, a.pluses - b.pluses)
+            diff = int(lv.level[s]) - int(lv.level[t])
+            assert (diff > 0) - (diff < 0) == sign
+            assert lv.values[lv.rank[s]].pair() == a.pair()
 
 
 def metastable_block(graph, exclude):
