@@ -92,7 +92,7 @@ def _cmd_constants(args):
 
 def _cmd_landscape(args):
     ctx = build_context(BoxGeometry(tuple(args.dims)),
-                        _bc_from_label(args.bc or "all_minus"),
+                        BoundaryCondition.from_label(args.bc or "all_minus"),
                         MagneticField(args.h))
     graph = enumerate_landscape(ctx)
     full = (1 << ctx.n_sites) - 1
@@ -136,7 +136,7 @@ def _cmd_wgraph_check(args):
 
 def _cmd_simulate(args):
     ctx = build_context(BoxGeometry(tuple(args.dims)),
-                        _bc_from_label(args.bc or "all_minus"),
+                        BoundaryCondition.from_label(args.bc or "all_minus"),
                         MagneticField(args.h))
     alpha = Configuration.all_minus(ctx.geometry)
     beta = args.beta[0]
@@ -244,16 +244,6 @@ def _cmd_growth_threshold(args):
     print(json.dumps({k: str(v) for k, v in result.items()}, indent=2,
                      sort_keys=True))
     return 0 if result["equal"] else 1
-
-
-def _bc_from_label(label):
-    if label == "all_minus":
-        return BoundaryCondition.all_minus()
-    if label == "all_plus":
-        return BoundaryCondition.all_plus()
-    if label.startswith("n_pm_"):
-        return BoundaryCondition.n_pm(int(label.rsplit("_", 1)[1]))
-    raise ValueError(f"unknown boundary kind {label!r}")
 
 
 def build_parser():

@@ -11,6 +11,7 @@ seed base + replica index, so outputs are deterministic.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -58,6 +59,7 @@ class RunConfig:
             raise ValueError("beta values must be positive")
         if self.mode not in ("rejection_free", "graphical"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        BoundaryCondition.from_label(self.bc)
 
     @classmethod
     def from_dict(cls, data):
@@ -73,17 +75,9 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    def boundary(self):
-        if self.bc == "all_minus":
-            return BoundaryCondition.all_minus()
-        if self.bc == "all_plus":
-            return BoundaryCondition.all_plus()
-        if self.bc.startswith("n_pm_"):
-            return BoundaryCondition.n_pm(int(self.bc.rsplit("_", 1)[1]))
-        raise ValueError(f"unknown boundary kind {self.bc!r}")
-
     def context(self):
-        return build_context(BoxGeometry(tuple(self.dims)), self.boundary(),
+        return build_context(BoxGeometry(tuple(self.dims)),
+                             BoundaryCondition.from_label(self.bc),
                              MagneticField(self.h))
 
 
@@ -194,7 +188,6 @@ def run_nucleation(config):
 
 
 def write_nucleation_outputs(report, out_dir):
-    import os
     os.makedirs(out_dir, exist_ok=True)
     _write_atomic(os.path.join(out_dir, "results.csv"),
                   _rows_to_csv(report["rows"],
@@ -507,7 +500,6 @@ def run_stc_audit(config):
 
 
 def write_stc_audit_outputs(report, out_dir):
-    import os
     os.makedirs(out_dir, exist_ok=True)
     _write_atomic(os.path.join(out_dir, "distribution.csv"),
                   _rows_to_csv(report["rows"],
@@ -523,7 +515,6 @@ def write_stc_audit_outputs(report, out_dir):
 
 
 def _rows_to_csv(rows, columns):
-    import io
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)

@@ -20,6 +20,7 @@ from .lattice import Configuration
 
 _COORD_OFFSET = 1 << 20
 _BLOCK = 64
+_FIRST_WINDOW = 8.0
 
 
 class EventStream:
@@ -103,12 +104,6 @@ class Trajectory:
                 raise ValueError("inconsistent trajectory: flip to current value")
             cfg.spins[site] = spin
             yield t, site, spin, cfg
-
-    def final_config(self):
-        cfg = self.initial.copy()
-        for _, site, spin in self.events:
-            cfg.spins[site] = spin
-        return cfg
 
     def to_csv(self, fh):
         fh.write("time,site,new_spin\n")
@@ -239,26 +234,35 @@ def pred_exits_set(ensemble):
 
 
 def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
-                     restrict=None, seed_label=None, t_start=0.0):
-    """Run the updating rule over the stream's arrivals in (t_start, horizon].
+                     max_events=None, restrict=None):
+    """Run the updating rule over the stream's arrivals in (0, horizon].
 
     At each arrival of family eps at site x: if the spin is -eps and the
     attached uniform lies below the exact Metropolis rate, the spin reverses.
     With ``restrict``, flips that would leave the ensemble are suppressed.
-    Returns the trajectory up to the stop predicate or the horizon.
+    Arrivals are read in the doubling windows (0, 8], (8, 16], (16, 32], ...,
+    the last one clipped at ``horizon``; ``horizon=None`` sets no time bound
+    and then needs ``max_events``.  The run stops when the predicate holds,
+    at the horizon, or at the end of the first window whose applied flips
+    reach ``max_events``.
     """
+    if horizon is None and max_events is None:
+        raise ValueError("graphical run needs a horizon or max_events")
     state = _SimState(ctx, alpha)
     events = []
-    reason = "horizon"
+    reason = None
     hit = None
     if stop is not None and stop(state):
         reason = "stopped"
-        hit = t_start
-    else:
-        up, down = _rate_tables(ctx, beta)
-        d2 = 2 * ctx.geometry.dimension
-        times, sites, fams, unis = stream.window(ctx, t_start, horizon)
-        spins = state.spins
+        hit = 0.0
+    up, down = _rate_tables(ctx, beta)
+    d2 = 2 * ctx.geometry.dimension
+    spins = state.spins
+    t0, t1 = 0.0, _FIRST_WINDOW
+    while reason is None:
+        if horizon is not None and t1 >= horizon:
+            t1 = horizon
+        times, sites, fams, unis = stream.window(ctx, t0, t1)
         for k in range(times.size):
             site = int(sites[k])
             eps = int(fams[k])
@@ -281,12 +285,18 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
                 reason = "stopped"
                 hit = t
                 break
-    traj = Trajectory(initial=alpha.copy(), events=events,
-                      t_end=hit if hit is not None else horizon,
+        else:
+            if t1 == horizon:
+                reason = "horizon"
+            elif max_events is not None and len(events) >= max_events:
+                reason = "event_cap"
+            else:
+                t0, t1 = t1, 2.0 * t1
+    return Trajectory(initial=alpha.copy(), events=events,
+                      t_end=hit if hit is not None else t1,
                       stop_reason=reason, beta=beta, h_token=ctx.field.token,
-                      bc_label=ctx.bc.label(), seed=seed_label or stream.seed,
+                      bc_label=ctx.bc.label(), seed=stream.seed,
                       hitting_time=hit)
-    return traj
 
 
 def coupled_evolve(stream, contexts, alphas, beta, horizon, check_order=None):
@@ -428,62 +438,24 @@ def hitting_time(mode, ctx, alpha, beta, predicate, seed, time_cap=None,
                  max_events=10_000_000, keep_trajectory=False):
     """First time the predicate holds, by either sampler.
 
-    Graphical mode extends its horizon geometrically until the predicate
-    fires or the cap censors the run; censored observations are flagged, and
-    report the cap as a lower bound.
+    Censored observations are flagged, and report the cap that stopped the
+    run (the time cap, or the end of the graphical window that reached the
+    event cap) as a lower bound.
     """
     if mode == "rejection_free":
         traj = evolve_rejection_free(seed, ctx, alpha, beta, stop=predicate,
                                      time_cap=time_cap, max_events=max_events)
-        censored = traj.stop_reason != "stopped"
-        time = traj.hitting_time if not censored else traj.t_end
-        if not keep_trajectory:
-            traj.events = []
-        return HittingResult(time=time, censored=censored, trajectory=traj)
-    if mode == "graphical":
-        stream = EventStream(seed)
-        state_cfg = alpha
-        t0 = 0.0
-        horizon = 8.0 if time_cap is None else min(8.0, time_cap)
-        all_events = []
-        while True:
-            traj = evolve_graphical(stream, ctx, state_cfg, beta,
-                                    stop=predicate, horizon=horizon,
-                                    t_start=t0)
-            if traj.stop_reason == "stopped":
-                full = Trajectory(initial=alpha.copy(),
-                                  events=all_events + traj.events,
-                                  t_end=traj.hitting_time, stop_reason="stopped",
-                                  beta=beta, h_token=ctx.field.token,
-                                  bc_label=ctx.bc.label(), seed=seed,
-                                  hitting_time=traj.hitting_time)
-                if not keep_trajectory:
-                    full.events = []
-                return HittingResult(time=traj.hitting_time, censored=False,
-                                     trajectory=full)
-            all_events.extend(traj.events)
-            if time_cap is not None and horizon >= time_cap:
-                # the last window may overshoot the cap; report the cap as
-                # the censored lower bound
-                full = Trajectory(initial=alpha.copy(), events=all_events,
-                                  t_end=time_cap, stop_reason="time_cap",
-                                  beta=beta, h_token=ctx.field.token,
-                                  bc_label=ctx.bc.label(), seed=seed)
-                if not keep_trajectory:
-                    full.events = []
-                return HittingResult(time=time_cap, censored=True,
-                                     trajectory=full)
-            if max_events is not None and len(all_events) >= max_events:
-                full = Trajectory(initial=alpha.copy(), events=all_events,
-                                  t_end=horizon, stop_reason="event_cap",
-                                  beta=beta, h_token=ctx.field.token,
-                                  bc_label=ctx.bc.label(), seed=seed)
-                if not keep_trajectory:
-                    full.events = []
-                return HittingResult(time=horizon, censored=True, trajectory=full)
-            state_cfg = traj.final_config()
-            t0 = horizon
-            horizon *= 2.0
-            if time_cap is not None:
-                horizon = min(horizon, time_cap)
-    raise ValueError(f"unknown mode {mode!r}")
+    elif mode == "graphical":
+        traj = evolve_graphical(EventStream(seed), ctx, alpha, beta,
+                                stop=predicate, horizon=time_cap,
+                                max_events=max_events)
+        if traj.stop_reason == "horizon":
+            traj.stop_reason = "time_cap"
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    censored = traj.stop_reason != "stopped"
+    # a stopped run ends at its hitting time
+    time = traj.t_end
+    if not keep_trajectory:
+        traj.events = []
+    return HittingResult(time=time, censored=censored, trajectory=traj)

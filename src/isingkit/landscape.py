@@ -548,19 +548,12 @@ def maximal_compounds(graph, y_states):
 
 def bottom_of(graph, states):
     """Energy minimizers of a non-empty state set."""
-    states = list(states)
-    if not states:
+    lv = graph.levels()
+    pos = lv.positions(states)
+    if not pos.size:
         raise ValueError("bottom of an empty set")
-    emin = None
-    out = []
-    for s in states:
-        e = graph.energy_pair(s)
-        if emin is None or e < emin:
-            emin = e
-            out = [s]
-        elif e == emin:
-            out.append(s)
-    return frozenset(out)
+    level = lv.level[pos]
+    return frozenset(lv.ids[pos[level == level.min()]].tolist())
 
 
 def truncate_landscape(graph, k):

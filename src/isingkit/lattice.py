@@ -116,6 +116,16 @@ class BoundaryCondition:
             return f"n_pm_{self.n}"
         return self.kind
 
+    @classmethod
+    def from_label(cls, label):
+        """Inverse of ``label()``: all_minus, all_plus or n_pm_<n>."""
+        if label in (cls.ALL_MINUS, cls.ALL_PLUS):
+            return cls(label)
+        kind, _, n = str(label).rpartition("_")
+        if kind == cls.N_PM and n.isdigit():
+            return cls.n_pm(int(n))
+        raise ValueError(f"unknown boundary kind {label!r}")
+
 
 class Configuration:
     """Dense +-1 spin assignment on a box, identified with its set of pluses."""

@@ -1,0 +1,123 @@
+"""Reference graphical sampler, kept as a test oracle.
+
+This is the graphical path that ``isingkit.kmc`` used before
+``evolve_graphical`` streamed its own doubling windows: one
+``evolve_graphical`` call reads a single window (t_start, horizon], and
+``hitting_time`` restarts it for every doubled window from the final
+configuration of the last one.  The differential tests require the library
+to reproduce it exactly, seed for seed.
+"""
+
+from __future__ import annotations
+
+from isingkit.kmc import (EventStream, HittingResult, Trajectory, _SimState,
+                          _rate_tables)
+
+
+def _final_config(traj):
+    cfg = traj.initial.copy()
+    for _, site, spin in traj.events:
+        cfg.spins[site] = spin
+    return cfg
+
+
+def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
+                     restrict=None, seed_label=None, t_start=0.0):
+    """Run the updating rule over the stream's arrivals in (t_start, horizon].
+
+    At each arrival of family eps at site x: if the spin is -eps and the
+    attached uniform lies below the exact Metropolis rate, the spin reverses.
+    With ``restrict``, flips that would leave the ensemble are suppressed.
+    Returns the trajectory up to the stop predicate or the horizon.
+    """
+    state = _SimState(ctx, alpha)
+    events = []
+    reason = "horizon"
+    hit = None
+    if stop is not None and stop(state):
+        reason = "stopped"
+        hit = t_start
+    else:
+        up, down = _rate_tables(ctx, beta)
+        d2 = 2 * ctx.geometry.dimension
+        times, sites, fams, unis = stream.window(ctx, t_start, horizon)
+        spins = state.spins
+        for k in range(times.size):
+            site = int(sites[k])
+            eps = int(fams[k])
+            if spins[site] != -eps:
+                continue
+            s = state.neighbor_sum(site)
+            rate = up[s + d2] if eps == 1 else down[s + d2]
+            if unis[k] >= rate:
+                continue
+            if restrict is not None:
+                sigma = int(spins[site])
+                if not restrict.contains_pair(state.bonds + sigma * s,
+                                              state.pluses - sigma):
+                    continue
+            state.apply_flip(site)
+            t = float(times[k])
+            state.time = t
+            events.append((t, site, eps))
+            if stop is not None and stop(state):
+                reason = "stopped"
+                hit = t
+                break
+    traj = Trajectory(initial=alpha.copy(), events=events,
+                      t_end=hit if hit is not None else horizon,
+                      stop_reason=reason, beta=beta, h_token=ctx.field.token,
+                      bc_label=ctx.bc.label(), seed=seed_label or stream.seed,
+                      hitting_time=hit)
+    return traj
+
+
+def hitting_time_graphical(ctx, alpha, beta, predicate, seed, time_cap=None,
+                           max_events=10_000_000, keep_trajectory=False):
+    """Graphical hitting time by restarting ``evolve_graphical`` for each
+    doubled window; censored observations report the cap as a lower bound."""
+    stream = EventStream(seed)
+    state_cfg = alpha
+    t0 = 0.0
+    horizon = 8.0 if time_cap is None else min(8.0, time_cap)
+    all_events = []
+    while True:
+        traj = evolve_graphical(stream, ctx, state_cfg, beta,
+                                stop=predicate, horizon=horizon,
+                                t_start=t0)
+        if traj.stop_reason == "stopped":
+            full = Trajectory(initial=alpha.copy(),
+                              events=all_events + traj.events,
+                              t_end=traj.hitting_time, stop_reason="stopped",
+                              beta=beta, h_token=ctx.field.token,
+                              bc_label=ctx.bc.label(), seed=seed,
+                              hitting_time=traj.hitting_time)
+            if not keep_trajectory:
+                full.events = []
+            return HittingResult(time=traj.hitting_time, censored=False,
+                                 trajectory=full)
+        all_events.extend(traj.events)
+        if time_cap is not None and horizon >= time_cap:
+            # the last window may overshoot the cap; report the cap as
+            # the censored lower bound
+            full = Trajectory(initial=alpha.copy(), events=all_events,
+                              t_end=time_cap, stop_reason="time_cap",
+                              beta=beta, h_token=ctx.field.token,
+                              bc_label=ctx.bc.label(), seed=seed)
+            if not keep_trajectory:
+                full.events = []
+            return HittingResult(time=time_cap, censored=True,
+                                 trajectory=full)
+        if max_events is not None and len(all_events) >= max_events:
+            full = Trajectory(initial=alpha.copy(), events=all_events,
+                              t_end=horizon, stop_reason="event_cap",
+                              beta=beta, h_token=ctx.field.token,
+                              bc_label=ctx.bc.label(), seed=seed)
+            if not keep_trajectory:
+                full.events = []
+            return HittingResult(time=horizon, censored=True, trajectory=full)
+        state_cfg = _final_config(traj)
+        t0 = horizon
+        horizon *= 2.0
+        if time_cap is not None:
+            horizon = min(horizon, time_cap)

@@ -2,8 +2,9 @@
 
 These are the per-state ``EnergyValue`` sweeps that ``isingkit.landscape``
 used before its integer level index and sublevel merge tree: an ascending
-union-find sweep per call, cycles from per-level component snapshots, and
-compounds from repeated scans over all block pairs.  They are slow and
+union-find sweep per call, cycles from per-level component snapshots,
+compounds from repeated scans over all block pairs, and the bottom of a state
+set by one ``EnergyValue`` comparison per state.  They are slow and
 straightforward; the differential tests compare the library against them.
 """
 
@@ -229,3 +230,18 @@ def truncate_landscape(graph, k):
     return TruncatedLandscape(graph, seen)
 
 
+def bottom_of(graph, states):
+    """Energy minimizers of a non-empty state set."""
+    states = list(states)
+    if not states:
+        raise ValueError("bottom of an empty set")
+    emin = None
+    out = []
+    for s in states:
+        e = graph.energy_pair(s)
+        if emin is None or e < emin:
+            emin = e
+            out = [s]
+        elif e == emin:
+            out.append(s)
+    return frozenset(out)

@@ -32,6 +32,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(experiment="x", replicas=0)
 
+    def test_unknown_bc_rejected(self):
+        with pytest.raises(ValueError):
+            RunConfig(experiment="x", bc="bogus")
+
     def test_single_beta_fit_error(self):
         with pytest.raises(ValueError):
             arrhenius_fit({3.0: [1.0, 2.0]})
@@ -266,6 +270,18 @@ class TestCli:
         code, _ = self.run_cli("nucleation", "--config", str(cfg),
                                "--out-dir", str(out_dir))
         assert code == 1
+        assert not out_dir.exists()
+
+    def test_unknown_bc_fails_before_any_work(self, tmp_path, capsys):
+        from isingkit.cli import main
+        out_dir = tmp_path / "out"
+        code = main(["nucleation", "--bc", "bogus", "--dims", "3",
+                     "--replicas", "1", "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out_dir.exists()
 
     def test_wgraph_check(self):

@@ -352,12 +352,13 @@ class TestHittingTime:
         beta = 2.5
         res = hitting_time("graphical", ctx,
                            Configuration.all_minus(ctx.geometry), beta,
-                           pred_all_plus(), seed=77)
+                           pred_all_plus(), seed=77, keep_trajectory=True)
         stream = EventStream(77)
         one_shot = evolve_graphical(stream, ctx,
                                     Configuration.all_minus(ctx.geometry),
                                     beta, stop=pred_all_plus(), horizon=1e5)
-        assert res.time == pytest.approx(one_shot.hitting_time)
+        assert res.time == one_shot.hitting_time
+        assert res.trajectory.events == one_shot.events
 
 
 class _FrozenEnsemble:

@@ -123,6 +123,25 @@ def test_truncated_landscapes_match_oracle(dims, token, k, seed):
         assert_partitions_agree(t, y)
 
 
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from([(2, 3), (3, 3)]),
+       bc=st.sampled_from(BOUNDARIES),
+       token=st.sampled_from(["sqrt2/2", "0.5"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       density=st.floats(0.0, 0.5))
+def test_bottom_of_matches_oracle(dims, bc, token, seed, density):
+    # under h = 1/2 distinct pairs can share the lowest value, and the
+    # bottom must hold every state at that value
+    g = graph(dims, bc, token)
+    rng = random.Random(seed)
+    states = [s for s in g.states() if rng.random() < density]
+    if states:
+        assert bottom_of(g, states) == oracle.bottom_of(g, states)
+    else:
+        with pytest.raises(ValueError):
+            bottom_of(g, states)
+
+
 def test_communication_energy_stops_at_the_barrier():
     # on 4x4 all-minus at sqrt2/2 the sweep from all-minus to all-plus
     # should look at the flip edges below the (12, 7) barrier only

@@ -328,6 +328,20 @@ class TestBoundaryMonotonicity:
             assert hamiltonian(ctx1, cfg) <= hamiltonian(ctx0, cfg)
 
 
+class TestBoundaryLabels:
+    @pytest.mark.parametrize("bc", [BoundaryCondition.all_minus(),
+                                    BoundaryCondition.all_plus()]
+                             + [BoundaryCondition.n_pm(n) for n in range(4)])
+    def test_from_label_inverts_label(self, bc):
+        assert BoundaryCondition.from_label(bc.label()) == bc
+
+    @pytest.mark.parametrize("label", ["bogus", "n_pm_", "n_pm_x", "n_pm",
+                                       "all_minus_1", ""])
+    def test_unknown_label_rejected(self, label):
+        with pytest.raises(ValueError):
+            BoundaryCondition.from_label(label)
+
+
 class TestSerialization:
     def test_text_round_trip(self):
         geom = BoxGeometry((3, 4))
