@@ -143,7 +143,8 @@ def _cmd_simulate(args):
     stop = pred_all_plus() if args.stop == "all_plus" else None
     if args.mode == "graphical":
         traj = evolve_graphical(EventStream(args.seed or 1), ctx, alpha, beta,
-                                stop=stop, horizon=args.caps_time or 100.0)
+                                stop=stop, horizon=args.caps_time or 100.0,
+                                max_events=args.caps_events)
     else:
         traj = evolve_rejection_free(args.seed or 1, ctx, alpha, beta,
                                      stop=stop, time_cap=args.caps_time,

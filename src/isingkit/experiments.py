@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field as dc_field
@@ -59,6 +60,15 @@ class RunConfig:
             raise ValueError("beta values must be positive")
         if self.mode not in ("rejection_free", "graphical"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if not (_is_number(self.caps_events, numbers.Integral)
+                and self.caps_events >= 1):
+            raise ValueError(f"caps events must be a positive integer, "
+                             f"got {self.caps_events!r}")
+        if self.caps_time is not None and not (
+                _is_number(self.caps_time, numbers.Real)
+                and self.caps_time > 0):
+            raise ValueError(f"caps time must be positive or null, "
+                             f"got {self.caps_time!r}")
         BoundaryCondition.from_label(self.bc)
 
     @classmethod
@@ -79,6 +89,10 @@ class RunConfig:
         return build_context(BoxGeometry(tuple(self.dims)),
                              BoundaryCondition.from_label(self.bc),
                              MagneticField(self.h))
+
+
+def _is_number(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 # -- Arrhenius fitting ---------------------------------------------------------

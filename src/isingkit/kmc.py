@@ -356,38 +356,69 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
     """Sample the embedded jump chain and exponential holding times directly.
 
     Statistically equivalent to the graphical mode; every jump is an applied
-    flip, so deep metastable waits cost nothing.  Rates are recomputed from
-    the exact local field at every update.
+    flip, so deep metastable waits cost nothing.  This is the n-fold way
+    (Bortz, Kalos & Lebowitz 1975): a site's rate depends only on its class
+    (spin, neighbour sum), so each class keeps a member list; an event picks
+    a class by its share of the total rate, then a member uniformly, and
+    moves only the flipped site and its neighbours between classes.  With
+    ``restrict``, a flip's membership depends only on its class and the
+    global energy, so it is checked once per non-empty class.  The run stops
+    with "frozen" when no class may flip, and with "underflow" when some
+    class may flip but every such rate has underflowed to 0.0.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         int(seed), spawn_key=(2,))))
     state = _SimState(ctx, alpha)
-    n = ctx.n_sites
-    up, down = _rate_tables(ctx, beta)
+    spins = state.spins
+    neighbors = ctx.neighbors
     d2 = 2 * ctx.geometry.dimension
+    width = d2 + 1
+    up, down = _rate_tables(ctx, beta)
+    # class c = width * (spin is plus) + (neighbour sum + 2d) / 2
+    rates = [float(up[2 * k]) for k in range(width)] + \
+        [float(down[2 * k]) for k in range(width)]
+    signs = [-1] * width + [1] * width
+    sums = [2 * k - d2 for k in range(width)] * 2
+    cls = width * (spins == 1) + (ctx.neighbor_spin_sums(spins) + d2) // 2
+    pos = np.empty_like(cls)
+    members = []
+    for c in range(2 * width):
+        sites = np.flatnonzero(cls == c)
+        pos[sites] = np.arange(sites.size)
+        members.append(sites.tolist())
+    cls = cls.tolist()
+    pos = pos.tolist()
+
+    def move(i, c):
+        old = members[cls[i]]
+        last = old.pop()
+        if last != i:
+            old[pos[i]] = last
+            pos[last] = pos[i]
+        pos[i] = len(members[c])
+        members[c].append(i)
+        cls[i] = c
+
     events = []
     reason = None
     hit = None
     t = 0.0
-
-    def site_rate(i):
-        s = state.neighbor_sum(i)
-        r = up[s + d2] if state.spins[i] == -1 else down[s + d2]
-        if restrict is not None:
-            sigma = int(state.spins[i])
-            if not restrict.contains_pair(state.bonds + sigma * s,
-                                          state.pluses - sigma):
-                return 0.0
-        return r
-
-    rates = np.array([site_rate(i) for i in range(n)])
+    weights = rates
     if stop is not None and stop(state):
         reason = "stopped"
         hit = 0.0
     while reason is None:
-        total = float(rates.sum())
+        if restrict is not None:
+            bonds, pluses = state.bonds, state.pluses
+            allowed = [bool(m) and restrict.contains_pair(
+                bonds + sigma * s, pluses - sigma)
+                for m, sigma, s in zip(members, signs, sums)]
+            weights = [rate if ok else 0.0 for rate, ok in zip(rates, allowed)]
+        w = [len(m) * rate for m, rate in zip(members, weights)]
+        total = sum(w)
         if total <= 0.0:
-            reason = "frozen"
+            frozen = restrict is not None and not any(allowed)
+            reason = "frozen" if frozen else "underflow"
             break
         t += rng.exponential() / total
         if time_cap is not None and t > time_cap:
@@ -395,21 +426,27 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
             reason = "time_cap"
             break
         r = rng.random() * total
-        # side="right" skips zero-rate sites at r == 0.0 and at any r that
-        # lands on a cumulative sum; r can pass the last sum by rounding
-        site = int(np.searchsorted(np.cumsum(rates), r, side="right"))
-        if site >= n:
-            site = int(np.flatnonzero(rates > 0.0)[-1])
-        state.apply_flip(site)
-        state.time = t
-        events.append((t, site, int(state.spins[site])))
-        if restrict is None:
-            rates[site] = site_rate(site)
-            for nb in ctx.neighbors[site]:
-                rates[nb] = site_rate(nb)
+        # zero-rate classes are skipped; r can pass the total by rounding,
+        # which picks the last member of the last positive class
+        for c, wc in enumerate(w):
+            if wc > 0.0:
+                pick = c
+                if r < wc:
+                    k = int(r / weights[c])
+                    break
+                r -= wc
         else:
-            # membership depends on the global energy, refresh everything
-            rates = np.array([site_rate(i) for i in range(n)])
+            k = len(members[pick]) - 1
+        site = members[pick][min(k, len(members[pick]) - 1)]
+        sigma = signs[pick]
+        state.bonds += sigma * sums[pick]
+        state.pluses -= sigma
+        spins[site] = -sigma
+        state.time = t
+        events.append((t, site, -sigma))
+        move(site, pick - sigma * width)
+        for nb in neighbors[site]:
+            move(nb, cls[nb] - sigma)
         if stop is not None and stop(state):
             reason = "stopped"
             hit = t
@@ -417,11 +454,10 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
         if len(events) >= max_events:
             reason = "event_cap"
             break
-    traj = Trajectory(initial=alpha.copy(), events=events, t_end=t,
-                      stop_reason=reason or "frozen", beta=beta,
+    return Trajectory(initial=alpha.copy(), events=events, t_end=t,
+                      stop_reason=reason, beta=beta,
                       h_token=ctx.field.token, bc_label=ctx.bc.label(),
                       seed=int(seed), hitting_time=hit)
-    return traj
 
 
 # -- hitting times -------------------------------------------------------------
@@ -440,7 +476,8 @@ def hitting_time(mode, ctx, alpha, beta, predicate, seed, time_cap=None,
 
     Censored observations are flagged, and report the cap that stopped the
     run (the time cap, or the end of the graphical window that reached the
-    event cap) as a lower bound.
+    event cap) as a lower bound; a rejection-free run stopped by "frozen"
+    or "underflow" is censored at the time it stopped.
     """
     if mode == "rejection_free":
         traj = evolve_rejection_free(seed, ctx, alpha, beta, stop=predicate,

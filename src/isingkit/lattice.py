@@ -313,6 +313,20 @@ class LatticeContext:
             s += int(config.spins[nb])
         return s
 
+    def neighbor_spin_sums(self, spins):
+        """``neighbor_spin_sum`` of every site at once, as an int array."""
+        dims = self.geometry.dims
+        grid = np.asarray(spins, dtype=np.int64).reshape(dims)
+        sums = (self.boundary_plus - self.boundary_minus).reshape(dims)
+        for axis in range(len(dims)):
+            head = [slice(None)] * len(dims)
+            tail = [slice(None)] * len(dims)
+            head[axis] = slice(1, None)
+            tail[axis] = slice(None, -1)
+            sums[tuple(head)] += grid[tuple(tail)]
+            sums[tuple(tail)] += grid[tuple(head)]
+        return sums.reshape(-1)
+
 
 def build_context(geometry, bc, h, origin=None):
     """Precompute neighbor tables for O(1) local energy queries."""

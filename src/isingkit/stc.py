@@ -74,6 +74,10 @@ class StcLedger:
         for other in roots[1:]:
             self.uf.union(main, other)
             orec = self._records.pop(other)
+            # the larger containers absorb the smaller ones
+            for key in ("segments", "open"):
+                if len(orec[key]) > len(rec[key]):
+                    rec[key], orec[key] = orec[key], rec[key]
             rec["segments"].extend(orec["segments"])
             rec["open"].update(orec["open"])
             rec["live"] += orec["live"]
@@ -84,10 +88,7 @@ class StcLedger:
                         rec["lo"][a] = orec["lo"][a]
                     if rec["hi"][a] is None or orec["hi"][a] > rec["hi"][a]:
                         rec["hi"][a] = orec["hi"][a]
-        root = self.uf.find(main)
-        if root != main:
-            self._records[root] = self._records.pop(main)
-        return root
+        return main
 
     def _open_site(self, coord, t, cluster_roots):
         # diameter growth is judged against the parts before any merge, so a
@@ -158,9 +159,10 @@ def track(ctx, trajectory, initial_stc=None):
     no member site remains plus.  ``initial_stc`` optionally groups the
     initial plus components into pre-existing clusters (a group may span
     several components, mirroring clusters inherited from an earlier run).
+    ``live`` maps each plus site to the cluster id it joined; readers
+    resolve it to the current root with ``find``.
     """
     ledger = StcLedger(ctx, trajectory.t_end)
-    geom = ctx.geometry
     spins = trajectory.initial.spins.copy()
     live = {}
 
@@ -174,8 +176,6 @@ def track(ctx, trajectory, initial_stc=None):
             root = ledger._open_site(ctx.global_coord(site), 0.0,
                                      [ledger.uf.find(r) for r in roots])
             live[site] = root
-            for s in list(live):
-                live[s] = ledger.uf.find(live[s])
 
     for t, site, new_spin in trajectory.events:
         if spins[site] == new_spin:
@@ -186,8 +186,6 @@ def track(ctx, trajectory, initial_stc=None):
                      for nb in ctx.neighbors[site] if nb in live}
             root = ledger._open_site(ctx.global_coord(site), t, sorted(roots))
             live[site] = root
-            for s in list(live):
-                live[s] = ledger.uf.find(live[s])
         else:
             root = ledger.uf.find(live.pop(site))
             ledger._close_site(root, ctx.global_coord(site), t)

@@ -1,14 +1,21 @@
-"""Reference graphical sampler, kept as a test oracle.
+"""Reference samplers, kept as test oracles.
 
-This is the graphical path that ``isingkit.kmc`` used before
+The graphical path is the one ``isingkit.kmc`` used before
 ``evolve_graphical`` streamed its own doubling windows: one
 ``evolve_graphical`` call reads a single window (t_start, horizon], and
 ``hitting_time`` restarts it for every doubled window from the final
 configuration of the last one.  The differential tests require the library
 to reproduce it exactly, seed for seed.
+
+``evolve_rejection_free`` is the rejection-free sampler from before the
+n-fold way: it recomputes a cumulative sum over all sites on every event.
+The library consumes the same draws in a different site order, so the
+differential tests compare the two in law.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from isingkit.kmc import (EventStream, HittingResult, Trajectory, _SimState,
                           _rate_tables)
@@ -121,3 +128,76 @@ def hitting_time_graphical(ctx, alpha, beta, predicate, seed, time_cap=None,
         horizon *= 2.0
         if time_cap is not None:
             horizon = min(horizon, time_cap)
+
+
+def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
+                          max_events=10_000_000, restrict=None):
+    """Sample the embedded jump chain and exponential holding times directly.
+
+    Statistically equivalent to the graphical mode; every jump is an applied
+    flip, so deep metastable waits cost nothing.  Rates are recomputed from
+    the exact local field at every update.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        int(seed), spawn_key=(2,))))
+    state = _SimState(ctx, alpha)
+    n = ctx.n_sites
+    up, down = _rate_tables(ctx, beta)
+    d2 = 2 * ctx.geometry.dimension
+    events = []
+    reason = None
+    hit = None
+    t = 0.0
+
+    def site_rate(i):
+        s = state.neighbor_sum(i)
+        r = up[s + d2] if state.spins[i] == -1 else down[s + d2]
+        if restrict is not None:
+            sigma = int(state.spins[i])
+            if not restrict.contains_pair(state.bonds + sigma * s,
+                                          state.pluses - sigma):
+                return 0.0
+        return r
+
+    rates = np.array([site_rate(i) for i in range(n)])
+    if stop is not None and stop(state):
+        reason = "stopped"
+        hit = 0.0
+    while reason is None:
+        total = float(rates.sum())
+        if total <= 0.0:
+            reason = "frozen"
+            break
+        t += rng.exponential() / total
+        if time_cap is not None and t > time_cap:
+            t = time_cap
+            reason = "time_cap"
+            break
+        r = rng.random() * total
+        # side="right" skips zero-rate sites at r == 0.0 and at any r that
+        # lands on a cumulative sum; r can pass the last sum by rounding
+        site = int(np.searchsorted(np.cumsum(rates), r, side="right"))
+        if site >= n:
+            site = int(np.flatnonzero(rates > 0.0)[-1])
+        state.apply_flip(site)
+        state.time = t
+        events.append((t, site, int(state.spins[site])))
+        if restrict is None:
+            rates[site] = site_rate(site)
+            for nb in ctx.neighbors[site]:
+                rates[nb] = site_rate(nb)
+        else:
+            # membership depends on the global energy, refresh everything
+            rates = np.array([site_rate(i) for i in range(n)])
+        if stop is not None and stop(state):
+            reason = "stopped"
+            hit = t
+            break
+        if len(events) >= max_events:
+            reason = "event_cap"
+            break
+    traj = Trajectory(initial=alpha.copy(), events=events, t_end=t,
+                      stop_reason=reason or "frozen", beta=beta,
+                      h_token=ctx.field.token, bc_label=ctx.bc.label(),
+                      seed=int(seed), hitting_time=hit)
+    return traj

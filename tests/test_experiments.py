@@ -36,6 +36,19 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(experiment="x", bc="bogus")
 
+    @pytest.mark.parametrize("caps", [
+        {"events": None}, {"events": 0}, {"events": -5}, {"events": 2.5},
+        {"events": True}, {"events": "100"}, {"time": 0}, {"time": -1.0},
+        {"time": float("nan")}, {"time": "5"}])
+    def test_bad_caps_rejected(self, caps):
+        with pytest.raises(ValueError):
+            RunConfig.from_dict({"experiment": "nucleation", "caps": caps})
+
+    def test_null_time_cap_allowed(self):
+        cfg = RunConfig.from_dict({"experiment": "nucleation",
+                                   "caps": {"time": None}})
+        assert cfg.caps_time is None
+
     def test_single_beta_fit_error(self):
         with pytest.raises(ValueError):
             arrhenius_fit({3.0: [1.0, 2.0]})
@@ -283,6 +296,28 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out_dir.exists()
+
+    def test_null_event_cap_in_config_fails_cleanly(self, tmp_path, capsys):
+        from isingkit.cli import main
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"caps": {"events": None}}))
+        code = main(["nucleation", "--config", str(cfg), "--dims", "3",
+                     "--beta", "1,2", "--replicas", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_simulate_graphical_honours_event_cap(self, tmp_path):
+        code, out = self.run_cli("simulate", "--mode", "graphical",
+                                 "--dims", "4,4", "--h", "0.5",
+                                 "--beta", "1.0", "--caps-events", "5",
+                                 "--out-dir", str(tmp_path))
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["stop_reason"] == "event_cap"
+        assert summary["n_events"] >= 5
 
     def test_wgraph_check(self):
         code, out = self.run_cli("wgraph-check", "--count", "10",

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import kmc_oracle
 from isingkit.energy import MagneticField
 from isingkit.kmc import (EventStream, HittingResult, Scenario, Trajectory,
                           coupled_evolve, evolve_graphical,
@@ -392,6 +393,9 @@ class _NoAllMinus:
 
 
 class TestRejectionFreeSiteSelection:
+    # box of 3 sites, all-minus boundary, one plus site that may not flip
+    # (that would reach all-minus)
+
     @pytest.mark.parametrize("plus_site, u, want", [
         # r == 0.0 with site 0 at zero rate: the first positive-rate site
         (0, 0.0, 1),
@@ -400,6 +404,24 @@ class TestRejectionFreeSiteSelection:
         (2, float(np.nextafter(1.0, 2.0)), 1)])
     def test_zero_rate_site_never_picked(self, monkeypatch, plus_site, u,
                                          want):
+        # the cumulative-sum sampler, kept as the oracle
+        ctx = ctx_1d(3)
+        alpha = Configuration.from_plus_sites(ctx.geometry, [plus_site])
+        monkeypatch.setattr(np.random, "Generator",
+                            lambda bit_generator: _EdgeDraws(u))
+        traj = kmc_oracle.evolve_rejection_free(
+            0, ctx, alpha, beta=1.0, max_events=1, restrict=_NoAllMinus())
+        assert traj.events[0][1] == want
+
+    @pytest.mark.parametrize("plus_site, u, want", [
+        # r == 0.0: the first member of the first positive class, which is
+        # the minus class of neighbour sum -2 (site 2)
+        (0, 0.0, 2),
+        # r past the total by rounding: the last member of the last positive
+        # class, the minus class of neighbour sum 0 (site 1)
+        (2, float(np.nextafter(1.0, 2.0)), 1)])
+    def test_zero_rate_class_never_picked(self, monkeypatch, plus_site, u,
+                                          want):
         ctx = ctx_1d(3)
         alpha = Configuration.from_plus_sites(ctx.geometry, [plus_site])
         monkeypatch.setattr(np.random, "Generator",

@@ -88,6 +88,21 @@ class TestContext:
         assert ctx.neighbors[0] == (1,)
         assert ctx.neighbors[1] == (0, 2)
 
+    @pytest.mark.parametrize("dims, bc", [
+        ((1,), BoundaryCondition.all_minus()),
+        ((5,), BoundaryCondition.all_plus()),
+        ((3, 4), BoundaryCondition.n_pm(1)),
+        ((2, 3, 4), BoundaryCondition.n_pm(2)),
+        ((3, 3, 3), BoundaryCondition.all_minus())])
+    def test_neighbor_spin_sums_match_per_site(self, dims, bc):
+        ctx = build_context(BoxGeometry(dims), bc, SQRT2_2)
+        rng = random.Random(len(dims))
+        for _ in range(5):
+            cfg = Configuration(ctx.geometry, [rng.choice([-1, 1])
+                                               for _ in range(ctx.n_sites)])
+            assert ctx.neighbor_spin_sums(cfg.spins).tolist() == \
+                [ctx.neighbor_spin_sum(cfg, i) for i in range(ctx.n_sites)]
+
     def test_n_pm_faces(self):
         ctx = build_context(BoxGeometry((3, 3)), BoundaryCondition.n_pm(1), SQRT2_2)
         geom = ctx.geometry

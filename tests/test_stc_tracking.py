@@ -1,0 +1,99 @@
+"""Differential tests: ``isingkit.stc.track`` (live sites resolved by
+``find`` on demand, merges by size) against the relabel-every-flip tracker
+kept in ``stc_oracle``.  The change is exact, so the ledgers must agree:
+diameter events, crossing times, clusters and segments.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+import stc_oracle as oracle
+from isingkit.energy import MagneticField
+from isingkit.kmc import Trajectory, evolve_rejection_free
+from isingkit.lattice import (BoundaryCondition, BoxGeometry, Configuration,
+                              build_context, connected_components)
+from isingkit.stc import track
+
+SQRT2_2 = MagneticField("sqrt2/2")
+
+
+@st.composite
+def trajectories(draw):
+    """A box from 3x3 to 8x8, a random initial configuration, optional
+    initial_stc groups (each a union of initial plus components), and valid
+    flips at random sites and increasing times."""
+    dims = (draw(st.integers(3, 8)), draw(st.integers(3, 8)))
+    ctx = build_context(BoxGeometry(dims), BoundaryCondition.all_minus(),
+                        SQRT2_2)
+    n = ctx.n_sites
+    spins = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    initial = Configuration(ctx.geometry, spins)
+    groups = None
+    if draw(st.booleans()):
+        comps = [comp for comp, _ in connected_components(ctx, initial)]
+        labels = draw(st.lists(st.integers(0, 3), min_size=len(comps),
+                               max_size=len(comps)))
+        by_label = {}
+        for comp, label in zip(comps, labels):
+            by_label.setdefault(label, []).extend(sorted(comp))
+        groups = list(by_label.values())
+    sites = draw(st.lists(st.integers(0, n - 1), max_size=150))
+    current = list(spins)
+    events = []
+    t = 0.0
+    for site in sites:
+        t += draw(st.integers(1, 4)) / 8.0
+        current[site] = -current[site]
+        events.append((t, site, current[site]))
+    traj = Trajectory(initial=initial, events=events, t_end=t + 1.0,
+                      stop_reason="scripted", beta=0.0,
+                      h_token=SQRT2_2.token, bc_label=ctx.bc.label())
+    return ctx, traj, groups
+
+
+def assert_same_ledger(new, old):
+    assert new.diameter_events == old.diameter_events
+    assert new.crossing_times == old.crossing_times
+    assert new.clusters() == old.clusters()
+    assert sorted(new.all_segments()) == sorted(old.all_segments())
+
+
+class TestTrackAgainstOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=trajectories())
+    def test_random_trajectories(self, case):
+        ctx, traj, groups = case
+        assert_same_ledger(track(ctx, traj, initial_stc=groups),
+                           oracle.track(ctx, traj, initial_stc=groups))
+
+    def test_sampled_trajectories(self):
+        # growing droplets on 16x16, where merges of large clusters occur
+        ctx = build_context(BoxGeometry((16, 16)),
+                            BoundaryCondition.all_minus(), SQRT2_2)
+        alpha = Configuration.all_minus(ctx.geometry)
+        for seed in range(3):
+            traj = evolve_rejection_free(seed, ctx, alpha, 1.2,
+                                         max_events=3000)
+            assert_same_ledger(track(ctx, traj), oracle.track(ctx, traj))
+
+
+class TestPrefixConsistency:
+    @settings(max_examples=60, deadline=None)
+    @given(case=trajectories(), frac=st.floats(0.0, 1.0))
+    def test_prefix_reproduces_dead_clusters(self, case, frac):
+        # clusters that died by the cut are identical between the ledger of
+        # the full trajectory and that of its prefix
+        ctx, traj, groups = case
+        if not traj.events:
+            return
+        cut = traj.events[int(frac * (len(traj.events) - 1))][0]
+        prefix = Trajectory(initial=traj.initial,
+                            events=[e for e in traj.events if e[0] <= cut],
+                            t_end=cut, stop_reason="prefix", beta=traj.beta,
+                            h_token=traj.h_token, bc_label=traj.bc_label)
+
+        def dead(ledger):
+            return {v.segments for v in ledger.clusters()
+                    if v.death is not None and v.death <= cut}
+
+        assert dead(track(ctx, traj, initial_stc=groups)) == \
+            dead(track(ctx, prefix, initial_stc=groups))
