@@ -140,15 +140,23 @@ def _cmd_simulate(args):
                         MagneticField(args.h))
     alpha = Configuration.all_minus(ctx.geometry)
     beta = args.beta[0]
+    if args.caps_events is not None and args.caps_events < 1:
+        raise ValueError(f"caps events must be an integer >= 1, "
+                         f"got {args.caps_events}")
+    if args.caps_time is not None and not args.caps_time > 0:
+        raise ValueError(f"caps time must be positive, got {args.caps_time}")
+    seed = 1 if args.seed is None else args.seed
     stop = pred_all_plus() if args.stop == "all_plus" else None
     if args.mode == "graphical":
-        traj = evolve_graphical(EventStream(args.seed or 1), ctx, alpha, beta,
-                                stop=stop, horizon=args.caps_time or 100.0,
-                                max_events=args.caps_events)
+        traj = evolve_graphical(
+            EventStream(seed), ctx, alpha, beta, stop=stop,
+            horizon=100.0 if args.caps_time is None else args.caps_time,
+            max_events=args.caps_events)
     else:
-        traj = evolve_rejection_free(args.seed or 1, ctx, alpha, beta,
-                                     stop=stop, time_cap=args.caps_time,
-                                     max_events=args.caps_events or 1_000_000)
+        traj = evolve_rejection_free(
+            seed, ctx, alpha, beta, stop=stop, time_cap=args.caps_time,
+            max_events=1_000_000 if args.caps_events is None
+            else args.caps_events)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     buf = io.StringIO()
@@ -177,38 +185,38 @@ def _cmd_infection(args):
     report = run_infection_microscopic(config)
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
-        rows = [{k: r[k] for k in ("replica", "seed", "beta",
-                                   "first_infection_time", "censored",
-                                   "deinfections")}
-                for r in report["rows"]]
         _write_atomic(os.path.join(config.out_dir, "results.csv"),
-                      _rows_to_csv(rows, ["replica", "seed", "beta",
-                                          "first_infection_time", "censored",
-                                          "deinfections"]))
+                      _rows_to_csv(report["rows"],
+                                   ["replica", "seed", "beta",
+                                    "first_infection_time", "censored",
+                                    "deinfections", "stop_reason"]))
     print(json.dumps({"persistence": report["persistence"],
+                      "event_cap": report["event_cap"],
                       "fit": report.get("fit", {})},
                      indent=2, sort_keys=True, default=str))
     return 0
 
 
 def _cmd_growth_model(args):
+    optional = {k: getattr(args, k) for k in ("replicas", "seed")
+                if getattr(args, k) is not None}
     params = GrowthModelParams(d=args.d, gamma=args.gamma,
                                kappa_prev=args.kappa_prev, L=args.L,
-                               betas=args.beta, replicas=args.replicas or 200,
-                               seed=args.seed or 1)
+                               betas=args.beta, **optional)
     report = run_growth_model(params)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         _write_atomic(os.path.join(args.out_dir, "results.csv"),
                       _rows_to_csv(report["rows"],
                                    ["replica", "seed", "beta", "coverage_time",
-                                    "censored", "side"]))
+                                    "censored", "side", "stop_reason",
+                                    "events"]))
         _write_atomic(os.path.join(args.out_dir, "fit.json"),
-                      json.dumps({"fit": report.get("fit", {}),
+                      json.dumps({"fit": report["fit"],
                                   "kappa_target": report["kappa_target"],
                                   "flags": report["flags"]},
                                  indent=2, sort_keys=True, default=str))
-    print(json.dumps({"fit": report.get("fit", {}),
+    print(json.dumps({"fit": report["fit"],
                       "kappa_target": report["kappa_target"]},
                      indent=2, sort_keys=True, default=str))
     return 0

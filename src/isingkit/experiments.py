@@ -19,6 +19,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -54,16 +55,17 @@ class RunConfig:
     mode: str = "rejection_free"
 
     def __post_init__(self):
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if not self.beta or any(b <= 0 for b in self.beta):
-            raise ValueError("beta values must be positive")
+        if not (isinstance(self.dims, (list, tuple)) and self.dims
+                and all(_is_number(s, numbers.Integral) and s >= 1
+                        for s in self.dims)):
+            raise ValueError(f"dims must be a non-empty list of positive "
+                             f"integers, got {self.dims!r}")
+        _check_int("replicas", self.replicas, 1)
+        _check_int("seed", self.seed, 0)
+        _check_betas(self.beta)
         if self.mode not in ("rejection_free", "graphical"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not (_is_number(self.caps_events, numbers.Integral)
-                and self.caps_events >= 1):
-            raise ValueError(f"caps events must be a positive integer, "
-                             f"got {self.caps_events!r}")
+        _check_int("caps events", self.caps_events, 1)
         if self.caps_time is not None and not (
                 _is_number(self.caps_time, numbers.Real)
                 and self.caps_time > 0):
@@ -93,6 +95,18 @@ class RunConfig:
 
 def _is_number(value, kind):
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_int(name, value, low):
+    if not (_is_number(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_betas(betas):
+    if not (isinstance(betas, (list, tuple)) and betas
+            and all(_is_number(b, numbers.Real) and b > 0 for b in betas)):
+        raise ValueError(f"beta values must be a non-empty list of positive "
+                         f"numbers, got {betas!r}")
 
 
 # -- Arrhenius fitting ---------------------------------------------------------
@@ -217,6 +231,9 @@ def write_nucleation_outputs(report, out_dir):
 
 # -- microscopic infection -----------------------------------------------------
 
+# the indicator replays the whole trajectory, so it is kept in memory
+INFECTION_EVENT_CAP = 200_000
+
 
 def run_infection_microscopic(config):
     """Microscopic dynamics with a renormalized infection indicator.
@@ -225,7 +242,9 @@ def run_infection_microscopic(config):
     infected the first time it is entirely plus and stops being infected the
     first later time its minus count exceeds the eligibility defect.  The
     block side and the defect stand in for the slowly growing scales of the
-    asymptotic theory and are explicit parameters here.
+    asymptotic theory and are explicit parameters here.  Each replica runs
+    at most ``INFECTION_EVENT_CAP`` events whatever ``caps_events`` says;
+    the report records the cap that applied and each row its stop reason.
     """
     ctx = config.context()
     dims = ctx.geometry.dims
@@ -239,6 +258,7 @@ def run_infection_microscopic(config):
         coord = ctx.geometry.coord(i)
         site_block[i] = tuple(c // side for c in coord)
     blocks = sorted(set(site_block.values()))
+    event_cap = min(config.caps_events, INFECTION_EVENT_CAP)
     rows = []
     first_by_beta = {}
     for beta in config.beta:
@@ -248,7 +268,7 @@ def run_infection_microscopic(config):
             traj = evolve_rejection_free(
                 seed, ctx, Configuration.all_minus(ctx.geometry), beta,
                 stop=pred_all_plus(), time_cap=config.caps_time,
-                max_events=min(config.caps_events, 200_000))
+                max_events=event_cap)
             minus_count = {b: block_size for b in blocks}
             t_first = {b: None for b in blocks}
             t_deinf = {b: None for b in blocks}
@@ -273,11 +293,14 @@ def run_infection_microscopic(config):
                          else traj.t_end,
                          "censored": censored,
                          "deinfections": deinfections,
+                         "stop_reason": traj.stop_reason,
                          "events": events})
             if not censored:
                 firsts.append(first)
         first_by_beta[beta] = firsts
     report = {"rows": rows, "block_dims": block_dims,
+              "event_cap": {"requested": config.caps_events,
+                            "effective": event_cap},
               "persistence": {}}
     for beta in config.beta:
         brows = [r for r in rows if r["beta"] == beta]
@@ -327,12 +350,39 @@ class GrowthModelParams:
     window_cones: float = 3.0
     max_events: int = 2_000_000
 
+    def __post_init__(self):
+        _check_int("d", self.d, 1)
+        _check_betas(self.betas)
+        _check_int("replicas", self.replicas, 1)
+        _check_int("seed", self.seed, 0)
+        _check_int("max_events", self.max_events, 1)
+
     def kappa_predicted(self):
         return (self.gamma + self.d * self.kappa_prev) / (self.d + 1) \
             if math.isfinite(self.kappa_prev) else None
 
 
 def _growth_single(params, beta, seed):
+    """Origin-coverage time of one replica, as site first-passage
+    percolation (Richardson 1973).
+
+    Every window site x gets a nucleation clock N(x) ~ Exp(rho) and a growth
+    clock E(x) ~ Exp(v), drawn in two blocks from the replica's stream
+    (E = inf when v = 0).  Its infection time is
+    T(x) = min(N(x), E(x) + min over neighbours y of T(y)), computed by one
+    Dijkstra sweep that settles sites in time order and stops when the
+    origin is settled.  This is the law of the continuous-time chain in
+    which each uninfected site catches at rate rho + v * 1[frontier]: by
+    memorylessness a site's growth clock may be drawn in advance and started
+    when the site joins the frontier (its first infected neighbour), and its
+    nucleation clock, running from time 0, still has rate rho then.  Every
+    settled site is one infection event of that chain.
+
+    Returns (t, clipped, side, stop_reason, events): t is None unless
+    stop_reason is "origin"; "event_cap" when the settled count reaches
+    ``params.max_events`` (the origin's own event included), "frozen" when
+    no clock can ring any more.
+    """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         int(seed), spawn_key=(5,))))
     d = params.d
@@ -353,79 +403,107 @@ def _growth_single(params, beta, seed):
         side_f = min(nominal, 3.0)
     half = max(1, int(math.ceil(side_f / 2)))
     side = 2 * half + 1
-    n_sites = side ** d
-    origin = (0,) * d
-    infected = set()
-    frontier_list = []
-    frontier_pos = {}
+    shape = (side,) * d
+    nuc = _padded(_clocks(rng, rho, shape))
+    gro = _padded(_clocks(rng, v, shape))
+    origin = sum((half + 1) * (side + 2) ** k for k in range(d))
+    t, stop_reason, events = _first_passage(nuc, gro, origin,
+                                            params.max_events)
+    return t, clipped, side, stop_reason, events
 
-    def add_frontier(c):
-        if c in frontier_pos or c in infected:
-            return
-        frontier_pos[c] = len(frontier_list)
-        frontier_list.append(c)
 
-    def pop_frontier(c):
-        k = frontier_pos.pop(c)
-        last = frontier_list.pop()
-        if k < len(frontier_list):
-            frontier_list[k] = last
-            frontier_pos[last] = k
+def _clocks(rng, rate, shape):
+    if rate <= 0:
+        return np.full(shape, math.inf)
+    return rng.standard_exponential(shape) / rate
 
-    def infect(c):
-        infected.add(c)
-        if c in frontier_pos:
-            pop_frontier(c)
-        for axis in range(d):
-            for step in (-1, 1):
-                nb = list(c)
-                nb[axis] += step
-                nb = tuple(nb)
-                if all(-half <= x <= half for x in nb) and nb not in infected:
-                    add_frontier(nb)
 
-    t = 0.0
+def _padded(clocks):
+    """The clocks on a grid one site wider on every side, with inf on the
+    border ring."""
+    return np.pad(clocks, 1, constant_values=math.inf)
+
+
+def _first_passage(nuc, gro, target, max_events):
+    """Dijkstra sweep for T(x) = min(N(x), E(x) + min over neighbours T(y))
+    on a padded grid (``nuc`` and ``gro`` as returned by ``_padded``), until
+    the flat site ``target`` is settled.
+
+    Nucleation times are read in sorted order and merged with a heap of
+    growth times; the border ring is marked settled, so no neighbour index
+    leaves the grid.  Returns (T(target) or None, stop_reason, events),
+    events being the number of sites settled.
+    """
+    shape = nuc.shape
+    strides = [int(np.prod(shape[k + 1:])) for k in range(len(shape))]
+    offsets = [o for s in strides for o in (-s, s)]
+    # 0: untouched; 1: growth clock running; 2: settled or border
+    state = np.full(shape, 2, dtype=np.uint8)
+    state[(slice(1, -1),) * len(shape)] = 0
+    state = bytearray(state.tobytes())
+    nuc = nuc.ravel()
+    order = np.argsort(nuc)
+    gro = gro.ravel().tolist()
+    inf = math.inf
+    heap = []
+    k = 0
+    t_nuc = float(nuc[order[0]])
     events = 0
-    while origin not in infected:
-        n_uninf = n_sites - len(infected)
-        rate_nuc = rho * n_uninf
-        rate_gro = v * len(frontier_list)
-        total = rate_nuc + rate_gro
-        if total <= 0:
-            return None, clipped, side
-        t += rng.exponential() / total
-        if rng.random() * total < rate_nuc:
-            while True:
-                c = tuple(int(rng.integers(-half, half + 1)) for _ in range(d))
-                if c not in infected:
-                    break
-            infect(c)
+    while True:
+        if heap and heap[0][0] < t_nuc:
+            t, x = heappop(heap)
+        elif t_nuc < inf:
+            t, x = t_nuc, int(order[k])
+            k += 1
+            t_nuc = float(nuc[order[k]])
         else:
-            c = frontier_list[int(rng.integers(0, len(frontier_list)))]
-            infect(c)
+            return None, "frozen", events
+        if state[x] == 2:
+            continue
+        state[x] = 2
         events += 1
-        if events >= params.max_events:
-            return None, clipped, side
-    return t, clipped, side
+        if events >= max_events:
+            return None, "event_cap", events
+        if x == target:
+            return t, "origin", events
+        for off in offsets:
+            y = x + off
+            if state[y] == 0:
+                state[y] = 1
+                ty = t + gro[y]
+                if ty < inf:
+                    heappush(heap, (ty, y))
 
 
 def run_growth_model(params):
     """Origin-coverage times of the renormalized model and the fitted
-    relaxation exponent, compared with (gamma + d*kappa_prev)/(d+1)."""
+    relaxation exponent, compared with (gamma + d*kappa_prev)/(d+1).
+
+    Each row records why its replica stopped and how many infections it
+    took; ``flags["censored"]`` counts the censored replicas by reason.  As
+    in ``run_nucleation``, the fit uses only temperatures with no censored
+    replica: dropping the censored ones would bias the mean time low.
+    """
     rows = []
     times_by_beta = {}
-    flags = {"clipped_windows": [], "too_small": []}
+    flags = {"clipped_windows": [], "too_small": [], "censored_betas": [],
+             "censored": {"event_cap": 0, "frozen": 0}}
     for beta in params.betas:
         times = []
         for rep in range(params.replicas):
-            t, clipped, side = _growth_single(params, beta,
-                                              params.seed + rep)
+            t, clipped, side, stop_reason, events = _growth_single(
+                params, beta, params.seed + rep)
             rows.append({"replica": rep, "seed": params.seed + rep,
                          "beta": beta, "coverage_time": t,
-                         "censored": t is None, "side": side})
+                         "censored": t is None, "side": side,
+                         "stop_reason": stop_reason, "events": events})
             if clipped and beta not in flags["clipped_windows"]:
                 flags["clipped_windows"].append(beta)
-            if t is not None:
+            if t is None:
+                flags["censored"][stop_reason] += 1
+                if beta not in flags["censored_betas"]:
+                    flags["censored_betas"].append(beta)
+            else:
                 times.append(t)
         kappa = params.kappa_predicted()
         if kappa is not None and side < math.exp(beta * (kappa - params.kappa_prev)):
@@ -433,10 +511,14 @@ def run_growth_model(params):
         times_by_beta[beta] = times
     report = {"rows": rows, "flags": flags,
               "kappa_target": params.kappa_predicted()}
-    usable = {b: v for b, v in times_by_beta.items() if len(v) >= 2}
+    usable = {b: v for b, v in times_by_beta.items()
+              if len(v) >= 2 and b not in flags["censored_betas"]}
     if len(usable) >= 2:
         report["fit"] = arrhenius_fit(usable, target=params.kappa_predicted(),
                                       seed=params.seed)
+    else:
+        report["fit"] = {"error": "fewer than two uncensored betas with two "
+                                  "or more replicas"}
     return report
 
 

@@ -44,6 +44,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig.from_dict({"experiment": "nucleation", "caps": caps})
 
+    @pytest.mark.parametrize("bad", [
+        {"replicas": None}, {"replicas": 2.0}, {"dims": None}, {"dims": []},
+        {"dims": [3, 0]}, {"dims": ["3"]}, {"beta": None}, {"beta": ["x"]},
+        {"seed": None}, {"seed": -1}])
+    def test_bad_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            RunConfig.from_dict(dict({"experiment": "nucleation"}, **bad))
+
     def test_null_time_cap_allowed(self):
         cfg = RunConfig.from_dict({"experiment": "nucleation",
                                    "caps": {"time": None}})
@@ -116,6 +124,21 @@ class TestInfection:
         fit = report["fit"]
         # first full block needs a nucleation: slope tracks Gamma_1 = 1.5
         assert abs(fit["slope"] - 1.5) / 1.5 < 0.25
+
+    def test_event_cap_recorded(self):
+        cfg = RunConfig(experiment="infection", dims=[8], h="0.5",
+                        beta=[2.0], replicas=2, seed=9, block_side=4,
+                        caps_events=5)
+        report = run_infection_microscopic(cfg)
+        # all-plus needs at least 8 flips
+        assert report["event_cap"] == {"requested": 5, "effective": 5}
+        assert [r["stop_reason"] for r in report["rows"]] == ["event_cap"] * 2
+        cfg = RunConfig(experiment="infection", dims=[8], h="0.5",
+                        beta=[2.0], replicas=1, seed=9, block_side=4)
+        report = run_infection_microscopic(cfg)
+        assert report["event_cap"] == {"requested": 10_000_000,
+                                       "effective": 200_000}
+        assert report["rows"][0]["stop_reason"] == "stopped"
 
     def test_indicator_recompute_matches(self):
         cfg = RunConfig(experiment="infection", dims=[8], h="0.5",
@@ -308,6 +331,86 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("bad", [{"replicas": None}, {"dims": None},
+                                     {"beta": None}, {"seed": None}])
+    def test_null_config_value_fails_cleanly(self, tmp_path, capsys, bad):
+        from isingkit.cli import main
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict({"dims": [3], "beta": [1.0, 2.0],
+                                        "replicas": 1}, **bad)))
+        code = main(["nucleation", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    GROWTH_ARGV = ("growth-model", "--d", "1", "--gamma", "1.5",
+                   "--kappa-prev", "0", "--L", "1", "--beta", "4,6")
+
+    def test_growth_model_seed_zero_and_outputs(self, tmp_path):
+        import csv
+        code, out = self.run_cli(*self.GROWTH_ARGV, "--replicas", "2",
+                                 "--seed", "0", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert "slope" in json.loads(out)["fit"]
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["seed"] for r in rows] == ["0", "1", "0", "1"]
+        assert all(r["stop_reason"] == "origin" and int(r["events"]) >= 1
+                   for r in rows)
+        fit = json.loads((tmp_path / "fit.json").read_text())
+        assert fit["flags"]["censored"] == {"event_cap": 0, "frozen": 0}
+
+    def test_growth_model_single_beta_fit_error(self):
+        argv = list(self.GROWTH_ARGV)
+        argv[argv.index("4,6")] = "4"
+        code, out = self.run_cli(*argv, "--replicas", "2")
+        assert code == 0
+        assert "error" in json.loads(out)["fit"]
+
+    @pytest.mark.parametrize("bad", [("--replicas", "0"), ("--d", "0"),
+                                     ("--seed", "-1"), ("--beta", "0,4")])
+    def test_growth_model_bad_input_fails_cleanly(self, tmp_path, capsys,
+                                                  bad):
+        from isingkit.cli import main
+        argv = list(self.GROWTH_ARGV)
+        for flag, value in zip(bad[::2], bad[1::2]):
+            if flag in argv:
+                argv[argv.index(flag) + 1] = value
+            else:
+                argv += [flag, value]
+        code = main(argv + ["--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_seed_zero_is_not_seed_one(self, tmp_path):
+        for seed in ("0", "1"):
+            code, _ = self.run_cli("simulate", "--dims", "3", "--h", "0.5",
+                                   "--beta", "2.0", "--seed", seed,
+                                   "--stop", "all_plus",
+                                   "--out-dir", str(tmp_path / seed))
+            assert code == 0
+        assert (tmp_path / "0" / "trajectory.csv").read_bytes() != \
+            (tmp_path / "1" / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", [("--caps-events", "0"),
+                                     ("--caps-time", "0"),
+                                     ("--mode", "graphical",
+                                      "--caps-time", "0")])
+    def test_simulate_zero_caps_rejected(self, tmp_path, capsys, bad):
+        from isingkit.cli import main
+        code = main(["simulate", "--dims", "3", "--h", "0.5", "--beta", "2.0",
+                     *bad, "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_graphical_honours_event_cap(self, tmp_path):
         code, out = self.run_cli("simulate", "--mode", "graphical",
