@@ -192,7 +192,7 @@ def _cmd_infection(args):
                                     "deinfections", "stop_reason"]))
     print(json.dumps({"persistence": report["persistence"],
                       "event_cap": report["event_cap"],
-                      "fit": report.get("fit", {})},
+                      "fit": report["fit"]},
                      indent=2, sort_keys=True, default=str))
     return 0
 

@@ -313,6 +313,9 @@ def run_infection_microscopic(config):
               and not any(r["censored"] for r in rows if r["beta"] == b)}
     if len(usable) >= 2:
         report["fit"] = arrhenius_fit(usable, seed=config.seed)
+    else:
+        report["fit"] = {"error": "fewer than two uncensored betas with two "
+                                  "or more replicas"}
     return report
 
 

@@ -18,69 +18,137 @@ import numpy as np
 
 from .lattice import Configuration
 
-_COORD_OFFSET = 1 << 20
-_BLOCK = 64
 _FIRST_WINDOW = 8.0
+_COORD_OFFSET = 1 << 20
+_COORD_BITS = 21
+_MAX_DIMENSION = 4
+# clocks x arrivals drawn in one round: bounds the generator's scratch arrays
+_CHUNK_CELLS = 1 << 18
+
+_M32 = np.uint64(0xFFFFFFFF)
+_PHILOX_MUL = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_WEYL = (np.uint64(0x9E3779B9), np.uint64(0xBB67AE85))
+
+
+def philox4x32(c0, c1, c2, c3, k0, k1):
+    """Philox4x32-10 (Salmon, Moraes, Dror & Shaw, SC'11) on arrays of 32-bit
+    words held in uint64.
+
+    The four counter words broadcast against each other; the key is two
+    32-bit ints.  Returns the four output words.
+    """
+    mul0, mul1 = _PHILOX_MUL
+    k0, k1 = np.uint64(k0), np.uint64(k1)
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_WEYL[0]) & _M32
+            k1 = (k1 + _PHILOX_WEYL[1]) & _M32
+        p0 = c0 * mul0
+        p1 = c2 * mul1
+        c0, c1, c2, c3 = ((p1 >> 32) ^ c1 ^ k0, p1 & _M32,
+                          (p0 >> 32) ^ c3 ^ k1, p0 & _M32)
+    return c0, c1, c2, c3
+
+
+def _unit(hi, lo):
+    """The 53-bit double in [0, 1) whose bits are the top of (hi, lo)."""
+    return ((hi << 21) | (lo >> 11)).astype(np.float64) * 2.0 ** -53
+
+
+def _counter_words(coords, fbits):
+    """Counter words 1-3 of each clock: the family bit, then every global
+    coordinate plus 2^20 in 21 bits, low bits first."""
+    coords = np.asarray(coords, dtype=np.int64)
+    if coords.shape[1] > _MAX_DIMENSION:
+        raise ValueError(f"event streams cover d <= {_MAX_DIMENSION}, "
+                         f"got d = {coords.shape[1]}")
+    shifted = coords + _COORD_OFFSET
+    if shifted.size and (shifted.min() < 0 or
+                         shifted.max() >= 1 << _COORD_BITS):
+        raise ValueError(f"global coordinates must lie in "
+                         f"[-2^20, 2^20), got {coords.min()}..{coords.max()}")
+    packed = [np.asarray(fbits, dtype=np.uint64), np.zeros(len(coords),
+                                                          dtype=np.uint64)]
+    for axis, col in enumerate(shifted.T.astype(np.uint64)):
+        # axes 0-2 sit at bits 1, 22, 43 of the low 64; axis 3 at bit 64
+        offset = 1 + _COORD_BITS * axis
+        packed[offset // 64] |= col << np.uint64(offset % 64)
+    return packed[0] & _M32, packed[0] >> 32, packed[1]
+
+
+def _chunk_width(left, clocks):
+    """Arrivals drawn per clock in one round: those expected at rate 1 in the
+    time ``left``, plus about two standard deviations, within the scratch
+    bound.  The width changes no value, only how many rounds a window takes."""
+    return min(math.ceil(left + 2.0 * math.sqrt(left)) + 3,
+               max(4, _CHUNK_CELLS // clocks))
 
 
 class EventStream:
     """Per-site Poisson arrivals and uniforms, reproducible from one seed.
 
-    Each (site coordinate, spin family) pair owns an independent counter-based
-    generator, so boxes of different shapes or positions sharing coordinates
-    consume identical randomness.
+    Arrival j of the clock of family eps at a global coordinate is a pure
+    function of (seed, eps, coordinate, j): one Philox4x32-10 block, keyed by
+    the two halves of the seed, with counter (j, family bit and coordinates).
+    Its words 0-1 give the gap -log1p(-u), its words 2-3 the mark.  The time
+    of arrival j is the left-to-right sum of gaps 0..j, so boxes of different
+    shapes or positions that share coordinates see identical clocks, and a
+    window is computed afresh from arrival 0 without state between calls.
     """
 
     def __init__(self, seed):
         self.seed = int(seed)
-        self._sites = {}
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
-    def _entry(self, coord, family):
-        key = (tuple(coord), family)
-        entry = self._sites.get(key)
-        if entry is None:
-            spawn = (0 if family == -1 else 1,) + tuple(
-                c + _COORD_OFFSET for c in coord)
-            gen = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(self.seed, spawn_key=spawn)))
-            entry = {"gen": gen, "times": np.empty(0), "unis": np.empty(0),
-                     "last": 0.0}
-            self._sites[key] = entry
-        return entry
+    def _arrivals(self, words, t0, t1):
+        """Arrivals of each clock in (t0, t1] (from time 0 on if t0 <= 0):
+        (times, clock rows, arrival indices, marks), unsorted."""
+        c1, c2, c3 = words
+        k0, k1 = self.seed & 0xFFFFFFFF, self.seed >> 32
+        rows = np.arange(c1.size)
+        carry = np.zeros(c1.size)
+        start = 0
+        parts = []
+        while rows.size:
+            width = _chunk_width(max(t1 - float(carry.min()), 0.0), rows.size)
+            if start + width > 1 << 32:
+                raise ValueError("a clock cannot read past 2^32 arrivals")
+            j = np.arange(start, start + width, dtype=np.uint64)
+            w0, w1, w2, w3 = philox4x32(j, c1[rows, None], c2[rows, None],
+                                        c3[rows, None], k0, k1)
+            gaps = -np.log1p(-_unit(w0, w1))
+            gaps[:, 0] += carry
+            times = np.cumsum(gaps, axis=1)
+            keep = times <= t1
+            if t0 > 0:
+                keep &= times > t0
+            r, k = np.nonzero(keep)
+            parts.append((times[r, k], rows[r], k + start,
+                          _unit(w2[r, k], w3[r, k])))
+            more = times[:, -1] <= t1
+            rows, carry = rows[more], times[more, -1]
+            start += width
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
     def site_events(self, coord, family, t_max):
         """Arrival times and uniforms of one site/family up to t_max."""
-        entry = self._entry(coord, family)
-        while entry["last"] <= t_max:
-            gaps = entry["gen"].exponential(size=_BLOCK)
-            unis = entry["gen"].random(size=_BLOCK)
-            new_times = entry["last"] + np.cumsum(gaps)
-            entry["times"] = np.concatenate([entry["times"], new_times])
-            entry["unis"] = np.concatenate([entry["unis"], unis])
-            entry["last"] = float(new_times[-1])
-        k = int(np.searchsorted(entry["times"], t_max, side="right"))
-        return entry["times"][:k], entry["unis"][:k]
+        words = _counter_words([coord], [0 if family == -1 else 1])
+        times, _, _, marks = self._arrivals(words, 0.0, t_max)
+        return times, marks
 
     def window(self, ctx, t0, t1):
-        """Time-ordered events of a box in [t0, t1): (times, sites, families,
+        """Time-ordered events of a box in (t0, t1]: (times, sites, families,
         uniforms); exact ties fall back to (site, family, index) order."""
-        times, sites, fams, unis, idxs = [], [], [], [], []
-        for i in range(ctx.n_sites):
-            coord = ctx.global_coord(i)
-            for family in (-1, 1):
-                t, u = self.site_events(coord, family, t1)
-                lo = int(np.searchsorted(t, t0, side="right")) if t0 > 0 else 0
-                t, u = t[lo:], u[lo:]
-                times.append(t)
-                unis.append(u)
-                sites.append(np.full(t.shape, i, dtype=np.int64))
-                fams.append(np.full(t.shape, family, dtype=np.int64))
-                idxs.append(np.arange(lo, lo + t.size, dtype=np.int64))
-        times = np.concatenate(times)
-        order = np.lexsort((np.concatenate(idxs), np.concatenate(fams),
-                            np.concatenate(sites), times))
-        return (times[order], np.concatenate(sites)[order],
-                np.concatenate(fams)[order], np.concatenate(unis)[order])
+        coords = np.array(ctx.global_coords, dtype=np.int64).reshape(
+            ctx.n_sites, -1)
+        # clock 2 i + b is site i's family 2 b - 1
+        words = _counter_words(np.repeat(coords, 2, axis=0),
+                               np.tile([0, 1], ctx.n_sites))
+        times, rows, idxs, marks = self._arrivals(words, t0, t1)
+        order = np.lexsort((idxs, rows, times))
+        rows = rows[order]
+        return times[order], rows >> 1, 2 * (rows & 1) - 1, marks[order]
 
 
 @dataclass
@@ -96,6 +164,8 @@ class Trajectory:
     bc_label: str
     seed: int = None
     hitting_time: float = None
+    ticks_read: int = None            # graphical: clock arrivals examined
+    ticks_rejected: int = None        # ... of which flipped nothing
 
     def replay(self):
         cfg = self.initial.copy()
@@ -115,7 +185,9 @@ class Trajectory:
                    "box": list(self.initial.geometry.dims),
                    "bc": self.bc_label, "stop_reason": self.stop_reason,
                    "hitting_time": self.hitting_time, "t_end": self.t_end,
-                   "n_events": len(self.events)}
+                   "n_events": len(self.events),
+                   "ticks_read": self.ticks_read,
+                   "ticks_rejected": self.ticks_rejected}
         payload.update(extra)
         return json.dumps(payload, sort_keys=True)
 
@@ -234,7 +306,7 @@ def pred_exits_set(ensemble):
 
 
 def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
-                     max_events=None, restrict=None):
+                     max_events=None, restrict=None, max_ticks=None):
     """Run the updating rule over the stream's arrivals in (0, horizon].
 
     At each arrival of family eps at site x: if the spin is -eps and the
@@ -242,14 +314,18 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
     With ``restrict``, flips that would leave the ensemble are suppressed.
     Arrivals are read in the doubling windows (0, 8], (8, 16], (16, 32], ...,
     the last one clipped at ``horizon``; ``horizon=None`` sets no time bound
-    and then needs ``max_events``.  The run stops when the predicate holds,
-    at the horizon, or at the end of the first window whose applied flips
-    reach ``max_events``.
+    and then needs ``max_events`` or ``max_ticks``.  The run stops when the
+    predicate holds, at the horizon, or at the end of the first window whose
+    applied flips reach ``max_events`` ("event_cap") or whose arrivals read
+    reach ``max_ticks`` ("tick_cap").  The trajectory counts the arrivals
+    read and those that flipped nothing.
     """
-    if horizon is None and max_events is None:
-        raise ValueError("graphical run needs a horizon or max_events")
+    if horizon is None and max_events is None and max_ticks is None:
+        raise ValueError("graphical run needs a horizon, max_events or "
+                         "max_ticks")
     state = _SimState(ctx, alpha)
     events = []
+    ticks = 0
     reason = None
     hit = None
     if stop is not None and stop(state):
@@ -284,19 +360,24 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
             if stop is not None and stop(state):
                 reason = "stopped"
                 hit = t
+                ticks += k + 1
                 break
         else:
+            ticks += times.size
             if t1 == horizon:
                 reason = "horizon"
             elif max_events is not None and len(events) >= max_events:
                 reason = "event_cap"
+            elif max_ticks is not None and ticks >= max_ticks:
+                reason = "tick_cap"
             else:
                 t0, t1 = t1, 2.0 * t1
     return Trajectory(initial=alpha.copy(), events=events,
                       t_end=hit if hit is not None else t1,
                       stop_reason=reason, beta=beta, h_token=ctx.field.token,
                       bc_label=ctx.bc.label(), seed=stream.seed,
-                      hitting_time=hit)
+                      hitting_time=hit, ticks_read=ticks,
+                      ticks_rejected=ticks - len(events))
 
 
 def coupled_evolve(stream, contexts, alphas, beta, horizon, check_order=None):
@@ -333,7 +414,8 @@ def coupled_evolve(stream, contexts, alphas, beta, horizon, check_order=None):
     return [Trajectory(initial=a.copy(), events=evs, t_end=horizon,
                        stop_reason="horizon", beta=beta,
                        h_token=ctx.field.token, bc_label=ctx.bc.label(),
-                       seed=stream.seed)
+                       seed=stream.seed, ticks_read=times.size,
+                       ticks_rejected=times.size - len(evs))
             for ctx, a, evs in zip(contexts, alphas, all_events)]
 
 
@@ -471,21 +553,25 @@ class HittingResult:
 
 
 def hitting_time(mode, ctx, alpha, beta, predicate, seed, time_cap=None,
-                 max_events=10_000_000, keep_trajectory=False):
+                 max_events=10_000_000, keep_trajectory=False,
+                 max_ticks=None):
     """First time the predicate holds, by either sampler.
 
     Censored observations are flagged, and report the cap that stopped the
     run (the time cap, or the end of the graphical window that reached the
-    event cap) as a lower bound; a rejection-free run stopped by "frozen"
-    or "underflow" is censored at the time it stopped.
+    event or tick cap) as a lower bound; a rejection-free run stopped by
+    "frozen" or "underflow" is censored at the time it stopped.
+    ``max_ticks`` caps the clock arrivals a graphical run reads.
     """
     if mode == "rejection_free":
+        if max_ticks is not None:
+            raise ValueError("max_ticks applies to the graphical mode only")
         traj = evolve_rejection_free(seed, ctx, alpha, beta, stop=predicate,
                                      time_cap=time_cap, max_events=max_events)
     elif mode == "graphical":
         traj = evolve_graphical(EventStream(seed), ctx, alpha, beta,
                                 stop=predicate, horizon=time_cap,
-                                max_events=max_events)
+                                max_events=max_events, max_ticks=max_ticks)
         if traj.stop_reason == "horizon":
             traj.stop_reason = "time_cap"
     else:

@@ -10,6 +10,7 @@ are returned as exact (bonds, pluses) pairs.
 from __future__ import annotations
 
 import binascii
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,11 +251,12 @@ class LatticeContext:
     ``neighbors[i]`` lists interior neighbor site indices;
     ``boundary_plus[i]`` / ``boundary_minus[i]`` count exterior neighbors of
     site i whose boundary spin is +1 / -1.  ``origin`` places the box in the
-    global lattice so that sub-boxes can share per-site event streams.
+    global lattice so that sub-boxes can share per-site event streams;
+    ``global_coords[i]`` is site i's coordinate in that lattice.
     """
 
     __slots__ = ("geometry", "bc", "field", "origin", "neighbors",
-                 "boundary_plus", "boundary_minus")
+                 "boundary_plus", "boundary_minus", "global_coords")
 
     def __init__(self, geometry, bc, h, origin=None):
         if bc.kind == BoundaryCondition.N_PM and not 0 <= bc.n <= geometry.dimension:
@@ -264,35 +266,42 @@ class LatticeContext:
         self.bc = bc
         self.field = h if isinstance(h, MagneticField) else MagneticField(h)
         self.origin = tuple(origin) if origin is not None else (0,) * geometry.dimension
-        n = geometry.n_sites
+        dims = geometry.dims
+        strides = [1] * len(dims)
+        for axis in range(len(dims) - 2, -1, -1):
+            strides[axis] = strides[axis + 1] * dims[axis + 1]
+        shifted = any(self.origin)
         self.neighbors = []
-        self.boundary_plus = np.zeros(n, dtype=np.int64)
-        self.boundary_minus = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            coord = geometry.coord(i)
+        global_coords = []
+        plus, minus = [], []
+        # row-major: site i is the i-th coordinate of the product
+        for i, coord in enumerate(itertools.product(*map(range, dims))):
+            global_coords.append(tuple(o + c for o, c in zip(self.origin, coord))
+                                 if shifted else coord)
             nbrs = []
-            for axis in range(geometry.dimension):
+            n_plus = n_minus = 0
+            for axis, (c, side, stride) in enumerate(zip(coord, dims, strides)):
                 for step in (-1, 1):
-                    nb = list(coord)
-                    nb[axis] += step
-                    nb = tuple(nb)
-                    if geometry.contains(nb):
-                        nbrs.append(geometry.index(nb))
+                    if 0 <= c + step < side:
+                        nbrs.append(i + step * stride)
+                    elif bc.exterior_spin(coord[:axis] + (c + step,)
+                                          + coord[axis + 1:], geometry) == 1:
+                        n_plus += 1
                     else:
-                        spin = bc.exterior_spin(nb, geometry)
-                        if spin == 1:
-                            self.boundary_plus[i] += 1
-                        else:
-                            self.boundary_minus[i] += 1
+                        n_minus += 1
             self.neighbors.append(tuple(nbrs))
+            plus.append(n_plus)
+            minus.append(n_minus)
+        self.boundary_plus = np.array(plus, dtype=np.int64)
+        self.boundary_minus = np.array(minus, dtype=np.int64)
+        self.global_coords = tuple(global_coords)
 
     @property
     def n_sites(self):
         return self.geometry.n_sites
 
     def global_coord(self, site):
-        local = self.geometry.coord(site)
-        return tuple(o + c for o, c in zip(self.origin, local))
+        return self.global_coords[site]
 
     def sub_context(self, lo, hi, bc=None):
         """Context for the sub-box [lo, hi) with its own boundary condition."""

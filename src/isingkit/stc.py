@@ -164,6 +164,7 @@ def track(ctx, trajectory, initial_stc=None):
     """
     ledger = StcLedger(ctx, trajectory.t_end)
     spins = trajectory.initial.spins.copy()
+    coords = ctx.global_coords
     live = {}
 
     groups = _initial_groups(ctx, trajectory.initial, initial_stc)
@@ -173,7 +174,7 @@ def track(ctx, trajectory, initial_stc=None):
             roots = [live[nb] for nb in ctx.neighbors[site] if nb in live]
             if root is not None:
                 roots.append(root)
-            root = ledger._open_site(ctx.global_coord(site), 0.0,
+            root = ledger._open_site(coords[site], 0.0,
                                      [ledger.uf.find(r) for r in roots])
             live[site] = root
 
@@ -184,11 +185,11 @@ def track(ctx, trajectory, initial_stc=None):
         if new_spin == 1:
             roots = {ledger.uf.find(live[nb])
                      for nb in ctx.neighbors[site] if nb in live}
-            root = ledger._open_site(ctx.global_coord(site), t, sorted(roots))
+            root = ledger._open_site(coords[site], t, sorted(roots))
             live[site] = root
         else:
             root = ledger.uf.find(live.pop(site))
-            ledger._close_site(root, ctx.global_coord(site), t)
+            ledger._close_site(root, coords[site], t)
     return ledger
 
 

@@ -1,4 +1,9 @@
-"""Reference samplers, kept as test oracles.
+"""Reference samplers and event stream, kept as test oracles.
+
+``EventStream`` is the stream from before the counter-based one: one
+``SeedSequence`` and one Philox generator per (site, family), grown in
+blocks of 64 arrivals and cached.  Its arrivals differ from the library's
+seed for seed, so the tests compare the two in law.
 
 The graphical path is the one ``isingkit.kmc`` used before
 ``evolve_graphical`` streamed its own doubling windows: one
@@ -17,8 +22,71 @@ from __future__ import annotations
 
 import numpy as np
 
-from isingkit.kmc import (EventStream, HittingResult, Trajectory, _SimState,
-                          _rate_tables)
+from isingkit import kmc
+from isingkit.kmc import HittingResult, Trajectory, _SimState, _rate_tables
+
+_COORD_OFFSET = 1 << 20
+_BLOCK = 64
+
+
+class EventStream:
+    """Per-site Poisson arrivals and uniforms, reproducible from one seed.
+
+    Each (site coordinate, spin family) pair owns an independent counter-based
+    generator, so boxes of different shapes or positions sharing coordinates
+    consume identical randomness.
+    """
+
+    def __init__(self, seed):
+        self.seed = int(seed)
+        self._sites = {}
+
+    def _entry(self, coord, family):
+        key = (tuple(coord), family)
+        entry = self._sites.get(key)
+        if entry is None:
+            spawn = (0 if family == -1 else 1,) + tuple(
+                c + _COORD_OFFSET for c in coord)
+            gen = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(self.seed, spawn_key=spawn)))
+            entry = {"gen": gen, "times": np.empty(0), "unis": np.empty(0),
+                     "last": 0.0}
+            self._sites[key] = entry
+        return entry
+
+    def site_events(self, coord, family, t_max):
+        """Arrival times and uniforms of one site/family up to t_max."""
+        entry = self._entry(coord, family)
+        while entry["last"] <= t_max:
+            gaps = entry["gen"].exponential(size=_BLOCK)
+            unis = entry["gen"].random(size=_BLOCK)
+            new_times = entry["last"] + np.cumsum(gaps)
+            entry["times"] = np.concatenate([entry["times"], new_times])
+            entry["unis"] = np.concatenate([entry["unis"], unis])
+            entry["last"] = float(new_times[-1])
+        k = int(np.searchsorted(entry["times"], t_max, side="right"))
+        return entry["times"][:k], entry["unis"][:k]
+
+    def window(self, ctx, t0, t1):
+        """Time-ordered events of a box in [t0, t1): (times, sites, families,
+        uniforms); exact ties fall back to (site, family, index) order."""
+        times, sites, fams, unis, idxs = [], [], [], [], []
+        for i in range(ctx.n_sites):
+            coord = ctx.global_coord(i)
+            for family in (-1, 1):
+                t, u = self.site_events(coord, family, t1)
+                lo = int(np.searchsorted(t, t0, side="right")) if t0 > 0 else 0
+                t, u = t[lo:], u[lo:]
+                times.append(t)
+                unis.append(u)
+                sites.append(np.full(t.shape, i, dtype=np.int64))
+                fams.append(np.full(t.shape, family, dtype=np.int64))
+                idxs.append(np.arange(lo, lo + t.size, dtype=np.int64))
+        times = np.concatenate(times)
+        order = np.lexsort((np.concatenate(idxs), np.concatenate(fams),
+                            np.concatenate(sites), times))
+        return (times[order], np.concatenate(sites)[order],
+                np.concatenate(fams)[order], np.concatenate(unis)[order])
 
 
 def _final_config(traj):
@@ -83,7 +151,7 @@ def hitting_time_graphical(ctx, alpha, beta, predicate, seed, time_cap=None,
                            max_events=10_000_000, keep_trajectory=False):
     """Graphical hitting time by restarting ``evolve_graphical`` for each
     doubled window; censored observations report the cap as a lower bound."""
-    stream = EventStream(seed)
+    stream = kmc.EventStream(seed)
     state_cfg = alpha
     t0 = 0.0
     horizon = 8.0 if time_cap is None else min(8.0, time_cap)

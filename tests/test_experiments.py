@@ -151,6 +151,14 @@ class TestInfection:
                 before = recompute_infection_indicator(events, b, t - 1e-9)
                 assert before != val
 
+    def test_one_beta_fit_reports_error(self, capsys):
+        from isingkit.cli import main
+        code = main(["infection", "--dims", "8", "--h", "0.5", "--beta", "3",
+                     "--replicas", "2"])
+        assert code == 0
+        fit = json.loads(capsys.readouterr().out)["fit"]
+        assert set(fit) == {"error"} and "two" in fit["error"]
+
     def test_block_side_must_divide(self):
         cfg = RunConfig(experiment="infection", dims=[9], h="0.5",
                         beta=[2.0], replicas=1, block_side=4)

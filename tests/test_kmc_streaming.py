@@ -6,6 +6,9 @@ exactly: hitting time, censoring, and the trajectory's events, end time,
 stop reason and hitting time.
 """
 
+import json
+
+import numpy as np
 import pytest
 
 import kmc_oracle as oracle
@@ -133,3 +136,54 @@ def test_unbounded_graphical_run_rejected():
         evolve_graphical(EventStream(1), ctx,
                          Configuration.all_minus(ctx.geometry), 2.0,
                          stop=pred_all_plus(), horizon=None, max_events=None)
+
+
+def lone_site():
+    return build_context(BoxGeometry((1,)), BoundaryCondition.all_minus(),
+                         MagneticField("0.5"))
+
+
+def test_rejecting_run_stops_at_tick_cap():
+    # a lone site at beta = 2000: the up rate underflows to 0.0, so every
+    # tick is rejected and only the tick cap ends the run
+    ctx = lone_site()
+    stream = EventStream(5)
+    traj = evolve_graphical(stream, ctx, Configuration.all_minus(ctx.geometry),
+                            2000.0, horizon=None, max_events=1,
+                            max_ticks=10_000)
+    assert traj.stop_reason == "tick_cap" and traj.events == []
+    # the run ends with the first doubling window that reaches the cap
+    read = stream.window(ctx, 0.0, traj.t_end)[0].size
+    assert traj.ticks_read == traj.ticks_rejected == read >= 10_000
+    assert stream.window(ctx, 0.0, traj.t_end / 2)[0].size < 10_000
+    summary = json.loads(traj.summary_json())
+    assert summary["ticks_read"] == summary["ticks_rejected"] == read
+
+
+def test_tick_cap_censors_hitting_time():
+    ctx = lone_site()
+    alpha = Configuration.all_minus(ctx.geometry)
+    res = hitting_time("graphical", ctx, alpha, 2000.0, pred_all_plus(),
+                       seed=5, max_ticks=100)
+    assert res.censored and res.trajectory.stop_reason == "tick_cap"
+    assert res.time == res.trajectory.t_end
+    with pytest.raises(ValueError):
+        hitting_time("rejection_free", ctx, alpha, 2000.0, pred_all_plus(),
+                     seed=5, max_ticks=100)
+
+
+@pytest.mark.parametrize("dims", list(BOXES))
+def test_tick_counts(dims):
+    ctx = context(dims)
+    beta = BOXES[dims][0]
+    stream = EventStream(13)
+    traj = evolve_graphical(stream, ctx, Configuration.all_minus(ctx.geometry),
+                            beta, horizon=20.0)
+    assert traj.ticks_read == stream.window(ctx, 0.0, 20.0)[0].size
+    assert traj.ticks_rejected == traj.ticks_read - len(traj.events)
+    hit = evolve_graphical(stream, ctx, Configuration.all_minus(ctx.geometry),
+                           beta, stop=pred_all_plus(), horizon=None,
+                           max_events=10 ** 6)
+    times = stream.window(ctx, 0.0, 2.0 * hit.t_end)[0]
+    assert hit.stop_reason == "stopped"
+    assert hit.ticks_read == np.searchsorted(times, hit.t_end, side="right")

@@ -103,6 +103,36 @@ class TestContext:
             assert ctx.neighbor_spin_sums(cfg.spins).tolist() == \
                 [ctx.neighbor_spin_sum(cfg, i) for i in range(ctx.n_sites)]
 
+    @pytest.mark.parametrize("dims, bc, origin", [
+        ((1,), BoundaryCondition.all_minus(), None),
+        ((5,), BoundaryCondition.all_plus(), (-3,)),
+        ((3, 4), BoundaryCondition.n_pm(1), (2, -1)),
+        ((2, 3, 4), BoundaryCondition.n_pm(2), None),
+        ((2, 1, 3, 2),
+         BoundaryCondition.all_minus().with_override((-1, 0, 0, 0), 1),
+         (1, 2, 3, 4))])
+    def test_tables_match_coordinate_walk(self, dims, bc, origin):
+        geom = BoxGeometry(dims)
+        ctx = build_context(geom, bc, SQRT2_2, origin=origin)
+        shift = origin or (0,) * len(dims)
+        for i in range(geom.n_sites):
+            coord = geom.coord(i)
+            nbrs, plus, minus = [], 0, 0
+            for axis in range(len(dims)):
+                for step in (-1, 1):
+                    nb = tuple(c + step * (a == axis)
+                               for a, c in enumerate(coord))
+                    if geom.contains(nb):
+                        nbrs.append(geom.index(nb))
+                    elif bc.exterior_spin(nb, geom) == 1:
+                        plus += 1
+                    else:
+                        minus += 1
+            assert ctx.neighbors[i] == tuple(nbrs)
+            assert (ctx.boundary_plus[i], ctx.boundary_minus[i]) == (plus, minus)
+            assert ctx.global_coords[i] == ctx.global_coord(i) == \
+                tuple(o + c for o, c in zip(shift, coord))
+
     def test_n_pm_faces(self):
         ctx = build_context(BoxGeometry((3, 3)), BoundaryCondition.n_pm(1), SQRT2_2)
         geom = ctx.geometry
