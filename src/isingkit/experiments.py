@@ -147,6 +147,11 @@ def arrhenius_fit(times_by_beta, target=None, n_boot=1000, seed=0):
 
 # -- nucleation runs -----------------------------------------------------------
 
+# clock arrivals a graphical replica may read: a run whose every tick is
+# rejected (rates underflow at large beta) ends here, and its last window
+# holds about half of them in memory at once
+GRAPHICAL_TICK_CAP = 4_000_000
+
 
 def run_nucleation(config):
     """Replicated hitting times of local nucleation and of all-plus.
@@ -154,8 +159,11 @@ def run_nucleation(config):
     Local nucleation is the first exit from the restricted ensemble of the
     box dimension (volume above the critical volume or energy above the
     barrier).  Each replica runs once with both observables recorded; the
-    Arrhenius fits use only temperatures with no censored replicas.
+    Arrhenius fits use only temperatures with no censored replicas.  A
+    graphical replica reads at most ``GRAPHICAL_TICK_CAP`` clock arrivals;
+    the report's flags record the tick cap that applied.
     """
+    tick_cap = GRAPHICAL_TICK_CAP if config.mode == "graphical" else None
     ctx = config.context()
     d = ctx.geometry.dimension
     h = ctx.field
@@ -181,7 +189,8 @@ def run_nucleation(config):
             res = hitting_time(config.mode, ctx,
                                Configuration.all_minus(ctx.geometry), beta,
                                stop, seed=seed, time_cap=config.caps_time,
-                               max_events=config.caps_events)
+                               max_events=config.caps_events,
+                               max_ticks=tick_cap)
             nuc_t = nucleation_time[0]
             nuc_censored = nuc_t is None
             if nuc_censored:
@@ -202,7 +211,7 @@ def run_nucleation(config):
     report = {"constants": {"gamma": const.gammas[d].pair(),
                             "gamma_value": target, "m": const.m[d],
                             "l_c": const.l_c[d]},
-              "rows": rows, "fits": {}, "flags": {}}
+              "rows": rows, "fits": {}, "flags": {"tick_cap": tick_cap}}
     for name, data in (("nucleation", nuc_by_beta), ("all_plus", plus_by_beta)):
         usable = {b: v for b, v in data.items()
                   if b not in censored_betas[name]}

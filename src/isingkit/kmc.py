@@ -140,10 +140,8 @@ class EventStream:
     def window(self, ctx, t0, t1):
         """Time-ordered events of a box in (t0, t1]: (times, sites, families,
         uniforms); exact ties fall back to (site, family, index) order."""
-        coords = np.array(ctx.global_coords, dtype=np.int64).reshape(
-            ctx.n_sites, -1)
         # clock 2 i + b is site i's family 2 b - 1
-        words = _counter_words(np.repeat(coords, 2, axis=0),
+        words = _counter_words(np.repeat(ctx.global_coord_array, 2, axis=0),
                                np.tile([0, 1], ctx.n_sites))
         times, rows, idxs, marks = self._arrivals(words, t0, t1)
         order = np.lexsort((idxs, rows, times))

@@ -252,11 +252,13 @@ class LatticeContext:
     ``boundary_plus[i]`` / ``boundary_minus[i]`` count exterior neighbors of
     site i whose boundary spin is +1 / -1.  ``origin`` places the box in the
     global lattice so that sub-boxes can share per-site event streams;
-    ``global_coords[i]`` is site i's coordinate in that lattice.
+    ``global_coords[i]`` is site i's coordinate in that lattice, and row i of
+    the read-only int64 array ``global_coord_array`` holds the same numbers.
     """
 
     __slots__ = ("geometry", "bc", "field", "origin", "neighbors",
-                 "boundary_plus", "boundary_minus", "global_coords")
+                 "boundary_plus", "boundary_minus", "global_coords",
+                 "global_coord_array")
 
     def __init__(self, geometry, bc, h, origin=None):
         if bc.kind == BoundaryCondition.N_PM and not 0 <= bc.n <= geometry.dimension:
@@ -295,6 +297,11 @@ class LatticeContext:
         self.boundary_plus = np.array(plus, dtype=np.int64)
         self.boundary_minus = np.array(minus, dtype=np.int64)
         self.global_coords = tuple(global_coords)
+        # row-major, as the loop above
+        coords = np.indices(dims, dtype=np.int64).reshape(len(dims), -1).T
+        self.global_coord_array = coords + np.array(self.origin,
+                                                     dtype=np.int64)
+        self.global_coord_array.flags.writeable = False
 
     @property
     def n_sites(self):

@@ -430,6 +430,30 @@ class TestCli:
         assert summary["stop_reason"] == "event_cap"
         assert summary["n_events"] >= 5
 
+    def test_graphical_nucleation_with_underflowing_rates_ends(
+            self, tmp_path, monkeypatch):
+        # at beta 2000 and 3000 every flip rate of a lone minus site
+        # underflows to 0.0: no tick is ever accepted, and only the tick cap
+        # (shrunk here to keep the test fast) ends the run
+        import csv
+        from isingkit import experiments
+        monkeypatch.setattr(experiments, "GRAPHICAL_TICK_CAP", 1000)
+        out_dir = tmp_path / "out"
+        code, out = self.run_cli("nucleation", "--dims", "1", "--h", "0.5",
+                                 "--beta", "2000,3000", "--mode", "graphical",
+                                 "--replicas", "1", "--seed", "0",
+                                 "--out-dir", str(out_dir))
+        assert code == 0
+        assert all("error" in fit for fit in json.loads(out)["fits"].values())
+        with open(out_dir / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert all(r["nucleation_censored"] == r["all_plus_censored"] == "True"
+                   for r in rows)
+        flags = json.loads((out_dir / "fit.json").read_text())["flags"]
+        assert flags["tick_cap"] == 1000
+        assert flags["all_plus_censored_betas"] == [2000.0, 3000.0]
+
     def test_wgraph_check(self):
         code, out = self.run_cli("wgraph-check", "--count", "10",
                                  "--max-states", "5", "--seed", "4")

@@ -131,7 +131,8 @@ class TestContext:
             assert ctx.neighbors[i] == tuple(nbrs)
             assert (ctx.boundary_plus[i], ctx.boundary_minus[i]) == (plus, minus)
             assert ctx.global_coords[i] == ctx.global_coord(i) == \
-                tuple(o + c for o, c in zip(shift, coord))
+                tuple(o + c for o, c in zip(shift, coord)) == \
+                tuple(ctx.global_coord_array[i].tolist())
 
     def test_n_pm_faces(self):
         ctx = build_context(BoxGeometry((3, 3)), BoundaryCondition.n_pm(1), SQRT2_2)

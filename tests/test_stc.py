@@ -219,18 +219,32 @@ class TestDoubling:
         assert diam == 4
 
 
+def _spin_before(history, t):
+    """Spin of a site just before time t, from its (time, new_spin) flips
+    out of all minus."""
+    spin = -1
+    for s_t, s_spin in history:
+        if s_t >= t:
+            break
+        spin = s_spin
+    return spin
+
+
 class TestSharedStreamPersistence:
     def test_boundary_flip_far_clusters_identical(self):
-        # one exterior plus added: a cluster whose sites and their neighbours
-        # flip identically in the two couplings coincides exactly.  Being far
-        # from the exterior site is not enough: the disagreement it seeds
-        # spreads through the box and can join a far cluster to a near one.
+        # one exterior plus added at (-1, 0).  On the shared stream both runs
+        # read the same ticks and marks, so a flip decision can differ only at
+        # the site next to that exterior plus or where the site or one of its
+        # neighbours already disagrees; the disagreeing sites therefore grow
+        # from (0, 0) through neighbours.  A cluster whose sites and their
+        # neighbours flip identically then coincides exactly.
         geom = BoxGeometry((4, 4))
         bc0 = BoundaryCondition.all_minus()
         x_ext = (-1, 0)
         bc1 = bc0.with_override(x_ext, 1)
+        source = geom.index((0, 0))
         h = HALF
-        checked = 0
+        spread = clusters = 0
         for seed in range(12):
             stream = EventStream(300 + seed)
             ctx0 = build_context(geom, bc0, h)
@@ -242,17 +256,32 @@ class TestSharedStreamPersistence:
             for hist, traj in zip(histories, (t0, t1)):
                 for t, site, spin in traj.events:
                     hist.setdefault(site, []).append((t, spin))
-            differ = {site for site in range(geom.n_sites)
-                      if histories[0].get(site) != histories[1].get(site)}
+            differ = set()
+            for site in range(geom.n_sites):
+                h0 = histories[0].get(site, [])
+                h1 = histories[1].get(site, [])
+                split = set(h0).symmetric_difference(h1)
+                if split:
+                    differ.add(site)
+                for t in sorted({t for t, _ in split}):
+                    if site == source:
+                        continue
+                    spread += 1
+                    assert any(_spin_before(h0_nb, t) != _spin_before(h1_nb, t)
+                               for h0_nb, h1_nb in (
+                                   (histories[0].get(j, []),
+                                    histories[1].get(j, []))
+                                   for j in (site,) + ctx0.neighbors[site]))
+            assert not differ or source in differ
             led0, led1 = track(ctx0, t0), track(ctx1, t1)
             segs1 = {v.segments for v in led1.clusters()}
             for view in led0.clusters():
                 members = {geom.index(c) for c, _, _ in view.segments}
                 near = members.union(*(ctx0.neighbors[i] for i in members))
                 if not near & differ:
-                    checked += 1
+                    clusters += 1
                     assert view.segments in segs1
-        assert checked > 0
+        assert spread > 0 and clusters > 0
 
     def test_sub_box_locality(self):
         # when no cluster of the plus-boundary run touches both the inner
