@@ -107,6 +107,9 @@ def _check_betas(betas):
             and all(_is_number(b, numbers.Real) and b > 0 for b in betas)):
         raise ValueError(f"beta values must be a non-empty list of positive "
                          f"numbers, got {betas!r}")
+    # runs and fits are keyed by beta, so a repeat would drop replicas
+    if len(set(betas)) != len(betas):
+        raise ValueError(f"beta values must be distinct, got {betas!r}")
 
 
 # -- Arrhenius fitting ---------------------------------------------------------

@@ -2,16 +2,25 @@
 
 Enumerates all spin configurations of a box, maps every state to an exact
 integer energy level, computes communication energies and maximal cycles
-from one ascending sublevel sweep (the merge tree of the sublevel sets),
-merges cycles into maximal cycle compounds, builds reference filling
-paths, and derives the critical constants (droplet side, critical volume
-and barrier, relaxation exponents) from the reference path energy profile.
+from one ascending merge of the sublevel sets (the merge tree), merges
+cycles into maximal cycle compounds, builds reference filling paths, and
+derives the critical constants (droplet side, critical volume and barrier,
+relaxation exponents) from the reference path energy profile.
+
+The merge runs level by level, each level one vectorised step with numpy:
+activate the level's states, take their flip edges to active states, find
+both ends' roots in union-by-size trees, and join the roots by one
+connected-components pass, OR-ing per-state flags onto the new roots.  Its
+work grows with the states and edges of the levels it visits, so a
+communication energy never looks above its barrier.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import gc
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -151,8 +160,9 @@ class LevelIndex:
     exactly when their energies are equal.  ``values[r]`` is the energy of
     rank r, ``rank_level[r]`` its level, and ``level_rank[k]`` the first
     rank of level k, the pair that names level k.  ``order`` lists the
-    positions by level, states ascending within a level, and level k
-    occupies ``order[starts[k]:starts[k + 1]]``.
+    positions by level, states ascending within a level, level k occupies
+    ``order[starts[k]:starts[k + 1]]``, and position p sits at
+    ``order[where[p]]``.
     """
 
     def __init__(self, ids, bonds, pluses, field, n_sites):
@@ -190,6 +200,8 @@ class LevelIndex:
         self.order = np.argsort(self.level, kind="stable")
         self.starts = np.searchsorted(self.level[self.order],
                                       np.arange(self.n_levels + 1))
+        self.where = np.empty(n, dtype=np.int32)
+        self.where[self.order] = np.arange(n, dtype=np.int32)
 
     def positions(self, states):
         """Positions of a collection of states, ascending, without repeats."""
@@ -201,7 +213,8 @@ class LevelIndex:
 
     def flips(self, pos, bit):
         """(p, q): the positions p of ``pos`` whose states stay in the
-        landscape when ``bit`` flips, and the positions q they flip to."""
+        landscape when ``bit`` flips, and the positions q they flip to.
+        ``bit`` is one bit mask, or an array of them, one per position."""
         t = self.ids[pos] ^ bit
         if self.full:
             return pos, t
@@ -216,105 +229,142 @@ class LevelIndex:
             yield self.flips(np.flatnonzero((self.ids & bit) == 0), bit)
 
 
-class _Sweep:
-    """Ascending union-find sweep over the levels of a landscape.
+class _MergeTree:
+    """Merge tree of the sublevel sets of a landscape, one level at a time.
 
-    Level by level, activates the states of the level and joins each to its
-    active flip neighbours, union by size: the merge tree of the sublevel
-    sets.  ``flags`` holds a small int per position, and a component
-    carries the OR of its states' flags.  Iterating yields ``(k, joined)``
-    after level k: for each component that level k touched, the list of its
-    pieces, each a ``[flags, members]`` pair (members a list of positions)
-    as it stood before level k, a state activated at k being a piece of its
-    own.  The pieces are merged when iteration resumes, so a caller copies
-    what it keeps.  ``components`` maps each live component's root to its
-    ``[flags, members]``.
+    Each level k is one vectorised step: activate the level's states, take
+    their flip edges to active states, map both ends to their roots, and
+    find the connected components of the root graph.  Every component is
+    then hung below its largest piece (union by size, so trees stay
+    O(log n) deep and a find is a few whole-array pointer jumps).  The work
+    per level grows with the level's states and edges, not with the box.
+
+    Nodes are places in the level order (``lv.where``), so level k is the
+    node range ``lv.starts[k]:lv.starts[k + 1]`` and a sweep that stops
+    early touches only the start of its arrays.  ``flags`` holds a small
+    int per node and is updated in place: a root carries the OR of its
+    tree's flags.  Iterating yields ``(k, pieces, group, pflag, gflag)``
+    after level k: ``pieces`` are the roots that level k touched as they
+    stood before it (a state activated at k is a piece of its own),
+    ``group[i]`` numbers the component piece i joins, ``pflag`` holds the
+    pieces' flags and ``gflag[group]`` the OR over each component.  The
+    pieces are joined when iteration resumes.
     """
 
     def __init__(self, lv, flags):
+        n = len(lv.ids)
         self.lv = lv
-        self.flags = flags
-        self.components = {}
+        self.parent = np.empty(n, dtype=np.int64)
+        self.size = np.empty(n, dtype=np.int64)
+        self.flag = flags
+        self._slot = np.empty(n, dtype=np.int64)
+        # every site's bit, once per state of the largest level so far
+        self._bits = np.left_shift(1, np.arange(lv.n_sites, dtype=np.int64))
 
-    def _edges(self, new, k):
-        """Flip edges from the states of level k to active states, each once."""
-        lv = self.lv
-        ps, qs = [], []
-        for i in range(lv.n_sites):
-            p, q = lv.flips(new, 1 << i)
-            lq = lv.level[q]
-            keep = (lq < k) | ((lq == k) & (q > p))
-            ps.append(p[keep])
-            qs.append(q[keep])
-        return zip(np.concatenate(ps).tolist(), np.concatenate(qs).tolist())
+    def roots(self, nodes):
+        """The root of each node's tree."""
+        parent = self.parent
+        r = parent[nodes]
+        up = parent[r]
+        while np.count_nonzero(up != r):
+            r, up = up, parent[up]
+        return r
+
+    def _edges(self, k):
+        """Flip edges from the nodes of level k to active nodes.
+
+        A flip changes the energy by an integer minus or plus h, and
+        0 < h < 1, so flip neighbours never share a level and every such
+        edge goes down to an earlier level.
+        """
+        lv, n = self.lv, self.lv.n_sites
+        lo, hi = lv.starts[k], lv.starts[k + 1]
+        if len(self._bits) < (hi - lo) * n:
+            self._bits = np.tile(self._bits[:n], hi - lo)
+        p, q = lv.flips(lv.order[lo:hi].repeat(n), self._bits[:(hi - lo) * n])
+        p, q = lv.where[p], lv.where[q]
+        keep = q < lo
+        return p[keep], q[keep]
 
     def __iter__(self):
-        lv, comps = self.lv, self.components
-        # union by size keeps every tree O(log n) deep, so finds need no
-        # path compression and are written out inline
-        parent, size = {}, {}
+        lv = self.lv
         for k in range(lv.n_levels):
-            new = lv.order[lv.starts[k]:lv.starts[k + 1]]
-            joined = {}
-            for p, f in zip(new.tolist(), self.flags[new].tolist()):
-                parent[p] = p
-                size[p] = 1
-                joined[p] = [[f, [p]]]
-            for rp, rq in self._edges(new, k):
-                while parent[rp] != rp:
-                    rp = parent[rp]
-                while parent[rq] != rq:
-                    rq = parent[rq]
-                if rp == rq:
-                    continue
-                for r in (rp, rq):
-                    if r not in joined:
-                        joined[r] = [comps.pop(r)]
-                if size[rp] < size[rq]:
-                    rp, rq = rq, rp
-                parent[rq] = rp
-                size[rp] += size.pop(rq)
-                keep, gone = joined[rp], joined.pop(rq)
-                if len(keep) < len(gone):
-                    keep, gone = gone, keep
-                    joined[rp] = keep
-                keep += gone
-            yield k, list(joined.values())
-            for r, pieces in joined.items():
-                big = max(pieces, key=lambda piece: len(piece[1]))
-                for piece in pieces:
-                    if piece is not big:
-                        big[0] |= piece[0]
-                        big[1] += piece[1]
-                comps[r] = big
+            new = np.arange(lv.starts[k], lv.starts[k + 1])
+            self.parent[new] = new
+            self.size[new] = 1
+            p, q = self._edges(k)
+            if not len(p):
+                flag = self.flag[new]
+                yield k, new, np.arange(len(new)), flag, flag
+                continue
+            # pieces: the distinct roots at the ends, where the nodes of
+            # level k are still roots of their own; slot numbers them
+            ends = np.concatenate((new, self.roots(q)))
+            slot, at = self._slot, np.arange(len(ends))
+            slot[ends] = at
+            pieces = ends[slot[ends] == at]
+            m = len(pieces)
+            slot[pieces] = at[:m]
+            group = _components(m, slot[p], slot[ends[len(new):]])
+            pflag = self.flag[pieces]
+            gflag = np.zeros(m, dtype=pflag.dtype)
+            np.bitwise_or.at(gflag, group, pflag)
+            yield k, pieces, group, pflag, gflag
+            # each component hangs below one of its largest pieces
+            size = self.size[pieces]
+            big = np.zeros(m, dtype=size.dtype)
+            np.maximum.at(big, group, size)
+            top = np.empty(m, dtype=np.int64)
+            widest = size == big[group]
+            top[group[widest]] = pieces[widest]
+            top = top[group]
+            moved = pieces != top
+            self.parent[pieces[moved]] = top[moved]
+            lead = group[~moved]
+            self.size[top[~moved]] = np.bincount(group, size, m)[lead]
+            self.flag[top[~moved]] = gflag[lead]
+
+
+def _components(m, a, b):
+    """Component of each of m nodes joined by edges (a, b), named by its
+    least node: until no edge is cut, hook every root that is the larger
+    end of a cut edge to the least root across such edges, then
+    pointer-jump until every node sees its root."""
+    label = np.arange(m)
+    while True:
+        la, lb = label[a], label[b]
+        cut = la != lb
+        if not np.count_nonzero(cut):
+            return label
+        a, b, la, lb = a[cut], b[cut], la[cut], lb[cut]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        up = label[label]
+        while np.count_nonzero(up != label):
+            label, up = up, up[up]
 
 
 def communication_energy(graph, a_states, b_states):
     """Minimax energy over single-flip paths between two state sets.
 
-    Sweeps the levels ascending, joining states whose energy is at most the
-    level, and returns the first level at which some component contains
-    states of both sets, named by the pair of the lowest state at that
-    level.  States above that level are never visited.
+    Merges the sublevel sets level by level, ascending, and returns the
+    first level at which some component contains states of both sets,
+    named by the pair of the lowest state at that level.  States above that
+    level are never visited.
     """
     lv = graph.levels()
     a, b = lv.positions(a_states), lv.positions(b_states)
     if not len(a) or not len(b):
         raise ValueError("communication energy needs non-empty state sets")
     flags = np.zeros(len(lv.ids), dtype=np.int8)
-    flags[a] = 1
-    flags[b] |= 2
-    for k, joined in _Sweep(lv, flags):
-        for pieces in joined:
-            seen = 0
-            for f, _ in pieces:
-                seen |= f
-            if seen == 3:
-                return lv.values[lv.level_rank[k]]
+    flags[lv.where[a]] = 1
+    flags[lv.where[b]] |= 2
+    for k, _, _, _, gflag in _MergeTree(lv, flags):
+        if np.count_nonzero(gflag == 3):
+            return lv.values[lv.level_rank[k]]
     raise RuntimeError("state graph is not connected")
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleBlock:
     """One block of a cycle / cycle-compound partition."""
 
@@ -342,15 +392,24 @@ class CyclePartition:
 
 
 def _boundary_edges(lv, label):
-    """Flip edges whose two ends carry different labels, as arrays
-    (label_p, label_q, weight); the weight is the larger rank of the ends."""
-    out = []
+    """Flip edges whose two ends carry different labels, one bit at a time,
+    as arrays (label_p, label_q, weight); the weight is the larger rank of
+    the ends."""
     for p, q in lv.edges():
         lp, lq = label[p], label[q]
         cut = lp != lq
-        p, q = p[cut], q[cut]
-        out.append((lp[cut], lq[cut], np.maximum(lv.rank[p], lv.rank[q])))
-    return [np.concatenate(arrays) for arrays in zip(*out)]
+        yield lp[cut], lq[cut], np.maximum(lv.rank[p[cut]], lv.rank[q[cut]])
+
+
+def _by_first_state(label, count):
+    """Labels 0..count-1 (-1 is outside) renumbered in the order of each
+    block's smallest position, and those positions ascending."""
+    y = np.flatnonzero(label >= 0)
+    first = np.full(count, len(label), dtype=np.int64)
+    np.minimum.at(first, label[y], y)
+    rename = np.empty(count, dtype=np.int64)
+    rename[np.argsort(first)] = np.arange(count)
+    return np.where(label >= 0, rename[label], -1), np.sort(first)
 
 
 def _blocks(lv, label, count):
@@ -361,46 +420,49 @@ def _blocks(lv, label, count):
     height and bottom come from the highest and lowest ranks inside it.
     """
     none = len(lv.values)
+    label, _ = _by_first_state(label, count)
     y = np.flatnonzero(label >= 0)
     lab = label[y]
-    first = np.full(count, len(lv.ids), dtype=np.int64)
-    np.minimum.at(first, lab, y)
-    renumber = np.empty(count, dtype=np.int64)
-    renumber[np.argsort(first)] = np.arange(count)
-    lab = renumber[lab]
-    lo = np.full(count, none, dtype=np.int64)
-    np.minimum.at(lo, lab, lv.rank[y])
-    hi = np.full(count, -1, dtype=np.int64)
-    np.maximum.at(hi, lab, lv.rank[y])
-    ex = np.full(count, none, dtype=np.int64)
-    la, lb, w = _boundary_edges(lv, label)
-    for side in (la, lb):
-        inside = side >= 0
-        np.minimum.at(ex, renumber[side[inside]], w[inside])
+    ex = np.full(count, none, dtype=lv.rank.dtype)
+    for la, lb, w in _boundary_edges(lv, label):
+        for side in (la, lb):
+            inside = side >= 0
+            np.minimum.at(ex, side[inside], w[inside])
     # y ascends, so a stable sort keeps each block's states ascending
     o = np.argsort(lab, kind="stable")
-    states = lv.ids[y[o]].tolist()
-    at_bottom = (lv.level[y] == lv.rank_level[lo[lab]])[o].tolist()
-    ends = np.cumsum(np.bincount(lab, minlength=count)).tolist()
+    sizes = np.bincount(lab, minlength=count)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    rank = lv.rank[y[o]]
+    lo = np.minimum.reduceat(rank, starts)
+    hi = np.where(sizes > 1, np.maximum.reduceat(rank, starts), none)
+    at_bottom = lv.level[y[o]] == lv.rank_level[lo[lab[o]]]
+    # few distinct (exit, bottom) rank pairs among many blocks: one
+    # EnergyValue difference per pair
     values = lv.values
-    blocks = []
-    start = 0
-    for end, r_lo, r_hi, r_ex in zip(ends, lo.tolist(), hi.tolist(),
-                                     ex.tolist()):
-        members = frozenset(states[start:end])
-        if end - start == 1:
-            bottom, height = members, NEG_INF_ENERGY
-        else:
-            bottom = frozenset(s for s, f in zip(states[start:end],
-                                                 at_bottom[start:end]) if f)
-            height = values[r_hi]
-        exit_energy = depth = None
-        if r_ex < none:
-            exit_energy = values[r_ex]
-            depth = exit_energy - values[r_lo]
-        blocks.append(CycleBlock(members, exit_energy, height, bottom, depth))
-        start = end
-    return blocks
+    exits, heights = values + [None], values + [NEG_INF_ENERGY]
+    key = np.where(ex < none, ex.astype(np.int64) * none + lo, none * none)
+    pair, which = np.unique(key, return_inverse=True)
+    depths = [values[r_ex] - values[r_lo] if r_ex < none else None
+              for r_ex, r_lo in (divmod(k, none) for k in pair.tolist())]
+    states = lv.ids[y[o]].tolist()
+    # the blocks are plain data; pausing the cycle collector while they
+    # are built keeps its passes from rescanning a growing heap
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        members = [frozenset(states[a:b])
+                   for a, b in zip(starts.tolist(), ends.tolist())]
+        bottoms = list(members)
+        for c in np.flatnonzero(sizes > 1).tolist():
+            a, b = starts[c], ends[c]
+            bottoms[c] = frozenset(lv.ids[y[o[a:b][at_bottom[a:b]]]].tolist())
+        return list(map(CycleBlock, members, [exits[r] for r in ex.tolist()],
+                        [heights[r] for r in hi.tolist()], bottoms,
+                        [depths[i] for i in which.tolist()]))
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _block_stats(graph, states):
@@ -412,19 +474,24 @@ def _block_stats(graph, states):
 
 
 def _is_connected(graph, states):
-    states = set(states)
-    if not states:
-        return False
-    start = next(iter(states))
-    seen = {start}
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        for t in graph.neighbors(s):
-            if t in states and t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen == states
+    """Whether a set of states is non-empty and flip-connected."""
+    lv = graph.levels()
+    label = np.full(len(lv.ids), -1, dtype=np.int64)
+    label[lv.positions(states)] = 0
+    return _all_connected(lv, label, 1)
+
+
+def _all_connected(lv, label, count):
+    """Whether each of the blocks labelled 0..count-1 is flip-connected: the
+    edges inside blocks leave exactly one component per block."""
+    ps, qs = [], []
+    for p, q in lv.edges():
+        inside = (label[p] == label[q]) & (label[p] >= 0)
+        ps.append(p[inside])
+        qs.append(q[inside])
+    comp = _components(len(label), np.concatenate(ps), np.concatenate(qs))
+    y = np.flatnonzero(label >= 0)
+    return np.count_nonzero(comp[y] == y) == count
 
 
 def _cycle_labels(lv, y):
@@ -433,25 +500,36 @@ def _cycle_labels(lv, y):
     A component of a sublevel set that lies inside Y is a cycle, so the
     maximal cycles are the merge-tree nodes inside Y whose parent is not:
     the pieces inside Y of a component that comes to hold a state outside
-    Y, and the components inside Y that never do.
+    Y, and the components inside Y that never do.  Each is labelled at its
+    root.  Whatever hangs below such a root later is either a piece inside
+    Y, labelled at its own root as it joins, or holds a state outside Y,
+    and then its states of Y were labelled below it before; so a state of
+    Y takes the label of the first labelled node above it.
     """
-    outside = np.ones(len(lv.ids), dtype=np.int8)
+    n = len(lv.ids)
+    y = lv.where[y]
+    outside = np.ones(n, dtype=np.int8)
     outside[y] = 0
-    label = np.full(len(lv.ids), -1, dtype=np.int64)
+    tree = _MergeTree(lv, outside)
+    label = np.full(n, -1, dtype=np.int64)
     count = 0
-    sweep = _Sweep(lv, outside)
-    for _, joined in sweep:
-        for pieces in joined:
-            if any(f for f, _ in pieces):
-                for f, members in pieces:
-                    if not f:
-                        label[members] = count
-                        count += 1
-    for f, members in sweep.components.values():
-        if not f:
-            label[members] = count
-            count += 1
-    return label, count
+    for _, pieces, group, pflag, gflag in tree:
+        done = pieces[(gflag[group] != 0) & (pflag == 0)]
+        label[done] = np.arange(count, count + len(done))
+        count += len(done)
+    done = np.flatnonzero((tree.parent == np.arange(n)) & (tree.flag == 0))
+    label[done] = np.arange(count, count + len(done))
+    count += len(done)
+    out = np.full(n, -1, dtype=np.int64)
+    todo, cur = y, y
+    while len(todo):
+        found = label[cur]
+        hit = found >= 0
+        out[todo[hit]] = found[hit]
+        up = tree.parent[cur]
+        go = ~hit & (up != cur)
+        todo, cur = todo[go], up[go]
+    return out[lv.where], count
 
 
 def maximal_cycles(graph, y_states):
@@ -480,12 +558,19 @@ def maximal_compounds(graph, y_states):
     not in value is recorded as a tie event.
     """
     lv = graph.levels()
-    label, count = _cycle_labels(lv, lv.positions(y_states))
+    return _compounds(lv, *_cycle_labels(lv, lv.positions(y_states)))
+
+
+def _compounds(lv, label, count):
+    """Compound partition from the maximal-cycle labels of the positions."""
     none = len(lv.values)
     level = lv.rank_level.tolist()
-    la, lb, w = _boundary_edges(lv, label)
+    # number the cycles by smallest state, so that the merge order, and so
+    # the tie events, depend on the cycle partition alone
+    label, first = _by_first_state(label, count)
+    la, lb, w = map(np.concatenate, zip(*_boundary_edges(lv, label)))
     # per block: least weight to states outside Y, to each adjacent block
-    out = np.full(count, none, dtype=np.int64)
+    out = np.full(count, none, dtype=lv.rank.dtype)
     for side, other in ((la, lb), (lb, la)):
         sel = (side >= 0) & (other < 0)
         np.minimum.at(out, side[sel], w[sel])
@@ -495,9 +580,6 @@ def maximal_compounds(graph, y_states):
     for x, z, v in zip(a.tolist(), b.tolist(), w.tolist()):
         if v < adjacent[x].get(z, none):
             adjacent[x][z] = adjacent[z][x] = v
-    y = np.flatnonzero(label >= 0)
-    first = np.full(count, len(lv.ids), dtype=np.int64)
-    np.minimum.at(first, label[y], y)
     out, first = out.tolist(), first.tolist()
     exit_rank = [min([out[c], *adjacent[c].values()]) for c in range(count)]
     parent = list(range(count))
@@ -537,10 +619,10 @@ def maximal_compounds(graph, y_states):
     roots, compound = np.unique([find(c) for c in range(count)],
                                 return_inverse=True)
     final = np.where(label >= 0, compound[label], -1)
+    if not _all_connected(lv, final, len(roots)):
+        raise AssertionError("compound block is not connected")
     blocks = _blocks(lv, final, len(roots))
     for blk in blocks:
-        if not _is_connected(graph, blk.states):
-            raise AssertionError("compound block is not connected")
         if blk.exit_energy is not None and not (blk.height <= blk.exit_energy):
             raise AssertionError("compound block violates height <= exit energy")
     return CyclePartition(blocks=blocks, kind="compounds", tie_events=tie_events)
@@ -1003,33 +1085,61 @@ def domain_hypothesis_check(graph, d_states, v_max):
 # -- export ------------------------------------------------------------------
 
 
+def _patterns(geometry, states):
+    """``Configuration.to_text()`` of each state, newlines written as '|',
+    built from the bit arrays at once.
+
+    Sites run row-major, so the text is the rows of the last axis in order,
+    with '|' between rows and '||' where ``to_text`` puts a blank line,
+    before every ``dims[-2]``-th row.
+    """
+    dims = geometry.dims
+    if len(dims) == 1:
+        cols = list(range(geometry.n_sites))
+    else:
+        width, block = dims[-1], dims[-2]
+        cols = []
+        for r in range(geometry.n_sites // width):
+            if r:
+                cols += [-1, -1] if r % block == 0 else [-1]
+            cols += range(r * width, (r + 1) * width)
+    cols = np.array(cols, dtype=np.int64)
+    site = cols >= 0
+    states = np.asarray(states, dtype=np.int64)
+    text = np.full((len(states), len(cols)), ord("|"), dtype=np.uint8)
+    plus = (states[:, None] >> cols[site]) & 1
+    text[:, site] = np.where(plus == 1, ord("+"), ord("-"))
+    text = text.tobytes().decode("ascii")
+    step = len(cols)
+    return [text[i:i + step] for i in range(0, len(text), step)]
+
+
 def landscape_to_csv(graph, fh):
+    states = np.fromiter(graph.states(), dtype=np.int64)
     writer = csv.writer(fh)
     writer.writerow(["state", "pattern", "bonds", "pluses"])
-    for s in graph.states():
-        cfg = graph.configuration(s)
-        e = graph.energy_pair(s)
-        writer.writerow([s, cfg.to_text().replace("\n", "|"), e.bonds, e.pluses])
+    writer.writerows(zip(states.tolist(),
+                         _patterns(graph.ctx.geometry, states),
+                         graph._bonds[states].tolist(),
+                         graph._pluses[states].tolist()))
 
 
 def partition_to_csv(graph, partition, assign_fh, summary_fh):
-    ids = {}
-    for k, b in enumerate(partition.blocks):
-        ids[k] = b
+    blocks = partition.blocks
+    sizes = [len(b.states) for b in blocks]
+    states = np.fromiter(itertools.chain.from_iterable(
+        b.states for b in blocks), dtype=np.int64, count=sum(sizes))
+    block = np.repeat(np.arange(len(blocks)), sizes)
+    o = np.argsort(states, kind="stable")
     writer = csv.writer(assign_fh)
     writer.writerow(["state", "block"])
-    state_block = {}
-    for k, b in ids.items():
-        for s in b.states:
-            state_block[s] = k
-    for s in sorted(state_block):
-        writer.writerow([s, state_block[s]])
+    writer.writerows(zip(states[o].tolist(), block[o].tolist()))
     writer = csv.writer(summary_fh)
     writer.writerow(["block", "size", "exit_bonds", "exit_pluses",
                      "bottom_pattern", "depth_bonds", "depth_pluses"])
-    for k, b in ids.items():
+    bottoms = _patterns(graph.ctx.geometry, [min(b.bottom) for b in blocks])
+    for k, (b, bottom) in enumerate(zip(blocks, bottoms)):
         exit_pair = b.exit_energy.pair() if b.exit_energy is not None else ("", "")
         depth_pair = b.depth.pair() if b.depth is not None else ("", "")
-        bottom = graph.configuration(min(b.bottom)).to_text().replace("\n", "|")
         writer.writerow([k, len(b.states), exit_pair[0], exit_pair[1], bottom,
                          depth_pair[0], depth_pair[1]])

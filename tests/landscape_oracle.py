@@ -6,11 +6,21 @@ union-find sweep per call, cycles from per-level component snapshots,
 compounds from repeated scans over all block pairs, and the bottom of a state
 set by one ``EnergyValue`` comparison per state.  They are slow and
 straightforward; the differential tests compare the library against them.
+
+The merge-tree oracle below them is the union-find sweep over the level
+index that the library used before its vectorised level-by-level merge:
+one Python union per flip edge, union by size.  The differential tests feed
+its cycle labels to the library's own block and compound code, so a
+difference in a partition comes from the merge alone.  The row-by-row CSV
+writers at the end are the reference for the vectorised export.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
+
+import numpy as np
 
 from isingkit.energy import NEG_INF_ENERGY
 from isingkit.landscape import CycleBlock, CyclePartition, TruncatedLandscape
@@ -245,3 +255,166 @@ def bottom_of(graph, states):
         elif e == emin:
             out.append(s)
     return frozenset(out)
+
+
+# -- merge-tree oracle: the per-edge union-find sweep over the level index ----
+
+
+class _Sweep:
+    """Ascending union-find sweep over the levels of a landscape.
+
+    Level by level, activates the states of the level and joins each to its
+    active flip neighbours, union by size: the merge tree of the sublevel
+    sets.  ``flags`` holds a small int per position, and a component
+    carries the OR of its states' flags.  Iterating yields ``(k, joined)``
+    after level k: for each component that level k touched, the list of its
+    pieces, each a ``[flags, members]`` pair (members a list of positions)
+    as it stood before level k, a state activated at k being a piece of its
+    own.  The pieces are merged when iteration resumes, so a caller copies
+    what it keeps.  ``components`` maps each live component's root to its
+    ``[flags, members]``.
+    """
+
+    def __init__(self, lv, flags):
+        self.lv = lv
+        self.flags = flags
+        self.components = {}
+
+    def _edges(self, new, k):
+        """Flip edges from the states of level k to active states, each once."""
+        lv = self.lv
+        ps, qs = [], []
+        for i in range(lv.n_sites):
+            p, q = lv.flips(new, 1 << i)
+            lq = lv.level[q]
+            keep = (lq < k) | ((lq == k) & (q > p))
+            ps.append(p[keep])
+            qs.append(q[keep])
+        return zip(np.concatenate(ps).tolist(), np.concatenate(qs).tolist())
+
+    def __iter__(self):
+        lv, comps = self.lv, self.components
+        # union by size keeps every tree O(log n) deep, so finds need no
+        # path compression and are written out inline
+        parent, size = {}, {}
+        for k in range(lv.n_levels):
+            new = lv.order[lv.starts[k]:lv.starts[k + 1]]
+            joined = {}
+            for p, f in zip(new.tolist(), self.flags[new].tolist()):
+                parent[p] = p
+                size[p] = 1
+                joined[p] = [[f, [p]]]
+            for rp, rq in self._edges(new, k):
+                while parent[rp] != rp:
+                    rp = parent[rp]
+                while parent[rq] != rq:
+                    rq = parent[rq]
+                if rp == rq:
+                    continue
+                for r in (rp, rq):
+                    if r not in joined:
+                        joined[r] = [comps.pop(r)]
+                if size[rp] < size[rq]:
+                    rp, rq = rq, rp
+                parent[rq] = rp
+                size[rp] += size.pop(rq)
+                keep, gone = joined[rp], joined.pop(rq)
+                if len(keep) < len(gone):
+                    keep, gone = gone, keep
+                    joined[rp] = keep
+                keep += gone
+            yield k, list(joined.values())
+            for r, pieces in joined.items():
+                big = max(pieces, key=lambda piece: len(piece[1]))
+                for piece in pieces:
+                    if piece is not big:
+                        big[0] |= piece[0]
+                        big[1] += piece[1]
+                comps[r] = big
+
+
+def sweep_communication_energy(graph, a_states, b_states):
+    """Minimax energy over single-flip paths between two state sets.
+
+    Sweeps the levels ascending, joining states whose energy is at most the
+    level, and returns the first level at which some component contains
+    states of both sets, named by the pair of the lowest state at that
+    level.  States above that level are never visited.
+    """
+    lv = graph.levels()
+    a, b = lv.positions(a_states), lv.positions(b_states)
+    if not len(a) or not len(b):
+        raise ValueError("communication energy needs non-empty state sets")
+    flags = np.zeros(len(lv.ids), dtype=np.int8)
+    flags[a] = 1
+    flags[b] |= 2
+    for k, joined in _Sweep(lv, flags):
+        for pieces in joined:
+            seen = 0
+            for f, _ in pieces:
+                seen |= f
+            if seen == 3:
+                return lv.values[lv.level_rank[k]]
+    raise RuntimeError("state graph is not connected")
+
+
+def sweep_cycle_labels(lv, y):
+    """Maximal-cycle label of every position (-1 outside Y), and the count.
+
+    A component of a sublevel set that lies inside Y is a cycle, so the
+    maximal cycles are the merge-tree nodes inside Y whose parent is not:
+    the pieces inside Y of a component that comes to hold a state outside
+    Y, and the components inside Y that never do.
+    """
+    outside = np.ones(len(lv.ids), dtype=np.int8)
+    outside[y] = 0
+    label = np.full(len(lv.ids), -1, dtype=np.int64)
+    count = 0
+    sweep = _Sweep(lv, outside)
+    for _, joined in sweep:
+        for pieces in joined:
+            if any(f for f, _ in pieces):
+                for f, members in pieces:
+                    if not f:
+                        label[members] = count
+                        count += 1
+    for f, members in sweep.components.values():
+        if not f:
+            label[members] = count
+            count += 1
+    return label, count
+
+
+# -- CSV writers: one Configuration.to_text per state and per block ----------
+
+
+def landscape_to_csv_rows(graph, fh):
+    writer = csv.writer(fh)
+    writer.writerow(["state", "pattern", "bonds", "pluses"])
+    for s in graph.states():
+        cfg = graph.configuration(s)
+        e = graph.energy_pair(s)
+        writer.writerow([s, cfg.to_text().replace("\n", "|"), e.bonds, e.pluses])
+
+
+def partition_to_csv_rows(graph, partition, assign_fh, summary_fh):
+    ids = {}
+    for k, b in enumerate(partition.blocks):
+        ids[k] = b
+    writer = csv.writer(assign_fh)
+    writer.writerow(["state", "block"])
+    state_block = {}
+    for k, b in ids.items():
+        for s in b.states:
+            state_block[s] = k
+    for s in sorted(state_block):
+        writer.writerow([s, state_block[s]])
+    writer = csv.writer(summary_fh)
+    writer.writerow(["block", "size", "exit_bonds", "exit_pluses",
+                     "bottom_pattern", "depth_bonds", "depth_pluses"])
+    for k, b in ids.items():
+        exit_pair = b.exit_energy.pair() if b.exit_energy is not None else ("", "")
+        depth_pair = b.depth.pair() if b.depth is not None else ("", "")
+        bottom = graph.configuration(min(b.bottom)).to_text().replace("\n", "|")
+        writer.writerow([k, len(b.states), exit_pair[0], exit_pair[1], bottom,
+                         depth_pair[0], depth_pair[1]])

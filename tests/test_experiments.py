@@ -36,6 +36,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(experiment="x", bc="bogus")
 
+    @pytest.mark.parametrize("betas", [[1.0, 1.0], [2, 1.0, 2.0]])
+    def test_repeated_beta_rejected(self, betas):
+        with pytest.raises(ValueError, match="distinct"):
+            RunConfig(experiment="nucleation", beta=betas)
+        with pytest.raises(ValueError, match="distinct"):
+            GrowthModelParams(d=1, gamma=1.5, kappa_prev=0.0, L=1.0,
+                              betas=betas)
+
     @pytest.mark.parametrize("caps", [
         {"events": None}, {"events": 0}, {"events": -5}, {"events": 2.5},
         {"events": True}, {"events": "100"}, {"time": 0}, {"time": -1.0},
@@ -353,6 +361,23 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("nucleation", "--dims", "3", "--beta", "1.0,1.0", "--replicas", "1"),
+        ("nucleation", "--dims", "3", "--beta", "2,1,2.0", "--replicas", "1"),
+        ("growth-model", "--d", "1", "--gamma", "1.5", "--kappa-prev", "0",
+         "--L", "1", "--beta", "4,6,4", "--replicas", "1")])
+    def test_repeated_beta_fails_cleanly(self, tmp_path, capsys, argv):
+        from isingkit.cli import main
+        out_dir = tmp_path / "out"
+        code = main(list(argv) + ["--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "distinct" in lines[0]
+        assert not out_dir.exists()
 
     GROWTH_ARGV = ("growth-model", "--d", "1", "--gamma", "1.5",
                    "--kappa-prev", "0", "--L", "1", "--beta", "4,6")

@@ -6,8 +6,13 @@ Under an irrational field every exact pair must agree: barriers, block
 state sets, and the exit, height and depth pairs.  Under a rational field
 distinct pairs can share a value, and the library names such a value by a
 fixed rule, so there state sets and exit values must agree.
+
+Against the union-find sweep over the same level index (the merge-tree
+oracle) everything must agree exactly under any field: barrier pairs,
+block order, every pair of every block, bottoms and tie events.
 """
 
+import io
 import random
 
 import pytest
@@ -15,9 +20,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import landscape_oracle as oracle
 from isingkit.energy import NEG_INF_ENERGY, MagneticField
-from isingkit.landscape import (bottom_of, communication_energy,
-                                enumerate_landscape, maximal_compounds,
-                                maximal_cycles, truncate_landscape)
+from isingkit.landscape import (CyclePartition, _blocks, _compounds,
+                                bottom_of, communication_energy,
+                                enumerate_landscape, landscape_to_csv,
+                                maximal_compounds, maximal_cycles,
+                                partition_to_csv, truncate_landscape)
 from isingkit.lattice import BoundaryCondition, BoxGeometry, build_context
 
 BOUNDARIES = (BoundaryCondition.all_minus(), BoundaryCondition.n_pm(1),
@@ -161,3 +168,86 @@ def test_communication_energy_stops_at_the_barrier():
         del lv.flips
     assert barrier.pair() == (12, 7)
     assert 0 < sum(visited) < g.n_sites * g.n_states // 20
+
+
+def assert_same_as_sweep(got, want):
+    assert got.kind == want.kind
+    assert [(b.states, _pair(b.exit_energy), _pair(b.height), _pair(b.depth),
+             b.bottom) for b in got.blocks] == \
+        [(b.states, _pair(b.exit_energy), _pair(b.height), _pair(b.depth),
+          b.bottom) for b in want.blocks]
+    assert got.tie_events == want.tie_events
+
+
+def sweep_partitions(g, y):
+    """Cycles and compounds of Y from one run of the union-find sweep."""
+    lv = g.levels()
+    label, count = oracle.sweep_cycle_labels(lv, lv.positions(y))
+    cycles = CyclePartition(blocks=_blocks(lv, label, count), kind="cycles")
+    return cycles, _compounds(lv, label, count)
+
+
+@pytest.mark.parametrize("bc", BOUNDARIES, ids=lambda bc: bc.label())
+def test_4x4_merge_matches_sweep_oracle(bc):
+    g = graph((4, 4), bc, "sqrt2/2")
+    full = (1 << g.n_sites) - 1
+    assert communication_energy(g, [0], [full]).pair() == \
+        oracle.sweep_communication_energy(g, [0], [full]).pair()
+    y = frozenset(g.states()) - {full}
+    cycles, compounds = sweep_partitions(g, y)
+    assert_same_as_sweep(maximal_cycles(g, y), cycles)
+    assert_same_as_sweep(maximal_compounds(g, y), compounds)
+
+
+@pytest.mark.parametrize("dims,bc,token,k", [
+    ((3, 3), BoundaryCondition.n_pm(1), "sqrt2/2", 300),
+    ((3, 3), BoundaryCondition.all_minus(), "0.5", 200),
+    ((4, 4), BoundaryCondition.all_minus(), "sqrt2/2", 5000)])
+def test_truncated_merge_matches_sweep_oracle(dims, bc, token, k):
+    # a truncated landscape is no full hypercube, so its flips go through
+    # the searchsorted lookup
+    t = truncate_landscape(graph(dims, bc, token), k)
+    assert not t.levels().full
+    states = t.states()
+    rng = random.Random(k)
+    for _ in range(5):
+        a, b = rng.choice(states), rng.choice(states)
+        assert communication_energy(t, [a], [b]).pair() == \
+            oracle.sweep_communication_energy(t, [a], [b]).pair()
+    for y in (frozenset(states) - {max(states)},
+              frozenset(s for s in states if rng.random() < 0.7)):
+        cycles, compounds = sweep_partitions(t, y)
+        assert_same_as_sweep(maximal_cycles(t, y), cycles)
+        assert_same_as_sweep(maximal_compounds(t, y), compounds)
+
+
+@pytest.mark.parametrize("dims,bc", [
+    ((7,), BoundaryCondition.all_minus()),
+    ((3, 3), BoundaryCondition.n_pm(1)),
+    ((2, 4), BoundaryCondition.all_minus()),
+    ((2, 2, 3), BoundaryCondition.all_minus()),
+    ((3, 2, 2), BoundaryCondition.n_pm(2)),
+    ((2, 2, 1, 2), BoundaryCondition.all_minus())])
+def test_csv_export_matches_row_writer(dims, bc):
+    g = graph(dims, bc, "sqrt2/2")
+    full = (1 << g.n_sites) - 1
+    y = frozenset(g.states()) - {full}
+    for landscape_graph in (g, truncate_landscape(g, g.n_states // 3)):
+        got, want = io.StringIO(), io.StringIO()
+        landscape_to_csv(landscape_graph, got)
+        oracle.landscape_to_csv_rows(landscape_graph, want)
+        assert lines(got) == lines(want)
+    for part in (maximal_cycles(g, y), maximal_compounds(g, y)):
+        got, want = [io.StringIO(), io.StringIO()], [io.StringIO(),
+                                                    io.StringIO()]
+        partition_to_csv(g, part, *got)
+        oracle.partition_to_csv_rows(g, part, *want)
+        for a, b in zip(got, want):
+            assert lines(a) == lines(b)
+
+
+def lines(buf):
+    # split keeping the '\r' of each row, so equal lists mean byte-identical
+    # text, and a mismatch reports its first row instead of a diff of the
+    # whole text
+    return buf.getvalue().split("\n")
