@@ -22,10 +22,10 @@ from .landscape import (CriticalConstants, CyclePartition, LandscapeGraph,
 from .wgraph import (RateMatrix, enumerate_wgraphs, exit_oracle_linear,
                      exit_point_law, exitcost_identity_check,
                      expected_exit_time, rate_matrix_from_landscape)
-from .kmc import (EventStream, Scenario, Trajectory, coupled_evolve,
-                  evolve_graphical, evolve_rejection_free, evolve_restricted,
-                  hitting_time, pred_all_plus, pred_energy_exceeds,
-                  pred_exits_set, pred_spin_up_at, pred_volume_exceeds)
+from .kmc import (EventStream, Trajectory, coupled_evolve, evolve_graphical,
+                  evolve_rejection_free, evolve_restricted, hitting_time,
+                  pred_all_plus, pred_energy_exceeds, pred_exits_set,
+                  pred_spin_up_at, pred_volume_exceeds)
 from .stc import (StcLedger, crossing_detected, crossing_time,
                   diam_infty_window, discrete_path_clusters,
                   doubling_extraction, track)
@@ -50,7 +50,7 @@ __all__ = [
     "RateMatrix", "enumerate_wgraphs", "exit_oracle_linear", "exit_point_law",
     "exitcost_identity_check", "expected_exit_time",
     "rate_matrix_from_landscape",
-    "EventStream", "Scenario", "Trajectory", "coupled_evolve",
+    "EventStream", "Trajectory", "coupled_evolve",
     "evolve_graphical", "evolve_rejection_free", "evolve_restricted",
     "hitting_time", "pred_all_plus", "pred_energy_exceeds", "pred_exits_set",
     "pred_spin_up_at", "pred_volume_exceeds",

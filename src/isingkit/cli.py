@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Every subcommand takes ``--config`` (a JSON key-value file) plus flag
-overrides; outputs are deterministic given the seeds and written atomically,
-so partial results never land on disk when a run fails.
+The replicated experiments (nucleation, infection, stc-audit) take
+``--config`` (a JSON key-value file) plus flag overrides; every subcommand
+takes only the flags it reads.  Outputs are deterministic given the seeds and
+written atomically, so partial results never land on disk when a run fails.
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ def _load_config(args, experiment):
         if value is not None:
             data[key] = value
     caps = data.setdefault("caps", {})
-    if getattr(args, "caps_events", None) is not None:
-        caps["events"] = args.caps_events
-    if getattr(args, "caps_time", None) is not None:
-        caps["time"] = args.caps_time
+    for key in ("events", "time"):
+        value = getattr(args, "caps_" + key)
+        # a caps value that is not an object is rejected by RunConfig
+        if value is not None and isinstance(caps, dict):
+            caps[key] = value
     data["experiment"] = experiment
     return RunConfig.from_dict(data)
 
@@ -60,17 +62,26 @@ def _parse_betas(text):
     return [float(x) for x in text.split(",") if x]
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--dims", type=_parse_dims)
+def _add_box(p, required=False):
+    """Box flags: shape, boundary condition and field, and where the
+    subcommand writes its files."""
+    p.add_argument("--dims", type=_parse_dims, required=required)
     p.add_argument("--bc", help="all_minus | all_plus | n_pm_<n>")
-    p.add_argument("--h", help="field token, e.g. sqrt2/2 or 0.5")
-    p.add_argument("--beta", type=_parse_betas)
-    p.add_argument("--replicas", type=int)
+    p.add_argument("--h", required=required,
+                   help="field token, e.g. sqrt2/2 or 0.5")
+    p.add_argument("--out-dir", dest="out_dir")
+
+
+def _add_run(p, replicated=True):
+    """Run flags: seed and caps, and for the replicated experiments a config
+    file, the beta list and the replica count."""
+    if replicated:
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--beta", type=_parse_betas)
+        p.add_argument("--replicas", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--caps-events", type=int, dest="caps_events")
     p.add_argument("--caps-time", type=float, dest="caps_time")
-    p.add_argument("--out-dir", dest="out_dir")
 
 
 def _cmd_constants(args):
@@ -139,7 +150,6 @@ def _cmd_simulate(args):
                         BoundaryCondition.from_label(args.bc or "all_minus"),
                         MagneticField(args.h))
     alpha = Configuration.all_minus(ctx.geometry)
-    beta = args.beta[0]
     if args.caps_events is not None and args.caps_events < 1:
         raise ValueError(f"caps events must be an integer >= 1, "
                          f"got {args.caps_events}")
@@ -149,12 +159,12 @@ def _cmd_simulate(args):
     stop = pred_all_plus() if args.stop == "all_plus" else None
     if args.mode == "graphical":
         traj = evolve_graphical(
-            EventStream(seed), ctx, alpha, beta, stop=stop,
+            EventStream(seed), ctx, alpha, args.beta, stop=stop,
             horizon=100.0 if args.caps_time is None else args.caps_time,
             max_events=args.caps_events)
     else:
         traj = evolve_rejection_free(
-            seed, ctx, alpha, beta, stop=stop, time_cap=args.caps_time,
+            seed, ctx, alpha, args.beta, stop=stop, time_cap=args.caps_time,
             max_events=1_000_000 if args.caps_events is None
             else args.caps_events)
     out_dir = args.out_dir or "."
@@ -265,7 +275,7 @@ def build_parser():
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("landscape", help="enumerate, partition and export")
-    _add_common(p)
+    _add_box(p, required=True)
     p.add_argument("--partition", choices=["cycles", "compounds"],
                    default="compounds")
     p.set_defaults(func=_cmd_landscape)
@@ -277,19 +287,23 @@ def build_parser():
     p.set_defaults(func=_cmd_wgraph_check)
 
     p = sub.add_parser("simulate", help="single trajectory export")
-    _add_common(p)
+    _add_box(p, required=True)
+    _add_run(p, replicated=False)
+    p.add_argument("--beta", type=float, required=True)
     p.add_argument("--mode", choices=["graphical", "rejection_free"],
                    default="rejection_free")
     p.add_argument("--stop", choices=["all_plus", "none"], default="none")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("nucleation", help="Arrhenius nucleation experiment")
-    _add_common(p)
+    _add_box(p)
+    _add_run(p)
     p.add_argument("--mode", choices=["graphical", "rejection_free"])
     p.set_defaults(func=_cmd_nucleation)
 
     p = sub.add_parser("infection", help="microscopic infection process")
-    _add_common(p)
+    _add_box(p)
+    _add_run(p)
     p.add_argument("--block-side", type=int, dest="block_side")
     p.add_argument("--eligibility-defect", type=int, dest="eligibility_defect")
     p.set_defaults(func=_cmd_infection)
@@ -312,7 +326,8 @@ def build_parser():
     p.set_defaults(func=_cmd_isoperimetry)
 
     p = sub.add_parser("stc-audit", help="pre-nucleation cluster diameters")
-    _add_common(p)
+    _add_box(p)
+    _add_run(p)
     p.add_argument("--stc-threshold-D", type=int, dest="stc_threshold_D")
     p.set_defaults(func=_cmd_stc_audit)
 

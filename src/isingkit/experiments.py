@@ -77,6 +77,11 @@ class RunConfig:
     def from_dict(cls, data):
         data = dict(data)
         caps = data.pop("caps", {})
+        if not isinstance(caps, dict):
+            raise ValueError(f"caps must be an object, got {caps!r}")
+        unknown = set(caps) - {"events", "time"}
+        if unknown:
+            raise ValueError(f"unknown caps keys: {sorted(unknown)}")
         if "events" in caps:
             data["caps_events"] = caps["events"]
         if "time" in caps:

@@ -10,6 +10,7 @@ embedded jump chain directly and is the workhorse for slow hitting times.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -190,36 +191,6 @@ class Trajectory:
         return json.dumps(payload, sort_keys=True)
 
 
-@dataclass
-class Scenario:
-    """One dynamics instance (initial condition, boundary, field) to run on a
-    shared event stream."""
-
-    alpha: Configuration
-    bc: object
-    h: object
-
-    def dominates(self, other):
-        return bool(np.all(self.alpha.spins >= other.alpha.spins)) and \
-            _bc_geq(self.bc, other.bc, self.alpha.geometry) and \
-            self.h.approx >= other.h.approx
-
-
-def _bc_geq(bc_hi, bc_lo, geometry):
-    for i in range(geometry.n_sites):
-        coord = geometry.coord(i)
-        for axis in range(geometry.dimension):
-            for step in (-1, 1):
-                nb = list(coord)
-                nb[axis] += step
-                nb = tuple(nb)
-                if not geometry.contains(nb):
-                    if bc_hi.exterior_spin(nb, geometry) < \
-                            bc_lo.exterior_spin(nb, geometry):
-                        return False
-    return True
-
-
 class _SimState:
     """Mutable view handed to stop predicates: spins plus exact energy."""
 
@@ -234,15 +205,9 @@ class _SimState:
         self.pluses = e.pluses
         self.time = 0.0
 
-    def neighbor_sum(self, site):
-        s = int(self.ctx.boundary_plus[site] - self.ctx.boundary_minus[site])
-        for nb in self.ctx.neighbors[site]:
-            s += int(self.spins[nb])
-        return s
-
     def apply_flip(self, site):
         sigma = int(self.spins[site])
-        s = self.neighbor_sum(site)
+        s = self.ctx.neighbor_spin_sum(self, site)
         self.bonds += sigma * s
         self.pluses += -sigma
         self.spins[site] = -sigma
@@ -342,7 +307,7 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
             eps = int(fams[k])
             if spins[site] != -eps:
                 continue
-            s = state.neighbor_sum(site)
+            s = ctx.neighbor_spin_sum(state, site)
             rate = up[s + d2] if eps == 1 else down[s + d2]
             if unis[k] >= rate:
                 continue
@@ -381,40 +346,28 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
 def coupled_evolve(stream, contexts, alphas, beta, horizon, check_order=None):
     """Evolve several scenarios on the identical event stream.
 
-    All contexts must share the box geometry (they may differ in boundary
-    condition and field).  ``check_order`` receives the spin arrays after
-    every applied event, for domination tests.
+    Each scenario is one ``evolve_graphical`` run over (0, horizon]; the
+    stream is stateless, so every run reads the same arrivals.  All contexts
+    must share the box geometry and origin (they may differ in boundary
+    condition and field).  ``check_order`` receives the time and the spin
+    arrays after the flips at each flip time, for domination tests.
     """
-    geom = contexts[0].geometry
-    if any(ctx.geometry.dims != geom.dims for ctx in contexts):
-        raise ValueError("coupled scenarios must share the box geometry")
-    states = [_SimState(ctx, a) for ctx, a in zip(contexts, alphas)]
-    tables = [_rate_tables(ctx, beta) for ctx in contexts]
-    d2 = 2 * geom.dimension
-    times, sites, fams, unis = stream.window(contexts[0], 0.0, horizon)
-    all_events = [[] for _ in contexts]
-    for k in range(times.size):
-        site = int(sites[k])
-        eps = int(fams[k])
-        u = unis[k]
-        changed = False
-        for state, (up, down), evs in zip(states, tables, all_events):
-            if state.spins[site] != -eps:
-                continue
-            s = state.neighbor_sum(site)
-            rate = up[s + d2] if eps == 1 else down[s + d2]
-            if u < rate:
-                state.apply_flip(site)
-                evs.append((float(times[k]), site, eps))
-                changed = True
-        if changed and check_order is not None:
-            check_order(float(times[k]), [st.spins for st in states])
-    return [Trajectory(initial=a.copy(), events=evs, t_end=horizon,
-                       stop_reason="horizon", beta=beta,
-                       h_token=ctx.field.token, bc_label=ctx.bc.label(),
-                       seed=stream.seed, ticks_read=times.size,
-                       ticks_rejected=times.size - len(evs))
-            for ctx, a, evs in zip(contexts, alphas, all_events)]
+    first = contexts[0]
+    if any(ctx.geometry.dims != first.geometry.dims or
+           ctx.origin != first.origin for ctx in contexts):
+        raise ValueError("coupled scenarios must share the box geometry "
+                         "and origin")
+    trajs = [evolve_graphical(stream, ctx, a, beta, horizon=horizon)
+             for ctx, a in zip(contexts, alphas)]
+    if check_order is not None:
+        spins = [a.spins.copy() for a in alphas]
+        flips = sorted((t, k, site, spin) for k, traj in enumerate(trajs)
+                       for t, site, spin in traj.events)
+        for t, group in itertools.groupby(flips, key=lambda f: f[0]):
+            for _, k, site, spin in group:
+                spins[k][site] = spin
+            check_order(t, spins)
+    return trajs
 
 
 def evolve_restricted(stream, ctx, alpha, beta, ensemble, stop=None,
@@ -432,7 +385,7 @@ def evolve_restricted(stream, ctx, alpha, beta, ensemble, stop=None,
 
 
 def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
-                          max_events=10_000_000, restrict=None):
+                          max_events=10_000_000):
     """Sample the embedded jump chain and exponential holding times directly.
 
     Statistically equivalent to the graphical mode; every jump is an applied
@@ -440,11 +393,9 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
     (Bortz, Kalos & Lebowitz 1975): a site's rate depends only on its class
     (spin, neighbour sum), so each class keeps a member list; an event picks
     a class by its share of the total rate, then a member uniformly, and
-    moves only the flipped site and its neighbours between classes.  With
-    ``restrict``, a flip's membership depends only on its class and the
-    global energy, so it is checked once per non-empty class.  The run stops
-    with "frozen" when no class may flip, and with "underflow" when some
-    class may flip but every such rate has underflowed to 0.0.
+    moves only the flipped site and its neighbours between classes.  The
+    run stops with "underflow" when every rate of a non-empty class has
+    underflowed to 0.0.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         int(seed), spawn_key=(2,))))
@@ -483,22 +434,14 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
     reason = None
     hit = None
     t = 0.0
-    weights = rates
     if stop is not None and stop(state):
         reason = "stopped"
         hit = 0.0
     while reason is None:
-        if restrict is not None:
-            bonds, pluses = state.bonds, state.pluses
-            allowed = [bool(m) and restrict.contains_pair(
-                bonds + sigma * s, pluses - sigma)
-                for m, sigma, s in zip(members, signs, sums)]
-            weights = [rate if ok else 0.0 for rate, ok in zip(rates, allowed)]
-        w = [len(m) * rate for m, rate in zip(members, weights)]
+        w = [len(m) * rate for m, rate in zip(members, rates)]
         total = sum(w)
         if total <= 0.0:
-            frozen = restrict is not None and not any(allowed)
-            reason = "frozen" if frozen else "underflow"
+            reason = "underflow"
             break
         t += rng.exponential() / total
         if time_cap is not None and t > time_cap:
@@ -512,7 +455,7 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
             if wc > 0.0:
                 pick = c
                 if r < wc:
-                    k = int(r / weights[c])
+                    k = int(r / rates[c])
                     break
                 r -= wc
         else:
@@ -558,7 +501,7 @@ def hitting_time(mode, ctx, alpha, beta, predicate, seed, time_cap=None,
     Censored observations are flagged, and report the cap that stopped the
     run (the time cap, or the end of the graphical window that reached the
     event or tick cap) as a lower bound; a rejection-free run stopped by
-    "frozen" or "underflow" is censored at the time it stopped.
+    "underflow" is censored at the time it stopped.
     ``max_ticks`` caps the clock arrivals a graphical run reads.
     """
     if mode == "rejection_free":

@@ -9,7 +9,6 @@ are returned as exact (bonds, pluses) pairs.
 
 from __future__ import annotations
 
-import binascii
 import itertools
 from dataclasses import dataclass
 
@@ -224,25 +223,6 @@ class Configuration:
             raise ValueError(f"expected {geometry.n_sites} spins, got {len(flat)}")
         return cls(geometry, np.array([1 if ch == "+" else -1 for ch in flat],
                                       dtype=np.int8))
-
-    def to_hex_dump(self, bc=None):
-        """Compact machine format: header line then hex-encoded plus bits."""
-        header = "dims=" + ",".join(str(s) for s in self.geometry.dims)
-        header += ";bc=" + (bc.label() if bc is not None else "none")
-        bits = np.zeros((self.geometry.n_sites + 7) // 8 * 8, dtype=np.uint8)
-        bits[: self.geometry.n_sites] = self.spins == 1
-        packed = np.packbits(bits, bitorder="little")
-        return header + "\n" + binascii.hexlify(packed.tobytes()).decode()
-
-    @classmethod
-    def from_hex_dump(cls, text):
-        header, hexline = text.strip().split("\n")
-        fields = dict(part.split("=") for part in header.split(";"))
-        geometry = BoxGeometry(tuple(int(s) for s in fields["dims"].split(",")))
-        packed = np.frombuffer(binascii.unhexlify(hexline.strip()), dtype=np.uint8)
-        bits = np.unpackbits(packed, bitorder="little")[: geometry.n_sites]
-        spins = np.where(bits == 1, 1, -1).astype(np.int8)
-        return cls(geometry, spins), fields["bc"]
 
 
 class LatticeContext:

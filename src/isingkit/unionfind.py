@@ -1,4 +1,4 @@
-"""Union-find with path compression, used by landscape sweeps and cluster tracking."""
+"""Union-find with path compression, used by space-time cluster tracking."""
 
 
 class UnionFind:

@@ -12,6 +12,12 @@ The graphical path is the one ``isingkit.kmc`` used before
 configuration of the last one.  The differential tests require the library
 to reproduce it exactly, seed for seed.
 
+``coupled_evolve`` is the coupled run from before it went through
+``evolve_graphical``: one window (0, horizon] and its own per-arrival loop
+that steps every scenario at each arrival, calling ``check_order`` after any
+arrival that flipped a spin.  The differential tests require the library to
+reproduce its trajectories and its ``check_order`` calls exactly.
+
 ``evolve_rejection_free`` is the rejection-free sampler from before the
 n-fold way: it recomputes a cumulative sum over all sites on every event.
 The library consumes the same draws in a different site order, so the
@@ -122,7 +128,7 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
             eps = int(fams[k])
             if spins[site] != -eps:
                 continue
-            s = state.neighbor_sum(site)
+            s = ctx.neighbor_spin_sum(state, site)
             rate = up[s + d2] if eps == 1 else down[s + d2]
             if unis[k] >= rate:
                 continue
@@ -198,6 +204,45 @@ def hitting_time_graphical(ctx, alpha, beta, predicate, seed, time_cap=None,
             horizon = min(horizon, time_cap)
 
 
+def coupled_evolve(stream, contexts, alphas, beta, horizon, check_order=None):
+    """Evolve several scenarios on the identical event stream.
+
+    All contexts must share the box geometry (they may differ in boundary
+    condition and field).  ``check_order`` receives the spin arrays after
+    every applied event, for domination tests.
+    """
+    geom = contexts[0].geometry
+    if any(ctx.geometry.dims != geom.dims for ctx in contexts):
+        raise ValueError("coupled scenarios must share the box geometry")
+    states = [_SimState(ctx, a) for ctx, a in zip(contexts, alphas)]
+    tables = [_rate_tables(ctx, beta) for ctx in contexts]
+    d2 = 2 * geom.dimension
+    times, sites, fams, unis = stream.window(contexts[0], 0.0, horizon)
+    all_events = [[] for _ in contexts]
+    for k in range(times.size):
+        site = int(sites[k])
+        eps = int(fams[k])
+        u = unis[k]
+        changed = False
+        for state, (up, down), evs in zip(states, tables, all_events):
+            if state.spins[site] != -eps:
+                continue
+            s = state.ctx.neighbor_spin_sum(state, site)
+            rate = up[s + d2] if eps == 1 else down[s + d2]
+            if u < rate:
+                state.apply_flip(site)
+                evs.append((float(times[k]), site, eps))
+                changed = True
+        if changed and check_order is not None:
+            check_order(float(times[k]), [st.spins for st in states])
+    return [Trajectory(initial=a.copy(), events=evs, t_end=horizon,
+                       stop_reason="horizon", beta=beta,
+                       h_token=ctx.field.token, bc_label=ctx.bc.label(),
+                       seed=stream.seed, ticks_read=times.size,
+                       ticks_rejected=times.size - len(evs))
+            for ctx, a, evs in zip(contexts, alphas, all_events)]
+
+
 def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
                           max_events=10_000_000, restrict=None):
     """Sample the embedded jump chain and exponential holding times directly.
@@ -218,7 +263,7 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
     t = 0.0
 
     def site_rate(i):
-        s = state.neighbor_sum(i)
+        s = ctx.neighbor_spin_sum(state, i)
         r = up[s + d2] if state.spins[i] == -1 else down[s + d2]
         if restrict is not None:
             sigma = int(state.spins[i])

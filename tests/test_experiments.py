@@ -47,7 +47,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("caps", [
         {"events": None}, {"events": 0}, {"events": -5}, {"events": 2.5},
         {"events": True}, {"events": "100"}, {"time": 0}, {"time": -1.0},
-        {"time": float("nan")}, {"time": "5"}])
+        {"time": float("nan")}, {"time": "5"}, {"event": 5}, 5])
     def test_bad_caps_rejected(self, caps):
         with pytest.raises(ValueError):
             RunConfig.from_dict({"experiment": "nucleation", "caps": caps})
@@ -347,6 +347,37 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_caps_not_an_object_fails_cleanly(self, tmp_path, capsys):
+        from isingkit.cli import main
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"caps": 5}))
+        code = main(["nucleation", "--config", str(cfg), "--dims", "3",
+                     "--beta", "1,2", "--replicas", "1", "--caps-events", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("landscape", "--dims", "2,2", "--h", "sqrt2/2", "--config",
+         "missing.json", "--seed", "4", "--caps-events", "0"),
+        ("landscape", "--h", "sqrt2/2"),
+        ("simulate", "--beta", "1,5", "--replicas", "9", "--config",
+         "missing.json"),
+        ("simulate", "--dims", "3", "--h", "0.5")])
+    def test_unread_or_missing_flags_fail_cleanly(self, tmp_path, monkeypatch,
+                                                  capsys, argv):
+        # landscape and simulate accept only the flags they read, and
+        # require the box (and simulate one beta)
+        from isingkit.cli import main
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code != 0
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad", [{"replicas": None}, {"dims": None},
                                      {"beta": None}, {"seed": None}])

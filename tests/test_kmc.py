@@ -6,7 +6,7 @@ import pytest
 
 import kmc_oracle
 from isingkit.energy import MagneticField
-from isingkit.kmc import (EventStream, HittingResult, Scenario, Trajectory,
+from isingkit.kmc import (EventStream, HittingResult, Trajectory,
                           coupled_evolve, evolve_graphical,
                           evolve_rejection_free, evolve_restricted,
                           hitting_time, pred_all_plus, pred_energy_exceeds,
@@ -254,7 +254,7 @@ class TestCoupling:
             h_lo, h_hi = sorted([HALF, SQRT2_2], key=lambda f: f.approx)
             ctx_lo = build_context(geom, bc_lo, h_lo)
             ctx_hi = build_context(geom, bc_hi, h_hi)
-            assert Scenario(hi, bc_hi, h_hi).dominates(Scenario(lo, bc_lo, h_lo))
+            assert lo <= hi
             stream = EventStream(100 + trial)
             violations = []
 
@@ -265,6 +265,52 @@ class TestCoupling:
             coupled_evolve(stream, [ctx_lo, ctx_hi], [lo, hi], beta=2.0,
                            horizon=3.0, check_order=check)
             assert violations == []
+
+    def test_matches_per_arrival_oracle(self):
+        # every scenario through evolve_graphical against the per-arrival
+        # loop that stepped all scenarios together: trajectories and the
+        # check_order calls agree exactly; horizon 12 spans two windows
+        rng = random.Random(8)
+        geom = BoxGeometry((4, 4))
+        fields = sorted([HALF, SQRT2_2], key=lambda f: f.approx)
+        flip_times = 0
+        for trial in range(200):
+            base = [s for s in range(16) if rng.random() < 0.4]
+            extra = [s for s in range(16) if rng.random() < 0.3]
+            lo = Configuration.from_plus_sites(geom, base)
+            hi = Configuration.from_plus_sites(geom, set(base) | set(extra))
+            n_hi = rng.choice([0, 1, 2])
+            n_lo = rng.choice([n for n in (0, 1, 2) if n >= n_hi])
+            h_lo = rng.choice(fields)
+            h_hi = rng.choice([f for f in fields if f.approx >= h_lo.approx])
+            contexts = [build_context(geom, BoundaryCondition.n_pm(n_lo), h_lo),
+                        build_context(geom, BoundaryCondition.n_pm(n_hi), h_hi)]
+            seed = rng.randrange(1 << 30)
+            beta = rng.choice([1.0, 2.0, 4.0])
+            horizon = rng.choice([2.0, 3.0, 12.0])
+            runs = []
+            for evolve in (coupled_evolve, kmc_oracle.coupled_evolve):
+                calls = []
+                trajs = evolve(EventStream(seed), contexts, [lo, hi],
+                               beta=beta, horizon=horizon,
+                               check_order=lambda t, arrays: calls.append(
+                                   (t, [a.tolist() for a in arrays])))
+                runs.append(([(tr.events, tr.ticks_read, tr.ticks_rejected,
+                               tr.t_end, tr.stop_reason) for tr in trajs],
+                              calls))
+            assert runs[0] == runs[1]
+            flip_times += len(runs[0][1])
+        assert flip_times > 1000
+
+    def test_scenarios_share_origin(self):
+        geom = BoxGeometry((2, 2))
+        ctx = build_context(geom, BoundaryCondition.all_minus(), HALF)
+        moved = build_context(geom, BoundaryCondition.all_minus(), HALF,
+                              origin=(2, 0))
+        a = Configuration.all_minus(geom)
+        with pytest.raises(ValueError, match="origin"):
+            coupled_evolve(EventStream(1), [ctx, moved], [a, a], beta=1.0,
+                           horizon=1.0)
 
 
 class TestRestricted:
@@ -413,21 +459,23 @@ class TestRejectionFreeSiteSelection:
             0, ctx, alpha, beta=1.0, max_events=1, restrict=_NoAllMinus())
         assert traj.events[0][1] == want
 
-    @pytest.mark.parametrize("plus_site, u, want", [
-        # r == 0.0: the first member of the first positive class, which is
-        # the minus class of neighbour sum -2 (site 2)
-        (0, 0.0, 2),
-        # r past the total by rounding: the last member of the last positive
-        # class, the minus class of neighbour sum 0 (site 1)
-        (2, float(np.nextafter(1.0, 2.0)), 1)])
-    def test_zero_rate_class_never_picked(self, monkeypatch, plus_site, u,
-                                          want):
+    @pytest.mark.parametrize("spins, u, want", [
+        # r == 0.0 with the minus class of neighbour sum -2 (site 0) at rate
+        # 0.0: the first member of the first positive class, the minus class
+        # of neighbour sum 0 (site 1)
+        ("--+", 0.0, 1),
+        # r past the total by rounding, with the plus class of neighbour sum
+        # 2 (site 1) at rate 0.0: the last member of the last positive
+        # class, the plus class of neighbour sum 0 (sites 0 and 2)
+        ("+++", float(np.nextafter(1.0, 2.0)), 2)])
+    def test_zero_rate_class_never_picked(self, monkeypatch, spins, u, want):
+        # at beta = 1000 the rates exp(-1500) and exp(-2500) underflow to
+        # 0.0, while exp(-500) does not
         ctx = ctx_1d(3)
-        alpha = Configuration.from_plus_sites(ctx.geometry, [plus_site])
+        alpha = Configuration.from_text(ctx.geometry, spins)
         monkeypatch.setattr(np.random, "Generator",
                             lambda bit_generator: _EdgeDraws(u))
-        traj = evolve_rejection_free(0, ctx, alpha, beta=1.0, max_events=1,
-                                     restrict=_NoAllMinus())
+        traj = evolve_rejection_free(0, ctx, alpha, beta=1000.0, max_events=1)
         assert traj.events[0][1] == want
 
 

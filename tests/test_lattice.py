@@ -394,14 +394,6 @@ class TestSerialization:
         cfg = Configuration.from_plus_sites(geom, [(0, 0), (1, 2), (2, 3)])
         assert Configuration.from_text(geom, cfg.to_text()) == cfg
 
-    def test_hex_round_trip(self):
-        geom = BoxGeometry((3, 4))
-        cfg = Configuration.from_plus_sites(geom, [(0, 0), (1, 2), (2, 3)])
-        dump = cfg.to_hex_dump(BoundaryCondition.n_pm(1))
-        restored, bc_label = Configuration.from_hex_dump(dump)
-        assert restored == cfg
-        assert bc_label == "n_pm_1"
-
     def test_bitmask_round_trip(self):
         geom = BoxGeometry((2, 3))
         for mask in range(64):
