@@ -439,8 +439,8 @@ class _NoAllMinus:
 
 
 class TestRejectionFreeSiteSelection:
-    # box of 3 sites, all-minus boundary, one plus site that may not flip
-    # (that would reach all-minus)
+    # box of 3 sites, all-minus boundary; the oracle case has one plus site
+    # that may not flip (that would reach all-minus)
 
     @pytest.mark.parametrize("plus_site, u, want", [
         # r == 0.0 with site 0 at zero rate: the first positive-rate site
