@@ -38,7 +38,11 @@ def _load_config(args, experiment):
     data = {"experiment": experiment}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON "
+                             f"object, got {type(loaded).__name__}")
+        data.update(loaded)
     for key in ("dims", "bc", "h", "beta", "replicas", "seed", "block_side",
                 "eligibility_defect", "stc_threshold_D", "out_dir", "mode"):
         value = getattr(args, key, None)
@@ -150,6 +154,8 @@ def _cmd_simulate(args):
                         BoundaryCondition.from_label(args.bc or "all_minus"),
                         MagneticField(args.h))
     alpha = Configuration.all_minus(ctx.geometry)
+    if not args.beta > 0:
+        raise ValueError(f"beta must be positive, got {args.beta}")
     if args.caps_events is not None and args.caps_events < 1:
         raise ValueError(f"caps events must be an integer >= 1, "
                          f"got {args.caps_events}")

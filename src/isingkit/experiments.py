@@ -169,7 +169,9 @@ def run_nucleation(config):
     barrier).  Each replica runs once with both observables recorded; the
     Arrhenius fits use only temperatures with no censored replicas.  A
     graphical replica reads at most ``GRAPHICAL_TICK_CAP`` clock arrivals;
-    the report's flags record the tick cap that applied.
+    the report's flags record the tick cap that applied, and each row the
+    stop reason of its run ("stopped" once all-plus is reached, else the cap
+    or "underflow" that ended it).
     """
     tick_cap = GRAPHICAL_TICK_CAP if config.mode == "graphical" else None
     ctx = config.context()
@@ -178,7 +180,7 @@ def run_nucleation(config):
     const = critical_constants(d, h, verify_oracle=False)
     ens = restricted_ensemble(ctx, d, const)
     exit_pred = pred_exits_set(ens)
-    plus_pred = pred_all_plus()
+    n_sites = ctx.n_sites
     rows = []
     nuc_by_beta = {}
     plus_by_beta = {}
@@ -192,7 +194,7 @@ def run_nucleation(config):
             def stop(state):
                 if nucleation_time[0] is None and exit_pred(state):
                     nucleation_time[0] = state.time
-                return plus_pred(state)
+                return state.pluses == n_sites
 
             res = hitting_time(config.mode, ctx,
                                Configuration.all_minus(ctx.geometry), beta,
@@ -210,7 +212,8 @@ def run_nucleation(config):
                          "nucleation_time": nuc_t,
                          "nucleation_censored": nuc_censored,
                          "all_plus_time": res.time,
-                         "all_plus_censored": res.censored})
+                         "all_plus_censored": res.censored,
+                         "stop_reason": res.trajectory.stop_reason})
             nuc_times.append(nuc_t)
             plus_times.append(res.time)
         nuc_by_beta[beta] = nuc_times
@@ -238,7 +241,7 @@ def write_nucleation_outputs(report, out_dir):
                   _rows_to_csv(report["rows"],
                                ["replica", "seed", "beta", "nucleation_time",
                                 "nucleation_censored", "all_plus_time",
-                                "all_plus_censored"]))
+                                "all_plus_censored", "stop_reason"]))
     _write_atomic(os.path.join(out_dir, "fit.json"),
                   json.dumps({"fits": report["fits"],
                               "constants": report["constants"],
@@ -585,7 +588,8 @@ def run_stc_audit(config):
 
     Each replica runs the unrestricted dynamics from all-minus until it first
     leaves the restricted ensemble, tracks the space-time clusters over that
-    window (exit flip included), and records the maximal cluster diameter.
+    window (exit flip included), and records the maximal cluster diameter
+    and the run's stop reason.
     """
     from .stc import track
 
@@ -593,20 +597,22 @@ def run_stc_audit(config):
     d = ctx.geometry.dimension
     const = critical_constants(d, ctx.field, verify_oracle=False)
     ens = restricted_ensemble(ctx, d, const)
+    exit_pred = pred_exits_set(ens)
     beta = config.beta[0]
     rows = []
     for rep in range(config.replicas):
         seed = config.seed + rep
         res = hitting_time("rejection_free", ctx,
                            Configuration.all_minus(ctx.geometry), beta,
-                           pred_exits_set(ens), seed=seed,
+                           exit_pred, seed=seed,
                            time_cap=config.caps_time,
                            max_events=config.caps_events,
                            keep_trajectory=True)
         ledger = track(ctx, res.trajectory)
         rows.append({"replica": rep, "seed": seed,
                      "max_diam": ledger.max_diameter(),
-                     "exit_time": res.time, "censored": res.censored})
+                     "exit_time": res.time, "censored": res.censored,
+                     "stop_reason": res.trajectory.stop_reason})
     max_diam = max(r["max_diam"] for r in rows)
     return {"rows": rows, "max_diam": max_diam,
             "threshold_D": config.stc_threshold_D,
@@ -620,7 +626,7 @@ def write_stc_audit_outputs(report, out_dir):
     _write_atomic(os.path.join(out_dir, "distribution.csv"),
                   _rows_to_csv(report["rows"],
                                ["replica", "seed", "max_diam", "exit_time",
-                                "censored"]))
+                                "censored", "stop_reason"]))
     summary = {k: report[k] for k in ("max_diam", "threshold_D", "passed",
                                       "beta")}
     _write_atomic(os.path.join(out_dir, "summary.json"),

@@ -25,6 +25,8 @@ _COORD_BITS = 21
 _MAX_DIMENSION = 4
 # clocks x arrivals drawn in one round: bounds the generator's scratch arrays
 _CHUNK_CELLS = 1 << 18
+# rejection-free events per refill of uniforms (two per event)
+_DRAW_BLOCK = 256
 
 _M32 = np.uint64(0xFFFFFFFF)
 _PHILOX_MUL = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
@@ -252,16 +254,33 @@ def pred_volume_exceeds(m):
 
 
 def pred_energy_exceeds(energy):
+    """Energy strictly above ``energy``; answers are memoised per field and
+    (bonds, pluses) pair, as a run visits few distinct pairs."""
+    memo = {}
+
     def check(state):
-        return state.ctx.field.compare_pair(state.bonds - energy.bonds,
-                                            state.pluses - energy.pluses) > 0
+        field = state.ctx.field
+        key = (field, state.bonds, state.pluses)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = field.compare_pair(
+                state.bonds - energy.bonds, state.pluses - energy.pluses) > 0
+        return hit
     return check
 
 
 def pred_exits_set(ensemble):
-    """Local nucleation: first time the configuration leaves the ensemble."""
+    """Local nucleation: first time the configuration leaves the ensemble.
+    Membership depends on (bonds, pluses) alone, so answers are memoised per
+    pair."""
+    memo = {}
+
     def check(state):
-        return not ensemble.contains_pair(state.bonds, state.pluses)
+        key = (state.bonds, state.pluses)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = not ensemble.contains_pair(*key)
+        return hit
     return check
 
 
@@ -396,6 +415,13 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
     moves only the flipped site and its neighbours between classes.  The
     run stops with "underflow" when every rate of a non-empty class has
     underflowed to 0.0.
+
+    Uniforms come from the seed's Philox generator in blocks of
+    2 ``_DRAW_BLOCK``; event i reads the pair (u[2i], u[2i+1]) of the
+    concatenated blocks, holding time -log1p(-u[2i]) / total and class draw
+    u[2i+1] * total, so the trajectory does not depend on the block size.
+    The state handed to ``stop`` is brought up to date just before each
+    call.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         int(seed), spawn_key=(2,))))
@@ -419,36 +445,36 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
         members.append(sites.tolist())
     cls = cls.tolist()
     pos = pos.tolist()
-
-    def move(i, c):
-        old = members[cls[i]]
-        last = old.pop()
-        if last != i:
-            old[pos[i]] = last
-            pos[last] = pos[i]
-        pos[i] = len(members[c])
-        members[c].append(i)
-        cls[i] = c
+    # class weights in class order, each recomputed as count * rate when
+    # its count changes
+    w = [len(m) * rate for m, rate in zip(members, rates)]
+    log1p = math.log1p
 
     events = []
+    append = events.append
     reason = None
     hit = None
     t = 0.0
+    bonds, pluses = state.bonds, state.pluses
+    n_draws = 2 * _DRAW_BLOCK
+    draws, j = None, n_draws
     if stop is not None and stop(state):
         reason = "stopped"
         hit = 0.0
     while reason is None:
-        w = [len(m) * rate for m, rate in zip(members, rates)]
         total = sum(w)
         if total <= 0.0:
             reason = "underflow"
             break
-        t += rng.exponential() / total
+        if j == n_draws:
+            draws, j = rng.random(n_draws).tolist(), 0
+        t += -log1p(-draws[j]) / total
         if time_cap is not None and t > time_cap:
             t = time_cap
             reason = "time_cap"
             break
-        r = rng.random() * total
+        r = draws[j + 1] * total
+        j += 2
         # zero-rate classes are skipped; r can pass the total by rounding,
         # which picks the last member of the last positive class
         for c, wc in enumerate(w):
@@ -460,20 +486,51 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
                 r -= wc
         else:
             k = len(members[pick]) - 1
-        site = members[pick][min(k, len(members[pick]) - 1)]
+        old = members[pick]
+        if k >= len(old):
+            k = len(old) - 1
+        site = old[k]
         sigma = signs[pick]
-        state.bonds += sigma * sums[pick]
-        state.pluses -= sigma
+        bonds += sigma * sums[pick]
+        pluses -= sigma
         spins[site] = -sigma
-        state.time = t
-        events.append((t, site, -sigma))
-        move(site, pick - sigma * width)
+        append((t, site, -sigma))
+        # swap-remove each moved site from its class list, append it to its
+        # new one and refresh both weights: the site changes spin, each
+        # neighbour's sum moves by 2
+        last = old.pop()
+        if last != site:
+            p = pos[site]
+            old[p] = last
+            pos[last] = p
+        w[pick] = len(old) * rates[pick]
+        c = pick - sigma * width
+        new = members[c]
+        pos[site] = len(new)
+        new.append(site)
+        w[c] = len(new) * rates[c]
+        cls[site] = c
         for nb in neighbors[site]:
-            move(nb, cls[nb] - sigma)
-        if stop is not None and stop(state):
-            reason = "stopped"
-            hit = t
-            break
+            c = cls[nb]
+            old = members[c]
+            last = old.pop()
+            if last != nb:
+                p = pos[nb]
+                old[p] = last
+                pos[last] = p
+            w[c] = len(old) * rates[c]
+            c -= sigma
+            new = members[c]
+            pos[nb] = len(new)
+            new.append(nb)
+            w[c] = len(new) * rates[c]
+            cls[nb] = c
+        if stop is not None:
+            state.bonds, state.pluses, state.time = bonds, pluses, t
+            if stop(state):
+                reason = "stopped"
+                hit = t
+                break
         if len(events) >= max_events:
             reason = "event_cap"
             break

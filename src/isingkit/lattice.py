@@ -234,9 +234,10 @@ class LatticeContext:
     global lattice so that sub-boxes can share per-site event streams;
     ``global_coords[i]`` is site i's coordinate in that lattice, and row i of
     the read-only int64 array ``global_coord_array`` holds the same numbers.
+    ``n_sites`` is computed once, since samplers read it on every event.
     """
 
-    __slots__ = ("geometry", "bc", "field", "origin", "neighbors",
+    __slots__ = ("geometry", "bc", "field", "origin", "n_sites", "neighbors",
                  "boundary_plus", "boundary_minus", "global_coords",
                  "global_coord_array")
 
@@ -248,6 +249,7 @@ class LatticeContext:
         self.bc = bc
         self.field = h if isinstance(h, MagneticField) else MagneticField(h)
         self.origin = tuple(origin) if origin is not None else (0,) * geometry.dimension
+        self.n_sites = geometry.n_sites
         dims = geometry.dims
         strides = [1] * len(dims)
         for axis in range(len(dims) - 2, -1, -1):
@@ -282,10 +284,6 @@ class LatticeContext:
         self.global_coord_array = coords + np.array(self.origin,
                                                      dtype=np.int64)
         self.global_coord_array.flags.writeable = False
-
-    @property
-    def n_sites(self):
-        return self.geometry.n_sites
 
     def global_coord(self, site):
         return self.global_coords[site]

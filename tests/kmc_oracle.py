@@ -22,6 +22,15 @@ reproduce its trajectories and its ``check_order`` calls exactly.
 n-fold way: it recomputes a cumulative sum over all sites on every event.
 The library consumes the same draws in a different site order, so the
 differential tests compare the two in law.
+
+``evolve_nfold`` is the n-fold way from before the block draws: a ``move``
+call per class change, ``bonds``, ``pluses`` and ``time`` written to the
+state at every event, and one ``exponential()`` and one ``random()`` drawn
+from the generator per event.  The library reads its uniforms in blocks
+instead, event i taking the pair (u[2i], u[2i+1]) of the concatenated
+blocks; driven by a generator stub whose ``exponential()`` returns
+-log1p(-u[2i]) and whose ``random()`` returns u[2i+1], this loop must give
+the library's trajectories exactly, seed for seed.
 """
 
 from __future__ import annotations
@@ -314,3 +323,102 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
                       h_token=ctx.field.token, bc_label=ctx.bc.label(),
                       seed=int(seed), hitting_time=hit)
     return traj
+
+
+def evolve_nfold(seed, ctx, alpha, beta, stop=None, time_cap=None,
+                 max_events=10_000_000):
+    """Sample the embedded jump chain and exponential holding times directly.
+
+    Statistically equivalent to the graphical mode; every jump is an applied
+    flip, so deep metastable waits cost nothing.  This is the n-fold way
+    (Bortz, Kalos & Lebowitz 1975): a site's rate depends only on its class
+    (spin, neighbour sum), so each class keeps a member list; an event picks
+    a class by its share of the total rate, then a member uniformly, and
+    moves only the flipped site and its neighbours between classes.  The
+    run stops with "underflow" when every rate of a non-empty class has
+    underflowed to 0.0.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        int(seed), spawn_key=(2,))))
+    state = _SimState(ctx, alpha)
+    spins = state.spins
+    neighbors = ctx.neighbors
+    d2 = 2 * ctx.geometry.dimension
+    width = d2 + 1
+    up, down = _rate_tables(ctx, beta)
+    # class c = width * (spin is plus) + (neighbour sum + 2d) / 2
+    rates = [float(up[2 * k]) for k in range(width)] + \
+        [float(down[2 * k]) for k in range(width)]
+    signs = [-1] * width + [1] * width
+    sums = [2 * k - d2 for k in range(width)] * 2
+    cls = width * (spins == 1) + (ctx.neighbor_spin_sums(spins) + d2) // 2
+    pos = np.empty_like(cls)
+    members = []
+    for c in range(2 * width):
+        sites = np.flatnonzero(cls == c)
+        pos[sites] = np.arange(sites.size)
+        members.append(sites.tolist())
+    cls = cls.tolist()
+    pos = pos.tolist()
+
+    def move(i, c):
+        old = members[cls[i]]
+        last = old.pop()
+        if last != i:
+            old[pos[i]] = last
+            pos[last] = pos[i]
+        pos[i] = len(members[c])
+        members[c].append(i)
+        cls[i] = c
+
+    events = []
+    reason = None
+    hit = None
+    t = 0.0
+    if stop is not None and stop(state):
+        reason = "stopped"
+        hit = 0.0
+    while reason is None:
+        w = [len(m) * rate for m, rate in zip(members, rates)]
+        total = sum(w)
+        if total <= 0.0:
+            reason = "underflow"
+            break
+        t += rng.exponential() / total
+        if time_cap is not None and t > time_cap:
+            t = time_cap
+            reason = "time_cap"
+            break
+        r = rng.random() * total
+        # zero-rate classes are skipped; r can pass the total by rounding,
+        # which picks the last member of the last positive class
+        for c, wc in enumerate(w):
+            if wc > 0.0:
+                pick = c
+                if r < wc:
+                    k = int(r / rates[c])
+                    break
+                r -= wc
+        else:
+            k = len(members[pick]) - 1
+        site = members[pick][min(k, len(members[pick]) - 1)]
+        sigma = signs[pick]
+        state.bonds += sigma * sums[pick]
+        state.pluses -= sigma
+        spins[site] = -sigma
+        state.time = t
+        events.append((t, site, -sigma))
+        move(site, pick - sigma * width)
+        for nb in neighbors[site]:
+            move(nb, cls[nb] - sigma)
+        if stop is not None and stop(state):
+            reason = "stopped"
+            hit = t
+            break
+        if len(events) >= max_events:
+            reason = "event_cap"
+            break
+    return Trajectory(initial=alpha.copy(), events=events, t_end=t,
+                      stop_reason=reason, beta=beta,
+                      h_token=ctx.field.token, bc_label=ctx.bc.label(),
+                      seed=int(seed), hitting_time=hit)

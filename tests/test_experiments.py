@@ -510,6 +510,61 @@ class TestCli:
         assert flags["tick_cap"] == 1000
         assert flags["all_plus_censored_betas"] == [2000.0, 3000.0]
 
+    def test_config_not_an_object_fails_cleanly(self, tmp_path, capsys):
+        from isingkit.cli import main
+        out_dir = tmp_path / "out"
+        for i, text in enumerate(["[1]", "3", '"dims"', "null"]):
+            cfg = tmp_path / f"c{i}.json"
+            cfg.write_text(text)
+            code = main(["nucleation", "--config", str(cfg), "--dims", "3",
+                         "--beta", "1,2", "--replicas", "1",
+                         "--out-dir", str(out_dir)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert "JSON object" in lines[0]
+            assert not out_dir.exists()
+
+    @pytest.mark.parametrize("beta", ["-1", "0"])
+    def test_simulate_non_positive_beta_rejected(self, tmp_path, capsys,
+                                                 beta):
+        from isingkit.cli import main
+        code = main(["simulate", "--dims", "3", "--h", "0.5",
+                     f"--beta={beta}", "--caps-events", "5",
+                     "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("caps", [(), ("--caps-events", "3")])
+    def test_rows_record_stop_reason(self, tmp_path, caps):
+        # a capped replica is censored with the cap as its reason; an
+        # uncapped one reaches its predicate
+        import csv
+        want = "event_cap" if caps else "stopped"
+        base = ("--dims", "3,3", "--h", "sqrt2/2", "--replicas", "2",
+                "--seed", "3", *caps)
+        code, _ = self.run_cli("nucleation", *base, "--beta", "1,1.5",
+                               "--out-dir", str(tmp_path / "nuc"))
+        assert code == 0
+        with open(tmp_path / "nuc" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(r["stop_reason"] == want for r in rows)
+        assert all(r["all_plus_censored"] == str(bool(caps)) for r in rows)
+        code, _ = self.run_cli("stc-audit", *base, "--beta", "1",
+                               "--out-dir", str(tmp_path / "stc"))
+        with open(tmp_path / "stc" / "distribution.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert all(r["stop_reason"] == want for r in rows)
+        assert all(r["censored"] == str(bool(caps)) for r in rows)
+
     def test_wgraph_check(self):
         code, out = self.run_cli("wgraph-check", "--count", "10",
                                  "--max-states", "5", "--seed", "4")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kmc_oracle
+from isingkit import kmc
 from isingkit.energy import MagneticField
 from isingkit.kmc import (EventStream, HittingResult, Trajectory,
                           coupled_evolve, evolve_graphical,
@@ -393,6 +394,41 @@ class TestHittingTime:
                             pred_spin_up_at(2), seed=3)
         assert not res2.censored
 
+    def test_memoised_pair_predicates(self):
+        # one predicate object over many states, each asked twice, answers
+        # as the direct membership and energy comparisons do; the energy
+        # predicate is shared by two contexts whose fields order some
+        # pairs differently
+        rng = random.Random(5)
+        ctx = build_context(BoxGeometry((4, 4)), BoundaryCondition.all_minus(),
+                            SQRT2_2)
+        ens = restricted_ensemble(ctx, 2, critical_constants(2, SQRT2_2))
+        exits = pred_exits_set(ens)
+        level = hamiltonian(ctx, Configuration.from_plus_sites(
+            ctx.geometry, range(8)))
+        exceeds = pred_energy_exceeds(level)
+        other = build_context(BoxGeometry((4, 4)),
+                              BoundaryCondition.all_minus(), HALF)
+        answers = set()
+        split = 0
+        for _ in range(300):
+            cfg = Configuration(ctx.geometry, [rng.choice((-1, 1)) if
+                                               rng.random() < 0.4 else -1
+                                               for _ in range(16)])
+            e = hamiltonian(ctx, cfg)
+            want_exit = not ens.contains_pair(e.bonds, e.pluses)
+            want = {c: c.field.compare_pair(e.bonds - level.bonds,
+                                            e.pluses - level.pluses) > 0
+                    for c in (ctx, other)}
+            split += want[ctx] != want[other]
+            for c in (ctx, other, ctx, other):
+                state = kmc._SimState(c, cfg)
+                assert exits(state) == want_exit
+                assert exceeds(state) == want[c]
+                answers.add((c is ctx, want_exit, want[c]))
+        # both answers of each predicate, and pairs the fields disagree on
+        assert len(answers) >= 6 and split > 0
+
     def test_graphical_continuation_consistency(self):
         # hitting times beyond the first window agree with a one-shot run
         ctx = ctx_1d(3)
@@ -429,6 +465,19 @@ class _EdgeDraws:
 
     def random(self):
         return self.u
+
+
+class _BlockDraws:
+    """Generator stub for the block draws: holding uniform 0.5 and a fixed
+    class uniform at every event."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        out = np.full(size, 0.5)
+        out[1::2] = self.u
+        return out
 
 
 class _NoAllMinus:
@@ -474,7 +523,7 @@ class TestRejectionFreeSiteSelection:
         ctx = ctx_1d(3)
         alpha = Configuration.from_text(ctx.geometry, spins)
         monkeypatch.setattr(np.random, "Generator",
-                            lambda bit_generator: _EdgeDraws(u))
+                            lambda bit_generator: _BlockDraws(u))
         traj = evolve_rejection_free(0, ctx, alpha, beta=1000.0, max_events=1)
         assert traj.events[0][1] == want
 

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingkit.energy import EnergyValue, MagneticField, NEG_INF_ENERGY
 from isingkit.lattice import (BoundaryCondition, BoxGeometry, Configuration,
@@ -235,6 +236,30 @@ class TestDelta:
             total_p += d.pluses
             cfg.spins[site] = -cfg.spins[site]
         assert (total_b, total_p) == hamiltonian(ctx, cfg).pair()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_telescoping_on_random_boxes(self, data):
+        # H(start) plus the delta_h of each flip equals H after every flip,
+        # as exact pairs, on 1-d to 3-d boxes under every boundary label
+        d = data.draw(st.integers(1, 3))
+        dims = tuple(data.draw(st.lists(st.integers(1, {1: 9, 2: 4, 3: 3}[d]),
+                                        min_size=d, max_size=d)))
+        bc = data.draw(st.sampled_from(
+            ["all_minus", "all_plus"] + [f"n_pm_{n}" for n in range(d + 1)]))
+        h = data.draw(st.sampled_from(["sqrt2/2", "sqrt3/3", "0.5", "1/20"]))
+        ctx = build_context(BoxGeometry(dims), BoundaryCondition.from_label(bc),
+                            MagneticField(h))
+        n = ctx.n_sites
+        cfg = Configuration(ctx.geometry, data.draw(
+            st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+        bonds, pluses = hamiltonian(ctx, cfg).pair()
+        for site in data.draw(st.lists(st.integers(0, n - 1), max_size=40)):
+            step = delta_h(ctx, cfg, site)
+            bonds += step.bonds
+            pluses += step.pluses
+            cfg.spins[site] = -cfg.spins[site]
+            assert (bonds, pluses) == hamiltonian(ctx, cfg).pair()
 
     def test_site_out_of_box(self):
         ctx = build_context(BoxGeometry((3,)), BoundaryCondition.all_minus(), SQRT2_2)
