@@ -180,7 +180,7 @@ def run_nucleation(config):
     const = critical_constants(d, h, verify_oracle=False)
     ens = restricted_ensemble(ctx, d, const)
     exit_pred = pred_exits_set(ens)
-    n_sites = ctx.n_sites
+    plus_pred = pred_all_plus()
     rows = []
     nuc_by_beta = {}
     plus_by_beta = {}
@@ -194,7 +194,7 @@ def run_nucleation(config):
             def stop(state):
                 if nucleation_time[0] is None and exit_pred(state):
                     nucleation_time[0] = state.time
-                return state.pluses == n_sites
+                return plus_pred(state)
 
             res = hitting_time(config.mode, ctx,
                                Configuration.all_minus(ctx.geometry), beta,

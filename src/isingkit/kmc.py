@@ -254,18 +254,9 @@ def pred_volume_exceeds(m):
 
 
 def pred_energy_exceeds(energy):
-    """Energy strictly above ``energy``; answers are memoised per field and
-    (bonds, pluses) pair, as a run visits few distinct pairs."""
-    memo = {}
-
     def check(state):
-        field = state.ctx.field
-        key = (field, state.bonds, state.pluses)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = field.compare_pair(
-                state.bonds - energy.bonds, state.pluses - energy.pluses) > 0
-        return hit
+        return state.ctx.field.compare_pair(state.bonds - energy.bonds,
+                                            state.pluses - energy.pluses) > 0
     return check
 
 

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kmc_oracle as oracle
+from box_strategy import boxes
 from isingkit import kmc
 from isingkit.energy import MagneticField
 from isingkit.kmc import (_rate_tables, evolve_rejection_free, hitting_time,
@@ -146,22 +147,6 @@ class TestStopReasons:
                            pred_all_plus(), seed=0)
         assert res.censored
         assert res.trajectory.stop_reason == "underflow"
-
-
-@st.composite
-def boxes(draw):
-    """A 1-d to 3-d context under any boundary label and a few fields, with a
-    random starting configuration."""
-    d = draw(st.integers(1, 3))
-    dims = tuple(draw(st.lists(st.integers(1, {1: 9, 2: 4, 3: 3}[d]),
-                               min_size=d, max_size=d)))
-    bc = draw(st.sampled_from(["all_minus", "all_plus"]
-                              + [f"n_pm_{n}" for n in range(d + 1)]))
-    ctx = context(dims, bc, draw(st.sampled_from(
-        ["sqrt2/2", "sqrt3/3", "0.5", "1/20"])))
-    n = ctx.n_sites
-    spins = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    return ctx, Configuration(ctx.geometry, spins)
 
 
 class _PairDraws:

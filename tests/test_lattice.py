@@ -2,8 +2,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from box_strategy import boxes
 from isingkit.energy import EnergyValue, MagneticField, NEG_INF_ENERGY
 from isingkit.lattice import (BoundaryCondition, BoxGeometry, Configuration,
                               build_context, connected_components, delta_h,
@@ -194,6 +195,14 @@ class TestHamiltonian:
             hamiltonian(ctx, Configuration.all_minus(BoxGeometry((2, 2))))
 
 
+# the fixed case of the telescoping property: a 60-flip path from all-minus
+# on a 4x3 box
+_CTX_4X3 = build_context(BoxGeometry((4, 3)), BoundaryCondition.all_minus(),
+                         SQRT3_3)
+_rng = random.Random(3)
+_PATH_4X3 = [_rng.randrange(12) for _ in range(60)]
+
+
 class TestDelta:
     def test_isolated_plus_creation(self):
         ctx = build_context(BoxGeometry((5, 5)), BoundaryCondition.all_minus(), SQRT2_2)
@@ -224,37 +233,19 @@ class TestDelta:
             direct = hamiltonian(ctx, cfg.flipped(site)) - hamiltonian(ctx, cfg)
             assert d.pair() == direct.pair()
 
-    def test_telescoping(self):
-        rng = random.Random(3)
-        ctx = build_context(BoxGeometry((4, 3)), BoundaryCondition.all_minus(), SQRT3_3)
-        cfg = Configuration.all_minus(ctx.geometry)
-        total_b = total_p = 0
-        for _ in range(60):
-            site = rng.randrange(12)
-            d = delta_h(ctx, cfg, site)
-            total_b += d.bonds
-            total_p += d.pluses
-            cfg.spins[site] = -cfg.spins[site]
-        assert (total_b, total_p) == hamiltonian(ctx, cfg).pair()
-
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_telescoping_on_random_boxes(self, data):
+    @given(case=boxes(), path=st.lists(st.integers(0, 10**6), max_size=60))
+    @example(case=(_CTX_4X3, Configuration.all_minus(_CTX_4X3.geometry)),
+             path=_PATH_4X3)
+    def test_telescoping(self, case, path):
         # H(start) plus the delta_h of each flip equals H after every flip,
-        # as exact pairs, on 1-d to 3-d boxes under every boundary label
-        d = data.draw(st.integers(1, 3))
-        dims = tuple(data.draw(st.lists(st.integers(1, {1: 9, 2: 4, 3: 3}[d]),
-                                        min_size=d, max_size=d)))
-        bc = data.draw(st.sampled_from(
-            ["all_minus", "all_plus"] + [f"n_pm_{n}" for n in range(d + 1)]))
-        h = data.draw(st.sampled_from(["sqrt2/2", "sqrt3/3", "0.5", "1/20"]))
-        ctx = build_context(BoxGeometry(dims), BoundaryCondition.from_label(bc),
-                            MagneticField(h))
-        n = ctx.n_sites
-        cfg = Configuration(ctx.geometry, data.draw(
-            st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+        # as exact pairs, on 1-d to 3-d boxes under every boundary label;
+        # path entries are taken modulo the number of sites
+        ctx, start = case
+        cfg = Configuration(ctx.geometry, start.spins.copy())
         bonds, pluses = hamiltonian(ctx, cfg).pair()
-        for site in data.draw(st.lists(st.integers(0, n - 1), max_size=40)):
+        for site in path:
+            site %= ctx.n_sites
             step = delta_h(ctx, cfg, site)
             bonds += step.bonds
             pluses += step.pluses
