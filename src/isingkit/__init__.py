@@ -7,6 +7,9 @@ space-time cluster tracking, a brute-force isoperimetric oracle, and
 desk-scale nucleation/growth experiments.
 """
 
+# kept equal to the version in pyproject.toml (a test checks it)
+__version__ = "0.1.0"
+
 from .energy import EnergyValue, MagneticField, NEG_INF_ENERGY
 from .lattice import (BoundaryCondition, BoxGeometry, Configuration,
                       LatticeContext, build_context, connected_components,
@@ -37,6 +40,7 @@ from .experiments import (GrowthModelParams, RunConfig, arrhenius_fit,
                           solve_growth_threshold)
 
 __all__ = [
+    "__version__",
     "EnergyValue", "MagneticField", "NEG_INF_ENERGY",
     "BoundaryCondition", "BoxGeometry", "Configuration", "LatticeContext",
     "build_context", "connected_components", "delta_h", "flip_rate",

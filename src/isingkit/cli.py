@@ -16,6 +16,7 @@ import random
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .energy import MagneticField
 from .experiments import (GrowthModelParams, RunConfig,
                           growth_threshold_from_constants,
@@ -273,6 +274,8 @@ def _cmd_growth_threshold(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="isingkit")
+    parser.add_argument("--version", action="version",
+                        version=f"isingkit {__version__}")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("constants", help="critical droplet constants table")

@@ -123,8 +123,11 @@ def _check_betas(betas):
 def arrhenius_fit(times_by_beta, target=None, n_boot=1000, seed=0):
     """Least-squares slope of ln(mean hitting time) against beta.
 
-    Bootstrap resampling of the replicas gives the confidence interval.
-    Needs at least two temperatures: a slope from one point is undefined.
+    Bootstrap resampling of the replicas gives the confidence interval:
+    resample k draws each temperature's replicas in turn, and the slopes of
+    all resamples come from one least-squares fit with a column per
+    resample.  Needs at least two temperatures: a slope from one point is
+    undefined.
     """
     betas = sorted(times_by_beta)
     if len(betas) < 2:
@@ -133,15 +136,14 @@ def arrhenius_fit(times_by_beta, target=None, n_boot=1000, seed=0):
     y = np.array([math.log(np.mean(times_by_beta[b])) for b in betas])
     slope, intercept = np.polyfit(x, y, 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    boot = np.empty(n_boot)
     samples = {b: np.asarray(times_by_beta[b], dtype=float) for b in betas}
+    ys = np.empty((len(betas), n_boot))
     for k in range(n_boot):
-        yk = []
-        for b in betas:
+        for i, b in enumerate(betas):
             arr = samples[b]
             idx = rng.integers(0, arr.size, size=arr.size)
-            yk.append(math.log(arr[idx].mean()))
-        boot[k] = np.polyfit(x, np.array(yk), 1)[0]
+            ys[i, k] = math.log(arr[idx].mean())
+    boot = np.polyfit(x, ys, 1)[0]
     ci_low, ci_high = np.percentile(boot, [2.5, 97.5])
     out = {"slope": float(slope), "intercept": float(intercept),
            "ci_low": float(ci_low), "ci_high": float(ci_high),

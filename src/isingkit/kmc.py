@@ -81,9 +81,10 @@ def _counter_words(coords, fbits):
 
 def _chunk_width(left, clocks):
     """Arrivals drawn per clock in one round: those expected at rate 1 in the
-    time ``left``, plus about two standard deviations, within the scratch
-    bound.  The width changes no value, only how many rounds a window takes."""
-    return min(math.ceil(left + 2.0 * math.sqrt(left)) + 3,
+    time ``left`` plus about one standard deviation, within the scratch
+    bound.  Clocks that run past the round are read on in further rounds, so
+    the width changes no value, only how many rounds a window takes."""
+    return min(max(1, math.ceil(left + math.sqrt(left))),
                max(4, _CHUNK_CELLS // clocks))
 
 
@@ -207,16 +208,6 @@ class _SimState:
         self.pluses = e.pluses
         self.time = 0.0
 
-    def apply_flip(self, site):
-        sigma = int(self.spins[site])
-        s = self.ctx.neighbor_spin_sum(self, site)
-        self.bonds += sigma * s
-        self.pluses += -sigma
-        self.spins[site] = -sigma
-
-    def config(self):
-        return Configuration(self.ctx.geometry, self.spins)
-
 
 def _rate_tables(ctx, beta):
     """Flip rates indexed by the neighbor spin sum, one table per direction."""
@@ -292,12 +283,17 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
     applied flips reach ``max_events`` ("event_cap") or whose arrivals read
     reach ``max_ticks`` ("tick_cap").  The trajectory counts the arrivals
     read and those that flipped nothing.
+
+    Each window is walked as Python lists, with the spins, the rate tables
+    and the boundary part of each neighbour sum held as list copies; the
+    state handed to ``stop`` is brought up to date on each applied flip.
     """
     if horizon is None and max_events is None and max_ticks is None:
         raise ValueError("graphical run needs a horizon, max_events or "
                          "max_ticks")
     state = _SimState(ctx, alpha)
     events = []
+    append = events.append
     ticks = 0
     reason = None
     hit = None
@@ -305,31 +301,38 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
         reason = "stopped"
         hit = 0.0
     up, down = _rate_tables(ctx, beta)
+    up, down = up.tolist(), down.tolist()
     d2 = 2 * ctx.geometry.dimension
-    spins = state.spins
+    spins = state.spins.tolist()
+    boundary = (ctx.boundary_plus - ctx.boundary_minus).tolist()
+    neighbors = ctx.neighbors
+    bonds, pluses = state.bonds, state.pluses
     t0, t1 = 0.0, _FIRST_WINDOW
     while reason is None:
         if horizon is not None and t1 >= horizon:
             t1 = horizon
         times, sites, fams, unis = stream.window(ctx, t0, t1)
-        for k in range(times.size):
-            site = int(sites[k])
-            eps = int(fams[k])
-            if spins[site] != -eps:
+        fams, unis = fams.tolist(), unis.tolist()
+        for k, site in enumerate(sites.tolist()):
+            eps = fams[k]
+            if spins[site] == eps:
                 continue
-            s = ctx.neighbor_spin_sum(state, site)
-            rate = up[s + d2] if eps == 1 else down[s + d2]
-            if unis[k] >= rate:
+            s = boundary[site]
+            for nb in neighbors[site]:
+                s += spins[nb]
+            if unis[k] >= (up if eps == 1 else down)[s + d2]:
                 continue
-            if restrict is not None:
-                sigma = int(spins[site])
-                if not restrict.contains_pair(state.bonds + sigma * s,
-                                              state.pluses - sigma):
-                    continue
-            state.apply_flip(site)
+            # the spin goes from -eps to eps
+            if restrict is not None and \
+                    not restrict.contains_pair(bonds - eps * s, pluses + eps):
+                continue
+            bonds -= eps * s
+            pluses += eps
+            spins[site] = eps
             t = float(times[k])
-            state.time = t
-            events.append((t, site, eps))
+            state.spins[site] = eps
+            state.bonds, state.pluses, state.time = bonds, pluses, t
+            append((t, site, eps))
             if stop is not None and stop(state):
                 reason = "stopped"
                 hit = t

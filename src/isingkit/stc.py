@@ -161,35 +161,83 @@ def track(ctx, trajectory, initial_stc=None):
     several components, mirroring clusters inherited from an earlier run).
     ``live`` maps each plus site to the cluster id it joined; readers
     resolve it to the current root with ``find``.
+
+    The two common plus flips are handled in place: a site with no plus
+    neighbor opens a new cluster, and a site that joins exactly one cluster
+    extends it.  A joined cluster's diameter changes only when its bounding
+    box grows, and the cluster can span the box along an axis only once its
+    diameter reaches the shortest side minus 1, so the diameter is
+    recomputed only in the first case and the crossings are checked only in
+    the second.  Merges go through ``_open_site``.
     """
     ledger = StcLedger(ctx, trajectory.t_end)
-    spins = trajectory.initial.spins.copy()
+    spins = trajectory.initial.spins.tolist()
     coords = ctx.global_coords
+    neighbors = ctx.neighbors
     live = {}
 
     groups = _initial_groups(ctx, trajectory.initial, initial_stc)
     for group in groups:
         root = None
         for site in group:
-            roots = [live[nb] for nb in ctx.neighbors[site] if nb in live]
+            roots = [live[nb] for nb in neighbors[site] if nb in live]
             if root is not None:
                 roots.append(root)
             root = ledger._open_site(coords[site], 0.0,
                                      [ledger.uf.find(r) for r in roots])
             live[site] = root
 
+    records = ledger._records
+    diameter_events = ledger.diameter_events
+    find = ledger.uf.find
+    add = ledger.uf.add
+    get = live.get
+    spans_floor = min(ctx.geometry.dims) - 1
     for t, site, new_spin in trajectory.events:
         if spins[site] == new_spin:
             raise ValueError("inconsistent trajectory: flip to current value")
         spins[site] = new_spin
-        if new_spin == 1:
-            roots = {ledger.uf.find(live[nb])
-                     for nb in ctx.neighbors[site] if nb in live}
-            root = ledger._open_site(coords[site], t, sorted(roots))
-            live[site] = root
+        coord = coords[site]
+        if new_spin != 1:
+            ledger._close_site(find(live.pop(site)), coord, t)
+            continue
+        roots = set()
+        for nb in neighbors[site]:
+            r = get(nb)
+            if r is not None:
+                roots.add(find(r))
+        if not roots:
+            root = add()
+            records[root] = {
+                "segments": [], "open": {coord: t}, "lo": list(coord),
+                "hi": list(coord), "birth": t, "death": None, "live": 1,
+            }
+            diameter_events.append((t, root, 0))
+            if spans_floor <= 0:
+                ledger._check_crossing(root, t)
+        elif len(roots) == 1:
+            root = roots.pop()
+            rec = records[root]
+            rec["open"][coord] = t
+            rec["live"] += 1
+            lo, hi = rec["lo"], rec["hi"]
+            for a, c in enumerate(coord):
+                if not lo[a] <= c <= hi[a]:
+                    before = ledger._diam(rec)
+                    for axis, x in enumerate(coord):
+                        if x < lo[axis]:
+                            lo[axis] = x
+                        elif x > hi[axis]:
+                            hi[axis] = x
+                    after = ledger._diam(rec)
+                    if after > before:
+                        diameter_events.append((t, root, after))
+                    if after >= spans_floor:
+                        ledger._check_crossing(root, t)
+                    break
         else:
-            root = ledger.uf.find(live.pop(site))
-            ledger._close_site(root, coords[site], t)
+            root = ledger._open_site(coord, t, sorted(roots))
+        live[site] = root
     return ledger
 
 

@@ -18,6 +18,13 @@ that steps every scenario at each arrival, calling ``check_order`` after any
 arrival that flipped a spin.  The differential tests require the library to
 reproduce its trajectories and its ``check_order`` calls exactly.
 
+``evolve_graphical_scalar`` is the streaming graphical loop from before it
+ran over list copies: it converts each arrival's numpy scalars, sums the
+neighbour spins with ``neighbor_spin_sum`` and applies each flip with
+``apply_flip`` on the numpy state.  It reads the library's counter-based
+stream, so the differential tests require equal trajectories, tick counts
+and stop reasons, seed for seed.
+
 ``evolve_rejection_free`` is the rejection-free sampler from before the
 n-fold way: it recomputes a cumulative sum over all sites on every event.
 The library consumes the same draws in a different site order, so the
@@ -38,10 +45,24 @@ from __future__ import annotations
 import numpy as np
 
 from isingkit import kmc
-from isingkit.kmc import HittingResult, Trajectory, _SimState, _rate_tables
+from isingkit.kmc import HittingResult, Trajectory, _rate_tables
 
 _COORD_OFFSET = 1 << 20
 _BLOCK = 64
+
+
+class _SimState(kmc._SimState):
+    """The library's predicate state plus the per-flip update the reference
+    loops apply: the neighbour sum is read from the numpy spins."""
+
+    __slots__ = ()
+
+    def apply_flip(self, site):
+        sigma = int(self.spins[site])
+        s = self.ctx.neighbor_spin_sum(self, site)
+        self.bonds += sigma * s
+        self.pluses += -sigma
+        self.spins[site] = -sigma
 
 
 class EventStream:
@@ -160,6 +181,82 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
                       bc_label=ctx.bc.label(), seed=seed_label or stream.seed,
                       hitting_time=hit)
     return traj
+
+
+def evolve_graphical_scalar(stream, ctx, alpha, beta, stop=None,
+                            horizon=10.0, max_events=None, restrict=None,
+                            max_ticks=None):
+    """Run the updating rule over the stream's arrivals in (0, horizon].
+
+    At each arrival of family eps at site x: if the spin is -eps and the
+    attached uniform lies below the exact Metropolis rate, the spin reverses.
+    With ``restrict``, flips that would leave the ensemble are suppressed.
+    Arrivals are read in the doubling windows (0, 8], (8, 16], (16, 32], ...,
+    the last one clipped at ``horizon``; ``horizon=None`` sets no time bound
+    and then needs ``max_events`` or ``max_ticks``.  The run stops when the
+    predicate holds, at the horizon, or at the end of the first window whose
+    applied flips reach ``max_events`` ("event_cap") or whose arrivals read
+    reach ``max_ticks`` ("tick_cap").  The trajectory counts the arrivals
+    read and those that flipped nothing.
+    """
+    if horizon is None and max_events is None and max_ticks is None:
+        raise ValueError("graphical run needs a horizon, max_events or "
+                         "max_ticks")
+    state = _SimState(ctx, alpha)
+    events = []
+    ticks = 0
+    reason = None
+    hit = None
+    if stop is not None and stop(state):
+        reason = "stopped"
+        hit = 0.0
+    up, down = _rate_tables(ctx, beta)
+    d2 = 2 * ctx.geometry.dimension
+    spins = state.spins
+    t0, t1 = 0.0, kmc._FIRST_WINDOW
+    while reason is None:
+        if horizon is not None and t1 >= horizon:
+            t1 = horizon
+        times, sites, fams, unis = stream.window(ctx, t0, t1)
+        for k in range(times.size):
+            site = int(sites[k])
+            eps = int(fams[k])
+            if spins[site] != -eps:
+                continue
+            s = ctx.neighbor_spin_sum(state, site)
+            rate = up[s + d2] if eps == 1 else down[s + d2]
+            if unis[k] >= rate:
+                continue
+            if restrict is not None:
+                sigma = int(spins[site])
+                if not restrict.contains_pair(state.bonds + sigma * s,
+                                              state.pluses - sigma):
+                    continue
+            state.apply_flip(site)
+            t = float(times[k])
+            state.time = t
+            events.append((t, site, eps))
+            if stop is not None and stop(state):
+                reason = "stopped"
+                hit = t
+                ticks += k + 1
+                break
+        else:
+            ticks += times.size
+            if t1 == horizon:
+                reason = "horizon"
+            elif max_events is not None and len(events) >= max_events:
+                reason = "event_cap"
+            elif max_ticks is not None and ticks >= max_ticks:
+                reason = "tick_cap"
+            else:
+                t0, t1 = t1, 2.0 * t1
+    return Trajectory(initial=alpha.copy(), events=events,
+                      t_end=hit if hit is not None else t1,
+                      stop_reason=reason, beta=beta, h_token=ctx.field.token,
+                      bc_label=ctx.bc.label(), seed=stream.seed,
+                      hitting_time=hit, ticks_read=ticks,
+                      ticks_rejected=ticks - len(events))
 
 
 def hitting_time_graphical(ctx, alpha, beta, predicate, seed, time_cap=None,

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fit_oracle
 from isingkit.energy import MagneticField
 from isingkit.experiments import (GrowthModelParams, RunConfig, arrhenius_fit,
                                   growth_threshold_from_constants,
@@ -70,7 +72,30 @@ class TestRunConfig:
             arrhenius_fit({3.0: [1.0, 2.0]})
 
 
+@st.composite
+def fit_inputs(draw):
+    """2-5 distinct betas, each with its own number of positive times."""
+    betas = draw(st.lists(st.floats(0.5, 10.0), min_size=2, max_size=5,
+                          unique=True))
+    times = {b: draw(st.lists(st.floats(1e-3, 1e6), min_size=1,
+                              max_size=30)) for b in betas}
+    target = draw(st.none() | st.floats(0.1, 5.0))
+    return times, target
+
+
 class TestArrheniusFit:
+    @settings(max_examples=60, deadline=None)
+    @given(case=fit_inputs(), seed=st.integers(0, 2**32 - 1),
+           n_boot=st.sampled_from([1, 7, 200]))
+    def test_matches_per_resample_fits(self, case, seed, n_boot):
+        # one least-squares fit over all resample columns gives the slopes
+        # of one fit per resample, bit for bit
+        times, target = case
+        new = arrhenius_fit(times, target=target, n_boot=n_boot, seed=seed)
+        old = fit_oracle.arrhenius_fit(times, target=target, n_boot=n_boot,
+                                       seed=seed)
+        assert repr(new) == repr(old)
+
     def test_exact_line_recovered(self):
         times = {b: [math.exp(1.5 * b)] * 5 for b in (3.0, 4.0, 5.0)}
         fit = arrhenius_fit(times, target=1.5, n_boot=50)
@@ -308,6 +333,21 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "isoperimetry.csv").read_text().strip().splitlines()
         assert len(lines) == 13
+
+    def test_version_matches_pyproject(self):
+        import re
+        import isingkit
+        pyproject = os.path.join(os.path.dirname(__file__), os.pardir,
+                                 "pyproject.toml")
+        with open(pyproject) as fh:
+            want = re.search(r'^version\s*=\s*"([^"]+)"', fh.read(),
+                             re.MULTILINE).group(1)
+        assert isingkit.__version__ == want
+        proc = subprocess.run(
+            [sys.executable, "-m", "isingkit.cli", "--version"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == f"isingkit {want}"
 
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(

@@ -7,6 +7,7 @@ diameter events, crossing times, clusters and segments.
 from hypothesis import given, settings, strategies as st
 
 import stc_oracle as oracle
+from box_strategy import boxes
 from isingkit.energy import MagneticField
 from isingkit.kmc import Trajectory, evolve_rejection_free
 from isingkit.lattice import (BoundaryCondition, BoxGeometry, Configuration,
@@ -18,15 +19,13 @@ SQRT2_2 = MagneticField("sqrt2/2")
 
 @st.composite
 def trajectories(draw):
-    """A box from 3x3 to 8x8, a random initial configuration, optional
-    initial_stc groups (each a union of initial plus components), and valid
-    flips at random sites and increasing times."""
-    dims = (draw(st.integers(3, 8)), draw(st.integers(3, 8)))
-    ctx = build_context(BoxGeometry(dims), BoundaryCondition.all_minus(),
-                        SQRT2_2)
+    """A 1-3 d box with sides from 1 up (``box_strategy.boxes``), a random
+    initial configuration, optional initial_stc groups (each a union of
+    initial plus components), and valid flips at random sites and
+    increasing times."""
+    ctx, initial = draw(boxes())
     n = ctx.n_sites
-    spins = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    initial = Configuration(ctx.geometry, spins)
+    spins = initial.spins.tolist()
     groups = None
     if draw(st.booleans()):
         comps = [comp for comp, _ in connected_components(ctx, initial)]
@@ -46,7 +45,7 @@ def trajectories(draw):
         events.append((t, site, current[site]))
     traj = Trajectory(initial=initial, events=events, t_end=t + 1.0,
                       stop_reason="scripted", beta=0.0,
-                      h_token=SQRT2_2.token, bc_label=ctx.bc.label())
+                      h_token=ctx.field.token, bc_label=ctx.bc.label())
     return ctx, traj, groups
 
 
@@ -58,7 +57,7 @@ def assert_same_ledger(new, old):
 
 
 class TestTrackAgainstOracle:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(case=trajectories())
     def test_random_trajectories(self, case):
         ctx, traj, groups = case
