@@ -341,16 +341,6 @@ def run_infection_microscopic(config):
     return report
 
 
-def recompute_infection_indicator(events, block, t):
-    """Indicator state of one block at time t from its recorded events."""
-    state = 0
-    for et, b, val in events:
-        if b != block or et > t:
-            continue
-        state = val
-    return state
-
-
 # -- abstract growth model -----------------------------------------------------
 
 
@@ -591,10 +581,12 @@ def run_stc_audit(config):
     Each replica runs the unrestricted dynamics from all-minus until it first
     leaves the restricted ensemble, tracks the space-time clusters over that
     window (exit flip included), and records the maximal cluster diameter
-    and the run's stop reason.
+    and the run's stop reason.  The audit runs at one beta.
     """
     from .stc import track
 
+    if len(config.beta) != 1:
+        raise ValueError(f"stc-audit runs at one beta, got {config.beta!r}")
     ctx = config.context()
     d = ctx.geometry.dimension
     const = critical_constants(d, ctx.field, verify_oracle=False)

@@ -18,11 +18,6 @@ DEFAULT_CAPS = {2: 12, 3: 8}
 _TABLES = {}
 
 
-def _canonical(cells):
-    lows = tuple(min(c[a] for c in cells) for a in range(len(next(iter(cells)))))
-    return tuple(sorted(tuple(x - lo for x, lo in zip(c, lows)) for c in cells))
-
-
 def _neighbors(cell):
     d = len(cell)
     for a in range(d):

@@ -135,12 +135,6 @@ class EventStream:
             start += width
         return tuple(np.concatenate(p) for p in zip(*parts))
 
-    def site_events(self, coord, family, t_max):
-        """Arrival times and uniforms of one site/family up to t_max."""
-        words = _counter_words([coord], [0 if family == -1 else 1])
-        times, _, _, marks = self._arrivals(words, 0.0, t_max)
-        return times, marks
-
     def window(self, ctx, t0, t1):
         """Time-ordered events of a box in (t0, t1]: (times, sites, families,
         uniforms); exact ties fall back to (site, family, index) order."""

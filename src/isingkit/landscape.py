@@ -58,9 +58,6 @@ class LandscapeGraph:
     def configuration(self, s):
         return Configuration.from_bitmask(self.ctx.geometry, s)
 
-    def state_of(self, config):
-        return config.as_bitmask()
-
     def levels(self):
         """The exact integer level index of every state, built on first use."""
         if self._levels is None:
@@ -675,23 +672,34 @@ def reference_path(ctx):
     return _greedy_reference_path(ctx)
 
 
+def _growth_steps(dims):
+    """The face layers of the quasicube growth in a box of the given dims.
+
+    From one site the box grows one face layer at a time along its shortest
+    growable side, lowest axis first.  Yields (axis, per, vol, face_dims) of
+    the box each layer is laid on: the grown axis, the box's boundary bonds
+    and volume, and the dims of the face the layer fills.
+    """
+    sides = [1] * len(dims)
+    while True:
+        growable = [i for i in range(len(dims)) if sides[i] < dims[i]]
+        if not growable:
+            return
+        axis = min(growable, key=lambda i: (sides[i], i))
+        vol = math.prod(sides)
+        yield (axis, sum(2 * vol // s for s in sides), vol,
+               tuple(sides[:axis] + sides[axis + 1:]))
+        sides[axis] += 1
+
+
 def _recursive_fill_order(dims):
     """Site order of the quasicube filling path in a box of the given dims."""
-    d = len(dims)
-    if d == 1:
-        return [(i,) for i in range(dims[0])]
-    order = [(0,) * d]
-    sides = [1] * d
-    while True:
-        growable = [i for i in range(d) if sides[i] < dims[i]]
-        if not growable:
-            return order
-        axis = min(growable, key=lambda i: (sides[i], i))
-        face_dims = tuple(s for i, s in enumerate(sides) if i != axis)
-        layer = sides[axis]
-        for c in _recursive_fill_order(face_dims):
-            order.append(c[:axis] + (layer,) + c[axis:])
-        sides[axis] += 1
+    order = [(0,) * len(dims)]
+    for axis, _, vol, face_dims in _growth_steps(dims):
+        layer = vol // math.prod(face_dims)
+        order += [c[:axis] + (layer,) + c[axis:]
+                  for c in _recursive_fill_order(face_dims)]
+    return order
 
 
 def _recursive_reference_path(ctx):
@@ -760,59 +768,46 @@ def path_energies(ctx, path):
     return out
 
 
-_PROFILE_CACHE = {}
-
-
 def reference_profile_pairs(dims, field):
     """(bonds, pluses) pairs along the reference path of an all-minus box.
 
-    Computed combinatorially: the path grows quasicubes by filling a largest
-    free face through the one-lower-dimensional reference path, and the energy
-    of a box plus a partial face layer splits exactly into box term plus
-    lower-dimensional face term.  Matches the lattice greedy step for step.
+    Computed combinatorially: the path grows quasicubes by filling a face
+    through the one-lower-dimensional reference path, and the energy of a box
+    plus a partial face layer splits exactly into the box term plus the
+    face's own profile.  Matches the lattice greedy step for step.  The pairs
+    are pure integers, independent of the field.
     """
     dims = tuple(int(s) for s in dims)
-    # the pair sequence is pure integers, independent of the field
-    key = tuple(sorted(dims))
-    cached = _PROFILE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    prof = list(iter_reference_profile(dims, field))
-    _PROFILE_CACHE[key] = prof
+    prof = [(0, 0), (2 * len(dims), 1)]
+    for _, per, vol, face_dims in _growth_steps(dims):
+        prof += [(per + b, vol + p)
+                 for b, p in reference_profile_pairs(face_dims, field)[1:]]
     return prof
 
 
-def iter_reference_profile(dims, field):
-    """Generator form of the profile; only faces are materialized and cached."""
-    dims = tuple(int(s) for s in dims)
-    if len(dims) == 1:
-        yield (0, 0)
-        for k in range(1, dims[0] + 1):
-            yield (2, k)
-        return
-    d = len(dims)
-    yield (0, 0)
-    yield (2 * d, 1)
-    sides = [1] * d
-    while True:
-        growable = [i for i in range(d) if sides[i] < dims[i]]
-        if not growable:
-            return
-        axis = min(growable, key=lambda i: (sides[i], i))
-        face_dims = tuple(s for i, s in enumerate(sides) if i != axis)
-        face = reference_profile_pairs(face_dims, field)
-        vol = 1
-        per = 0
-        for i, s in enumerate(sides):
-            vol *= s
-            row = 1
-            for j, t in enumerate(sides):
-                if j != i:
-                    row *= t
-            per += 2 * row
-        for fb, fp in face[1:]:
-            yield (per + fb, vol + fp)
-        sides[axis] += 1
+def _profile_peak(dims, field, memo):
+    """First maximum of the reference profile past its empty entry, and
+    every volume where the profile takes that value.
+
+    A face layer's entries are the face's own profile shifted by the exact
+    pair (per, vol), so the layer's maximum is the face's shifted, and the
+    box's is the best of the single site and its layers: O(n * side) exact
+    comparisons instead of one per entry.  ``memo`` holds the peaks by
+    sorted dims, since a permutation of the dims leaves the profile as it is.
+    """
+    key = tuple(sorted(dims))
+    if key not in memo:
+        best, ties = EnergyValue(2 * len(key), 1, field), [1]
+        for _, per, vol, face_dims in _growth_steps(key):
+            face_best, face_ties = _profile_peak(face_dims, field, memo)
+            e = EnergyValue(per + face_best.bonds, vol + face_best.pluses,
+                            field)
+            if e > best:
+                best, ties = e, [vol + t for t in face_ties]
+            elif e == best:
+                ties += [vol + t for t in face_ties]
+        memo[key] = best, ties
+    return memo[key]
 
 
 # -- critical constants ------------------------------------------------------
@@ -864,15 +859,17 @@ class CriticalConstants:
         return any(len(t) > 1 for t in self.argmax_ties if t)
 
 
-def critical_constants(d, h, verify_oracle=True, oracle_cap=12):
+def critical_constants(d, h, verify_oracle=True):
     """Exact critical constants for dimensions 1..d under field h.
 
     Gamma_n is the maximum of the reference path profile on an n-dimensional
     cube whose side exceeds both l_c(n)+2 and 2n/h; m_n is the volume where
-    the maximum is attained.  kappa and L follow by the recursions
+    the maximum is first attained.  Both come from a recursion over the
+    cube's faces (``_profile_peak``), not from a walk over the profile.
+    kappa and L follow by the recursions
     kappa_n = (Gamma_1 + ... + Gamma_n)/(n+1), L_n = (Gamma_n - kappa_n)/n.
-    For n <= 2 (within the oracle cap) the barrier is cross-checked against
-    the brute-force minimal-perimeter table.
+    For n <= 2 (within the oracle's volume cap) the barrier is cross-checked
+    against the brute-force minimal-perimeter table.
     """
     field = h if isinstance(h, MagneticField) else MagneticField(h)
     zero = Fraction(0) if field.rational is not None else 0.0
@@ -881,35 +878,24 @@ def critical_constants(d, h, verify_oracle=True, oracle_cap=12):
                               kappas=[zero], Ls=[zero], argmax_ties=[[]],
                               box_sides=[0])
     gamma_sum = zero
+    memo = {}
     for n in range(1, d + 1):
         lc = critical_side(n, field)
         side = max(lc + 3, _floor_ratio(2 * n, field) + 1)
-        best = None
-        best_vol = None
-        ties = []
-        for vol, (b, p) in enumerate(iter_reference_profile((side,) * n, field)):
-            if vol == 0:
-                continue
-            e = EnergyValue(b, p, field)
-            if best is None or e > best:
-                best, best_vol, ties = e, vol, [vol]
-            elif e == best:
-                ties.append(vol)
-        gamma = best
-        m_n = best_vol
+        gamma, ties = _profile_peak((side,) * n, field, memo)
         gamma_sum = gamma_sum + gamma.exact_value()
         kappa = gamma_sum / (n + 1)
         L_n = (gamma.exact_value() - kappa) / n
         const.l_c.append(lc)
-        const.m.append(m_n)
+        const.m.append(ties[0])
         const.gammas.append(gamma)
         const.kappas.append(kappa)
         const.Ls.append(L_n)
         const.argmax_ties.append(ties)
         const.box_sides.append(side)
         _check_sandwich(n, lc, gamma, field)
-        if verify_oracle and n <= 2 and const.m[n] <= oracle_cap:
-            _verify_against_perimeter_oracle(n, gamma, field, oracle_cap)
+        if verify_oracle and n <= 2:
+            _verify_against_perimeter_oracle(n, ties[0], gamma, field)
     if field.rational is None and const.has_ties():
         raise AssertionError("argmax tie under an irrational field")
     return const
@@ -922,8 +908,11 @@ def _check_sandwich(n, lc, gamma, field):
         raise AssertionError(f"Gamma_{n} violates the quasicube sandwich bounds")
 
 
-def _verify_against_perimeter_oracle(n, gamma, field, cap):
-    from .isoperimetry import min_perimeter
+def _verify_against_perimeter_oracle(n, m, gamma, field):
+    from .isoperimetry import DEFAULT_CAPS, min_perimeter
+    cap = DEFAULT_CAPS[2]
+    if m > cap:
+        return
     best = None
     for v in range(1, cap + 1):
         per = 2 if n == 1 else min_perimeter(n, v)

@@ -24,6 +24,3 @@ class UnionFind:
             return ra
         self.parent[rb] = ra
         return ra
-
-    def same(self, a, b):
-        return self.find(a) == self.find(b)

@@ -3,7 +3,8 @@
 ``EventStream`` is the stream from before the counter-based one: one
 ``SeedSequence`` and one Philox generator per (site, family), grown in
 blocks of 64 arrivals and cached.  Its arrivals differ from the library's
-seed for seed, so the tests compare the two in law.
+seed for seed, so the tests compare the two in law.  ``site_events`` reads
+one clock of the library's stream, for tests that look at a single site.
 
 The graphical path is the one ``isingkit.kmc`` used before
 ``evolve_graphical`` streamed its own doubling windows: one
@@ -123,6 +124,14 @@ class EventStream:
                             np.concatenate(sites), times))
         return (times[order], np.concatenate(sites)[order],
                 np.concatenate(fams)[order], np.concatenate(unis)[order])
+
+
+def site_events(stream, coord, family, t_max):
+    """Arrival times and uniforms of one site/family of the library's
+    counter-based ``stream`` up to t_max."""
+    words = kmc._counter_words([coord], [0 if family == -1 else 1])
+    times, _, _, marks = stream._arrivals(words, 0.0, t_max)
+    return times, marks
 
 
 def _final_config(traj):

@@ -12,18 +12,27 @@ index that the library used before its vectorised level-by-level merge:
 one Python union per flip edge, union by size.  The differential tests feed
 its cycle labels to the library's own block and compound code, so a
 difference in a partition comes from the merge alone.  The row-by-row CSV
-writers at the end are the reference for the vectorised export.
+writers are the reference for the vectorised export.
+
+The critical constants at the end are the walk ``critical_constants`` made
+before its recursion over faces: it streams every entry of the reference
+profile of an n-cube of side ``side``, side^n exact comparisons, and keeps
+the first strict maximum and its ties.  Its face profiles are cached by
+sorted dims, as the library's were.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+from fractions import Fraction
 
 import numpy as np
 
-from isingkit.energy import NEG_INF_ENERGY
-from isingkit.landscape import CycleBlock, CyclePartition, TruncatedLandscape
+from isingkit.energy import NEG_INF_ENERGY, EnergyValue, MagneticField
+from isingkit.landscape import (CriticalConstants, CycleBlock, CyclePartition,
+                                TruncatedLandscape, _check_sandwich,
+                                _floor_ratio, critical_side)
 from isingkit.unionfind import UnionFind
 
 
@@ -418,3 +427,108 @@ def partition_to_csv_rows(graph, partition, assign_fh, summary_fh):
         bottom = graph.configuration(min(b.bottom)).to_text().replace("\n", "|")
         writer.writerow([k, len(b.states), exit_pair[0], exit_pair[1], bottom,
                          depth_pair[0], depth_pair[1]])
+
+
+# -- critical constants: a walk over every entry of the reference profile ----
+
+
+_PROFILE_CACHE = {}
+
+
+def reference_profile_pairs(dims, field):
+    """(bonds, pluses) pairs along the reference path of an all-minus box.
+
+    Computed combinatorially: the path grows quasicubes by filling a largest
+    free face through the one-lower-dimensional reference path, and the energy
+    of a box plus a partial face layer splits exactly into box term plus
+    lower-dimensional face term.  Matches the lattice greedy step for step.
+    """
+    dims = tuple(int(s) for s in dims)
+    # the pair sequence is pure integers, independent of the field
+    key = tuple(sorted(dims))
+    cached = _PROFILE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    prof = list(iter_reference_profile(dims, field))
+    _PROFILE_CACHE[key] = prof
+    return prof
+
+
+def iter_reference_profile(dims, field):
+    """Generator form of the profile; only faces are materialized and cached."""
+    dims = tuple(int(s) for s in dims)
+    if len(dims) == 1:
+        yield (0, 0)
+        for k in range(1, dims[0] + 1):
+            yield (2, k)
+        return
+    d = len(dims)
+    yield (0, 0)
+    yield (2 * d, 1)
+    sides = [1] * d
+    while True:
+        growable = [i for i in range(d) if sides[i] < dims[i]]
+        if not growable:
+            return
+        axis = min(growable, key=lambda i: (sides[i], i))
+        face_dims = tuple(s for i, s in enumerate(sides) if i != axis)
+        face = reference_profile_pairs(face_dims, field)
+        vol = 1
+        per = 0
+        for i, s in enumerate(sides):
+            vol *= s
+            row = 1
+            for j, t in enumerate(sides):
+                if j != i:
+                    row *= t
+            per += 2 * row
+        for fb, fp in face[1:]:
+            yield (per + fb, vol + fp)
+        sides[axis] += 1
+
+
+def critical_constants(d, h):
+    """Exact critical constants for dimensions 1..d under field h.
+
+    Gamma_n is the maximum of the reference path profile on an n-dimensional
+    cube whose side exceeds both l_c(n)+2 and 2n/h; m_n is the volume where
+    the maximum is attained.  kappa and L follow by the recursions
+    kappa_n = (Gamma_1 + ... + Gamma_n)/(n+1), L_n = (Gamma_n - kappa_n)/n.
+    """
+    field = h if isinstance(h, MagneticField) else MagneticField(h)
+    zero = Fraction(0) if field.rational is not None else 0.0
+    const = CriticalConstants(d=d, field=field, l_c=[0], m=[0],
+                              gammas=[EnergyValue.zero(field)],
+                              kappas=[zero], Ls=[zero], argmax_ties=[[]],
+                              box_sides=[0])
+    gamma_sum = zero
+    for n in range(1, d + 1):
+        lc = critical_side(n, field)
+        side = max(lc + 3, _floor_ratio(2 * n, field) + 1)
+        best = None
+        best_vol = None
+        ties = []
+        for vol, (b, p) in enumerate(iter_reference_profile((side,) * n, field)):
+            if vol == 0:
+                continue
+            e = EnergyValue(b, p, field)
+            if best is None or e > best:
+                best, best_vol, ties = e, vol, [vol]
+            elif e == best:
+                ties.append(vol)
+        gamma = best
+        m_n = best_vol
+        gamma_sum = gamma_sum + gamma.exact_value()
+        kappa = gamma_sum / (n + 1)
+        L_n = (gamma.exact_value() - kappa) / n
+        const.l_c.append(lc)
+        const.m.append(m_n)
+        const.gammas.append(gamma)
+        const.kappas.append(kappa)
+        const.Ls.append(L_n)
+        const.argmax_ties.append(ties)
+        const.box_sides.append(side)
+        _check_sandwich(n, lc, gamma, field)
+    if field.rational is None and const.has_ties():
+        raise AssertionError("argmax tie under an irrational field")
+    return const

@@ -13,7 +13,6 @@ import fit_oracle
 from isingkit.energy import MagneticField
 from isingkit.experiments import (GrowthModelParams, RunConfig, arrhenius_fit,
                                   growth_threshold_from_constants,
-                                  recompute_infection_indicator,
                                   run_growth_model,
                                   run_infection_microscopic, run_nucleation,
                                   run_stc_audit, solve_growth_threshold)
@@ -139,6 +138,16 @@ class TestNucleation:
         assert len(r1["rows"]) == 10
         for row in r1["rows"]:
             assert row["nucleation_time"] <= row["all_plus_time"]
+
+
+def recompute_infection_indicator(events, block, t):
+    """Indicator state of one block at time t from its recorded events."""
+    state = 0
+    for et, b, val in events:
+        if b != block or et > t:
+            continue
+        state = val
+    return state
 
 
 class TestInfection:
@@ -448,6 +457,24 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "distinct" in lines[0]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("beta", [("--beta", "2,5,9"), ()])
+    def test_stc_audit_several_betas_fail_cleanly(self, tmp_path, capsys,
+                                                  beta):
+        # a list, or the default one of four betas, is rejected, not cut
+        # down to its first beta
+        from isingkit.cli import main
+        out_dir = tmp_path / "out"
+        code = main(["stc-audit", "--dims", "4,4", "--h", "sqrt2/2",
+                     *beta, "--replicas", "2", "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        want = "[2.0, 5.0, 9.0]" if beta else "[3.0, 4.0, 5.0, 6.0]"
+        assert want in lines[0]
         assert not out_dir.exists()
 
     GROWTH_ARGV = ("growth-model", "--d", "1", "--gamma", "1.5",

@@ -208,6 +208,15 @@ class TestReferencePath:
         assert [e.pair() for e in energies] == \
             [(0, 0), (4, 1), (6, 2), (8, 3), (8, 4)]
 
+    def test_quasicube_grows_shortest_side_lowest_axis_first(self):
+        ctx = build_context(BoxGeometry((3, 3)), BoundaryCondition.all_minus(), SQRT2_2)
+        path = reference_path(ctx)
+        flips = [ctx.geometry.coord(next(i for i in range(9)
+                                         if a.spins[i] != b.spins[i]))
+                 for a, b in zip(path, path[1:])]
+        assert flips == [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1),
+                         (0, 2), (1, 2), (2, 2)]
+
     def test_path_is_monotone_filling(self):
         ctx = build_context(BoxGeometry((3, 3)), BoundaryCondition.n_pm(1), SQRT2_2)
         path = reference_path(ctx)
@@ -223,10 +232,16 @@ class TestReferencePath:
         assert all(a == b for a, b in zip(p1, p2))
 
     def test_profile_recursion_matches_greedy(self):
-        for dims, h in (((3, 3), SQRT2_2), ((2, 4), SQRT2_2), ((3, 3, 3), SQRT3_2)):
+        for dims, h in (((3, 3), SQRT2_2), ((2, 4), SQRT2_2), ((4, 2), SQRT2_2),
+                        ((3, 3, 3), SQRT3_2), ((2, 3, 4), SQRT3_2),
+                        ((4, 3, 2), SQRT3_2)):
             ctx = build_context(BoxGeometry(dims), BoundaryCondition.all_minus(), h)
             greedy = [e.pair() for e in path_energies(ctx, reference_path(ctx))]
             assert greedy == reference_profile_pairs(dims, h)
+        # the profile does not depend on the order of the sides
+        profile = reference_profile_pairs((2, 3, 4), SQRT3_2)
+        for dims in itertools.permutations((2, 3, 4)):
+            assert reference_profile_pairs(dims, SQRT3_2) == profile
 
 
 class TestCriticalConstants:

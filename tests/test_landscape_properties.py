@@ -1,16 +1,21 @@
 """Cross-module landscape properties: exact pair comparison and the level
 index, depths of metastable cycles, the reference cycle path depth bound,
-energy cutting across nested boxes, and the control-inequality report."""
+energy cutting across nested boxes, the control-inequality report, and the
+critical constants and reference profiles against the walk kept in
+``landscape_oracle``."""
 
+import itertools
 import math
 import random
 
 from hypothesis import given, settings, strategies as st
 
+import landscape_oracle as oracle
 from isingkit.energy import MagneticField
 from isingkit.landscape import (communication_energy, control_inequality_report,
                                 critical_constants, enumerate_landscape,
-                                maximal_cycles, path_energies, reference_path)
+                                maximal_cycles, path_energies, reference_path,
+                                reference_profile_pairs)
 from isingkit.lattice import (BoundaryCondition, BoxGeometry, Configuration,
                               build_context, hamiltonian)
 
@@ -26,8 +31,8 @@ def surd_fields(draw):
 
 
 @st.composite
-def rational_fields(draw):
-    den = draw(st.integers(2, 12))
+def rational_fields(draw, max_den=12):
+    den = draw(st.integers(2, max_den))
     return MagneticField(f"{draw(st.integers(1, den - 1))}/{den}")
 
 
@@ -189,3 +194,38 @@ class TestControlInequality:
         # the n = 2 case compares Gamma_1^2 ~ 4 against m_1 = 1 and fails at
         # any field; the report states it without asserting
         assert not rows[1]["holds"]
+
+
+@st.composite
+def constants_cases(draw):
+    """A field sqrt(p)/q or a rational down to 1/40, and a dimension whose
+    oracle walk stays small: d <= 2 at any field, d = 3 at h >= 0.2 (at
+    most 31^3 entries) and d = 4 at h >= 0.5."""
+    field = draw(st.one_of(surd_fields(), rational_fields(max_den=40)))
+    dims = [1, 2] + [3] * (field.approx >= 0.2) + [4] * (field.approx >= 0.5)
+    return draw(st.sampled_from(dims)), field
+
+
+def constants_key(const):
+    return ([g.pair() for g in const.gammas], const.m, const.argmax_ties,
+            const.box_sides, const.l_c, const.kappas, const.Ls)
+
+
+class TestConstantsAgainstWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(case=constants_cases())
+    def test_face_recursion_matches_walk(self, case):
+        d, field = case
+        const = critical_constants(d, field, verify_oracle=False)
+        assert constants_key(const) == \
+            constants_key(oracle.critical_constants(d, field))
+
+    @settings(max_examples=50, deadline=None)
+    @given(dims=st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.integers(1, {1: 30, 2: 12, 3: 7, 4: 4}[n]), min_size=n,
+        max_size=n)))
+    def test_profile_matches_walk_in_every_order(self, dims):
+        prof = reference_profile_pairs(dims, SQRT2_2)
+        assert prof == list(oracle.iter_reference_profile(dims, SQRT2_2))
+        for perm in set(itertools.permutations(dims)):
+            assert reference_profile_pairs(perm, SQRT2_2) == prof
