@@ -2,7 +2,8 @@
 
 The replicated experiments (nucleation, infection, stc-audit) take
 ``--config`` (a JSON key-value file) plus flag overrides; every subcommand
-takes only the flags it reads.  Outputs are deterministic given the seeds and
+takes only the flags it reads.  Every subcommand hands its files and its
+stdout result to ``_emit``.  Outputs are deterministic given the seeds and
 written atomically, so partial results never land on disk when a run fails.
 """
 
@@ -11,19 +12,17 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .energy import MagneticField
-from .experiments import (GrowthModelParams, RunConfig,
-                          growth_threshold_from_constants,
-                          run_growth_model, run_infection_microscopic,
-                          run_nucleation, run_stc_audit, _rows_to_csv,
-                          _write_atomic, write_nucleation_outputs,
-                          write_stc_audit_outputs)
+from .experiments import (GrowthModelParams, RunConfig, growth_model_files,
+                          growth_threshold_from_constants, infection_files,
+                          nucleation_files, run_growth_model,
+                          run_infection_microscopic, run_nucleation,
+                          run_stc_audit, stc_audit_files, write_files)
 from .landscape import (critical_constants, enumerate_landscape,
                         landscape_to_csv, maximal_compounds, maximal_cycles,
                         partition_to_csv)
@@ -35,28 +34,44 @@ from .wgraph import (exit_oracle_linear, exit_point_law, expected_exit_time,
                      random_rate_matrix)
 
 
+def _emit(out_dir, files, printed):
+    """The one output step of every subcommand: write ``files`` (name ->
+    text) into ``out_dir`` when one is given, then print ``printed``, a
+    string as it is and anything else as indented JSON."""
+    if out_dir:
+        write_files(out_dir, files)
+    if not isinstance(printed, str):
+        printed = json.dumps(printed, indent=2, sort_keys=True, default=str)
+    print(printed)
+
+
 def _load_config(args, experiment):
-    data = {"experiment": experiment}
+    data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            data = json.load(fh)
+        if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON "
-                             f"object, got {type(loaded).__name__}")
-        data.update(loaded)
-    for key in ("dims", "bc", "h", "beta", "replicas", "seed", "block_side",
-                "eligibility_defect", "stc_threshold_D", "out_dir", "mode"):
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    caps = data.setdefault("caps", {})
-    for key in ("events", "time"):
-        value = getattr(args, "caps_" + key)
-        # a caps value that is not an object is rejected by RunConfig
-        if value is not None and isinstance(caps, dict):
-            caps[key] = value
-    data["experiment"] = experiment
-    return RunConfig.from_dict(data)
+                             f"object, got {type(data).__name__}")
+    flags = {key: getattr(args, key, None) for key in (
+        "dims", "bc", "h", "beta", "replicas", "seed", "block_side",
+        "eligibility_defect", "stc_threshold_D", "out_dir", "mode",
+        "caps_events", "caps_time")}
+    return RunConfig.from_dict(data, experiment=experiment, **{
+        k: v for k, v in flags.items() if v is not None})
+
+
+def _box_context(args):
+    """The context of the box read from --dims, --bc and --h."""
+    return build_context(BoxGeometry(tuple(args.dims)),
+                         BoundaryCondition.from_label(args.bc or "all_minus"),
+                         MagneticField(args.h))
+
+
+def _text(write, *args):
+    buf = io.StringIO()
+    write(*args, buf)
+    return buf.getvalue()
 
 
 def _parse_dims(text):
@@ -91,7 +106,7 @@ def _add_run(p, replicated=True):
 
 def _cmd_constants(args):
     h = MagneticField(args.h)
-    const = critical_constants(args.d, h, verify_oracle=False)
+    const = critical_constants(args.d, h)
     rows = []
     for n in range(1, args.d + 1):
         rows.append({"n": n, "l_c": const.l_c[n], "m": const.m[n],
@@ -101,30 +116,25 @@ def _cmd_constants(args):
                      "kappa": float(const.kappas[n]),
                      "L": float(const.Ls[n]),
                      "argmax_ties": const.argmax_ties[n]})
-    print(json.dumps({"d": args.d, "h": h.token, "table": rows},
-                     indent=2, sort_keys=True))
+    _emit(None, {}, {"d": args.d, "h": h.token, "table": rows})
     return 0
 
 
 def _cmd_landscape(args):
-    ctx = build_context(BoxGeometry(tuple(args.dims)),
-                        BoundaryCondition.from_label(args.bc or "all_minus"),
-                        MagneticField(args.h))
+    ctx = _box_context(args)
     graph = enumerate_landscape(ctx)
     full = (1 << ctx.n_sites) - 1
     y = frozenset(graph.states()) - {full}
     part = maximal_compounds(graph, y) if args.partition == "compounds" \
         else maximal_cycles(graph, y)
     out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    buf = io.StringIO()
-    landscape_to_csv(graph, buf)
-    _write_atomic(os.path.join(out_dir, "states.csv"), buf.getvalue())
     assign, summary = io.StringIO(), io.StringIO()
     partition_to_csv(graph, part, assign, summary)
-    _write_atomic(os.path.join(out_dir, "partition.csv"), assign.getvalue())
-    _write_atomic(os.path.join(out_dir, "blocks.csv"), summary.getvalue())
-    print(f"wrote {out_dir}/states.csv, partition.csv, blocks.csv "
+    files = {"states.csv": _text(landscape_to_csv, graph),
+             "partition.csv": assign.getvalue(),
+             "blocks.csv": summary.getvalue()}
+    _emit(out_dir, files,
+          f"wrote {out_dir}/states.csv, partition.csv, blocks.csv "
           f"({graph.n_states} states, {len(part.blocks)} blocks)")
     return 0
 
@@ -144,16 +154,16 @@ def _cmd_wgraph_check(args):
         tv = 0.5 * sum(abs(dist[s] - dist_o[s]) for s in w)
         rel = abs(t - t_o) / t_o if t_o else 0.0
         worst_tv, worst_rel = max(worst_tv, tv), max(worst_rel, rel)
-    print(json.dumps({"instances": args.count, "max_tv": worst_tv,
-                      "max_rel_time_err": worst_rel,
-                      "pass": worst_tv <= 1e-9 and worst_rel <= 1e-9}))
-    return 0 if worst_tv <= 1e-9 and worst_rel <= 1e-9 else 1
+    passed = worst_tv <= 1e-9 and worst_rel <= 1e-9
+    # one line, unlike the other subcommands' indented JSON
+    _emit(None, {}, json.dumps({"instances": args.count, "max_tv": worst_tv,
+                                "max_rel_time_err": worst_rel,
+                                "pass": passed}))
+    return 0 if passed else 1
 
 
 def _cmd_simulate(args):
-    ctx = build_context(BoxGeometry(tuple(args.dims)),
-                        BoundaryCondition.from_label(args.bc or "all_minus"),
-                        MagneticField(args.h))
+    ctx = _box_context(args)
     alpha = Configuration.all_minus(ctx.geometry)
     if not args.beta > 0:
         raise ValueError(f"beta must be positive, got {args.beta}")
@@ -175,12 +185,9 @@ def _cmd_simulate(args):
             max_events=1_000_000 if args.caps_events is None
             else args.caps_events)
     out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    buf = io.StringIO()
-    traj.to_csv(buf)
-    _write_atomic(os.path.join(out_dir, "trajectory.csv"), buf.getvalue())
-    _write_atomic(os.path.join(out_dir, "summary.json"), traj.summary_json())
-    print(f"wrote {out_dir}/trajectory.csv ({len(traj.events)} events, "
+    _emit(out_dir, {"trajectory.csv": _text(traj.to_csv),
+                    "summary.json": traj.summary_json()},
+          f"wrote {out_dir}/trajectory.csv ({len(traj.events)} events, "
           f"stop: {traj.stop_reason})")
     return 0
 
@@ -188,29 +195,18 @@ def _cmd_simulate(args):
 def _cmd_nucleation(args):
     config = _load_config(args, "nucleation")
     report = run_nucleation(config)
-    if config.out_dir:
-        write_nucleation_outputs(report, config.out_dir)
     fits = {k: {kk: vv for kk, vv in v.items() if kk != "replicas"}
             for k, v in report["fits"].items()}
-    print(json.dumps({"fits": fits, "constants": report["constants"]},
-                     indent=2, sort_keys=True, default=str))
+    _emit(config.out_dir, nucleation_files(report),
+          {"fits": fits, "constants": report["constants"]})
     return 0
 
 
 def _cmd_infection(args):
     config = _load_config(args, "infection")
     report = run_infection_microscopic(config)
-    if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        _write_atomic(os.path.join(config.out_dir, "results.csv"),
-                      _rows_to_csv(report["rows"],
-                                   ["replica", "seed", "beta",
-                                    "first_infection_time", "censored",
-                                    "deinfections", "stop_reason"]))
-    print(json.dumps({"persistence": report["persistence"],
-                      "event_cap": report["event_cap"],
-                      "fit": report["fit"]},
-                     indent=2, sort_keys=True, default=str))
+    _emit(config.out_dir, infection_files(report),
+          {k: report[k] for k in ("persistence", "event_cap", "fit")})
     return 0
 
 
@@ -221,54 +217,33 @@ def _cmd_growth_model(args):
                                kappa_prev=args.kappa_prev, L=args.L,
                                betas=args.beta, **optional)
     report = run_growth_model(params)
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        _write_atomic(os.path.join(args.out_dir, "results.csv"),
-                      _rows_to_csv(report["rows"],
-                                   ["replica", "seed", "beta", "coverage_time",
-                                    "censored", "side", "stop_reason",
-                                    "events"]))
-        _write_atomic(os.path.join(args.out_dir, "fit.json"),
-                      json.dumps({"fit": report["fit"],
-                                  "kappa_target": report["kappa_target"],
-                                  "flags": report["flags"]},
-                                 indent=2, sort_keys=True, default=str))
-    print(json.dumps({"fit": report["fit"],
-                      "kappa_target": report["kappa_target"]},
-                     indent=2, sort_keys=True, default=str))
+    _emit(args.out_dir, growth_model_files(report),
+          {k: report[k] for k in ("fit", "kappa_target")})
     return 0
 
 
 def _cmd_isoperimetry(args):
-    buf = io.StringIO()
-    oracle_table_csv(args.d, args.vmax, buf)
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        _write_atomic(os.path.join(args.out_dir, "isoperimetry.csv"),
-                      buf.getvalue())
-    print(buf.getvalue().strip())
+    table = _text(oracle_table_csv, args.d, args.vmax)
+    _emit(args.out_dir, {"isoperimetry.csv": table}, table.strip())
     return 0
 
 
 def _cmd_stc_audit(args):
     config = _load_config(args, "stc_audit")
     report = run_stc_audit(config)
-    if config.out_dir:
-        write_stc_audit_outputs(report, config.out_dir)
-    print(json.dumps({k: report[k] for k in ("max_diam", "threshold_D",
-                                             "passed", "beta")},
-                     indent=2, sort_keys=True))
+    _emit(config.out_dir, stc_audit_files(report),
+          {k: report[k] for k in ("max_diam", "threshold_D", "passed",
+                                  "beta")})
     return 0 if report["passed"] else 1
 
 
 def _cmd_growth_threshold(args):
     h = MagneticField(args.h)
-    const = critical_constants(args.d, h, verify_oracle=False)
+    const = critical_constants(args.d, h)
     L = Fraction(args.L).limit_denominator(10**6) if h.rational is not None \
         else float(args.L)
     result = growth_threshold_from_constants(const, args.d, L)
-    print(json.dumps({k: str(v) for k, v in result.items()}, indent=2,
-                     sort_keys=True))
+    _emit(None, {}, {k: str(v) for k, v in result.items()})
     return 0 if result["equal"] else 1
 
 

@@ -74,7 +74,10 @@ class RunConfig:
         BoundaryCondition.from_label(self.bc)
 
     @classmethod
-    def from_dict(cls, data):
+    def from_dict(cls, data, **overrides):
+        """A config from a file's key-value object, whose ``caps`` object
+        stands for ``caps_events`` and ``caps_time``; the flat keyword
+        overrides (command-line flags) win over the file."""
         data = dict(data)
         caps = data.pop("caps", {})
         if not isinstance(caps, dict):
@@ -82,10 +85,8 @@ class RunConfig:
         unknown = set(caps) - {"events", "time"}
         if unknown:
             raise ValueError(f"unknown caps keys: {sorted(unknown)}")
-        if "events" in caps:
-            data["caps_events"] = caps["events"]
-        if "time" in caps:
-            data["caps_time"] = caps["time"]
+        data.update({"caps_" + k: v for k, v in caps.items()})
+        data.update(overrides)
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -179,7 +180,7 @@ def run_nucleation(config):
     ctx = config.context()
     d = ctx.geometry.dimension
     h = ctx.field
-    const = critical_constants(d, h, verify_oracle=False)
+    const = critical_constants(d, h)
     ens = restricted_ensemble(ctx, d, const)
     exit_pred = pred_exits_set(ens)
     plus_pred = pred_all_plus()
@@ -237,18 +238,14 @@ def run_nucleation(config):
     return report
 
 
-def write_nucleation_outputs(report, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, "results.csv"),
-                  _rows_to_csv(report["rows"],
-                               ["replica", "seed", "beta", "nucleation_time",
-                                "nucleation_censored", "all_plus_time",
-                                "all_plus_censored", "stop_reason"]))
-    _write_atomic(os.path.join(out_dir, "fit.json"),
-                  json.dumps({"fits": report["fits"],
-                              "constants": report["constants"],
-                              "flags": report["flags"]},
-                             sort_keys=True, indent=2, default=str))
+def nucleation_files(report):
+    """The files of a nucleation run, name -> text."""
+    return {"results.csv": _rows_to_csv(
+                report["rows"], ["replica", "seed", "beta", "nucleation_time",
+                                 "nucleation_censored", "all_plus_time",
+                                 "all_plus_censored", "stop_reason"]),
+            "fit.json": _json({k: report[k]
+                               for k in ("fits", "constants", "flags")})}
 
 
 # -- microscopic infection -----------------------------------------------------
@@ -341,7 +338,18 @@ def run_infection_microscopic(config):
     return report
 
 
+def infection_files(report):
+    """The files of an infection run, name -> text."""
+    return {"results.csv": _rows_to_csv(
+        report["rows"], ["replica", "seed", "beta", "first_infection_time",
+                         "censored", "deinfections", "stop_reason"])}
+
+
 # -- abstract growth model -----------------------------------------------------
+
+
+# side of a clipped growth window, in relaxation-cone lengths
+WINDOW_CONES = 3.0
 
 
 @dataclass
@@ -351,8 +359,8 @@ class GrowthModelParams:
     Sites nucleate independently at rate exp(-beta*gamma); uninfected sites
     adjacent to the infected set catch at rate exp(-beta*kappa_prev) each.
     ``kappa_prev = inf`` freezes growth entirely.  The simulated window is
-    exp(beta*L) per side, clipped to a few relaxation cones for tractability
-    (clipping is flagged in the report).
+    exp(beta*L) per side, clipped to ``WINDOW_CONES`` relaxation cones for
+    tractability (clipping is flagged in the report).
     """
 
     d: int
@@ -362,7 +370,6 @@ class GrowthModelParams:
     betas: list
     replicas: int = 200
     seed: int = 1
-    window_cones: float = 3.0
     max_events: int = 2_000_000
 
     def __post_init__(self):
@@ -408,7 +415,7 @@ def _growth_single(params, beta, seed):
     kappa = params.kappa_predicted()
     clipped = False
     if kappa is not None and v > 0:
-        cone = params.window_cones * math.exp(beta * (kappa - params.kappa_prev))
+        cone = WINDOW_CONES * math.exp(beta * (kappa - params.kappa_prev))
         if cone + 1 < nominal:
             side_f = cone
             clipped = True
@@ -537,6 +544,15 @@ def run_growth_model(params):
     return report
 
 
+def growth_model_files(report):
+    """The files of a growth-model run, name -> text."""
+    return {"results.csv": _rows_to_csv(
+                report["rows"], ["replica", "seed", "beta", "coverage_time",
+                                 "censored", "side", "stop_reason", "events"]),
+            "fit.json": _json({k: report[k]
+                               for k in ("fit", "kappa_target", "flags")})}
+
+
 # -- growth threshold identity ---------------------------------------------------
 
 
@@ -589,7 +605,7 @@ def run_stc_audit(config):
         raise ValueError(f"stc-audit runs at one beta, got {config.beta!r}")
     ctx = config.context()
     d = ctx.geometry.dimension
-    const = critical_constants(d, ctx.field, verify_oracle=False)
+    const = critical_constants(d, ctx.field)
     ens = restricted_ensemble(ctx, d, const)
     exit_pred = pred_exits_set(ens)
     beta = config.beta[0]
@@ -615,16 +631,13 @@ def run_stc_audit(config):
             "beta": beta}
 
 
-def write_stc_audit_outputs(report, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, "distribution.csv"),
-                  _rows_to_csv(report["rows"],
-                               ["replica", "seed", "max_diam", "exit_time",
-                                "censored", "stop_reason"]))
-    summary = {k: report[k] for k in ("max_diam", "threshold_D", "passed",
-                                      "beta")}
-    _write_atomic(os.path.join(out_dir, "summary.json"),
-                  json.dumps(summary, sort_keys=True, indent=2))
+def stc_audit_files(report):
+    """The files of an stc audit, name -> text."""
+    return {"distribution.csv": _rows_to_csv(
+                report["rows"], ["replica", "seed", "max_diam", "exit_time",
+                                 "censored", "stop_reason"]),
+            "summary.json": _json({k: report[k] for k in (
+                "max_diam", "threshold_D", "passed", "beta")})}
 
 
 # -- helpers --------------------------------------------------------------------
@@ -637,6 +650,18 @@ def _rows_to_csv(rows, columns):
     for r in rows:
         writer.writerow([r[c] for c in columns])
     return buf.getvalue()
+
+
+def _json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, default=str)
+
+
+def write_files(out_dir, files):
+    """Write each name -> text of ``files`` into ``out_dir`` (made if
+    missing), one file at a time and each atomically."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        _write_atomic(os.path.join(out_dir, name), text)
 
 
 def _write_atomic(path, text):

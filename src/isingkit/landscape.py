@@ -859,7 +859,7 @@ class CriticalConstants:
         return any(len(t) > 1 for t in self.argmax_ties if t)
 
 
-def critical_constants(d, h, verify_oracle=True):
+def critical_constants(d, h):
     """Exact critical constants for dimensions 1..d under field h.
 
     Gamma_n is the maximum of the reference path profile on an n-dimensional
@@ -868,8 +868,7 @@ def critical_constants(d, h, verify_oracle=True):
     cube's faces (``_profile_peak``), not from a walk over the profile.
     kappa and L follow by the recursions
     kappa_n = (Gamma_1 + ... + Gamma_n)/(n+1), L_n = (Gamma_n - kappa_n)/n.
-    For n <= 2 (within the oracle's volume cap) the barrier is cross-checked
-    against the brute-force minimal-perimeter table.
+    Each Gamma_n is checked against the quasicube sandwich bounds.
     """
     field = h if isinstance(h, MagneticField) else MagneticField(h)
     zero = Fraction(0) if field.rational is not None else 0.0
@@ -894,8 +893,6 @@ def critical_constants(d, h, verify_oracle=True):
         const.argmax_ties.append(ties)
         const.box_sides.append(side)
         _check_sandwich(n, lc, gamma, field)
-        if verify_oracle and n <= 2:
-            _verify_against_perimeter_oracle(n, ties[0], gamma, field)
     if field.rational is None and const.has_ties():
         raise AssertionError("argmax tie under an irrational field")
     return const
@@ -906,23 +903,6 @@ def _check_sandwich(n, lc, gamma, field):
     high = EnergyValue(2 * n * (lc + 1) ** (n - 1), lc ** n, field)
     if not (low <= gamma <= high):
         raise AssertionError(f"Gamma_{n} violates the quasicube sandwich bounds")
-
-
-def _verify_against_perimeter_oracle(n, m, gamma, field):
-    from .isoperimetry import DEFAULT_CAPS, min_perimeter
-    cap = DEFAULT_CAPS[2]
-    if m > cap:
-        return
-    best = None
-    for v in range(1, cap + 1):
-        per = 2 if n == 1 else min_perimeter(n, v)
-        e = EnergyValue(per, v, field)
-        if best is None or e > best:
-            best = e
-    if not best.same_pair(gamma) and best != gamma:
-        raise AssertionError(
-            f"Gamma_{n} disagrees with the minimal-perimeter oracle: "
-            f"path {gamma.pair()}, oracle {best.pair()}")
 
 
 def control_inequality_report(const):
@@ -944,7 +924,7 @@ def gamma_continuity_scan(d, h_grid):
     rows = []
     for token in h_grid:
         field = token if isinstance(token, MagneticField) else MagneticField(str(token))
-        const = critical_constants(d, field, verify_oracle=False)
+        const = critical_constants(d, field)
         rows.append((field.token, float(const.gammas[d].value),
                      const.gammas[d].pair()))
     max_jump = 0.0

@@ -40,18 +40,18 @@ class StcLedger:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _new_cluster(self, t):
-        cid = self.uf.add()
-        d = self.ctx.geometry.dimension
-        self._records[cid] = {
-            "segments": [], "open": {}, "lo": [None] * d, "hi": [None] * d,
-            "birth": t, "death": None, "live": 0,
+    def _record(self, coord, t):
+        """A new cluster of the one site coord, plus from time t, born with
+        diameter 0."""
+        root = self.uf.add()
+        self._records[root] = {
+            "segments": [], "open": {coord: t}, "lo": list(coord),
+            "hi": list(coord), "birth": t, "death": None, "live": 1,
         }
-        return cid
+        self.diameter_events.append((t, root, 0))
+        return root
 
     def _diam(self, rec):
-        if rec["lo"][0] is None:
-            return 0
         return max(h - l for l, h in zip(rec["lo"], rec["hi"]))
 
     def _check_crossing(self, root, t):
@@ -61,8 +61,6 @@ class StcLedger:
         for axis in range(geom.dimension):
             if axis in self.crossing_times:
                 continue
-            if rec["lo"][axis] is None:
-                continue
             if rec["lo"][axis] <= origin[axis] and \
                     rec["hi"][axis] >= origin[axis] + geom.dims[axis] - 1:
                 self.crossing_times[axis] = t
@@ -71,6 +69,7 @@ class StcLedger:
         roots = list(dict.fromkeys(self.uf.find(r) for r in roots))
         main = roots[0]
         rec = self._records[main]
+        lo, hi = rec["lo"], rec["hi"]
         for other in roots[1:]:
             self.uf.union(main, other)
             orec = self._records.pop(other)
@@ -82,35 +81,28 @@ class StcLedger:
             rec["open"].update(orec["open"])
             rec["live"] += orec["live"]
             rec["birth"] = min(rec["birth"], orec["birth"])
-            for a in range(len(rec["lo"])):
-                if orec["lo"][a] is not None:
-                    if rec["lo"][a] is None or orec["lo"][a] < rec["lo"][a]:
-                        rec["lo"][a] = orec["lo"][a]
-                    if rec["hi"][a] is None or orec["hi"][a] > rec["hi"][a]:
-                        rec["hi"][a] = orec["hi"][a]
+            for a, (olo, ohi) in enumerate(zip(orec["lo"], orec["hi"])):
+                lo[a] = min(lo[a], olo)
+                hi[a] = max(hi[a], ohi)
         return main
 
     def _open_site(self, coord, t, cluster_roots):
+        if not cluster_roots:
+            root = self._record(coord, t)
+            self._check_crossing(root, t)
+            return root
         # diameter growth is judged against the parts before any merge, so a
         # merge-driven jump is always recorded
-        if cluster_roots:
-            before = max(self._diam(self._records[r]) for r in cluster_roots)
-            fresh = False
-            root = self._merge(cluster_roots, t)
-        else:
-            before = 0
-            fresh = True
-            root = self._new_cluster(t)
+        before = max(self._diam(self._records[r]) for r in cluster_roots)
+        root = self._merge(cluster_roots, t)
         rec = self._records[root]
         rec["open"][coord] = t
         rec["live"] += 1
         for a, c in enumerate(coord):
-            if rec["lo"][a] is None or c < rec["lo"][a]:
-                rec["lo"][a] = c
-            if rec["hi"][a] is None or c > rec["hi"][a]:
-                rec["hi"][a] = c
+            rec["lo"][a] = min(rec["lo"][a], c)
+            rec["hi"][a] = max(rec["hi"][a], c)
         after = self._diam(rec)
-        if fresh or after > before:
+        if after > before:
             self.diameter_events.append((t, root, after))
         self._check_crossing(root, t)
         return root
@@ -190,7 +182,7 @@ def track(ctx, trajectory, initial_stc=None):
     records = ledger._records
     diameter_events = ledger.diameter_events
     find = ledger.uf.find
-    add = ledger.uf.add
+    record = ledger._record
     get = live.get
     spans_floor = min(ctx.geometry.dims) - 1
     for t, site, new_spin in trajectory.events:
@@ -207,12 +199,7 @@ def track(ctx, trajectory, initial_stc=None):
             if r is not None:
                 roots.add(find(r))
         if not roots:
-            root = add()
-            records[root] = {
-                "segments": [], "open": {coord: t}, "lo": list(coord),
-                "hi": list(coord), "birth": t, "death": None, "live": 1,
-            }
-            diameter_events.append((t, root, 0))
+            root = record(coord, t)
             if spans_floor <= 0:
                 ledger._check_crossing(root, t)
         elif len(roots) == 1:

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from isingkit.experiments import WINDOW_CONES
+
 
 def _growth_single(params, beta, seed):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
@@ -26,7 +28,7 @@ def _growth_single(params, beta, seed):
     kappa = params.kappa_predicted()
     clipped = False
     if kappa is not None and v > 0:
-        cone = params.window_cones * math.exp(beta * (kappa - params.kappa_prev))
+        cone = WINDOW_CONES * math.exp(beta * (kappa - params.kappa_prev))
         if cone + 1 < nominal:
             side_f = cone
             clipped = True

@@ -288,8 +288,8 @@ def test_criterion_12_stc_audit(tmp_path):
                     beta=[3.0], replicas=500, seed=5150, stc_threshold_D=6,
                     out_dir=str(tmp_path))
     rep = run_stc_audit(cfg)
-    from isingkit.experiments import write_stc_audit_outputs
-    write_stc_audit_outputs(rep, str(tmp_path))
+    from isingkit.experiments import stc_audit_files, write_files
+    write_files(str(tmp_path), stc_audit_files(rep))
     assert (tmp_path / "distribution.csv").exists()
     assert len(rep["rows"]) == 500
     assert not any(r["censored"] for r in rep["rows"])
@@ -317,8 +317,7 @@ def test_criterion_14_growth_threshold_identity():
     checked = 0
     for d in (2, 3):
         for tok in ("0.05", "0.1", "0.2"):
-            const = critical_constants(d, MagneticField(tok),
-                                       verify_oracle=False)
+            const = critical_constants(d, MagneticField(tok))
             l_hi = const.gamma_value(d) / d * Fraction(6, 5)
             for k in range(1, 11):
                 L = l_hi * Fraction(k, 10)

@@ -255,8 +255,7 @@ class TestGrowthThreshold:
     def test_identity_small_h_from_constants(self):
         for d in (2, 3):
             for tok in ("0.05", "0.1", "0.2"):
-                const = critical_constants(d, MagneticField(tok),
-                                           verify_oracle=False)
+                const = critical_constants(d, MagneticField(tok))
                 L_hi = const.gamma_value(d) / d
                 for k in range(1, 6):
                     L = Fraction(k, 5) * L_hi
@@ -688,3 +687,80 @@ class TestCliConfigOverride:
         assert code == 0
         lines = (tmp_path / "o" / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + 2 replicas x 2 betas
+
+    @pytest.mark.parametrize("flags,want_events,want_reason", [
+        ((), 2, "event_cap"),
+        (("--caps-events", "50", "--caps-time", "0.001"), 50, "time_cap")])
+    def test_caps_flags_win_over_config_caps(self, tmp_path, flags,
+                                             want_events, want_reason):
+        import csv
+        from isingkit.cli import main
+        from contextlib import redirect_stdout
+        import io
+        cfg = tmp_path / "run.json"
+        # all-plus takes at least 8 flips, so 2 events end every replica
+        cfg.write_text(json.dumps({"caps": {"events": 2, "time": 1e6}}))
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(["infection", "--config", str(cfg), "--dims", "8",
+                         "--h", "0.5", "--block-side", "4", "--beta", "1,2",
+                         "--replicas", "2", "--out-dir", str(tmp_path / "o"),
+                         *flags])
+        assert code == 0
+        assert json.loads(buf.getvalue())["event_cap"]["requested"] == \
+            want_events
+        with open(tmp_path / "o" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(r["stop_reason"] == want_reason for r in rows)
+
+    @pytest.mark.parametrize("flag", [("--caps-time", "2"), ()])
+    def test_caps_not_an_object_fails_whatever_the_flags(self, tmp_path,
+                                                         capsys, flag):
+        from isingkit.cli import main
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"caps": [5]}))
+        code = main(["nucleation", "--config", str(cfg), "--dims", "3",
+                     "--beta", "1,2", "--replicas", "1", *flag,
+                     "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "caps must be an object" in lines[0]
+        assert not (tmp_path / "o").exists()
+
+
+# each subcommand that takes --out-dir: its arguments and the files it writes
+OUT_DIR_FILES = {
+    "landscape": (("--dims", "2,2", "--h", "sqrt2/2"),
+                  {"states.csv", "partition.csv", "blocks.csv"}),
+    "simulate": (("--dims", "3", "--h", "0.5", "--beta", "2",
+                  "--caps-events", "20"), {"trajectory.csv", "summary.json"}),
+    "nucleation": (("--dims", "2", "--beta", "2,3", "--replicas", "2"),
+                   {"results.csv", "fit.json"}),
+    "infection": (("--dims", "4", "--h", "0.5", "--block-side", "2",
+                   "--beta", "2,3", "--replicas", "2"), {"results.csv"}),
+    "growth-model": (("--d", "1", "--gamma", "1.5", "--kappa-prev", "0",
+                      "--L", "1", "--beta", "4,6", "--replicas", "2"),
+                     {"results.csv", "fit.json"}),
+    "isoperimetry": (("--d", "2", "--vmax", "5"), {"isoperimetry.csv"}),
+    "stc-audit": (("--dims", "3,3", "--h", "sqrt2/2", "--beta", "2",
+                   "--replicas", "2"), {"distribution.csv", "summary.json"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_DIR_FILES))
+def test_out_dir_holds_exactly_the_subcommand_files(tmp_path, monkeypatch,
+                                                    command):
+    # nothing lands beside the out dir either: no temp file is left behind
+    from contextlib import redirect_stdout
+    import io
+    from isingkit.cli import main
+    argv, files = OUT_DIR_FILES[command]
+    monkeypatch.chdir(tmp_path)
+    with redirect_stdout(io.StringIO()):
+        assert main([command, *argv, "--out-dir", "out"]) == 0
+    assert os.listdir(tmp_path) == ["out"]
+    assert set(os.listdir(tmp_path / "out")) == files

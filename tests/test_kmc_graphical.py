@@ -36,8 +36,7 @@ def ensemble(ctx):
         return None
     d = ctx.geometry.dimension
     n = d if label == "all_minus" else int(label.rsplit("_", 1)[1])
-    return restricted_ensemble(ctx, n, critical_constants(
-        n, ctx.field, verify_oracle=False))
+    return restricted_ensemble(ctx, n, critical_constants(n, ctx.field))
 
 
 @st.composite

@@ -68,8 +68,7 @@ def test_stateful_nucleation_predicate(dims, time_cap):
     # restricted ensemble and stops at all-plus
     ctx = context(dims)
     d = len(dims)
-    ens = restricted_ensemble(ctx, d, critical_constants(d, ctx.field,
-                                                         verify_oracle=False))
+    ens = restricted_ensemble(ctx, d, critical_constants(d, ctx.field))
     exit_pred, plus_pred = pred_exits_set(ens), pred_all_plus()
     alpha = Configuration.all_minus(ctx.geometry)
 
@@ -116,8 +115,7 @@ def test_doubling_windows_match_one_window(dims, horizon):
 def test_doubling_windows_match_one_window_restricted(dims, bc, horizon):
     ctx = build_context(BoxGeometry(dims), bc, MagneticField("sqrt2/2"))
     d = len(dims)
-    ens = restricted_ensemble(ctx, d, critical_constants(d, ctx.field,
-                                                         verify_oracle=False))
+    ens = restricted_ensemble(ctx, d, critical_constants(d, ctx.field))
     alpha = Configuration.all_minus(ctx.geometry)
     for beta in (0.5, 1.5):
         new = evolve_graphical(EventStream(41), ctx, alpha, beta,

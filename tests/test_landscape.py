@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from isingkit.energy import NEG_INF_ENERGY, MagneticField
+from isingkit.energy import NEG_INF_ENERGY, EnergyValue, MagneticField
+from isingkit.isoperimetry import DEFAULT_CAPS, min_perimeter
 from isingkit.landscape import (CriticalConstants, LandscapeGraph, bottom_of,
                                 communication_energy, critical_constants,
                                 domain_hypothesis_check, enumerate_landscape,
@@ -252,7 +253,7 @@ class TestCriticalConstants:
         assert const.gammas[1].pair() == (2, 1)
 
     def test_lc_formula(self):
-        const = critical_constants(3, MagneticField("0.5"), verify_oracle=False)
+        const = critical_constants(3, MagneticField("0.5"))
         assert const.l_c[3] == 8
 
     def test_d2_sqrt22(self):
@@ -266,13 +267,29 @@ class TestCriticalConstants:
         assert const.Ls[2] == pytest.approx((g2 - const.kappas[2]) / 2)
 
     def test_rational_ties_reported(self):
-        const = critical_constants(2, MagneticField("0.05"), verify_oracle=False)
+        const = critical_constants(2, MagneticField("0.05"))
         assert len(const.argmax_ties[2]) >= 2
         assert const.m[2] == min(const.argmax_ties[2])
 
     def test_exact_fractions_for_rational(self):
-        const = critical_constants(2, MagneticField("0.1"), verify_oracle=False)
+        const = critical_constants(2, MagneticField("0.1"))
         assert isinstance(const.kappas[2], Fraction)
+
+    @pytest.mark.parametrize("token", ["sqrt2/2", "sqrt3/2", "3/4", "2/3",
+                                       "0.9"])
+    def test_barrier_matches_min_perimeter(self, token):
+        # Gamma_n is the largest energy of a minimal-perimeter polyomino
+        # (perimeter 2 in d = 1) over the volumes the brute-force table
+        # covers, whenever m_n lies among them; 2/3 has tied volumes
+        field = MagneticField(token)
+        const = critical_constants(2, field)
+        cap = DEFAULT_CAPS[2]
+        for n in (1, 2):
+            assert const.m[n] <= cap
+            best = max(EnergyValue(2 if n == 1 else min_perimeter(2, v), v,
+                                   field) for v in range(1, cap + 1))
+            assert best == const.gammas[n], (n, best.pair(),
+                                             const.gammas[n].pair())
 
     def test_continuity_scan(self):
         scan = gamma_continuity_scan(1, ["0.4", "0.5", "0.6"])

@@ -185,8 +185,7 @@ class TestEnergyCutting:
 
 class TestControlInequality:
     def test_report_shape_and_small_field(self):
-        const = critical_constants(3, MagneticField("0.05"),
-                                   verify_oracle=False)
+        const = critical_constants(3, MagneticField("0.05"))
         rows = control_inequality_report(const)
         assert [r["n"] for r in rows] == [1, 2, 3]
         # n = 1 compares Gamma_0 = 0 against 1
@@ -216,7 +215,7 @@ class TestConstantsAgainstWalk:
     @given(case=constants_cases())
     def test_face_recursion_matches_walk(self, case):
         d, field = case
-        const = critical_constants(d, field, verify_oracle=False)
+        const = critical_constants(d, field)
         assert constants_key(const) == \
             constants_key(oracle.critical_constants(d, field))
 
