@@ -77,8 +77,13 @@ class RunConfig:
     def from_dict(cls, data, **overrides):
         """A config from a file's key-value object, whose ``caps`` object
         stands for ``caps_events`` and ``caps_time``; the flat keyword
-        overrides (command-line flags) win over the file."""
+        overrides (command-line flags) win over the file, which may not
+        spell them ``caps_events`` or ``caps_time``."""
         data = dict(data)
+        flat = sorted({"caps_events", "caps_time"} & set(data))
+        if flat:
+            raise ValueError(f"config keys {flat}: write caps.events and "
+                             f"caps.time in a caps object")
         caps = data.pop("caps", {})
         if not isinstance(caps, dict):
             raise ValueError(f"caps must be an object, got {caps!r}")

@@ -111,34 +111,23 @@ def enumerate_landscape(ctx, cap=DEFAULT_ENUMERATION_CAP):
     """Enumerate every configuration of the box with its exact energy.
 
     States are indexed by plus-bitmask (bit i = site i), so the ordering is
-    deterministic.  Bond counts are computed in vectorized chunks.
+    deterministic.  States [2^i, 2^(i+1)) are states [0, 2^i) plus site i.
     """
     n = ctx.n_sites
     if n > cap:
         raise ValueError(f"box has {n} sites, enumeration cap is {cap}")
-    n_states = 1 << n
-    pairs = []
+    site_weight = ctx.boundary_minus - ctx.boundary_plus
+    bonds = np.zeros(1 << n, dtype=np.int64)
+    pluses = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
+        half = 1 << i
+        upper = bonds[half:2 * half]
+        # sites above i are minus: one more disagreeing bond per neighbour,
+        np.add(bonds[:half], site_weight[i] + len(ctx.neighbors[i]), out=upper)
         for j in ctx.neighbors[i]:
-            if j > i:
-                pairs.append((i, j))
-    site_weight = (ctx.boundary_minus - ctx.boundary_plus).astype(np.int64)
-    bonds = np.empty(n_states, dtype=np.int64)
-    pluses = np.empty(n_states, dtype=np.int64)
-    chunk = 1 << 16
-    for start in range(0, n_states, chunk):
-        arr = np.arange(start, min(start + chunk, n_states), dtype=np.uint64)
-        b = np.zeros(arr.shape, dtype=np.int64)
-        p = np.zeros(arr.shape, dtype=np.int64)
-        bits = [((arr >> np.uint64(i)) & np.uint64(1)).astype(np.int64)
-                for i in range(n)]
-        for i, j in pairs:
-            b += bits[i] ^ bits[j]
-        for i in range(n):
-            b += bits[i] * site_weight[i]
-            p += bits[i]
-        bonds[start:start + arr.size] = b
-        pluses[start:start + arr.size] = p
+            if j < i:  # less two where a lower neighbour j is plus
+                upper.reshape(-1, 2, 1 << j)[:, 1] -= 2
+        np.add(pluses[:half], 1, out=pluses[half:2 * half])
     return LandscapeGraph(ctx, bonds, pluses)
 
 
@@ -194,19 +183,24 @@ class LevelIndex:
         self.rank_level = np.array(rank_level, dtype=np.int32)
         self.rank = rank_of_key[key]
         self.level = self.rank_level[self.rank]
-        self.order = np.argsort(self.level, kind="stable")
-        self.starts = np.searchsorted(self.level[self.order],
-                                      np.arange(self.n_levels + 1))
+        # stable, so one order under any dtype; numpy radix-sorts 8/16 bits
+        key = self.level.astype(np.min_scalar_type(self.n_levels))
+        self.order = np.argsort(key, kind="stable")
+        self.starts = np.searchsorted(
+            key[self.order], np.arange(self.n_levels + 1, dtype=key.dtype))
         self.where = np.empty(n, dtype=np.int32)
         self.where[self.order] = np.arange(n, dtype=np.int32)
 
     def positions(self, states):
-        """Positions of a collection of states, ascending, without repeats."""
-        s = np.unique(np.fromiter(states, dtype=np.int64))
+        """Positions of a collection of states, ascending, without repeats,
+        read back from a boolean mask over the landscape."""
+        s = np.fromiter(states, dtype=np.int64)
         pos = s if self.full else np.searchsorted(self.ids, s)
-        if np.any(self.ids[np.minimum(pos, len(self.ids) - 1)] != s):
+        if np.any(self.ids[np.clip(pos, 0, len(self.ids) - 1)] != s):
             raise ValueError("states outside the landscape")
-        return pos
+        mask = np.zeros(len(self.ids), dtype=bool)
+        mask[pos] = True
+        return np.flatnonzero(mask)
 
     def flips(self, pos, bit):
         """(p, q): the positions p of ``pos`` whose states stay in the

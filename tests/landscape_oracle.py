@@ -1,6 +1,11 @@
 """Reference implementations of the landscape sweeps, kept as test oracles.
 
-These are the per-state ``EnergyValue`` sweeps that ``isingkit.landscape``
+The enumerator at the top is the chunked one ``isingkit.landscape`` used
+before it built the arrays by doubling: one pass over every state for each
+site's bit, each neighbour pair and each site weight.  ``positions`` is the
+``np.unique`` lookup the level index used before its boolean mask.
+
+The sweeps after them are the per-state ``EnergyValue`` sweeps that ``isingkit.landscape``
 used before its integer level index and sublevel merge tree: an ascending
 union-find sweep per call, cycles from per-level component snapshots,
 compounds from repeated scans over all block pairs, and the bottom of a state
@@ -30,10 +35,56 @@ from fractions import Fraction
 import numpy as np
 
 from isingkit.energy import NEG_INF_ENERGY, EnergyValue, MagneticField
-from isingkit.landscape import (CriticalConstants, CycleBlock, CyclePartition,
+from isingkit.landscape import (DEFAULT_ENUMERATION_CAP, CriticalConstants,
+                                CycleBlock, CyclePartition, LandscapeGraph,
                                 TruncatedLandscape, _check_sandwich,
                                 _floor_ratio, critical_side)
 from isingkit.unionfind import UnionFind
+
+
+def enumerate_landscape(ctx, cap=DEFAULT_ENUMERATION_CAP):
+    """Enumerate every configuration of the box with its exact energy.
+
+    States are indexed by plus-bitmask (bit i = site i), so the ordering is
+    deterministic.  Bond counts are computed in vectorized chunks.
+    """
+    n = ctx.n_sites
+    if n > cap:
+        raise ValueError(f"box has {n} sites, enumeration cap is {cap}")
+    n_states = 1 << n
+    pairs = []
+    for i in range(n):
+        for j in ctx.neighbors[i]:
+            if j > i:
+                pairs.append((i, j))
+    site_weight = (ctx.boundary_minus - ctx.boundary_plus).astype(np.int64)
+    bonds = np.empty(n_states, dtype=np.int64)
+    pluses = np.empty(n_states, dtype=np.int64)
+    chunk = 1 << 16
+    for start in range(0, n_states, chunk):
+        arr = np.arange(start, min(start + chunk, n_states), dtype=np.uint64)
+        b = np.zeros(arr.shape, dtype=np.int64)
+        p = np.zeros(arr.shape, dtype=np.int64)
+        bits = [((arr >> np.uint64(i)) & np.uint64(1)).astype(np.int64)
+                for i in range(n)]
+        for i, j in pairs:
+            b += bits[i] ^ bits[j]
+        for i in range(n):
+            b += bits[i] * site_weight[i]
+            p += bits[i]
+        bonds[start:start + arr.size] = b
+        pluses[start:start + arr.size] = p
+    return LandscapeGraph(ctx, bonds, pluses)
+
+
+def positions(lv, states):
+    """Positions of a collection of states in a level index, ascending,
+    without repeats: the sort-based lookup the index used before its mask."""
+    s = np.unique(np.fromiter(states, dtype=np.int64))
+    pos = s if lv.full else np.searchsorted(lv.ids, s)
+    if np.any(lv.ids[np.minimum(pos, len(lv.ids) - 1)] != s):
+        raise ValueError("states outside the landscape")
+    return pos
 
 
 def _energy_levels(graph, states=None):

@@ -731,6 +731,26 @@ class TestCliConfigOverride:
         assert "caps must be an object" in lines[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("data, spelt", [
+        ({"caps_events": 5}, "caps.events"),
+        ({"caps_time": 2.0}, "caps.time"),
+        ({"caps_events": 5, "caps": {"events": 3}}, "caps.events"),
+        ({"caps_time": 2.0, "caps": {"time": 1.0}}, "caps.time")])
+    def test_top_level_caps_keys_fail(self, tmp_path, capsys, data, spelt):
+        from isingkit.cli import main
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(data))
+        code = main(["nucleation", "--config", str(cfg), "--dims", "3",
+                     "--beta", "1,2", "--replicas", "1", "--caps-events", "3",
+                     "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert spelt in lines[0]
+        assert not (tmp_path / "o").exists()
+
 
 # each subcommand that takes --out-dir: its arguments and the files it writes
 OUT_DIR_FILES = {
