@@ -104,9 +104,16 @@ def _add_run(p, replicated=True):
     p.add_argument("--caps-time", type=float, dest="caps_time")
 
 
-def _cmd_constants(args):
+def _constants(args):
+    """The field and the critical constants of ``--h`` for 1..``--d``."""
+    if args.d < 1:
+        raise ValueError(f"--d must be at least 1, got {args.d}")
     h = MagneticField(args.h)
-    const = critical_constants(args.d, h)
+    return h, critical_constants(args.d, h)
+
+
+def _cmd_constants(args):
+    h, const = _constants(args)
     rows = []
     for n in range(1, args.d + 1):
         rows.append({"n": n, "l_c": const.l_c[n], "m": const.m[n],
@@ -238,8 +245,7 @@ def _cmd_stc_audit(args):
 
 
 def _cmd_growth_threshold(args):
-    h = MagneticField(args.h)
-    const = critical_constants(args.d, h)
+    h, const = _constants(args)
     L = Fraction(args.L).limit_denominator(10**6) if h.rational is not None \
         else float(args.L)
     result = growth_threshold_from_constants(const, args.d, L)

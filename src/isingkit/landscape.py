@@ -30,80 +30,57 @@ import numpy as np
 from .energy import NEG_INF_ENERGY, EnergyValue, MagneticField
 from .lattice import (BoundaryCondition, Configuration,
                       connected_components, hamiltonian)
+from .unionfind import UnionFind
 
 DEFAULT_ENUMERATION_CAP = 24
 
 
 class LandscapeGraph:
-    """All 2^|box| configurations with exact energies and flip adjacency."""
+    """Configurations of a box with exact energies and flip adjacency.
 
-    def __init__(self, ctx, bonds, pluses):
+    Holds all 2^|box| states, or, when ``ids`` is given, only those states:
+    a flip-connected subset such as ``truncate_landscape`` keeps, whose
+    flips lead only to other kept states.  ``bonds`` and ``pluses`` are
+    indexed by state and cover all 2^|box| states either way.
+    """
+
+    def __init__(self, ctx, bonds, pluses, ids=None):
         self.ctx = ctx
         self.n_sites = ctx.n_sites
-        self.n_states = 1 << self.n_sites
         self._bonds = bonds
         self._pluses = pluses
+        self._ids = None if ids is None else sorted(ids)
+        self._set = None if ids is None else frozenset(self._ids)
+        self.n_states = 1 << self.n_sites if ids is None else len(self._ids)
         self._levels = None
 
     def states(self):
-        return range(self.n_states)
+        return range(self.n_states) if self._ids is None else list(self._ids)
 
     def energy_pair(self, s):
         return EnergyValue(int(self._bonds[s]), int(self._pluses[s]), self.ctx.field)
 
     def neighbors(self, s):
         for i in range(self.n_sites):
-            yield s ^ (1 << i)
+            t = s ^ (1 << i)
+            if self._set is None or t in self._set:
+                yield t
 
     def configuration(self, s):
         return Configuration.from_bitmask(self.ctx.geometry, s)
 
     def levels(self):
-        """The exact integer level index of every state, built on first use."""
+        """The exact integer level index of the states, built on first use;
+        the full graph's energy arrays are passed as they are, not copied."""
         if self._levels is None:
-            self._levels = LevelIndex(np.arange(self.n_states, dtype=np.int64),
-                                      self._bonds, self._pluses,
-                                      self.ctx.field, self.n_sites)
-        return self._levels
-
-
-class TruncatedLandscape:
-    """Flip-connected low-energy restriction of a landscape (a small state space)."""
-
-    def __init__(self, graph, state_ids):
-        self.ctx = graph.ctx
-        self.n_sites = graph.n_sites
-        self._graph = graph
-        self._ids = sorted(state_ids)
-        self._set = frozenset(self._ids)
-        self._bonds = graph._bonds
-        self._pluses = graph._pluses
-        self._levels = None
-
-    def states(self):
-        return list(self._ids)
-
-    def energy_pair(self, s):
-        return self._graph.energy_pair(s)
-
-    def neighbors(self, s):
-        for t in self._graph.neighbors(s):
-            if t in self._set:
-                yield t
-
-    def configuration(self, s):
-        return self._graph.configuration(s)
-
-    @property
-    def n_states(self):
-        return len(self._ids)
-
-    def levels(self):
-        """The exact integer level index of the kept states, built on first use."""
-        if self._levels is None:
-            ids = np.array(self._ids, dtype=np.int64)
-            self._levels = LevelIndex(ids, self._bonds[ids], self._pluses[ids],
-                                      self.ctx.field, self.n_sites)
+            if self._ids is None:
+                ids, bonds, pluses = (np.arange(self.n_states, dtype=np.int64),
+                                      self._bonds, self._pluses)
+            else:
+                ids = np.array(self._ids, dtype=np.int64)
+                bonds, pluses = self._bonds[ids], self._pluses[ids]
+            self._levels = LevelIndex(ids, bonds, pluses, self.ctx.field,
+                                      self.n_sites)
         return self._levels
 
 
@@ -400,7 +377,9 @@ def _by_first_state(label, count):
     np.minimum.at(first, label[y], y)
     rename = np.empty(count, dtype=np.int64)
     rename[np.argsort(first)] = np.arange(count)
-    return np.where(label >= 0, rename[label], -1), np.sort(first)
+    out = np.full_like(label, -1)
+    out[y] = rename[label[y]]
+    return out, np.sort(first)
 
 
 def _blocks(lv, label, count):
@@ -573,20 +552,13 @@ def _compounds(lv, label, count):
             adjacent[x][z] = adjacent[z][x] = v
     out, first = out.tolist(), first.tolist()
     exit_rank = [min([out[c], *adjacent[c].values()]) for c in range(count)]
-    parent = list(range(count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(count)
     ties = [(c, d) for c in range(count) for d in adjacent[c]
             if c < d and exit_rank[c] < none and exit_rank[d] < none
             and level[exit_rank[c]] == level[exit_rank[d]]]
     tie_events = []
     for c, d in ties:
-        c, d = find(c), find(d)
+        c, d = uf.find(c), uf.find(d)
         if c == d:
             continue
         if exit_rank[c] != exit_rank[d]:
@@ -597,7 +569,7 @@ def _compounds(lv, label, count):
         # is the least weight left on its boundary
         if len(adjacent[c]) < len(adjacent[d]):
             c, d = d, c
-        parent[d] = c
+        uf.union(c, d)
         kept, gone = adjacent[c], adjacent[d]
         del kept[d], gone[c]
         for e, v in gone.items():
@@ -607,9 +579,10 @@ def _compounds(lv, label, count):
         out[c] = min(out[c], out[d])
         first[c] = min(first[c], first[d])
         exit_rank[c] = min([out[c], *kept.values()])
-    roots, compound = np.unique([find(c) for c in range(count)],
-                                return_inverse=True)
-    final = np.where(label >= 0, compound[label], -1)
+    roots, compound = np.unique(np.fromiter(map(uf.find, range(count)),
+                                            np.int64, count), return_inverse=True)
+    final = np.full_like(label, -1)
+    final[label >= 0] = compound[label[label >= 0]]
     if not _all_connected(lv, final, len(roots)):
         raise AssertionError("compound block is not connected")
     blocks = _blocks(lv, final, len(roots))
@@ -633,6 +606,8 @@ def truncate_landscape(graph, k):
     """Lowest-k-energy flip-connected piece of a landscape around its minimum.
 
     States are taken by exact energy, states of equal energy by number.
+    Returns a ``LandscapeGraph`` on the kept states that shares the energy
+    arrays of ``graph``.
     """
     lv = graph.levels()
     order = lv.ids[lv.order[:k]].tolist()
@@ -646,7 +621,7 @@ def truncate_landscape(graph, k):
             if t in chosen and t not in seen:
                 seen.add(t)
                 stack.append(t)
-    return TruncatedLandscape(graph, seen)
+    return LandscapeGraph(graph.ctx, graph._bonds, graph._pluses, seen)
 
 
 # -- reference paths ---------------------------------------------------------
@@ -854,7 +829,8 @@ class CriticalConstants:
 
 
 def critical_constants(d, h):
-    """Exact critical constants for dimensions 1..d under field h.
+    """Exact critical constants for dimensions 1..d under field h; d = 0
+    gives the base of the recursion alone (Gamma_0 = m_0 = 0).
 
     Gamma_n is the maximum of the reference path profile on an n-dimensional
     cube whose side exceeds both l_c(n)+2 and 2n/h; m_n is the volume where
@@ -864,6 +840,8 @@ def critical_constants(d, h):
     kappa_n = (Gamma_1 + ... + Gamma_n)/(n+1), L_n = (Gamma_n - kappa_n)/n.
     Each Gamma_n is checked against the quasicube sandwich bounds.
     """
+    if d < 0:
+        raise ValueError(f"dimension d must be non-negative, got {d}")
     field = h if isinstance(h, MagneticField) else MagneticField(h)
     zero = Fraction(0) if field.rational is not None else 0.0
     const = CriticalConstants(d=d, field=field, l_c=[0], m=[0],

@@ -1,4 +1,4 @@
-"""Union-find with path compression, used by space-time cluster tracking."""
+"""Union-find with path compression, used by cluster tracking and compounds."""
 
 
 class UnionFind:

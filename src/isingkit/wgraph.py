@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyValue
+from .landscape import _block_stats, _is_connected
 
 ENUMERATION_GUARD = 10
+DENSE_STATE_LIMIT = 2000
 
 
 class RateMatrix:
@@ -54,7 +56,9 @@ class RateMatrix:
 
 
 def rate_matrix_from_landscape(graph, beta):
-    """Metropolis rates exp(-beta (H(t)-H(s))^+) on the flip graph."""
+    """Metropolis rates exp(-beta (H(t)-H(s))^+) on the flip graph, as a
+    dense matrix of at most ``DENSE_STATE_LIMIT`` states."""
+    _check_size(graph.n_states, DENSE_STATE_LIMIT, "dense rate matrix")
     states = list(graph.states())
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
@@ -62,10 +66,9 @@ def rate_matrix_from_landscape(graph, beta):
     for s in states:
         es = graph.energy_pair(s)
         for t in graph.neighbors(s):
-            if t in index:
-                diff = graph.energy_pair(t) - es
-                cost = diff.value if diff.compare_zero() > 0 else 0.0
-                rates[index[s], index[t]] = math.exp(-beta * cost)
+            diff = graph.energy_pair(t) - es
+            cost = diff.value if diff.compare_zero() > 0 else 0.0
+            rates[index[s], index[t]] = math.exp(-beta * cost)
     return RateMatrix(states, rates)
 
 
@@ -93,20 +96,27 @@ def random_rate_matrix(rng, n, extra_edge_prob=0.3, dense=False):
 # -- enumeration ---------------------------------------------------------------
 
 
-def _check_guard(n):
-    if n > ENUMERATION_GUARD:
-        raise ValueError(f"graph enumeration limited to {ENUMERATION_GUARD} states, "
-                         f"got {n}")
+def _check_size(n, limit, what):
+    if n > limit:
+        raise ValueError(f"{what} limited to {limit} states, got {n}")
 
 
-def _iter_wgraphs_indices(rm, w_indices):
-    """Yield (arrows, product) over all W-graphs, arrows as a target array.
+def _indices(rm, w_states, x=None):
+    """The enumeration size guard, then W as a list and a set of indices,
+    and the index of x."""
+    _check_size(rm.n, ENUMERATION_GUARD, "graph enumeration")
+    w_idx = [rm.index[s] for s in w_states]
+    return w_idx, set(w_idx), None if x is None else rm.index[x]
+
+
+def _iter_wgraphs_indices(rm, w_set):
+    """Yield (arrows, product) over all W-graphs of the index set ``w_set``,
+    arrows as a target array.
 
     Arrows are assigned state by state with incremental cycle detection:
     following assigned arrows from the new target either stops (in W or at an
     unassigned state) or would return to the source.
     """
-    w_set = set(w_indices)
     free = [i for i in range(rm.n) if i not in w_set]
     arrows = [-1] * rm.n
     target_lists = [rm.targets(i) for i in range(rm.n)]
@@ -134,6 +144,16 @@ def _iter_wgraphs_indices(rm, w_indices):
     yield from rec(0, 1.0)
 
 
+def _grown(rm, w_set):
+    """Yield (i, W + i, arrows, product) over the W-graphs of G(W + i), for
+    every state i outside W in turn."""
+    for i in range(rm.n):
+        if i not in w_set:
+            grown = w_set | {i}
+            for arrows, product in _iter_wgraphs_indices(rm, grown):
+                yield i, grown, arrows, product
+
+
 def _landing(arrows, w_set, x):
     """Final state of the unique arrow path from x (a W state or arrowless)."""
     node = x
@@ -149,42 +169,34 @@ def enumerate_wgraphs(rm, w_states, variant="plain", x=None, y=None):
     path from x to y; "avoid" for the graphs with one arrowless state and no
     path from x into W.
     """
-    _check_guard(rm.n)
-    w_idx = [rm.index[s] for s in w_states]
+    w_idx, w_set, xi = _indices(rm, w_states, x)
     if not w_idx and variant == "plain":
         raise ValueError("W must be non-empty")
-    w_set = set(w_idx)
 
     def materialize(arrows):
         return frozenset((rm.states[i], rm.states[t])
                          for i, t in enumerate(arrows) if t != -1)
 
     if variant == "plain":
-        for arrows, _ in _iter_wgraphs_indices(rm, w_idx):
+        for arrows, _ in _iter_wgraphs_indices(rm, w_set):
             yield materialize(arrows)
     elif variant == "to_target":
-        xi, yi = rm.index[x], rm.index[y]
+        yi = rm.index[y]
         if xi in w_set:
             if xi == yi:
                 yield from enumerate_wgraphs(rm, w_states, "plain")
             return
         if yi not in w_set:
             return
-        for arrows, _ in _iter_wgraphs_indices(rm, w_idx):
+        for arrows, _ in _iter_wgraphs_indices(rm, w_set):
             if _landing(arrows, w_set, xi) == yi:
                 yield materialize(arrows)
     elif variant == "avoid":
-        xi = rm.index[x]
         if xi in w_set:
             return
-        for s in rm.states:
-            i = rm.index[s]
-            if i in w_set:
-                continue
-            grown = set(w_idx) | {i}
-            for arrows, _ in _iter_wgraphs_indices(rm, sorted(grown)):
-                if _landing(arrows, grown, xi) == i:
-                    yield materialize(arrows)
+        for i, grown, arrows, _ in _grown(rm, w_set):
+            if _landing(arrows, grown, xi) == i:
+                yield materialize(arrows)
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
@@ -199,15 +211,12 @@ def exit_point_law(rm, w_states, x):
     unique arrow path to one W state, and the rate products are accumulated
     per landing state.
     """
-    _check_guard(rm.n)
-    w_idx = [rm.index[s] for s in w_states]
-    w_set = set(w_idx)
-    xi = rm.index[x]
+    w_idx, w_set, xi = _indices(rm, w_states, x)
     if xi in w_set:
         return {s: (1.0 if s == x else 0.0) for s in w_states}
     denom_terms = []
     num_terms = {i: [] for i in w_idx}
-    for arrows, product in _iter_wgraphs_indices(rm, w_idx):
+    for arrows, product in _iter_wgraphs_indices(rm, w_set):
         denom_terms.append(product)
         num_terms[_landing(arrows, w_set, xi)].append(product)
     denom = math.fsum(denom_terms)
@@ -216,23 +225,12 @@ def exit_point_law(rm, w_states, x):
 
 def expected_exit_time(rm, w_states, x):
     """Expected time until the process first sits in W, by graph sums."""
-    _check_guard(rm.n)
-    w_idx = [rm.index[s] for s in w_states]
-    w_set = set(w_idx)
-    xi = rm.index[x]
+    _, w_set, xi = _indices(rm, w_states, x)
     if xi in w_set:
         return 0.0
-    denom = math.fsum(p for _, p in _iter_wgraphs_indices(rm, w_idx))
-    num_terms = []
-    for i in range(rm.n):
-        if i in w_set:
-            continue
-        grown = sorted(w_set | {i})
-        grown_set = set(grown)
-        for arrows, product in _iter_wgraphs_indices(rm, grown):
-            if _landing(arrows, grown_set, xi) == i:
-                num_terms.append(product)
-    return math.fsum(num_terms) / denom
+    denom = math.fsum(p for _, p in _iter_wgraphs_indices(rm, w_set))
+    return math.fsum(p for i, grown, arrows, p in _grown(rm, w_set)
+                     if _landing(arrows, grown, xi) == i) / denom
 
 
 def exit_oracle_linear(rm, w_states, x):
@@ -241,8 +239,7 @@ def exit_oracle_linear(rm, w_states, x):
     Returns (distribution over W, expected exit time).  Raises on a singular
     system, which signals a non-irreducible chain.
     """
-    if rm.n > 2000:
-        raise ValueError("linear oracle limited to 2000 states")
+    _check_size(rm.n, DENSE_STATE_LIMIT, "linear oracle")
     w_idx = [rm.index[s] for s in w_states]
     w_set = set(w_idx)
     xi = rm.index[x]
@@ -284,7 +281,7 @@ class ExitCostReport:
     failures: list
 
 
-def _graph_cost(graph, arrows, states, w_set):
+def _graph_cost(graph, arrows, states):
     """V(g): sum over arrows of the uphill parts, as an exact pair."""
     field = graph.ctx.field
     total = EnergyValue.zero(field)
@@ -306,9 +303,7 @@ def exitcost_identity_check(graph, block_states):
     orientation makes the expected exit time grow like exp(+beta depth)).
     All quantities are compared as exact integer pairs.
     """
-    from .landscape import _block_stats, _is_connected
-
-    _check_guard(len(list(graph.states())))
+    _check_size(graph.n_states, ENUMERATION_GUARD, "graph enumeration")
     block = frozenset(block_states)
     if not _is_connected(graph, block):
         return ExitCostReport(False, True, ["block is not connected"])
@@ -316,38 +311,32 @@ def exitcost_identity_check(graph, block_states):
     if stats.exit_energy is None or not (stats.height <= stats.exit_energy):
         return ExitCostReport(False, True, ["block is not a cycle compound"])
 
-    states = list(graph.states())
-    index = {s: i for i, s in enumerate(states)}
-    unit = _UnitRates(graph, states, index)
-    w_idx = [i for i, s in enumerate(states) if s not in block]
-    w_set = set(w_idx)
+    # at beta = 0 every flip edge has Metropolis rate 1
+    rm = rate_matrix_from_landscape(graph, 0.0)
+    states, index = rm.states, rm.index
+    w_set = {i for i, s in enumerate(states) if s not in block}
     boundary = sorted({t for s in block for t in graph.neighbors(s)
-                       if t not in block and t in index})
+                       if t not in block})
 
     base = None
     best_to = {}
-    for arrows, _ in _iter_wgraphs_indices(unit, w_idx):
-        v = _graph_cost(graph, arrows, states, w_set)
+    for arrows, _ in _iter_wgraphs_indices(rm, w_set):
+        v = _graph_cost(graph, arrows, states)
         if base is None or v < base:
             base = v
         for s in block:
-            land = _landing(arrows, w_set, index[s])
-            key = (s, states[land])
+            key = (s, states[_landing(arrows, w_set, index[s])])
             if key not in best_to or v < best_to[key]:
                 best_to[key] = v
 
+    # every state outside W is in the block
     best_avoid = {}
-    for i in range(len(states)):
-        if i in w_set or states[i] not in block:
-            continue
-        grown = sorted(w_set | {i})
-        grown_set = set(grown)
-        for arrows, _ in _iter_wgraphs_indices(unit, grown):
-            v = _graph_cost(graph, arrows, states, grown_set)
-            for s in block:
-                if _landing(arrows, grown_set, index[s]) == i:
-                    if s not in best_avoid or v < best_avoid[s]:
-                        best_avoid[s] = v
+    for i, grown, arrows, _ in _grown(rm, w_set):
+        v = _graph_cost(graph, arrows, states)
+        for s in block:
+            if _landing(arrows, grown, index[s]) == i:
+                if s not in best_avoid or v < best_avoid[s]:
+                    best_avoid[s] = v
 
     failures = []
     exit_e = stats.exit_energy
@@ -363,24 +352,3 @@ def exitcost_identity_check(graph, block_states):
         if not lhs.same_pair(rhs):
             failures.append(("exit_time", s, lhs.pair(), rhs.pair()))
     return ExitCostReport(not failures, False, failures)
-
-
-class _UnitRates:
-    """Flip adjacency of a landscape presented with unit rates, so the graph
-    enumerator can walk it without building a float matrix."""
-
-    def __init__(self, graph, states, index):
-        self.states = states
-        self.index = index
-        self.n = len(states)
-        self._graph = graph
-        self.rates = _Ones()
-
-    def targets(self, i):
-        return [self.index[t] for t in self._graph.neighbors(self.states[i])
-                if t in self.index]
-
-
-class _Ones:
-    def __getitem__(self, key):
-        return 1.0

@@ -37,8 +37,7 @@ import numpy as np
 from isingkit.energy import NEG_INF_ENERGY, EnergyValue, MagneticField
 from isingkit.landscape import (DEFAULT_ENUMERATION_CAP, CriticalConstants,
                                 CycleBlock, CyclePartition, LandscapeGraph,
-                                TruncatedLandscape, _check_sandwich,
-                                _floor_ratio, critical_side)
+                                _check_sandwich, _floor_ratio, critical_side)
 from isingkit.unionfind import UnionFind
 
 
@@ -297,7 +296,7 @@ def truncate_landscape(graph, k):
             if t in chosen and t not in seen:
                 seen.add(t)
                 stack.append(t)
-    return TruncatedLandscape(graph, seen)
+    return LandscapeGraph(graph.ctx, graph._bonds, graph._pluses, seen)
 
 
 def bottom_of(graph, states):

@@ -335,6 +335,20 @@ class TestCli:
         assert row["l_c"] == 2 and row["gamma_bonds"] == 12 \
             and row["gamma_pluses"] == 7
 
+    @pytest.mark.parametrize("argv", [
+        ("constants", "--d", "0", "--h", "0.5"),
+        ("constants", "--d", "-1", "--h", "0.5"),
+        ("growth-threshold", "--d", "0", "--h", "0.5", "--L", "0.5"),
+        ("growth-threshold", "--d", "-2", "--h", "0.5", "--L", "0.5")])
+    def test_dimension_below_one_fails_cleanly(self, capsys, argv):
+        from isingkit.cli import main
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_isoperimetry_table_shape(self, tmp_path):
         code, out = self.run_cli("isoperimetry", "--d", "2", "--vmax", "12",
                                  "--out-dir", str(tmp_path))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import landscape_oracle as oracle
 from isingkit.energy import NEG_INF_ENERGY, EnergyValue, MagneticField
 from isingkit.isoperimetry import DEFAULT_CAPS, min_perimeter
 from isingkit.landscape import (CriticalConstants, LandscapeGraph, bottom_of,
@@ -112,6 +113,17 @@ class TestCommunication:
 
 
 class TestCycles:
+    def test_empty_y_gives_empty_partition(self):
+        g = make_graph([2, 2], h=MagneticField("0.5"))
+        one = truncate_landscape(g, 1)
+        no_bottom = set(one.states()) - bottom_of(one, one.states())
+        for graph, y in ((g, frozenset()), (one, no_bottom)):
+            for ours, theirs in ((maximal_cycles, oracle.maximal_cycles),
+                                 (maximal_compounds, oracle.maximal_compounds)):
+                part = ours(graph, y)
+                assert part.blocks == [] and part.tie_events == []
+                assert part.blocks == theirs(graph, y).blocks
+
     def test_partition_covers_disjointly(self):
         g = make_graph([2, 3])
         rng = random.Random(9)
@@ -251,6 +263,16 @@ class TestCriticalConstants:
         assert const.l_c[1] == 0
         assert const.m[1] == 1
         assert const.gammas[1].pair() == (2, 1)
+
+    @pytest.mark.parametrize("d", [-1, -2])
+    def test_negative_dimension_rejected(self, d):
+        with pytest.raises(ValueError, match="non-negative"):
+            critical_constants(d, SQRT2_2)
+
+    def test_d0_is_the_recursion_base(self):
+        # the restricted ensemble of the n_pm_0 boundary reads it
+        const = critical_constants(0, SQRT2_2)
+        assert const.m == [0] and const.gammas[0].pair() == (0, 0)
 
     def test_lc_formula(self):
         const = critical_constants(3, MagneticField("0.5"))
@@ -397,6 +419,7 @@ class TestTruncation:
     def test_truncated_connected_low_energy(self):
         g = make_graph([2, 2])
         t = truncate_landscape(g, 10)
+        assert isinstance(t, LandscapeGraph)
         assert t.n_states <= 10
         assert 0 in t.states()
         for s in t.states():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from isingkit.energy import MagneticField
-from isingkit.landscape import (enumerate_landscape, maximal_compounds,
-                                truncate_landscape)
+from isingkit.landscape import (bottom_of, enumerate_landscape,
+                                maximal_compounds, truncate_landscape)
 from isingkit.lattice import BoundaryCondition, BoxGeometry, build_context
 from isingkit.wgraph import (RateMatrix, enumerate_wgraphs,
                              exit_oracle_linear, exit_point_law,
@@ -74,6 +74,13 @@ class TestEnumeration:
         rm = random_rate_matrix(rng, 11)
         with pytest.raises(ValueError):
             list(enumerate_wgraphs(rm, [0]))
+
+    def test_dense_limit_checked_before_allocating(self):
+        # 4096 states: a dense matrix would take 128 MB
+        g = enumerate_landscape(build_context(
+            BoxGeometry((3, 4)), BoundaryCondition.all_minus(), SQRT2_2))
+        with pytest.raises(ValueError, match="limited to 2000 states"):
+            rate_matrix_from_landscape(g, 1.0)
 
 
 class TestExitLaws:
@@ -175,6 +182,29 @@ class TestExitCostIdentities:
             for blk in part.blocks:
                 report = exitcost_identity_check(g, blk.states)
                 assert report.ok, report.failures
+
+    @pytest.mark.parametrize("token", ["0.5", "1/3", "2/3"])
+    def test_compounds_of_truncations_rational_field(self, token):
+        # equal energies from different (bonds, pluses) pairs: every
+        # identity must still hold exactly
+        checked = 0
+        for dims in ((2, 2), (2, 3)):
+            for bc in (BoundaryCondition.all_minus(), BoundaryCondition.n_pm(1)):
+                full = enumerate_landscape(build_context(
+                    BoxGeometry(dims), bc, MagneticField(token)))
+                for k in range(2, 11):
+                    g = truncate_landscape(full, k)
+                    states = set(g.states())
+                    bottom = min(bottom_of(g, states))
+                    top = max(states, key=lambda s: (g.energy_pair(s).value, s))
+                    for y in (states - {bottom}, states - {bottom, top}):
+                        for blk in maximal_compounds(g, y).blocks:
+                            if len(blk.states) == len(states):
+                                continue
+                            report = exitcost_identity_check(g, blk.states)
+                            assert report.ok, report.failures
+                            checked += 1
+        assert checked >= 200
 
     def test_non_compound_flagged(self):
         ctx = build_context(BoxGeometry((3,)), BoundaryCondition.all_minus(),
