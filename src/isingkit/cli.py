@@ -16,6 +16,8 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .energy import MagneticField
 from .experiments import (GrowthModelParams, RunConfig, growth_model_files,
@@ -130,8 +132,8 @@ def _cmd_constants(args):
 def _cmd_landscape(args):
     ctx = _box_context(args)
     graph = enumerate_landscape(ctx)
-    full = (1 << ctx.n_sites) - 1
-    y = frozenset(graph.states()) - {full}
+    # Y: every state but all-plus, the last one
+    y = np.arange((1 << ctx.n_sites) - 1)
     part = maximal_compounds(graph, y) if args.partition == "compounds" \
         else maximal_cycles(graph, y)
     out_dir = args.out_dir or "."
@@ -147,6 +149,11 @@ def _cmd_landscape(args):
 
 
 def _cmd_wgraph_check(args):
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.max_states < 2:
+        raise ValueError(
+            f"--max-states must be at least 2, got {args.max_states}")
     rng = random.Random(args.seed or 0)
     worst_tv, worst_rel = 0.0, 0.0
     for _ in range(args.count):

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import csv
 import functools
-import gc
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -170,8 +171,11 @@ class LevelIndex:
 
     def positions(self, states):
         """Positions of a collection of states, ascending, without repeats,
-        read back from a boolean mask over the landscape."""
-        s = np.fromiter(states, dtype=np.int64)
+        read back from a boolean mask over the landscape.  An int64 array
+        of states is read as it is."""
+        s = np.asarray(states, dtype=np.int64) \
+            if isinstance(states, np.ndarray) else \
+            np.fromiter(states, dtype=np.int64)
         pos = s if self.full else np.searchsorted(self.ids, s)
         if np.any(self.ids[np.clip(pos, 0, len(self.ids) - 1)] != s):
             raise ValueError("states outside the landscape")
@@ -346,17 +350,122 @@ class CycleBlock:
         return len(self.states) == 1
 
 
-@dataclass
 class CyclePartition:
-    blocks: list
-    kind: str
-    tie_events: list = dc_field(default_factory=list)
+    """Partition of a state set Y into blocks, held as columns over the
+    positions of a level index ``lv``.
+
+    ``kind`` is "cycles" or "compounds".  Blocks are numbered by smallest
+    state.  ``label[p]`` is the block of position p (-1 outside Y), and
+    ``members`` lists the positions of Y block by block, ascending within a
+    block, block i at ``members[start[i]:start[i + 1]]``.  Per block,
+    ``exit_rank`` is the least weight over its boundary edges (the larger
+    rank of each edge's ends), ``height_rank`` and ``bottom_rank`` are the
+    highest and lowest ranks inside it; ``len(lv.values)`` stands for no
+    exterior, and for the height of a singleton.  ``blocks`` is the sequence
+    of ``CycleBlock``s, each built when first read and then kept by the
+    partition (a view, so no reference cycle holds the columns).
+    """
+
+    def __init__(self, lv, label, count, kind, tie_events=()):
+        none = len(lv.values)
+        self.lv, self.kind, self.tie_events = lv, kind, list(tie_events)
+        self.label, _ = _by_first_state(label, count)
+        # least weight over each block's boundary edges; label -1 (outside
+        # Y) writes to the spare last slot
+        ex = np.full(count + 1, none, dtype=lv.rank.dtype)
+        for p, q in lv.edges():
+            lp, lq = self.label[p], self.label[q]
+            w = np.where(lp != lq, np.maximum(lv.rank[p], lv.rank[q]), none)
+            np.minimum.at(ex, lp, w)
+            np.minimum.at(ex, lq, w)
+        self.exit_rank = ex[:-1]
+        y = np.flatnonzero(self.label >= 0)
+        # y ascends, so a stable sort keeps each block's states ascending
+        self.members = y[np.argsort(self.label[y], kind="stable")]
+        sizes = np.bincount(self.label[y], minlength=count)
+        self.start = np.concatenate(([0], np.cumsum(sizes)))
+        rank = lv.rank[self.members]
+        self.bottom_rank = np.minimum.reduceat(rank, self.start[:-1])
+        self.height_rank = np.where(
+            sizes > 1, np.maximum.reduceat(rank, self.start[:-1]), none)
+        self._built = {}
+
+    @property
+    def blocks(self):
+        return _Blocks(self)
 
     def block_of(self, state):
-        for b in self.blocks:
-            if state in b.states:
-                return b
-        raise KeyError(state)
+        """The block holding a state of Y; ``KeyError`` for any other."""
+        ids = self.lv.ids
+        p = int(np.searchsorted(ids, state))
+        if p == len(ids) or ids[p] != state or self.label[p] < 0:
+            raise KeyError(state)
+        return self.blocks[int(self.label[p])]
+
+    def _build(self, i, j):
+        """CycleBlocks i..j-1, built together from the columns."""
+        lv, start = self.lv, self.start[i:j + 1]
+        pos = self.members[start[0]:start[-1]]
+        states = lv.ids[pos].tolist()
+        low = lv.rank_level[self.bottom_rank[i:j]].repeat(np.diff(start))
+        at_bottom = (lv.level[pos] == low).tolist()
+        bounds = (start - start[0]).tolist()
+        values = lv.values
+        exits, heights = values + [None], values + [NEG_INF_ENERGY]
+        # few distinct (exit, bottom) rank pairs: one depth object per pair
+        depths = {}
+        blocks = []
+        for a, b, lo, ex, hi in zip(bounds, bounds[1:],
+                                    self.bottom_rank[i:j].tolist(),
+                                    self.exit_rank[i:j].tolist(),
+                                    self.height_rank[i:j].tolist()):
+            if (ex, lo) not in depths:
+                depths[ex, lo] = None if exits[ex] is None \
+                    else values[ex] - values[lo]
+            members = frozenset(states[a:b])
+            bottom = members if b - a == 1 else frozenset(
+                itertools.compress(states[a:b], at_bottom[a:b]))
+            blocks.append(CycleBlock(members, exits[ex], heights[hi], bottom,
+                                     depths[ex, lo]))
+        return blocks
+
+
+class _Blocks(Sequence):
+    """The blocks of a ``CyclePartition``, in order.  A block is built on
+    its first read and kept, so every read of it returns the same object;
+    iteration builds the blocks it reaches a chunk at a time."""
+
+    _CHUNK = 4096
+
+    def __init__(self, part):
+        self._part, self._built = part, part._built
+
+    def __len__(self):
+        return len(self._part.exit_rank)
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("block index out of range")
+        i %= n
+        if i not in self._built:
+            self._built[i] = self._part._build(i, i + 1)[0]
+        return self._built[i]
+
+    def __iter__(self):
+        built, n = self._built, len(self)
+        for i in range(n):
+            if i not in built:
+                new = self._part._build(i, min(i + self._CHUNK, n))
+                for k, blk in enumerate(new, i):
+                    built.setdefault(k, blk)
+            yield built[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def _boundary_edges(lv, label):
@@ -382,65 +491,12 @@ def _by_first_state(label, count):
     return out, np.sort(first)
 
 
-def _blocks(lv, label, count):
-    """CycleBlocks of the positions labelled 0..count-1 (-1 is outside),
-    ordered by smallest state.
-
-    The exit of a block is the least weight over its boundary edges, its
-    height and bottom come from the highest and lowest ranks inside it.
-    """
-    none = len(lv.values)
-    label, _ = _by_first_state(label, count)
-    y = np.flatnonzero(label >= 0)
-    lab = label[y]
-    ex = np.full(count, none, dtype=lv.rank.dtype)
-    for la, lb, w in _boundary_edges(lv, label):
-        for side in (la, lb):
-            inside = side >= 0
-            np.minimum.at(ex, side[inside], w[inside])
-    # y ascends, so a stable sort keeps each block's states ascending
-    o = np.argsort(lab, kind="stable")
-    sizes = np.bincount(lab, minlength=count)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    rank = lv.rank[y[o]]
-    lo = np.minimum.reduceat(rank, starts)
-    hi = np.where(sizes > 1, np.maximum.reduceat(rank, starts), none)
-    at_bottom = lv.level[y[o]] == lv.rank_level[lo[lab[o]]]
-    # few distinct (exit, bottom) rank pairs among many blocks: one
-    # EnergyValue difference per pair
-    values = lv.values
-    exits, heights = values + [None], values + [NEG_INF_ENERGY]
-    key = np.where(ex < none, ex.astype(np.int64) * none + lo, none * none)
-    pair, which = np.unique(key, return_inverse=True)
-    depths = [values[r_ex] - values[r_lo] if r_ex < none else None
-              for r_ex, r_lo in (divmod(k, none) for k in pair.tolist())]
-    states = lv.ids[y[o]].tolist()
-    # the blocks are plain data; pausing the cycle collector while they
-    # are built keeps its passes from rescanning a growing heap
-    paused = gc.isenabled()
-    gc.disable()
-    try:
-        members = [frozenset(states[a:b])
-                   for a, b in zip(starts.tolist(), ends.tolist())]
-        bottoms = list(members)
-        for c in np.flatnonzero(sizes > 1).tolist():
-            a, b = starts[c], ends[c]
-            bottoms[c] = frozenset(lv.ids[y[o[a:b][at_bottom[a:b]]]].tolist())
-        return list(map(CycleBlock, members, [exits[r] for r in ex.tolist()],
-                        [heights[r] for r in hi.tolist()], bottoms,
-                        [depths[i] for i in which.tolist()]))
-    finally:
-        if paused:
-            gc.enable()
-
-
 def _block_stats(graph, states):
     """Exit energy, height, bottom and depth of one block."""
     lv = graph.levels()
     label = np.full(len(lv.ids), -1, dtype=np.int64)
     label[lv.positions(states)] = 0
-    return _blocks(lv, label, 1)[0]
+    return CyclePartition(lv, label, 1, "cycles").blocks[0]
 
 
 def _is_connected(graph, states):
@@ -511,7 +567,7 @@ def maximal_cycles(graph, y_states):
     """
     lv = graph.levels()
     label, count = _cycle_labels(lv, lv.positions(y_states))
-    return CyclePartition(blocks=_blocks(lv, label, count), kind="cycles")
+    return CyclePartition(lv, label, count, "cycles")
 
 
 def maximal_compounds(graph, y_states):
@@ -532,7 +588,26 @@ def maximal_compounds(graph, y_states):
 
 
 def _compounds(lv, label, count):
-    """Compound partition from the maximal-cycle labels of the positions."""
+    """Compound partition from the maximal-cycle labels of the positions,
+    each block checked to be connected with height <= exit energy."""
+    final, n, tie_events = _compound_labels(lv, label, count)
+    if not _all_connected(lv, final, n):
+        raise AssertionError("compound block is not connected")
+    part = CyclePartition(lv, final, n, "compounds", tie_events)
+    # levels number the distinct values in order, so comparing levels is
+    # exact; a singleton's height (rank len(lv.values)) is below them all
+    level = np.append(lv.rank_level, -1)
+    ex, hi = part.exit_rank, part.height_rank
+    has_exit = ex < len(lv.values)
+    if np.count_nonzero(level[hi[has_exit]] > level[ex[has_exit]]):
+        raise AssertionError("compound block violates height <= exit energy")
+    return part
+
+
+def _compound_labels(lv, label, count):
+    """Compound label of every position (-1 outside Y), the count and the
+    tie events, from the maximal-cycle labels: adjacent cycles with equal
+    exit levels merged."""
     none = len(lv.values)
     level = lv.rank_level.tolist()
     # number the cycles by smallest state, so that the merge order, and so
@@ -583,13 +658,7 @@ def _compounds(lv, label, count):
                                             np.int64, count), return_inverse=True)
     final = np.full_like(label, -1)
     final[label >= 0] = compound[label[label >= 0]]
-    if not _all_connected(lv, final, len(roots)):
-        raise AssertionError("compound block is not connected")
-    blocks = _blocks(lv, final, len(roots))
-    for blk in blocks:
-        if blk.exit_energy is not None and not (blk.height <= blk.exit_energy):
-            raise AssertionError("compound block violates height <= exit energy")
-    return CyclePartition(blocks=blocks, kind="compounds", tie_events=tie_events)
+    return final, len(roots), tie_events
 
 
 def bottom_of(graph, states):
@@ -1066,21 +1135,28 @@ def landscape_to_csv(graph, fh):
 
 
 def partition_to_csv(graph, partition, assign_fh, summary_fh):
-    blocks = partition.blocks
-    sizes = [len(b.states) for b in blocks]
-    states = np.fromiter(itertools.chain.from_iterable(
-        b.states for b in blocks), dtype=np.int64, count=sum(sizes))
-    block = np.repeat(np.arange(len(blocks)), sizes)
-    o = np.argsort(states, kind="stable")
+    """Write the (state, block) rows of Y and one summary row per block,
+    read from the partition's columns without building its blocks.  The
+    bottom pattern is that of the smallest bottom state."""
+    lv, label, members = partition.lv, partition.label, partition.members
+    y = np.flatnonzero(label >= 0)
     writer = csv.writer(assign_fh)
     writer.writerow(["state", "block"])
-    writer.writerows(zip(states[o].tolist(), block[o].tolist()))
+    writer.writerows(zip(lv.ids[y].tolist(), label[y].tolist()))
     writer = csv.writer(summary_fh)
     writer.writerow(["block", "size", "exit_bonds", "exit_pluses",
                      "bottom_pattern", "depth_bonds", "depth_pluses"])
-    bottoms = _patterns(graph.ctx.geometry, [min(b.bottom) for b in blocks])
-    for k, (b, bottom) in enumerate(zip(blocks, bottoms)):
-        exit_pair = b.exit_energy.pair() if b.exit_energy is not None else ("", "")
-        depth_pair = b.depth.pair() if b.depth is not None else ("", "")
-        writer.writerow([k, len(b.states), exit_pair[0], exit_pair[1], bottom,
-                         depth_pair[0], depth_pair[1]])
+    none = len(lv.values)
+    pairs = np.array([v.pair() for v in lv.values] + [(0, 0)], dtype=np.int64)
+    ex, lo = partition.exit_rank, partition.bottom_rank
+    # the first place of each block, in block order, at its bottom level
+    at_bottom = lv.level[members] == lv.rank_level[lo[label[members]]]
+    place = np.where(at_bottom, np.arange(len(members)), len(members))
+    first = np.minimum.reduceat(place, partition.start[:-1])
+    bottoms = _patterns(graph.ctx.geometry, lv.ids[members[first]])
+    cols = [c.tolist() for c in (pairs[ex].T, (pairs[ex] - pairs[lo]).T)]
+    (exit_b, exit_p), (depth_b, depth_p) = cols
+    for k in np.flatnonzero(ex == none).tolist():
+        exit_b[k] = exit_p[k] = depth_b[k] = depth_p[k] = ""
+    writer.writerows(zip(range(len(ex)), np.diff(partition.start).tolist(),
+                         exit_b, exit_p, bottoms, depth_b, depth_p))

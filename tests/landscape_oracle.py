@@ -4,6 +4,8 @@ The enumerator at the top is the chunked one ``isingkit.landscape`` used
 before it built the arrays by doubling: one pass over every state for each
 site's bit, each neighbour pair and each site weight.  ``positions`` is the
 ``np.unique`` lookup the level index used before its boolean mask.
+``ListPartition`` and ``_blocks`` are the partition as the library held it
+before its columns: every ``CycleBlock`` built at once from the labels.
 
 The sweeps after them are the per-state ``EnergyValue`` sweeps that ``isingkit.landscape``
 used before its integer level index and sublevel merge tree: an ascending
@@ -30,14 +32,17 @@ from __future__ import annotations
 
 import csv
 import functools
+import gc
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 
 from isingkit.energy import NEG_INF_ENERGY, EnergyValue, MagneticField
 from isingkit.landscape import (DEFAULT_ENUMERATION_CAP, CriticalConstants,
-                                CycleBlock, CyclePartition, LandscapeGraph,
-                                _check_sandwich, _floor_ratio, critical_side)
+                                CycleBlock, LandscapeGraph, _boundary_edges,
+                                _by_first_state, _check_sandwich,
+                                _floor_ratio, critical_side)
 from isingkit.unionfind import UnionFind
 
 
@@ -84,6 +89,75 @@ def positions(lv, states):
     if np.any(lv.ids[np.minimum(pos, len(lv.ids) - 1)] != s):
         raise ValueError("states outside the landscape")
     return pos
+
+
+@dataclass
+class ListPartition:
+    """A partition as a list of built blocks, the form ``CyclePartition``
+    had before its columns; ``block_of`` scans the blocks."""
+
+    blocks: list
+    kind: str
+    tie_events: list = dc_field(default_factory=list)
+
+    def block_of(self, state):
+        for b in self.blocks:
+            if state in b.states:
+                return b
+        raise KeyError(state)
+
+
+def _blocks(lv, label, count):
+    """CycleBlocks of the positions labelled 0..count-1 (-1 is outside),
+    ordered by smallest state, all built at once.
+
+    The exit of a block is the least weight over its boundary edges, its
+    height and bottom come from the highest and lowest ranks inside it.
+    """
+    none = len(lv.values)
+    label, _ = _by_first_state(label, count)
+    y = np.flatnonzero(label >= 0)
+    lab = label[y]
+    ex = np.full(count, none, dtype=lv.rank.dtype)
+    for la, lb, w in _boundary_edges(lv, label):
+        for side in (la, lb):
+            inside = side >= 0
+            np.minimum.at(ex, side[inside], w[inside])
+    # y ascends, so a stable sort keeps each block's states ascending
+    o = np.argsort(lab, kind="stable")
+    sizes = np.bincount(lab, minlength=count)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    rank = lv.rank[y[o]]
+    lo = np.minimum.reduceat(rank, starts)
+    hi = np.where(sizes > 1, np.maximum.reduceat(rank, starts), none)
+    at_bottom = lv.level[y[o]] == lv.rank_level[lo[lab[o]]]
+    # few distinct (exit, bottom) rank pairs among many blocks: one
+    # EnergyValue difference per pair
+    values = lv.values
+    exits, heights = values + [None], values + [NEG_INF_ENERGY]
+    key = np.where(ex < none, ex.astype(np.int64) * none + lo, none * none)
+    pair, which = np.unique(key, return_inverse=True)
+    depths = [values[r_ex] - values[r_lo] if r_ex < none else None
+              for r_ex, r_lo in (divmod(k, none) for k in pair.tolist())]
+    states = lv.ids[y[o]].tolist()
+    # the blocks are plain data; pausing the cycle collector while they
+    # are built keeps its passes from rescanning a growing heap
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        members = [frozenset(states[a:b])
+                   for a, b in zip(starts.tolist(), ends.tolist())]
+        bottoms = list(members)
+        for c in np.flatnonzero(sizes > 1).tolist():
+            a, b = starts[c], ends[c]
+            bottoms[c] = frozenset(lv.ids[y[o[a:b][at_bottom[a:b]]]].tolist())
+        return list(map(CycleBlock, members, [exits[r] for r in ex.tolist()],
+                        [heights[r] for r in hi.tolist()], bottoms,
+                        [depths[i] for i in which.tolist()]))
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _energy_levels(graph, states=None):
@@ -220,7 +294,7 @@ def maximal_cycles(graph, y_states):
         if id(blk) not in seen:
             seen.add(id(blk))
             blocks.append(_block_stats(graph, blk))
-    return CyclePartition(blocks=blocks, kind="cycles")
+    return ListPartition(blocks=blocks, kind="cycles")
 
 
 def maximal_compounds(graph, y_states):
@@ -269,7 +343,7 @@ def maximal_compounds(graph, y_states):
             raise AssertionError("compound block is not connected")
         if b.exit_energy is not None and not (b.height <= b.exit_energy):
             raise AssertionError("compound block violates height <= exit energy")
-    return CyclePartition(blocks=blocks, kind="compounds", tie_events=tie_events)
+    return ListPartition(blocks=blocks, kind="compounds", tie_events=tie_events)
 
 
 def _adjacent(graph, a_states, b_states):

@@ -651,6 +651,24 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["pass"]
 
+    @pytest.mark.parametrize("argv", [("--count", "0"), ("--count", "-5"),
+                                      ("--max-states", "1")])
+    def test_wgraph_check_bad_flags_fail_cleanly(self, capsys, monkeypatch,
+                                                 argv):
+        from isingkit import cli
+
+        def no_instance(*args, **kwargs):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(cli, "random_rate_matrix", no_instance)
+        code = cli.main(["wgraph-check", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert argv[0] in lines[0]
+
     def test_simulate_outputs(self, tmp_path):
         code, _ = self.run_cli("simulate", "--dims", "3", "--h", "0.5",
                                "--beta", "2.0", "--seed", "5",

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import landscape_oracle as oracle
 from isingkit.energy import NEG_INF_ENERGY, MagneticField
-from isingkit.landscape import (CyclePartition, _blocks, _compounds,
+from isingkit.landscape import (CyclePartition, _compounds,
                                 bottom_of, communication_energy,
                                 enumerate_landscape, landscape_to_csv,
                                 maximal_compounds, maximal_cycles,
@@ -183,7 +183,7 @@ def sweep_partitions(g, y):
     """Cycles and compounds of Y from one run of the union-find sweep."""
     lv = g.levels()
     label, count = oracle.sweep_cycle_labels(lv, lv.positions(y))
-    cycles = CyclePartition(blocks=_blocks(lv, label, count), kind="cycles")
+    cycles = CyclePartition(lv, label, count, "cycles")
     return cycles, _compounds(lv, label, count)
 
 
