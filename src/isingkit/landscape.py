@@ -12,7 +12,11 @@ activate the level's states, take their flip edges to active states, find
 both ends' roots in union-by-size trees, and join the roots by one
 connected-components pass, OR-ing per-state flags onto the new roots.  Its
 work grows with the states and edges of the levels it visits, so a
-communication energy never looks above its barrier.
+communication energy never looks above its barrier.  Maximal cycle
+compounds are the connected components of a fixed graph over the cycles,
+adjacent cycles whose exits share a level; the worklist merge that records
+tie events under a rational field is replayed only in the compounds where
+tied exits can differ in pair.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import numpy as np
 from .energy import NEG_INF_ENERGY, EnergyValue, MagneticField
 from .lattice import (BoundaryCondition, Configuration,
                       connected_components, hamiltonian)
-from .unionfind import UnionFind
 
 DEFAULT_ENUMERATION_CAP = 24
 
@@ -126,7 +129,9 @@ class LevelIndex:
     rank of level k, the pair that names level k.  ``order`` lists the
     positions by level, states ascending within a level, level k occupies
     ``order[starts[k]:starts[k + 1]]``, and position p sits at
-    ``order[where[p]]``.
+    ``order[where[p]]``.  ``flips`` maps positions to the positions their
+    flips lead to, and ``edge_ends`` reads columns at both ends of every
+    flip edge.
     """
 
     def __init__(self, ids, bonds, pluses, field, n_sites):
@@ -168,6 +173,7 @@ class LevelIndex:
             key[self.order], np.arange(self.n_levels + 1, dtype=key.dtype))
         self.where = np.empty(n, dtype=np.int32)
         self.where[self.order] = np.arange(n, dtype=np.int32)
+        self._pairs = None
 
     def positions(self, states):
         """Positions of a collection of states, ascending, without repeats,
@@ -185,20 +191,36 @@ class LevelIndex:
 
     def flips(self, pos, bit):
         """(p, q): the positions p of ``pos`` whose states stay in the
-        landscape when ``bit`` flips, and the positions q they flip to.
-        ``bit`` is one bit mask, or an array of them, one per position."""
+        landscape when ``bit`` flips, and the positions q they flip to, as
+        flat arrays.  ``bit`` is one bit mask for an array of positions, or
+        a row of bit masks against a column of positions, which gives each
+        position's flips in turn."""
         t = self.ids[pos] ^ bit
+        pos = pos.repeat(t.size // max(pos.size, 1))
+        t = t.ravel()
         if self.full:
             return pos, t
         q = np.minimum(np.searchsorted(self.ids, t), len(self.ids) - 1)
         ok = self.ids[q] == t
         return pos[ok], q[ok]
 
-    def edges(self):
-        """Every flip edge once, as position arrays (p, q), one bit at a time."""
+    def edge_ends(self, *cols):
+        """Per bit i, every column read at both ends of every flip edge of
+        bit i: ``(c[p], c[q])`` for each column c in turn, p the ends with
+        bit i clear, ascending.  On a full landscape these are strided
+        views, blocks of 2^i states with bit i clear and set in turn; on a
+        subset they are gathers through per-bit position lists built on
+        first use."""
+        if not self.full and self._pairs is None:
+            self._pairs = [self.flips(np.flatnonzero((self.ids & b) == 0), b)
+                           for b in (1 << i for i in range(self.n_sites))]
         for i in range(self.n_sites):
-            bit = 1 << i
-            yield self.flips(np.flatnonzero((self.ids & bit) == 0), bit)
+            if self.full:
+                yield [c.reshape(-1, 2, 1 << i)[:, end]
+                       for c in cols for end in (0, 1)]
+            else:
+                p, q = self._pairs[i]
+                yield [c[end] for c in cols for end in (p, q)]
 
 
 class _MergeTree:
@@ -206,10 +228,14 @@ class _MergeTree:
 
     Each level k is one vectorised step: activate the level's states, take
     their flip edges to active states, map both ends to their roots, and
-    find the connected components of the root graph.  Every component is
-    then hung below its largest piece (union by size, so trees stay
-    O(log n) deep and a find is a few whole-array pointer jumps).  The work
-    per level grows with the level's states and edges, not with the box.
+    find the connected components of the root graph.  Edges arrive state
+    by state, and a new state's lower neighbours mostly share one root, so
+    each run of edges from one state to one root is cut to its first edge
+    before the components pass; that keeps the pieces, their order of first
+    appearance and the components as they were.  Every component is then
+    hung below its largest piece (union by size, so trees stay O(log n)
+    deep and a find is a few whole-array pointer jumps).  The work per
+    level grows with the level's states and edges, not with the box.
 
     Nodes are places in the level order (``lv.where``), so level k is the
     node range ``lv.starts[k]:lv.starts[k + 1]`` and a sweep that stops
@@ -230,7 +256,6 @@ class _MergeTree:
         self.size = np.empty(n, dtype=np.int64)
         self.flag = flags
         self._slot = np.empty(n, dtype=np.int64)
-        # every site's bit, once per state of the largest level so far
         self._bits = np.left_shift(1, np.arange(lv.n_sites, dtype=np.int64))
 
     def roots(self, nodes):
@@ -242,47 +267,57 @@ class _MergeTree:
             r, up = up, parent[up]
         return r
 
-    def _edges(self, k):
-        """Flip edges from the nodes of level k to active nodes.
+    def _edges(self, lo, hi):
+        """Flip edges from the nodes lo..hi-1 of one level to active nodes,
+        node by node, from one ``flips`` call over the level's states and
+        all bits.
 
         A flip changes the energy by an integer minus or plus h, and
         0 < h < 1, so flip neighbours never share a level and every such
         edge goes down to an earlier level.
         """
-        lv, n = self.lv, self.lv.n_sites
-        lo, hi = lv.starts[k], lv.starts[k + 1]
-        if len(self._bits) < (hi - lo) * n:
-            self._bits = np.tile(self._bits[:n], hi - lo)
-        p, q = lv.flips(lv.order[lo:hi].repeat(n), self._bits[:(hi - lo) * n])
-        p, q = lv.where[p], lv.where[q]
-        keep = q < lo
-        return p[keep], q[keep]
+        lv = self.lv
+        p, q = lv.flips(lv.order[lo:hi, None], self._bits)
+        q = lv.where[q]
+        # an index list, not a boolean mask: about half the flips go down,
+        # in no pattern a mask's copy loop could predict
+        down = (q < lo).nonzero()[0]
+        return lv.where[p[down]], q[down]
 
     def __iter__(self):
-        lv = self.lv
-        for k in range(lv.n_levels):
-            new = np.arange(lv.starts[k], lv.starts[k + 1])
-            self.parent[new] = new
-            self.size[new] = 1
-            p, q = self._edges(k)
+        starts = self.lv.starts.tolist()
+        for k in range(self.lv.n_levels):
+            lo, hi = starts[k], starts[k + 1]
+            new = np.arange(lo, hi)
+            self.parent[lo:hi] = new
+            self.size[lo:hi] = 1
+            p, q = self._edges(lo, hi)
             if not len(p):
                 flag = self.flag[new]
                 yield k, new, np.arange(len(new)), flag, flag
                 continue
+            # one edge per run of equal (node, root): p ascends, and each
+            # dropped edge repeats the one before it, so it joins nothing new
+            r = self.roots(q)
+            run = np.empty(len(p), dtype=bool)
+            run[0] = True
+            run[1:] = (p[1:] != p[:-1]) | (r[1:] != r[:-1])
+            p, r = p[run], r[run]
             # pieces: the distinct roots at the ends, where the nodes of
             # level k are still roots of their own; slot numbers them
-            ends = np.concatenate((new, self.roots(q)))
+            ends = np.concatenate((new, r))
             slot, at = self._slot, np.arange(len(ends))
             slot[ends] = at
             pieces = ends[slot[ends] == at]
             m = len(pieces)
             slot[pieces] = at[:m]
-            group = _components(m, slot[p], slot[ends[len(new):]])
+            group = _components(m, slot[p], slot[r])
             pflag = self.flag[pieces]
             gflag = np.zeros(m, dtype=pflag.dtype)
             np.bitwise_or.at(gflag, group, pflag)
             yield k, pieces, group, pflag, gflag
-            # each component hangs below one of its largest pieces
+            # each component hangs below one of its largest pieces; sizes
+            # and flags are read only at roots, so only the tops are updated
             size = self.size[pieces]
             big = np.zeros(m, dtype=size.dtype)
             np.maximum.at(big, group, size)
@@ -290,29 +325,29 @@ class _MergeTree:
             widest = size == big[group]
             top[group[widest]] = pieces[widest]
             top = top[group]
-            moved = pieces != top
-            self.parent[pieces[moved]] = top[moved]
-            lead = group[~moved]
-            self.size[top[~moved]] = np.bincount(group, size, m)[lead]
-            self.flag[top[~moved]] = gflag[lead]
+            self.parent[pieces] = top
+            self.size[top] = np.bincount(group, size, m)[group]
+            self.flag[top] = gflag[group]
 
 
 def _components(m, a, b):
     """Component of each of m nodes joined by edges (a, b), named by its
     least node: until no edge is cut, hook every root that is the larger
     end of a cut edge to the least root across such edges, then
-    pointer-jump until every node sees its root."""
+    pointer-jump until every node sees its root.  Every node starts as its
+    own root, so the first round hooks the ends as they are."""
     label = np.arange(m)
+    la, lb = a, b
     while True:
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        up = label[label]
+        while np.count_nonzero(up != label):
+            label, up = up, up[up]
         la, lb = label[a], label[b]
         cut = la != lb
         if not np.count_nonzero(cut):
             return label
         a, b, la, lb = a[cut], b[cut], la[cut], lb[cut]
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        up = label[label]
-        while np.count_nonzero(up != label):
-            label, up = up, up[up]
 
 
 def communication_energy(graph, a_states, b_states):
@@ -370,15 +405,7 @@ class CyclePartition:
         none = len(lv.values)
         self.lv, self.kind, self.tie_events = lv, kind, list(tie_events)
         self.label, _ = _by_first_state(label, count)
-        # least weight over each block's boundary edges; label -1 (outside
-        # Y) writes to the spare last slot
-        ex = np.full(count + 1, none, dtype=lv.rank.dtype)
-        for p, q in lv.edges():
-            lp, lq = self.label[p], self.label[q]
-            w = np.where(lp != lq, np.maximum(lv.rank[p], lv.rank[q]), none)
-            np.minimum.at(ex, lp, w)
-            np.minimum.at(ex, lq, w)
-        self.exit_rank = ex[:-1]
+        self.exit_rank = _exit_ranks(lv, self.label, count)
         y = np.flatnonzero(self.label >= 0)
         # y ascends, so a stable sort keeps each block's states ascending
         self.members = y[np.argsort(self.label[y], kind="stable")]
@@ -468,14 +495,19 @@ class _Blocks(Sequence):
         return list(self) == list(other)
 
 
-def _boundary_edges(lv, label):
-    """Flip edges whose two ends carry different labels, one bit at a time,
-    as arrays (label_p, label_q, weight); the weight is the larger rank of
-    the ends."""
-    for p, q in lv.edges():
-        lp, lq = label[p], label[q]
-        cut = lp != lq
-        yield lp[cut], lq[cut], np.maximum(lv.rank[p[cut]], lv.rank[q[cut]])
+def _exit_ranks(lv, label, count):
+    """Least weight over the boundary edges of each block labelled
+    0..count-1, the weight of an edge being the larger rank of its ends;
+    ``len(lv.values)`` for a block with no exterior."""
+    none = len(lv.values)
+    # label -1 (outside Y) writes to the spare last slot
+    ex = np.full(count + 1, none, dtype=lv.rank.dtype)
+    for lp, lq, rp, rq in lv.edge_ends(label, lv.rank):
+        w = np.where(lp != lq, np.maximum(rp, rq), none).ravel()
+        # flat, contiguous indices keep ufunc.at on its fast loop
+        np.minimum.at(ex, lp.ravel(), w)
+        np.minimum.at(ex, lq.ravel(), w)
+    return ex[:-1]
 
 
 def _by_first_state(label, count):
@@ -511,8 +543,8 @@ def _all_connected(lv, label, count):
     """Whether each of the blocks labelled 0..count-1 is flip-connected: the
     edges inside blocks leave exactly one component per block."""
     ps, qs = [], []
-    for p, q in lv.edges():
-        inside = (label[p] == label[q]) & (label[p] >= 0)
+    for lp, lq, p, q in lv.edge_ends(label, np.arange(len(label))):
+        inside = (lp == lq) & (lp >= 0)
         ps.append(p[inside])
         qs.append(q[inside])
     comp = _components(len(label), np.concatenate(ps), np.concatenate(qs))
@@ -578,10 +610,21 @@ def maximal_compounds(graph, y_states):
     cycles is no cycle, so its height is at least its exit, while the cycles
     sit strictly below their common exit level and the singletons at most
     at it.  The exit level therefore never changes, and the compounds are
-    the components of adjacent cycles with equal exit levels.  Every final
-    block is re-verified against the compound definition.  Under a rational
-    field, a merge of blocks whose exit pairs differ in (bonds, pluses) but
-    not in value is recorded as a tie event.
+    the components of a fixed tie graph: adjacent cycles whose finite exits
+    share a level.  Every final block is re-verified against the compound
+    definition.
+
+    Under a rational field, a join of blocks whose exit pairs differ in
+    (bonds, pluses) but not in value is recorded as a tie event, in the
+    order of a worklist merge: tie pairs (c, d), c < d, by c, then by the
+    first flip edge between them, each joined block's exit being the least
+    weight on its whole boundary.  Pairs can differ only on a level that
+    holds two or more pairs, so the worklist is replayed only in compounds
+    of two or more cycles whose exit level does; under an irrational field
+    every level holds one pair and nothing is replayed.  Cycles that all
+    start with one exit pair can still record an event: a join can make
+    internal the only edge that gave them that pair, and the block's exit
+    then moves to another pair of the same value.
     """
     lv = graph.levels()
     return _compounds(lv, *_cycle_labels(lv, lv.positions(y_states)))
@@ -606,59 +649,105 @@ def _compounds(lv, label, count):
 
 def _compound_labels(lv, label, count):
     """Compound label of every position (-1 outside Y), the count and the
-    tie events, from the maximal-cycle labels: adjacent cycles with equal
-    exit levels merged."""
+    tie events, from the maximal-cycle labels.
+
+    Two adjacent cycles tie when their finite exits share a level, and the
+    compounds are the components of that fixed tie graph, each named by
+    its least cycle.  Cycles are numbered by smallest state first, so the
+    compounds come out numbered by smallest state too, and the tie events
+    depend on the cycle partition alone.
+    """
     none = len(lv.values)
-    level = lv.rank_level.tolist()
-    # number the cycles by smallest state, so that the merge order, and so
-    # the tie events, depend on the cycle partition alone
     label, first = _by_first_state(label, count)
-    la, lb, w = map(np.concatenate, zip(*_boundary_edges(lv, label)))
-    # per block: least weight to states outside Y, to each adjacent block
-    out = np.full(count, none, dtype=lv.rank.dtype)
-    for side, other in ((la, lb), (lb, la)):
-        sel = (side >= 0) & (other < 0)
+    ex = _exit_ranks(lv, label, count)
+    # exit level per cycle, -1 without exit; the spare last slot, read by
+    # label -1, is outside Y and ties with nothing
+    exit_level = np.append(np.append(lv.rank_level, -1)[ex], -1)
+    a, b = [], []
+    for lp, lq in lv.edge_ends(label):
+        tie = (lp != lq) & (exit_level[lp] == exit_level[lq])
+        a.append(lp[tie])
+        b.append(lq[tie])
+    comp = _components(count, np.concatenate(a), np.concatenate(b))
+    lead = comp == np.arange(count)
+    # compounds renumbered 0.., and label -1 reads -1 from the spare slot
+    final = np.append((np.cumsum(lead) - 1)[comp], -1)[label]
+    # tied exits can differ in pair only on a level of two or more ranks
+    multi = np.append(np.diff(lv.level_rank + [none]) > 1, False)
+    replay = (np.bincount(comp, minlength=count)[comp] > 1) & \
+        multi[exit_level[:-1]]
+    tie_events = _replay_ties(lv, label, first, ex, comp, replay) \
+        if np.count_nonzero(replay) else []
+    return final, int(np.count_nonzero(lead)), tie_events
+
+
+def _replay_ties(lv, label, first, exit_rank, comp, replay):
+    """Tie events of the worklist merge of cycles, replayed over the
+    compounds flagged in ``replay``.
+
+    The worklist takes the tie pairs (c, d), c < d, by c ascending, then by
+    the first flip edge between c and d, and joins the blocks of c and d.
+    A join whose blocks' exit pairs differ is a tie event (the smallest
+    states and the exit pairs of both blocks), and the joined block's exit
+    is the least weight left on its whole boundary.  That least weight is
+    the same however the cycles outside the block are grouped, so each
+    compound's events depend on its own cycles alone.
+    """
+    none = len(lv.values)
+    inside = np.append(replay, False)
+    comp = np.append(comp, -1)
+    la, lb, w = [], [], []
+    for lp, lq, rp, rq in lv.edge_ends(label, lv.rank):
+        sel = (lp != lq) & (inside[lp] | inside[lq])
+        la.append(lp[sel])
+        lb.append(lq[sel])
+        w.append(np.maximum(rp[sel], rq[sel]))
+    la, lb, w = map(np.concatenate, (la, lb, w))
+    same = comp[la] == comp[lb]
+    # per replayed cycle: least weight to all outside its compound, and to
+    # each cycle of its compound
+    out = np.full(len(replay), none, dtype=w.dtype)
+    for side in (la, lb):
+        sel = ~same & inside[side]
         np.minimum.at(out, side[sel], w[sel])
-    both = (la >= 0) & (lb >= 0)
-    a, b, w = np.minimum(la, lb)[both], np.maximum(la, lb)[both], w[both]
-    adjacent = [{} for _ in range(count)]
+    a, b, w = np.minimum(la, lb)[same], np.maximum(la, lb)[same], w[same]
+    cycles = np.flatnonzero(replay).tolist()
+    adjacent = {c: {} for c in cycles}
     for x, z, v in zip(a.tolist(), b.tolist(), w.tolist()):
         if v < adjacent[x].get(z, none):
             adjacent[x][z] = adjacent[z][x] = v
     out, first = out.tolist(), first.tolist()
-    exit_rank = [min([out[c], *adjacent[c].values()]) for c in range(count)]
-    uf = UnionFind(count)
-    ties = [(c, d) for c in range(count) for d in adjacent[c]
-            if c < d and exit_rank[c] < none and exit_rank[d] < none
-            and level[exit_rank[c]] == level[exit_rank[d]]]
+    exit_rank = exit_rank.tolist()
+    ties = [(c, d) for c in cycles for d in adjacent[c] if c < d]
+    parent = {c: c for c in cycles}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
     tie_events = []
     for c, d in ties:
-        c, d = uf.find(c), uf.find(d)
+        c, d = find(c), find(d)
         if c == d:
             continue
         if exit_rank[c] != exit_rank[d]:
             tie_events.append((int(lv.ids[first[c]]), int(lv.ids[first[d]]),
                                lv.values[exit_rank[c]].pair(),
                                lv.values[exit_rank[d]].pair()))
-        # the merged block keeps the larger neighbour map; its exit pair
-        # is the least weight left on its boundary
+        # the joined block keeps the larger neighbour map
         if len(adjacent[c]) < len(adjacent[d]):
             c, d = d, c
-        uf.union(c, d)
-        kept, gone = adjacent[c], adjacent[d]
+        parent[d] = c
+        kept, gone = adjacent[c], adjacent.pop(d)
         del kept[d], gone[c]
         for e, v in gone.items():
             del adjacent[e][d]
             kept[e] = adjacent[e][c] = min(v, kept.get(e, none))
-        adjacent[d] = None
         out[c] = min(out[c], out[d])
         first[c] = min(first[c], first[d])
         exit_rank[c] = min([out[c], *kept.values()])
-    roots, compound = np.unique(np.fromiter(map(uf.find, range(count)),
-                                            np.int64, count), return_inverse=True)
-    final = np.full_like(label, -1)
-    final[label >= 0] = compound[label[label >= 0]]
-    return final, len(roots), tie_events
+    return tie_events
 
 
 def bottom_of(graph, states):

@@ -1,4 +1,4 @@
-"""Union-find with path compression, used by cluster tracking and compounds."""
+"""Union-find with path compression, used by cluster tracking."""
 
 
 class UnionFind:

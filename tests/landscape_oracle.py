@@ -10,7 +10,8 @@ before its columns: every ``CycleBlock`` built at once from the labels.
 The sweeps after them are the per-state ``EnergyValue`` sweeps that ``isingkit.landscape``
 used before its integer level index and sublevel merge tree: an ascending
 union-find sweep per call, cycles from per-level component snapshots,
-compounds from repeated scans over all block pairs, and the bottom of a state
+compounds from repeated scans over all block pairs (an exact level key per
+block, so a scan compares integers or pairs), and the bottom of a state
 set by one ``EnergyValue`` comparison per state.  They are slow and
 straightforward; the differential tests compare the library against them.
 
@@ -18,8 +19,13 @@ The merge-tree oracle below them is the union-find sweep over the level
 index that the library used before its vectorised level-by-level merge:
 one Python union per flip edge, union by size.  The differential tests feed
 its cycle labels to the library's own block and compound code, so a
-difference in a partition comes from the merge alone.  The row-by-row CSV
-writers are the reference for the vectorised export.
+difference in a partition comes from the merge alone.  The compound oracle
+after it is the worklist merge the library used before its compounds were
+components of a fixed tie graph: one neighbour dict per cycle, tie pairs
+joined in order through a union-find, tie events recorded as blocks join.
+``_boundary_edges`` reads the flip edges one bit at a time through a
+position list and ``flips``, as the library did before ``edge_ends``.  The
+row-by-row CSV writers are the reference for the vectorised export.
 
 The critical constants at the end are the walk ``critical_constants`` made
 before its recursion over faces: it streams every entry of the reference
@@ -40,9 +46,8 @@ import numpy as np
 
 from isingkit.energy import NEG_INF_ENERGY, EnergyValue, MagneticField
 from isingkit.landscape import (DEFAULT_ENUMERATION_CAP, CriticalConstants,
-                                CycleBlock, LandscapeGraph, _boundary_edges,
-                                _by_first_state, _check_sandwich,
-                                _floor_ratio, critical_side)
+                                CycleBlock, LandscapeGraph, _by_first_state,
+                                _check_sandwich, _floor_ratio, critical_side)
 from isingkit.unionfind import UnionFind
 
 
@@ -105,6 +110,19 @@ class ListPartition:
             if state in b.states:
                 return b
         raise KeyError(state)
+
+
+def _boundary_edges(lv, label):
+    """Flip edges whose two ends carry different labels, one bit at a time,
+    as arrays (label_p, label_q, weight); the weight is the larger rank of
+    the ends.  The edges of each bit come from a position list and one
+    ``flips`` call, as the library read them before ``edge_ends``."""
+    for i in range(lv.n_sites):
+        bit = 1 << i
+        p, q = lv.flips(np.flatnonzero((lv.ids & bit) == 0), bit)
+        lp, lq = label[p], label[q]
+        cut = lp != lq
+        yield lp[cut], lq[cut], np.maximum(lv.rank[p[cut]], lv.rank[q[cut]])
 
 
 def _blocks(lv, label, count):
@@ -303,12 +321,22 @@ def maximal_compounds(graph, y_states):
     Starts from the maximal cycles and merges adjacent blocks whose exit
     energies are exactly equal, as long as the union still satisfies
     height <= exit energy, until no merge applies.  Every final block is
-    re-verified against the compound definition.
+    re-verified against the compound definition.  The scan compares one
+    exact key per block, ``field.level_key`` of its exit pair (an integer
+    under a rational field, the pair under an irrational one), kept beside
+    the block.
     """
     part = maximal_cycles(graph, y_states)
     blocks = [b for b in part.blocks]
+    field = graph.ctx.field
+
+    def exit_key(b):
+        return None if b.exit_energy is None \
+            else field.level_key(*b.exit_energy.pair())
+
+    keys = [exit_key(b) for b in blocks]
     tie_events = []
-    irr = graph.ctx.field.is_irrational
+    irr = field.is_irrational
     changed = True
     while changed:
         changed = False
@@ -317,12 +345,13 @@ def maximal_compounds(graph, y_states):
         for i in range(n):
             if merged:
                 break
+            ki = keys[i]
+            if ki is None:
+                continue
             for j in range(i + 1, n):
+                if keys[j] != ki:
+                    continue
                 bi, bj = blocks[i], blocks[j]
-                if bi.exit_energy is None or bj.exit_energy is None:
-                    continue
-                if bi.exit_energy != bj.exit_energy:
-                    continue
                 if not _adjacent(graph, bi.states, bj.states):
                     continue
                 union = bi.states | bj.states
@@ -334,7 +363,9 @@ def maximal_compounds(graph, y_states):
                     tie_events.append((min(bi.states), min(bj.states),
                                        bi.exit_energy.pair(), bj.exit_energy.pair()))
                 blocks = [b for k, b in enumerate(blocks) if k not in (i, j)]
+                keys = [x for k, x in enumerate(keys) if k not in (i, j)]
                 blocks.append(stats)
+                keys.append(exit_key(stats))
                 merged = True
                 changed = True
                 break
@@ -516,6 +547,67 @@ def sweep_cycle_labels(lv, y):
             label[members] = count
             count += 1
     return label, count
+
+
+# -- compound oracle: the worklist merge of cycles over per-cycle dicts -------
+
+
+def _compound_labels(lv, label, count):
+    """Compound label of every position (-1 outside Y), the count and the
+    tie events, from the maximal-cycle labels: adjacent cycles with equal
+    exit levels merged."""
+    none = len(lv.values)
+    level = lv.rank_level.tolist()
+    # number the cycles by smallest state, so that the merge order, and so
+    # the tie events, depend on the cycle partition alone
+    label, first = _by_first_state(label, count)
+    la, lb, w = map(np.concatenate, zip(*_boundary_edges(lv, label)))
+    # per block: least weight to states outside Y, to each adjacent block
+    out = np.full(count, none, dtype=lv.rank.dtype)
+    for side, other in ((la, lb), (lb, la)):
+        sel = (side >= 0) & (other < 0)
+        np.minimum.at(out, side[sel], w[sel])
+    both = (la >= 0) & (lb >= 0)
+    a, b, w = np.minimum(la, lb)[both], np.maximum(la, lb)[both], w[both]
+    adjacent = [{} for _ in range(count)]
+    for x, z, v in zip(a.tolist(), b.tolist(), w.tolist()):
+        if v < adjacent[x].get(z, none):
+            adjacent[x][z] = adjacent[z][x] = v
+    out, first = out.tolist(), first.tolist()
+    exit_rank = [min([out[c], *adjacent[c].values()]) for c in range(count)]
+    uf = UnionFind(count)
+    ties = [(c, d) for c in range(count) for d in adjacent[c]
+            if c < d and exit_rank[c] < none and exit_rank[d] < none
+            and level[exit_rank[c]] == level[exit_rank[d]]]
+    tie_events = []
+    for c, d in ties:
+        c, d = uf.find(c), uf.find(d)
+        if c == d:
+            continue
+        if exit_rank[c] != exit_rank[d]:
+            tie_events.append((int(lv.ids[first[c]]), int(lv.ids[first[d]]),
+                               lv.values[exit_rank[c]].pair(),
+                               lv.values[exit_rank[d]].pair()))
+        # the merged block keeps the larger neighbour map; its exit pair
+        # is the least weight left on its boundary
+        if len(adjacent[c]) < len(adjacent[d]):
+            c, d = d, c
+        uf.union(c, d)
+        kept, gone = adjacent[c], adjacent[d]
+        del kept[d], gone[c]
+        for e, v in gone.items():
+            del adjacent[e][d]
+            kept[e] = adjacent[e][c] = min(v, kept.get(e, none))
+        adjacent[d] = None
+        out[c] = min(out[c], out[d])
+        first[c] = min(first[c], first[d])
+        exit_rank[c] = min([out[c], *kept.values()])
+    roots, compound = np.unique(np.fromiter(map(uf.find, range(count)),
+                                            np.int64, count), return_inverse=True)
+    final = np.full_like(label, -1)
+    final[label >= 0] = compound[label[label >= 0]]
+    return final, len(roots), tie_events
+
 
 
 # -- CSV writers: one Configuration.to_text per state and per block ----------

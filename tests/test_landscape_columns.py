@@ -14,10 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import landscape_oracle as oracle
+from landscape_oracle import _compound_labels
 from isingkit import landscape
 from isingkit.energy import NEG_INF_ENERGY, MagneticField
-from isingkit.landscape import (CycleBlock, CyclePartition, _compound_labels,
-                                _compounds, _cycle_labels, bottom_of,
+from isingkit.landscape import (CycleBlock, CyclePartition, _compounds,
+                                _cycle_labels, bottom_of,
                                 enumerate_landscape, maximal_compounds,
                                 maximal_cycles, truncate_landscape)
 from isingkit.lattice import BoundaryCondition, BoxGeometry, build_context

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import landscape_oracle as oracle
+from isingkit import landscape
 from isingkit.energy import NEG_INF_ENERGY, MagneticField
 from isingkit.landscape import (CyclePartition, _compounds,
                                 bottom_of, communication_energy,
@@ -168,6 +169,23 @@ def test_communication_energy_stops_at_the_barrier():
         del lv.flips
     assert barrier.pair() == (12, 7)
     assert 0 < sum(visited) < g.n_sites * g.n_states // 20
+
+
+def test_merge_joins_each_node_root_run_once(monkeypatch):
+    # on 4x4 all-minus at sqrt2/2 the merge meets 524,288 flip edges to
+    # lower levels, but nearly every state's lower neighbours share one
+    # root, so the components pass should see about one edge per state
+    g = graph((4, 4), BoundaryCondition.all_minus(), "sqrt2/2")
+    edges = []
+    components = landscape._components
+
+    def counting(m, a, b):
+        edges.append(len(a))
+        return components(m, a, b)
+
+    monkeypatch.setattr(landscape, "_components", counting)
+    maximal_cycles(g, frozenset(g.states()) - {g.n_states - 1})
+    assert 0 < sum(edges) < 100_000
 
 
 def assert_same_as_sweep(got, want):
