@@ -47,7 +47,9 @@ def _emit(out_dir, files, printed):
     print(printed)
 
 
-def _load_config(args, experiment):
+def _load_config(args, experiment, required=()):
+    """The run config from ``--config`` and the flags, the flags winning;
+    each key in ``required`` must come from one of them, not a default."""
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -59,8 +61,12 @@ def _load_config(args, experiment):
         "dims", "bc", "h", "beta", "replicas", "seed", "block_side",
         "eligibility_defect", "stc_threshold_D", "out_dir", "mode",
         "caps_events", "caps_time")}
-    return RunConfig.from_dict(data, experiment=experiment, **{
-        k: v for k, v in flags.items() if v is not None})
+    flags = {k: v for k, v in flags.items() if v is not None}
+    for key in required:
+        if key not in data and key not in flags:
+            raise ValueError(f"{args.command} needs --{key} or a {key} key "
+                             f"in the --config file")
+    return RunConfig.from_dict(data, experiment=experiment, **flags)
 
 
 def _box_context(args):
@@ -243,7 +249,7 @@ def _cmd_isoperimetry(args):
 
 
 def _cmd_stc_audit(args):
-    config = _load_config(args, "stc_audit")
+    config = _load_config(args, "stc_audit", required=("beta",))
     report = run_stc_audit(config)
     _emit(config.out_dir, stc_audit_files(report),
           {k: report[k] for k in ("max_diam", "threshold_D", "passed",

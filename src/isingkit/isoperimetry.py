@@ -161,6 +161,12 @@ def isoperimetric_check(d, v):
 
 
 def oracle_table_csv(d, vmax, fh):
+    """The oracle against both bounds for volumes 1..vmax, with vmax at
+    most the dimension's cap in ``DEFAULT_CAPS``, past which the
+    enumeration of polyominoes grows out of reach."""
+    if not 1 <= vmax <= DEFAULT_CAPS.get(d, 0):
+        raise ValueError(f"vmax must be from 1 to the oracle cap of d "
+                         f"{DEFAULT_CAPS}, got d={d}, vmax={vmax}")
     writer = csv.writer(fh)
     writer.writerow(["d", "v", "min_perimeter", "simplified_bound", "neves_bound"])
     for v in range(1, vmax + 1):

@@ -460,7 +460,8 @@ class CyclePartition:
 class _Blocks(Sequence):
     """The blocks of a ``CyclePartition``, in order.  A block is built on
     its first read and kept, so every read of it returns the same object;
-    iteration builds the blocks it reaches a chunk at a time."""
+    a slice reads a list of them, and iteration builds the blocks it
+    reaches a chunk at a time."""
 
     _CHUNK = 4096
 
@@ -471,6 +472,8 @@ class _Blocks(Sequence):
         return len(self._part.exit_rank)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
         i = operator.index(i)
         n = len(self)
         if not -n <= i < n:

@@ -11,8 +11,12 @@ shared-stream runs on different boxes or boundaries are directly comparable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
+from .kmc import Trajectory
+from .lattice import Configuration, connected_components
 from .unionfind import UnionFind
 
 
@@ -30,9 +34,10 @@ class ClusterView:
 
 
 class StcLedger:
-    def __init__(self, ctx, t_end):
+    def __init__(self, ctx, trajectory):
         self.ctx = ctx
-        self.t_end = t_end
+        self.trajectory = trajectory
+        self.t_end = trajectory.t_end
         self.uf = UnionFind()
         self._records = {}         # root -> record dict
         self.diameter_events = []  # (time, root, new diameter)
@@ -162,7 +167,7 @@ def track(ctx, trajectory, initial_stc=None):
     recomputed only in the first case and the crossings are checked only in
     the second.  Merges go through ``_open_site``.
     """
-    ledger = StcLedger(ctx, trajectory.t_end)
+    ledger = StcLedger(ctx, trajectory)
     spins = trajectory.initial.spins.tolist()
     coords = ctx.global_coords
     neighbors = ctx.neighbors
@@ -231,86 +236,46 @@ def track(ctx, trajectory, initial_stc=None):
 def _initial_groups(ctx, config, initial_stc):
     if initial_stc is not None:
         return [list(group) for group in initial_stc]
-    from .lattice import connected_components
     return [sorted(comp) for comp, _ in connected_components(ctx, config)]
 
 
 # -- windowed diameter ---------------------------------------------------------
 
 
-def _clip_segments(segments, s, t):
-    out = []
-    for coord, a, b in segments:
-        if a > t or b <= s:
-            continue
-        lo = max(a, s)
-        hi = min(b, t)
-        closed = b > t
-        out.append((coord, lo, hi, closed))
-    return out
-
-
-def _contains(seg, x):
-    _, lo, hi, closed = seg
-    return lo <= x < hi or (x == hi and closed and x >= lo)
-
-
-def _overlap(s1, s2):
-    m = max(s1[1], s2[1])
-    mm = min(s1[2], s2[2])
-    if mm > m:
-        return True
-    if mm < m:
-        return False
-    return _contains(s1, m) and _contains(s2, m)
-
-
 def diam_infty_window(ledger, s, t):
-    """Windowed cluster diameter: clusters of the trajectory re-cut at s and
-    t; clusters touching either window face contribute their diameters as a
-    sum, the others only through their maximum.  Satisfies the triangle
-    inequality over interior cut points."""
-    if not 0.0 <= s < t <= ledger.t_end:
+    """Windowed cluster diameter: the clusters of ``track`` run on the window
+    itself, from the configuration at s (the initial spins and every flip at
+    or before s), whose pluses the window ledger opens at its time 0, over
+    the flips in (s, t].  A cluster meets the s face when it holds a site
+    that was plus at s, and the t face when it is still alive at t, the
+    tracked horizon included.  Clusters meeting a face contribute their
+    diameters as a sum, the others only through their maximum.  Satisfies
+    the triangle inequality over interior cut points."""
+    traj = ledger.trajectory
+    if not 0.0 <= s < t <= traj.t_end:
         raise ValueError("window outside the tracked horizon")
-    segs = _clip_segments(ledger.all_segments(), s, t)
-    if not segs:
-        return 0
-    by_coord = {}
-    for k, seg in enumerate(segs):
-        by_coord.setdefault(seg[0], []).append(k)
-    uf = UnionFind(len(segs))
-    d = len(segs[0][0])
-    for k, seg in enumerate(segs):
-        coord = seg[0]
-        for axis in range(d):
-            for step in (-1, 1):
-                nb = list(coord)
-                nb[axis] += step
-                for j in by_coord.get(tuple(nb), ()):
-                    if j < k and _overlap(seg, segs[j]):
-                        uf.union(k, j)
-    comps = {}
-    for k, seg in enumerate(segs):
-        comps.setdefault(uf.find(k), []).append(seg)
-    total_meeting = 0
-    max_other = 0
-    for members in comps.values():
-        lo = list(members[0][0])
-        hi = list(members[0][0])
-        meets = False
-        for coord, a, b, closed in members:
-            for axis in range(d):
-                lo[axis] = min(lo[axis], coord[axis])
-                hi[axis] = max(hi[axis], coord[axis])
-            if _contains((coord, a, b, closed), s) or \
-                    _contains((coord, a, b, closed), t):
-                meets = True
-        diam = max(h - l for l, h in zip(lo, hi))
-        if meets:
-            total_meeting += diam
+    events = traj.events
+    first = bisect_right(events, s, key=itemgetter(0))
+    last = bisect_right(events, t, lo=first, key=itemgetter(0))
+    spins = traj.initial.spins.tolist()
+    for _, site, spin in events[:first]:
+        spins[site] = spin
+    # the pluses at s enter as flips at time 0 from all minus, ahead of every
+    # window flip, so a cluster born at 0.0 holds a site plus at s; with no
+    # initial plus there is no initial group to look for
+    opens = [(0.0, site, 1) for site, spin in enumerate(spins) if spin == 1]
+    window = track(ledger.ctx, Trajectory(
+        Configuration.all_minus(traj.initial.geometry),
+        opens + events[first:last], t, traj.stop_reason, traj.beta,
+        traj.h_token, traj.bc_label), initial_stc=())
+    meeting = other = 0
+    for rec in window._records.values():
+        diam = window._diam(rec)
+        if rec["birth"] == 0.0 or rec["death"] is None:
+            meeting += diam
         else:
-            max_other = max(max_other, diam)
-    return max(total_meeting, max_other)
+            other = max(other, diam)
+    return max(meeting, other)
 
 
 # -- crossings and doubling -----------------------------------------------------

@@ -5,11 +5,18 @@ plus flip it relabels every live site to its current root, and its ledger
 appends each merged cluster's segments into the first root's lists,
 whatever their sizes.  The differential tests require the library to
 produce the same ledger exactly.
+
+``diam_infty_window`` is the windowed diameter as it was before windows
+were re-tracked: a union-find over the ledger's segments clipped to the
+window, with open segments ending at the horizon.  It agrees with
+``isingkit.stc.diam_infty_window`` on every window that ends before the
+horizon.
 """
 
 from __future__ import annotations
 
 from isingkit.stc import StcLedger, _initial_groups
+from isingkit.unionfind import UnionFind
 
 
 class OracleLedger(StcLedger):
@@ -45,7 +52,7 @@ def track(ctx, trajectory, initial_stc=None):
     initial plus components into pre-existing clusters (a group may span
     several components, mirroring clusters inherited from an earlier run).
     """
-    ledger = OracleLedger(ctx, trajectory.t_end)
+    ledger = OracleLedger(ctx, trajectory)
     geom = ctx.geometry
     spins = trajectory.initial.spins.copy()
     live = {}
@@ -78,3 +85,81 @@ def track(ctx, trajectory, initial_stc=None):
             root = ledger.uf.find(live.pop(site))
             ledger._close_site(root, ctx.global_coord(site), t)
     return ledger
+
+
+# -- windowed diameter over clipped segments ---------------------------------
+
+
+def _clip_segments(segments, s, t):
+    out = []
+    for coord, a, b in segments:
+        if a > t or b <= s:
+            continue
+        lo = max(a, s)
+        hi = min(b, t)
+        closed = b > t
+        out.append((coord, lo, hi, closed))
+    return out
+
+
+def _contains(seg, x):
+    _, lo, hi, closed = seg
+    return lo <= x < hi or (x == hi and closed and x >= lo)
+
+
+def _overlap(s1, s2):
+    m = max(s1[1], s2[1])
+    mm = min(s1[2], s2[2])
+    if mm > m:
+        return True
+    if mm < m:
+        return False
+    return _contains(s1, m) and _contains(s2, m)
+
+
+def diam_infty_window(ledger, s, t):
+    """Windowed cluster diameter: clusters of the trajectory re-cut at s and
+    t; clusters touching either window face contribute their diameters as a
+    sum, the others only through their maximum.  Satisfies the triangle
+    inequality over interior cut points."""
+    if not 0.0 <= s < t <= ledger.t_end:
+        raise ValueError("window outside the tracked horizon")
+    segs = _clip_segments(ledger.all_segments(), s, t)
+    if not segs:
+        return 0
+    by_coord = {}
+    for k, seg in enumerate(segs):
+        by_coord.setdefault(seg[0], []).append(k)
+    uf = UnionFind(len(segs))
+    d = len(segs[0][0])
+    for k, seg in enumerate(segs):
+        coord = seg[0]
+        for axis in range(d):
+            for step in (-1, 1):
+                nb = list(coord)
+                nb[axis] += step
+                for j in by_coord.get(tuple(nb), ()):
+                    if j < k and _overlap(seg, segs[j]):
+                        uf.union(k, j)
+    comps = {}
+    for k, seg in enumerate(segs):
+        comps.setdefault(uf.find(k), []).append(seg)
+    total_meeting = 0
+    max_other = 0
+    for members in comps.values():
+        lo = list(members[0][0])
+        hi = list(members[0][0])
+        meets = False
+        for coord, a, b, closed in members:
+            for axis in range(d):
+                lo[axis] = min(lo[axis], coord[axis])
+                hi[axis] = max(hi[axis], coord[axis])
+            if _contains((coord, a, b, closed), s) or \
+                    _contains((coord, a, b, closed), t):
+                meets = True
+        diam = max(h - l for l, h in zip(lo, hi))
+        if meets:
+            total_meeting += diam
+        else:
+            max_other = max(max_other, diam)
+    return max(total_meeting, max_other)

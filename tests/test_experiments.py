@@ -475,8 +475,8 @@ class TestCli:
     @pytest.mark.parametrize("beta", [("--beta", "2,5,9"), ()])
     def test_stc_audit_several_betas_fail_cleanly(self, tmp_path, capsys,
                                                   beta):
-        # a list, or the default one of four betas, is rejected, not cut
-        # down to its first beta
+        # a list is rejected, not cut down to its first beta, and a run
+        # given no beta is told to give one rather than shown the default
         from isingkit.cli import main
         out_dir = tmp_path / "out"
         code = main(["stc-audit", "--dims", "4,4", "--h", "sqrt2/2",
@@ -486,8 +486,46 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
-        want = "[2.0, 5.0, 9.0]" if beta else "[3.0, 4.0, 5.0, 6.0]"
+        want = "[2.0, 5.0, 9.0]" if beta else "--beta"
         assert want in lines[0]
+        assert not out_dir.exists()
+
+    def test_stc_audit_beta_from_the_config_file(self, tmp_path, capsys):
+        from isingkit.cli import main
+        argv = ["stc-audit", "--dims", "3", "--h", "sqrt2/2", "--replicas",
+                "2", "--out-dir", str(tmp_path / "out")]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3}))
+        assert main([*argv, "--config", str(config)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "--beta" in lines[0]
+        assert not (tmp_path / "out").exists()
+        config.write_text(json.dumps({"seed": 3, "beta": [2.0]}))
+        main([*argv, "--config", str(config)])
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "out" / "summary.json").read_text()
+                          )["beta"] == 2.0
+
+    @pytest.mark.parametrize("d, vmax", [(2, 13), (3, 9), (2, 0), (4, 2)])
+    def test_isoperimetry_vmax_outside_cap_fails_cleanly(
+            self, tmp_path, capsys, monkeypatch, d, vmax):
+        # rejected before any polyomino is enumerated
+        from isingkit import isoperimetry
+        from isingkit.cli import main
+
+        def no_enumeration(*args):
+            raise AssertionError("enumerated past the check")
+
+        monkeypatch.setattr(isoperimetry, "_grow_tables", no_enumeration)
+        out_dir = tmp_path / "out"
+        code = main(["isoperimetry", "--d", str(d), "--vmax", str(vmax),
+                     "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out_dir.exists()
 
     GROWTH_ARGV = ("growth-model", "--d", "1", "--gamma", "1.5",

@@ -132,6 +132,28 @@ def test_4x4_blocks_built_on_access(monkeypatch):
     assert len(built) == 1
 
 
+def test_block_slices_are_the_indexed_blocks(monkeypatch):
+    g = graph((3, 3), BoundaryCondition.all_minus(), "sqrt2/2")
+    built = []
+
+    def counting(*fields):
+        built.append(CycleBlock(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(landscape, "CycleBlock", counting)
+    part = maximal_cycles(g, range(511))
+    n = len(part.blocks)
+    assert n > 6 and built == []
+    for cut in (slice(None, 2), slice(-3, None), slice(1, -1, 3),
+                slice(None, None, -2), slice(5, 1, -1), slice(n, None)):
+        got = part.blocks[cut]
+        assert isinstance(got, list)
+        want = [part.blocks[k] for k in range(n)[cut]]
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+    assert len(built) == len({id(b) for b in built})
+
+
 def test_y_as_array_or_frozenset(monkeypatch):
     g = graph((3, 3), BoundaryCondition.n_pm(1), "sqrt2/2")
     full = g.n_states - 1

@@ -170,6 +170,18 @@ class TestWindowedDiameter:
                 assert lhs <= rhs
 
 
+class TestWindowAtHorizon:
+    def test_cluster_alive_at_horizon_meets_t_face(self):
+        # two pairs born inside the window, alive at the horizon: both meet
+        # the t face, so their diameters add up at t_end as just before it
+        ctx = build_context(BoxGeometry((5,)), BoundaryCondition.all_minus(), HALF)
+        traj = scripted(ctx, [(5.0, (0,), 1), (5.1, (1,), 1), (5.2, (3,), 1),
+                              (5.3, (4,), 1)], t_end=10.0)
+        ledger = track(ctx, traj)
+        assert diam_infty_window(ledger, 1.0, 9.99) == 2
+        assert diam_infty_window(ledger, 1.0, 10.0) == 2
+
+
 class TestCrossing:
     def test_all_plus_crosses_at_zero(self):
         ctx = build_context(BoxGeometry((4, 3)), BoundaryCondition.all_plus(), HALF)

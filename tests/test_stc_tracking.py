@@ -1,7 +1,11 @@
 """Differential tests: ``isingkit.stc.track`` (live sites resolved by
 ``find`` on demand, merges by size) against the relabel-every-flip tracker
 kept in ``stc_oracle``.  The change is exact, so the ledgers must agree:
-diameter events, crossing times, clusters and segments.
+diameter events, crossing times, clusters and segments.  Likewise
+``isingkit.stc.diam_infty_window`` (the window re-tracked) against the
+clipped-segment union-find kept there, on every window that ends before the
+horizon; at the horizon it must equal the oracle at a time between the last
+flip and the horizon, where open segments are not clipped.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -9,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 import stc_oracle as oracle
 from box_strategy import boxes
 from isingkit.energy import MagneticField
-from isingkit.kmc import Trajectory, evolve_rejection_free
+from isingkit.kmc import (EventStream, Trajectory, evolve_graphical,
+                          evolve_rejection_free)
 from isingkit.lattice import (BoundaryCondition, BoxGeometry, Configuration,
                               build_context, connected_components)
-from isingkit.stc import track
+from isingkit.stc import diam_infty_window, track
 
 SQRT2_2 = MagneticField("sqrt2/2")
 
@@ -96,3 +101,50 @@ class TestPrefixConsistency:
 
         assert dead(track(ctx, traj, initial_stc=groups)) == \
             dead(track(ctx, prefix, initial_stc=groups))
+
+
+class TestWindowAgainstOracle:
+    @staticmethod
+    def assert_same_window(ledger, s, t):
+        end = ledger.t_end
+        if t < end:
+            assert diam_infty_window(ledger, s, t) == \
+                oracle.diam_infty_window(ledger, s, t)
+            return
+        # no flip in (last, end], and every open segment covers the time
+        # halfway there, so the oracle sees the clusters alive at the horizon
+        last = max((e[0] for e in ledger.trajectory.events if e[0] <= end),
+                   default=0.0)
+        halfway = (last + end) / 2
+        if s < halfway:
+            assert diam_infty_window(ledger, s, end) == \
+                oracle.diam_infty_window(ledger, s, halfway)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=trajectories(), data=st.data())
+    def test_random_windows(self, case, data):
+        # window faces from 0, the flip times, random times and t_end
+        ctx, traj, groups = case
+        ledger = track(ctx, traj, initial_stc=groups)
+        faces = [0.0, traj.t_end] + [e[0] for e in traj.events]
+        face = st.one_of(st.sampled_from(faces),
+                         st.floats(0.0, traj.t_end))
+        for _ in range(8):
+            s, t = sorted((data.draw(face), data.draw(face)))
+            if s < t:
+                self.assert_same_window(ledger, s, t)
+            if s < traj.t_end:
+                self.assert_same_window(ledger, s, traj.t_end)
+
+    def test_sampled_windows(self):
+        # criterion 09's windows on graphical runs, horizon left open
+        ctx = build_context(BoxGeometry((4, 4)),
+                            BoundaryCondition.all_minus(), SQRT2_2)
+        alpha = Configuration.all_minus(ctx.geometry)
+        for seed in range(10):
+            traj = evolve_graphical(EventStream(seed), ctx, alpha, beta=0.9,
+                                    horizon=4.0)
+            ledger = track(ctx, traj)
+            for u in [e[0] for e in traj.events][1:-1:3]:
+                for s, t in ((0.0, u), (u, traj.t_end), (0.0, traj.t_end)):
+                    self.assert_same_window(ledger, s, t)
