@@ -29,6 +29,7 @@ from .kmc import (hitting_time, pred_all_plus, pred_exits_set,
 from .landscape import critical_constants, restricted_ensemble
 from .lattice import (BoundaryCondition, BoxGeometry, Configuration,
                       build_context)
+from .stc import track
 
 # read once at import, since reading the umask means setting it
 _UMASK = os.umask(0o022)
@@ -66,6 +67,9 @@ class RunConfig:
         if self.mode not in ("rejection_free", "graphical"):
             raise ValueError(f"unknown mode {self.mode!r}")
         _check_int("caps events", self.caps_events, 1)
+        _check_int("block side", self.block_side, 1)
+        _check_int("eligibility defect", self.eligibility_defect, 0)
+        _check_int("stc threshold D", self.stc_threshold_D, 0)
         if self.caps_time is not None and not (
                 _is_number(self.caps_time, numbers.Real)
                 and self.caps_time > 0):
@@ -604,8 +608,6 @@ def run_stc_audit(config):
     window (exit flip included), and records the maximal cluster diameter
     and the run's stop reason.  The audit runs at one beta.
     """
-    from .stc import track
-
     if len(config.beta) != 1:
         raise ValueError(f"stc-audit runs at one beta, got {config.beta!r}")
     ctx = config.context()

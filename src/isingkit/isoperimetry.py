@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 from collections import defaultdict
 
-from .lattice import BoxGeometry, Configuration, hamiltonian
+from .lattice import (BoundaryCondition, BoxGeometry, Configuration,
+                      build_context, hamiltonian)
 
 DEFAULT_CAPS = {2: 12, 3: 8}
 
@@ -228,8 +229,6 @@ def project_to_lower_dim(ctx, config):
     with the same mixed boundary.  Volume is preserved and the energy never
     increases; both facts are rechecked exactly.
     """
-    from .lattice import BoundaryCondition, build_context
-
     geom = ctx.geometry
     d = geom.dimension
     if ctx.bc.kind == BoundaryCondition.N_PM:

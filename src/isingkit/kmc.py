@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Configuration
+from .lattice import Configuration, hamiltonian
 
 _FIRST_WINDOW = 8.0
 _COORD_OFFSET = 1 << 20
@@ -194,7 +194,6 @@ class _SimState:
     __slots__ = ("ctx", "spins", "bonds", "pluses", "time")
 
     def __init__(self, ctx, config):
-        from .lattice import hamiltonian
         self.ctx = ctx
         self.spins = config.spins.copy()
         e = hamiltonian(ctx, config)

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
+import numpy as np
+
 from .kmc import Trajectory
-from .lattice import Configuration, connected_components
+from .lattice import Configuration
 from .unionfind import UnionFind
 
 
@@ -70,8 +73,7 @@ class StcLedger:
                     rec["hi"][axis] >= origin[axis] + geom.dims[axis] - 1:
                 self.crossing_times[axis] = t
 
-    def _merge(self, roots, t):
-        roots = list(dict.fromkeys(self.uf.find(r) for r in roots))
+    def _merge(self, roots):
         main = roots[0]
         rec = self._records[main]
         lo, hi = rec["lo"], rec["hi"]
@@ -92,14 +94,11 @@ class StcLedger:
         return main
 
     def _open_site(self, coord, t, cluster_roots):
-        if not cluster_roots:
-            root = self._record(coord, t)
-            self._check_crossing(root, t)
-            return root
+        """Open coord at t, merging the live clusters at distinct roots."""
         # diameter growth is judged against the parts before any merge, so a
         # merge-driven jump is always recorded
         before = max(self._diam(self._records[r]) for r in cluster_roots)
-        root = self._merge(cluster_roots, t)
+        root = self._merge(cluster_roots)
         rec = self._records[root]
         rec["open"][coord] = t
         rec["live"] += 1
@@ -148,16 +147,17 @@ class StcLedger:
         return max((self._diam(rec) for rec in self._records.values()), default=0)
 
 
-def track(ctx, trajectory, initial_stc=None):
+def track(ctx, trajectory):
     """Build the space-time cluster ledger of a trajectory.
 
     A plus flip opens the site's interval and joins the live clusters at its
     plus neighbors; a minus flip closes the interval, and a cluster dies once
-    no member site remains plus.  ``initial_stc`` optionally groups the
-    initial plus components into pre-existing clusters (a group may span
-    several components, mirroring clusters inherited from an earlier run).
-    ``live`` maps each plus site to the cluster id it joined; readers
-    resolve it to the current root with ``find``.
+    no member site remains plus.  The ledger starts from all minus: the
+    initial pluses enter as plus flips at time 0, in ascending site order,
+    ahead of the trajectory's events, so an initial plus component may open
+    several clusters that merge at time 0.  ``live`` maps each plus site to
+    the cluster id it joined; readers resolve it to the current root with
+    ``find``.
 
     The two common plus flips are handled in place: a site with no plus
     neighbor opens a new cluster, and a site that joins exactly one cluster
@@ -168,29 +168,19 @@ def track(ctx, trajectory, initial_stc=None):
     the second.  Merges go through ``_open_site``.
     """
     ledger = StcLedger(ctx, trajectory)
-    spins = trajectory.initial.spins.tolist()
+    spins = [-1] * ctx.n_sites
     coords = ctx.global_coords
     neighbors = ctx.neighbors
     live = {}
-
-    groups = _initial_groups(ctx, trajectory.initial, initial_stc)
-    for group in groups:
-        root = None
-        for site in group:
-            roots = [live[nb] for nb in neighbors[site] if nb in live]
-            if root is not None:
-                roots.append(root)
-            root = ledger._open_site(coords[site], 0.0,
-                                     [ledger.uf.find(r) for r in roots])
-            live[site] = root
-
+    opens = [(0.0, site, 1) for site in
+             np.flatnonzero(trajectory.initial.spins == 1).tolist()]
     records = ledger._records
     diameter_events = ledger.diameter_events
     find = ledger.uf.find
     record = ledger._record
     get = live.get
     spans_floor = min(ctx.geometry.dims) - 1
-    for t, site, new_spin in trajectory.events:
+    for t, site, new_spin in chain(opens, trajectory.events):
         if spins[site] == new_spin:
             raise ValueError("inconsistent trajectory: flip to current value")
         spins[site] = new_spin
@@ -233,12 +223,6 @@ def track(ctx, trajectory, initial_stc=None):
     return ledger
 
 
-def _initial_groups(ctx, config, initial_stc):
-    if initial_stc is not None:
-        return [list(group) for group in initial_stc]
-    return [sorted(comp) for comp, _ in connected_components(ctx, config)]
-
-
 # -- windowed diameter ---------------------------------------------------------
 
 
@@ -261,13 +245,12 @@ def diam_infty_window(ledger, s, t):
     for _, site, spin in events[:first]:
         spins[site] = spin
     # the pluses at s enter as flips at time 0 from all minus, ahead of every
-    # window flip, so a cluster born at 0.0 holds a site plus at s; with no
-    # initial plus there is no initial group to look for
+    # window flip, so a cluster born at 0.0 holds a site plus at s
     opens = [(0.0, site, 1) for site, spin in enumerate(spins) if spin == 1]
     window = track(ledger.ctx, Trajectory(
         Configuration.all_minus(traj.initial.geometry),
         opens + events[first:last], t, traj.stop_reason, traj.beta,
-        traj.h_token, traj.bc_label), initial_stc=())
+        traj.h_token, traj.bc_label))
     meeting = other = 0
     for rec in window._records.values():
         diam = window._diam(rec)

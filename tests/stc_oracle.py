@@ -3,8 +3,13 @@
 This is ``isingkit.stc.track`` as it was before find-on-demand: after each
 plus flip it relabels every live site to its current root, and its ledger
 appends each merged cluster's segments into the first root's lists,
-whatever their sizes.  The differential tests require the library to
-produce the same ledger exactly.
+whatever their sizes.  It keeps the older start too: each initial plus
+component is opened at time 0 as one cluster, site by site through
+``_open_site``, where the library feeds the initial pluses through its
+event loop one at a time, so a component may open several clusters that
+merge at time 0.  The differential tests require the library to produce
+the same ledger exactly from an all-minus start, and the same ledger up to
+cluster ids (and the time-0 diameter events) from a start with pluses.
 
 ``diam_infty_window`` is the windowed diameter as it was before windows
 were re-tracked: a union-find over the ledger's segments clipped to the
@@ -15,12 +20,13 @@ horizon.
 
 from __future__ import annotations
 
-from isingkit.stc import StcLedger, _initial_groups
+from isingkit.lattice import connected_components
+from isingkit.stc import StcLedger
 from isingkit.unionfind import UnionFind
 
 
 class OracleLedger(StcLedger):
-    def _merge(self, roots, t):
+    def _merge(self, roots):
         roots = list(dict.fromkeys(self.uf.find(r) for r in roots))
         main = roots[0]
         rec = self._records[main]
@@ -42,23 +48,27 @@ class OracleLedger(StcLedger):
             self._records[root] = self._records.pop(main)
         return root
 
+    def _open_site(self, coord, t, cluster_roots):
+        if not cluster_roots:
+            root = self._record(coord, t)
+            self._check_crossing(root, t)
+            return root
+        return super()._open_site(coord, t, cluster_roots)
 
-def track(ctx, trajectory, initial_stc=None):
+
+def track(ctx, trajectory):
     """Build the space-time cluster ledger of a trajectory.
 
     A plus flip opens the site's interval and joins the live clusters at its
     plus neighbors; a minus flip closes the interval, and a cluster dies once
-    no member site remains plus.  ``initial_stc`` optionally groups the
-    initial plus components into pre-existing clusters (a group may span
-    several components, mirroring clusters inherited from an earlier run).
+    no member site remains plus.  Each initial plus component enters at
+    time 0 as one cluster.
     """
     ledger = OracleLedger(ctx, trajectory)
-    geom = ctx.geometry
     spins = trajectory.initial.spins.copy()
     live = {}
 
-    groups = _initial_groups(ctx, trajectory.initial, initial_stc)
-    for group in groups:
+    for group in _initial_groups(ctx, trajectory.initial):
         root = None
         for site in group:
             roots = [live[nb] for nb in ctx.neighbors[site] if nb in live]
@@ -85,6 +95,10 @@ def track(ctx, trajectory, initial_stc=None):
             root = ledger.uf.find(live.pop(site))
             ledger._close_site(root, ctx.global_coord(site), t)
     return ledger
+
+
+def _initial_groups(ctx, config):
+    return [sorted(comp) for comp, _ in connected_components(ctx, config)]
 
 
 # -- windowed diameter over clipped segments ---------------------------------

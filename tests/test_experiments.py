@@ -56,7 +56,9 @@ class TestRunConfig:
     @pytest.mark.parametrize("bad", [
         {"replicas": None}, {"replicas": 2.0}, {"dims": None}, {"dims": []},
         {"dims": [3, 0]}, {"dims": ["3"]}, {"beta": None}, {"beta": ["x"]},
-        {"seed": None}, {"seed": -1}])
+        {"seed": None}, {"seed": -1}, {"block_side": 0},
+        {"block_side": -4}, {"block_side": 2.0}, {"eligibility_defect": -1},
+        {"stc_threshold_D": -3}, {"stc_threshold_D": None}])
     def test_bad_values_rejected(self, bad):
         with pytest.raises(ValueError):
             RunConfig.from_dict(dict({"experiment": "nucleation"}, **bad))
@@ -470,6 +472,29 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "distinct" in lines[0]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("infection", "--dims", "8", "--h", "0.5", "--beta", "2,3",
+         "--block-side", "0"),
+        ("infection", "--dims", "8", "--h", "0.5", "--beta", "2,3",
+         "--block-side", "-4"),
+        ("stc-audit", "--dims", "4,4", "--h", "sqrt2/2", "--beta", "3",
+         "--stc-threshold-D", "-3")])
+    def test_bad_experiment_parameter_fails_cleanly(self, tmp_path, capsys,
+                                                    argv):
+        # rejected before any run: a zero block side would divide by zero,
+        # a negative one would censor every replica, and a negative
+        # threshold would fail every audit
+        from isingkit.cli import main
+        out_dir = tmp_path / "out"
+        code = main([*argv, "--replicas", "2", "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("beta", [("--beta", "2,5,9"), ()])

@@ -82,13 +82,20 @@ class TestTracking:
         ledger = track(ctx, traj)
         assert len(ledger.clusters()) == 1  # the new plus merges both
 
-    def test_initial_stc_grouping(self):
-        # a declared initial cluster spanning two disconnected components
-        ctx = build_context(BoxGeometry((5,)), BoundaryCondition.all_minus(), HALF)
-        init = Configuration.from_plus_sites(ctx.geometry, [0, 3])
-        traj = scripted(ctx, [], t_end=1.0, initial=init)
-        assert len(track(ctx, traj).clusters()) == 2
-        assert len(track(ctx, traj, initial_stc=[[0, 3]]).clusters()) == 1
+    def test_initial_component_enters_site_by_site(self):
+        # the initial pluses are time-0 flips in site order: 0 and 2 open
+        # two clusters, 3 widens the first, and 5 merges them into one
+        # cluster of diameter 2 spanning axis 1
+        ctx = build_context(BoxGeometry((3, 3)), BoundaryCondition.all_minus(),
+                            HALF)
+        init = Configuration.from_plus_sites(ctx.geometry, [0, 2, 3, 4, 5])
+        ledger = track(ctx, scripted(ctx, [], t_end=1.0, initial=init))
+        views = ledger.clusters()
+        assert len(views) == 1 and views[0].diameter == 2
+        assert views[0].birth == 0.0 and views[0].death is None
+        assert ledger.crossing_times == {1: 0.0}
+        assert ledger.diameter_events == [(0.0, 0, 0), (0.0, 1, 0),
+                                          (0.0, 0, 1), (0.0, 0, 2)]
 
     def test_inconsistent_trajectory_rejected(self):
         ctx = build_context(BoxGeometry((3,)), BoundaryCondition.all_minus(), HALF)
@@ -222,6 +229,16 @@ class TestDoubling:
         assert hit is not None
         t, _, diam = hit
         assert t == 3.0 and 4 <= diam <= 8
+
+    def test_threshold_against_initial_cluster(self):
+        # an initial plus run 0-2 has diameter 2 at time 0
+        ctx = build_context(BoxGeometry((7,)), BoundaryCondition.all_minus(), HALF)
+        init = Configuration.from_plus_sites(ctx.geometry, [0, 1, 2])
+        ledger = track(ctx, scripted(ctx, [], initial=init))
+        with pytest.raises(ValueError):
+            doubling_extraction(ledger, 1)
+        t, _, diam = doubling_extraction(ledger, 2)
+        assert (t, diam) == (0.0, 2)
 
     def test_unit_growth_hits_exactly(self):
         ctx = build_context(BoxGeometry((8,)), BoundaryCondition.all_minus(), HALF)

@@ -1,12 +1,21 @@
 """Differential tests: ``isingkit.stc.track`` (live sites resolved by
-``find`` on demand, merges by size) against the relabel-every-flip tracker
-kept in ``stc_oracle``.  The change is exact, so the ledgers must agree:
-diameter events, crossing times, clusters and segments.  Likewise
+``find`` on demand, merges by size, initial pluses fed through the event
+loop as time-0 flips) against the relabel-every-flip tracker kept in
+``stc_oracle``, which opens each initial plus component as one cluster.
+From an all-minus start the ledgers must agree exactly: diameter events,
+crossing times, clusters and segments.  From a start with pluses a
+component may open several clusters that merge at time 0, so cluster ids
+and the time-0 diameter events may differ; everything else must agree:
+the clusters without their ids, crossing times, segments, the largest
+diameter overall and at time 0, the diameter events after time 0 and the
+doubling witnesses without their ids.  Likewise
 ``isingkit.stc.diam_infty_window`` (the window re-tracked) against the
 clipped-segment union-find kept there, on every window that ends before the
 horizon; at the horizon it must equal the oracle at a time between the last
 flip and the horizon, where open segments are not clipped.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +25,8 @@ from isingkit.energy import MagneticField
 from isingkit.kmc import (EventStream, Trajectory, evolve_graphical,
                           evolve_rejection_free)
 from isingkit.lattice import (BoundaryCondition, BoxGeometry, Configuration,
-                              build_context, connected_components)
-from isingkit.stc import diam_infty_window, track
+                              build_context)
+from isingkit.stc import diam_infty_window, doubling_extraction, track
 
 SQRT2_2 = MagneticField("sqrt2/2")
 
@@ -25,23 +34,12 @@ SQRT2_2 = MagneticField("sqrt2/2")
 @st.composite
 def trajectories(draw):
     """A 1-3 d box with sides from 1 up (``box_strategy.boxes``), a random
-    initial configuration, optional initial_stc groups (each a union of
-    initial plus components), and valid flips at random sites and
-    increasing times."""
+    initial configuration, and valid flips at random sites and increasing
+    times."""
     ctx, initial = draw(boxes())
     n = ctx.n_sites
-    spins = initial.spins.tolist()
-    groups = None
-    if draw(st.booleans()):
-        comps = [comp for comp, _ in connected_components(ctx, initial)]
-        labels = draw(st.lists(st.integers(0, 3), min_size=len(comps),
-                               max_size=len(comps)))
-        by_label = {}
-        for comp, label in zip(comps, labels):
-            by_label.setdefault(label, []).extend(sorted(comp))
-        groups = list(by_label.values())
     sites = draw(st.lists(st.integers(0, n - 1), max_size=150))
-    current = list(spins)
+    current = initial.spins.tolist()
     events = []
     t = 0.0
     for site in sites:
@@ -51,23 +49,63 @@ def trajectories(draw):
     traj = Trajectory(initial=initial, events=events, t_end=t + 1.0,
                       stop_reason="scripted", beta=0.0,
                       h_token=ctx.field.token, bc_label=ctx.bc.label())
-    return ctx, traj, groups
+    return ctx, traj
 
 
-def assert_same_ledger(new, old):
+def id_free(ledger):
+    """What a ledger says that names no cluster id and no time-0 step."""
+    events = ledger.diameter_events
+    at_zero = max((d for t, _, d in events if t == 0.0), default=0)
+    doubling = [doubling_extraction(ledger, k)
+                for k in range(at_zero, ledger.max_diameter() + 2)]
+    return {
+        "clusters": Counter((v.segments, v.lo, v.hi, v.birth, v.death,
+                             v.diameter) for v in ledger.clusters()),
+        "crossing_times": ledger.crossing_times,
+        "segments": sorted(ledger.all_segments()),
+        "max_diameter": ledger.max_diameter(),
+        "max_diameter_at_zero": at_zero,
+        "events_after_zero": [(t, d) for t, _, d in events if t > 0.0],
+        "doubling": [hit and (hit[0], hit[2]) for hit in doubling],
+    }
+
+
+def assert_equal_ledgers(new, old):
     assert new.diameter_events == old.diameter_events
     assert new.crossing_times == old.crossing_times
     assert new.clusters() == old.clusters()
     assert sorted(new.all_segments()) == sorted(old.all_segments())
 
 
+def assert_same_ledger(new, old):
+    """Equal up to ids from a start with pluses, exactly from all minus."""
+    assert id_free(new) == id_free(old)
+    if not (new.trajectory.initial.spins == 1).any():
+        assert_equal_ledgers(new, old)
+
+
 class TestTrackAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(case=trajectories())
     def test_random_trajectories(self, case):
-        ctx, traj, groups = case
-        assert_same_ledger(track(ctx, traj, initial_stc=groups),
-                           oracle.track(ctx, traj, initial_stc=groups))
+        ctx, traj = case
+        assert_same_ledger(track(ctx, traj), oracle.track(ctx, traj))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=trajectories())
+    def test_initial_pluses_are_time_zero_flips(self, case):
+        # the same flips replayed from all minus, the initial pluses first
+        # in site order: the library's ledger is the same, and equals the
+        # oracle's exactly, ids included
+        ctx, traj = case
+        opens = [(0.0, site, 1) for site in traj.initial.plus_sites()]
+        replay = Trajectory(Configuration.all_minus(ctx.geometry),
+                            opens + traj.events, traj.t_end,
+                            traj.stop_reason, traj.beta, traj.h_token,
+                            traj.bc_label)
+        ledger = track(ctx, replay)
+        assert_equal_ledgers(track(ctx, traj), ledger)
+        assert_same_ledger(ledger, oracle.track(ctx, replay))
 
     def test_sampled_trajectories(self):
         # growing droplets on 16x16, where merges of large clusters occur
@@ -86,7 +124,7 @@ class TestPrefixConsistency:
     def test_prefix_reproduces_dead_clusters(self, case, frac):
         # clusters that died by the cut are identical between the ledger of
         # the full trajectory and that of its prefix
-        ctx, traj, groups = case
+        ctx, traj = case
         if not traj.events:
             return
         cut = traj.events[int(frac * (len(traj.events) - 1))][0]
@@ -99,8 +137,7 @@ class TestPrefixConsistency:
             return {v.segments for v in ledger.clusters()
                     if v.death is not None and v.death <= cut}
 
-        assert dead(track(ctx, traj, initial_stc=groups)) == \
-            dead(track(ctx, prefix, initial_stc=groups))
+        assert dead(track(ctx, traj)) == dead(track(ctx, prefix))
 
 
 class TestWindowAgainstOracle:
@@ -124,8 +161,8 @@ class TestWindowAgainstOracle:
     @given(case=trajectories(), data=st.data())
     def test_random_windows(self, case, data):
         # window faces from 0, the flip times, random times and t_end
-        ctx, traj, groups = case
-        ledger = track(ctx, traj, initial_stc=groups)
+        ctx, traj = case
+        ledger = track(ctx, traj)
         faces = [0.0, traj.t_end] + [e[0] for e in traj.events]
         face = st.one_of(st.sampled_from(faces),
                          st.floats(0.0, traj.t_end))
