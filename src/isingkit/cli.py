@@ -4,7 +4,8 @@ The replicated experiments (nucleation, infection, stc-audit) take
 ``--config`` (a JSON key-value file) plus flag overrides; every subcommand
 takes only the flags it reads.  Every subcommand hands its files and its
 stdout result to ``_emit``.  Outputs are deterministic given the seeds and
-written atomically, so partial results never land on disk when a run fails.
+independent of the CPU count, and written atomically, so partial results
+never land on disk when a run fails.
 """
 
 from __future__ import annotations

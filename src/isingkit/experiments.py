@@ -3,9 +3,11 @@
 Arrhenius nucleation runs (hitting-time slopes against the exact barrier),
 the microscopic infection process on a renormalized block lattice, an
 abstract nucleation-and-growth model checking the relaxation-exponent
-recursion, and the growth-threshold optimization identity.  All runs are
-replica-parallelizable but executed sequentially with seeds derived as
-seed base + replica index, so outputs are deterministic.
+recursion, and the growth-threshold optimization identity.  Seeds are
+derived as seed base + replica index.  The growth model's replicas run in a
+pool of forked workers, one per CPU the process may use, and the other runs
+one after another; outputs are deterministic given the seeds and
+independent of the CPU count.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -161,7 +164,9 @@ def arrhenius_fit(times_by_beta, target=None, n_boot=1000, seed=0):
            "replicas": {b: int(samples[b].size) for b in betas}}
     if target is not None:
         out["target"] = float(target)
-        out["relative_error"] = float(abs(slope - target) / abs(target))
+        # undefined against a zero target
+        out["relative_error"] = float(abs(slope - target) / abs(target)) \
+            if target else None
     return out
 
 
@@ -359,6 +364,8 @@ def infection_files(report):
 
 # side of a clipped growth window, in relaxation-cone lengths
 WINDOW_CONES = 3.0
+# the largest x for which math.exp(x) does not overflow
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -369,7 +376,9 @@ class GrowthModelParams:
     adjacent to the infected set catch at rate exp(-beta*kappa_prev) each.
     ``kappa_prev = inf`` freezes growth entirely.  The simulated window is
     exp(beta*L) per side, clipped to ``WINDOW_CONES`` relaxation cones for
-    tractability (clipping is flagged in the report).
+    tractability (clipping is flagged in the report).  ``gamma`` and ``L``
+    must be finite, and every rate and window exponential must be a finite
+    float at every beta.
     """
 
     d: int
@@ -383,10 +392,34 @@ class GrowthModelParams:
 
     def __post_init__(self):
         _check_int("d", self.d, 1)
+        for name in ("gamma", "L"):
+            value = getattr(self, name)
+            if not (_is_number(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {value!r}")
+        if not (_is_number(self.kappa_prev, numbers.Real)
+                and -math.inf < self.kappa_prev <= math.inf):
+            raise ValueError(f"kappa_prev must be a finite number or inf "
+                             f"(frozen growth), got {self.kappa_prev!r}")
         _check_betas(self.betas)
         _check_int("replicas", self.replicas, 1)
         _check_int("seed", self.seed, 0)
         _check_int("max_events", self.max_events, 1)
+        kappa = self.kappa_predicted()
+        for beta in self.betas:
+            # the exponents _growth_single and run_growth_model exponentiate
+            exponents = [("gamma", "-beta * gamma", -beta * self.gamma),
+                         ("L", "beta * L", beta * self.L)]
+            if kappa is not None:
+                exponents += [
+                    ("kappa_prev", "-beta * kappa_prev",
+                     -beta * self.kappa_prev),
+                    ("gamma - kappa_prev", "beta * (kappa - kappa_prev)",
+                     beta * (kappa - self.kappa_prev))]
+            for name, term, x in exponents:
+                if not x <= _EXP_MAX:
+                    raise ValueError(f"{name} out of range: exp({term}) "
+                                     f"overflows at beta {beta!r}")
 
     def kappa_predicted(self):
         return (self.gamma + self.d * self.kappa_prev) / (self.d + 1) \
@@ -506,6 +539,49 @@ def _first_passage(nuc, gro, target, max_events):
                     heappush(heap, (ty, y))
 
 
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _growth_replica(params, beta, seed):
+    """One replica, as a pool task.  The pool pickles this function by name
+    and the worker looks ``_growth_single`` up when the task runs, so the
+    simulator may be replaced by an object that cannot be pickled."""
+    return _growth_single(params, beta, seed)
+
+
+def _map_replicas(tasks):
+    """``_growth_replica`` over the (params, beta, seed) ``tasks``, results
+    in task order.
+
+    The tasks run in a pool of forked workers, one per CPU up to one per
+    task, which is closed and joined before this returns or raises; with
+    one worker, or where fork is missing, they run in this process.  Fork,
+    not spawn: a worker starts with the package already imported, where a
+    spawned one would import numpy and isingkit again.
+    """
+    workers = min(_cpu_count(), len(tasks))
+    if workers > 1:
+        # imported here: at the top it would add 12-24 ms to every
+        # ``import isingkit``
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = multiprocessing.get_context("fork").Pool(workers)
+            try:
+                results = pool.starmap(_growth_replica, tasks, chunksize=1)
+                pool.close()
+            except BaseException:
+                pool.terminate()
+                raise
+            finally:
+                pool.join()
+            return results
+    return [_growth_replica(*task) for task in tasks]
+
+
 def run_growth_model(params):
     """Origin-coverage times of the renormalized model and the fitted
     relaxation exponent, compared with (gamma + d*kappa_prev)/(d+1).
@@ -513,17 +589,20 @@ def run_growth_model(params):
     Each row records why its replica stopped and how many infections it
     took; ``flags["censored"]`` counts the censored replicas by reason.  As
     in ``run_nucleation``, the fit uses only temperatures with no censored
-    replica: dropping the censored ones would bias the mean time low.
+    replica: dropping the censored ones would bias the mean time low.  The
+    replicas of all temperatures run through one ``_map_replicas`` call.
     """
     rows = []
     times_by_beta = {}
     flags = {"clipped_windows": [], "too_small": [], "censored_betas": [],
              "censored": {"event_cap": 0, "frozen": 0}}
+    results = iter(_map_replicas([(params, beta, params.seed + rep)
+                                  for beta in params.betas
+                                  for rep in range(params.replicas)]))
     for beta in params.betas:
         times = []
         for rep in range(params.replicas):
-            t, clipped, side, stop_reason, events = _growth_single(
-                params, beta, params.seed + rep)
+            t, clipped, side, stop_reason, events = next(results)
             rows.append({"replica": rep, "seed": params.seed + rep,
                          "beta": beta, "coverage_time": t,
                          "censored": t is None, "side": side,

@@ -42,5 +42,6 @@ def arrhenius_fit(times_by_beta, target=None, n_boot=1000, seed=0):
            "replicas": {b: int(samples[b].size) for b in betas}}
     if target is not None:
         out["target"] = float(target)
-        out["relative_error"] = float(abs(slope - target) / abs(target))
+        out["relative_error"] = float(abs(slope - target) / abs(target)) \
+            if target else None
     return out

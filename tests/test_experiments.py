@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -80,7 +81,7 @@ def fit_inputs(draw):
                           unique=True))
     times = {b: draw(st.lists(st.floats(1e-3, 1e6), min_size=1,
                               max_size=30)) for b in betas}
-    target = draw(st.none() | st.floats(0.1, 5.0))
+    target = draw(st.none() | st.just(0.0) | st.floats(0.1, 5.0))
     return times, target
 
 
@@ -577,8 +578,23 @@ class TestCli:
         assert code == 0
         assert "error" in json.loads(out)["fit"]
 
+    def test_growth_model_zero_target_prints_strict_json(self):
+        def reject(constant):
+            raise ValueError(f"{constant} in stdout")
+
+        argv = list(self.GROWTH_ARGV)
+        argv[argv.index("--gamma") + 1] = "0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = self.run_cli(*argv, "--replicas", "3")
+        assert code == 0
+        fit = json.loads(out, parse_constant=reject)["fit"]
+        assert fit["target"] == 0.0 and fit["relative_error"] is None
+
     @pytest.mark.parametrize("bad", [("--replicas", "0"), ("--d", "0"),
-                                     ("--seed", "-1"), ("--beta", "0,4")])
+                                     ("--seed", "-1"), ("--beta", "0,4"),
+                                     ("--gamma", "nan"), ("--L", "nan"),
+                                     ("--L", "1e6"), ("--kappa-prev", "nan")])
     def test_growth_model_bad_input_fails_cleanly(self, tmp_path, capsys,
                                                   bad):
         from isingkit.cli import main

@@ -9,14 +9,20 @@ fixed-point iteration of T(x) = min(N(x), E(x) + min over neighbours T(y)).
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import growth_oracle as oracle
+from isingkit import experiments
 from isingkit.experiments import (GrowthModelParams, _first_passage,
-                                  _growth_single, _padded, run_growth_model)
+                                  _growth_single, _padded, growth_model_files,
+                                  run_growth_model)
 
 
 def ks_statistic(a, b):
@@ -165,9 +171,79 @@ def test_uncensored_rows_record_origin_and_events():
     {"betas": []}, {"betas": [4.0, 0.0]}, {"betas": [-1.0]},
     {"betas": None}, {"max_events": 0}, {"max_events": 2.5},
     {"max_events": True}, {"seed": -1},
+    {"gamma": math.nan}, {"gamma": math.inf}, {"gamma": -math.inf},
+    {"gamma": None}, {"L": math.nan}, {"L": math.inf}, {"L": "0.7"},
+    {"kappa_prev": math.nan}, {"kappa_prev": -math.inf},
+    # exp(beta * L), exp(-beta * gamma), exp(-beta * kappa_prev) and the
+    # cone exp(beta * (kappa - kappa_prev)) overflow
+    {"L": 1e6}, {"L": 100.0, "betas": [4.0, 8.0]}, {"gamma": -1000.0},
+    {"kappa_prev": -1000.0}, {"gamma": 3000.0},
 ])
 def test_bad_params_rejected(bad):
     kw = dict(d=2, gamma=2.0, kappa_prev=0.5, L=0.7, betas=[4.0])
     kw.update(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         GrowthModelParams(**kw)
+    # the message names the parameter ("beta values" for betas)
+    assert next(iter(bad)).rstrip("s") in str(exc.value)
+
+
+# nine replicas over three temperatures
+POOLED = dataclasses.replace(GROWTH, betas=[4.0, 5.0, 6.0], replicas=3)
+
+
+def run_with_cpus(monkeypatch, params, cpus):
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
+    return growth_model_files(run_growth_model(params))
+
+
+def test_outputs_independent_of_worker_count(monkeypatch):
+    serial = run_with_cpus(monkeypatch, POOLED, 1)
+    # 16 CPUs: more than the nine tasks, so the pool is capped at nine
+    for cpus in (2, 3, 16):
+        assert run_with_cpus(monkeypatch, POOLED, cpus) == serial
+        assert multiprocessing.active_children() == []
+
+
+def test_replaced_simulator_runs_in_workers(monkeypatch, tmp_path):
+    # a local closure, as the benchmark's per-replica hook installs: the
+    # pool must not try to pickle it
+    serial = run_with_cpus(monkeypatch, POOLED, 1)
+    log = tmp_path / "pids"
+    original = experiments._growth_single
+
+    def hooked(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "_growth_single", hooked)
+    assert run_with_cpus(monkeypatch, POOLED, 2) == serial
+    pids = log.read_text().split()
+    assert len(pids) == 9
+    assert str(os.getpid()) not in pids and len(set(pids)) <= 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_replica_error_raised_and_no_worker_left(monkeypatch, cpus):
+    original = experiments._growth_single
+
+    def failing(params, beta, seed):
+        if beta == 5.0 and seed == params.seed + 1:
+            raise ValueError("replica failed")
+        return original(params, beta, seed)
+
+    monkeypatch.setattr(experiments, "_growth_single", failing)
+    with pytest.raises(ValueError, match="replica failed"):
+        run_with_cpus(monkeypatch, POOLED, cpus)
+    assert multiprocessing.active_children() == []
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the pool imports it on first use, so plain imports do not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, isingkit.cli; "
+         "assert 'multiprocessing' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
