@@ -2,10 +2,11 @@
 
 The replicated experiments (nucleation, infection, stc-audit) take
 ``--config`` (a JSON key-value file) plus flag overrides; every subcommand
-takes only the flags it reads.  Every subcommand hands its files and its
-stdout result to ``_emit``.  Outputs are deterministic given the seeds and
-independent of the CPU count, and written atomically, so partial results
-never land on disk when a run fails.
+takes only the flags it reads.  They and growth-model run their replicas
+across the CPUs the process may use.  Every subcommand hands its files and
+its stdout result to ``_emit``.  Outputs are deterministic given the seeds
+and independent of the CPU count, and written atomically, so partial
+results never land on disk when a run fails.
 """
 
 from __future__ import annotations

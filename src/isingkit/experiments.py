@@ -4,10 +4,11 @@ Arrhenius nucleation runs (hitting-time slopes against the exact barrier),
 the microscopic infection process on a renormalized block lattice, an
 abstract nucleation-and-growth model checking the relaxation-exponent
 recursion, and the growth-threshold optimization identity.  Seeds are
-derived as seed base + replica index.  The growth model's replicas run in a
-pool of forked workers, one per CPU the process may use, and the other runs
-one after another; outputs are deterministic given the seeds and
-independent of the CPU count.
+derived as seed base + replica index.  The replicas of every replicated run
+(nucleation, infection, growth model, stc audit) go through one
+``_map_replicas`` call, in a pool of forked workers, one per CPU the process
+may use; outputs are deterministic given the seeds and independent of the
+CPU count.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def run_nucleation(config):
     graphical replica reads at most ``GRAPHICAL_TICK_CAP`` clock arrivals;
     the report's flags record the tick cap that applied, and each row the
     stop reason of its run ("stopped" once all-plus is reached, else the cap
-    or "underflow" that ended it).
+    or "underflow" that ended it) and its applied flips.
     """
     tick_cap = GRAPHICAL_TICK_CAP if config.mode == "graphical" else None
     ctx = config.context()
@@ -198,52 +199,42 @@ def run_nucleation(config):
     ens = restricted_ensemble(ctx, d, const)
     exit_pred = pred_exits_set(ens)
     plus_pred = pred_all_plus()
-    rows = []
-    nuc_by_beta = {}
-    plus_by_beta = {}
-    censored_betas = {"nucleation": set(), "all_plus": set()}
-    for beta in config.beta:
-        nuc_times, plus_times = [], []
-        for rep in range(config.replicas):
-            seed = config.seed + rep
-            nucleation_time = [None]
 
-            def stop(state):
-                if nucleation_time[0] is None and exit_pred(state):
-                    nucleation_time[0] = state.time
-                return plus_pred(state)
+    def replica(i):
+        beta, rep = config.beta[i // config.replicas], i % config.replicas
+        nucleation_time = None
 
-            res = hitting_time(config.mode, ctx,
-                               Configuration.all_minus(ctx.geometry), beta,
-                               stop, seed=seed, time_cap=config.caps_time,
-                               max_events=config.caps_events,
-                               max_ticks=tick_cap)
-            nuc_t = nucleation_time[0]
-            nuc_censored = nuc_t is None
-            if nuc_censored:
-                nuc_t = res.time
-                censored_betas["nucleation"].add(beta)
-            if res.censored:
-                censored_betas["all_plus"].add(beta)
-            rows.append({"replica": rep, "seed": seed, "beta": beta,
-                         "nucleation_time": nuc_t,
-                         "nucleation_censored": nuc_censored,
-                         "all_plus_time": res.time,
-                         "all_plus_censored": res.censored,
-                         "stop_reason": res.trajectory.stop_reason})
-            nuc_times.append(nuc_t)
-            plus_times.append(res.time)
-        nuc_by_beta[beta] = nuc_times
-        plus_by_beta[beta] = plus_times
+        def stop(state):
+            nonlocal nucleation_time
+            if nucleation_time is None and exit_pred(state):
+                nucleation_time = state.time
+            return plus_pred(state)
+
+        res = hitting_time(config.mode, ctx,
+                           Configuration.all_minus(ctx.geometry), beta, stop,
+                           seed=config.seed + rep, time_cap=config.caps_time,
+                           max_events=config.caps_events, max_ticks=tick_cap,
+                           keep_trajectory=True)
+        nuc_censored = nucleation_time is None
+        return {"replica": rep, "seed": config.seed + rep, "beta": beta,
+                "nucleation_time": res.time if nuc_censored
+                else nucleation_time,
+                "nucleation_censored": nuc_censored,
+                "all_plus_time": res.time, "all_plus_censored": res.censored,
+                "stop_reason": res.trajectory.stop_reason,
+                "events": len(res.trajectory.events)}
+
+    rows = _map_replicas(replica, len(config.beta) * config.replicas)
     target = float(const.gammas[d].value)
     report = {"constants": {"gamma": const.gammas[d].pair(),
                             "gamma_value": target, "m": const.m[d],
                             "l_c": const.l_c[d]},
               "rows": rows, "fits": {}, "flags": {"tick_cap": tick_cap}}
-    for name, data in (("nucleation", nuc_by_beta), ("all_plus", plus_by_beta)):
-        usable = {b: v for b, v in data.items()
-                  if b not in censored_betas[name]}
-        report["flags"][name + "_censored_betas"] = sorted(censored_betas[name])
+    for name in ("nucleation", "all_plus"):
+        censored = {r["beta"] for r in rows if r[name + "_censored"]}
+        usable = {b: [r[name + "_time"] for r in rows if r["beta"] == b]
+                  for b in config.beta if b not in censored}
+        report["flags"][name + "_censored_betas"] = sorted(censored)
         if len(usable) >= 2:
             report["fits"][name] = arrhenius_fit(usable, target=target,
                                                  seed=config.seed)
@@ -257,7 +248,8 @@ def nucleation_files(report):
     return {"results.csv": _rows_to_csv(
                 report["rows"], ["replica", "seed", "beta", "nucleation_time",
                                  "nucleation_censored", "all_plus_time",
-                                 "all_plus_censored", "stop_reason"]),
+                                 "all_plus_censored", "stop_reason",
+                                 "events"]),
             "fit.json": _json({k: report[k]
                                for k in ("fits", "constants", "flags")})}
 
@@ -292,45 +284,40 @@ def run_infection_microscopic(config):
         site_block[i] = tuple(c // side for c in coord)
     blocks = sorted(set(site_block.values()))
     event_cap = min(config.caps_events, INFECTION_EVENT_CAP)
-    rows = []
-    first_by_beta = {}
-    for beta in config.beta:
-        firsts = []
-        for rep in range(config.replicas):
-            seed = config.seed + rep
-            traj = evolve_rejection_free(
-                seed, ctx, Configuration.all_minus(ctx.geometry), beta,
-                stop=pred_all_plus(), time_cap=config.caps_time,
-                max_events=event_cap)
-            minus_count = {b: block_size for b in blocks}
-            t_first = {b: None for b in blocks}
-            t_deinf = {b: None for b in blocks}
-            events = []
-            for t, site, spin in traj.events:
-                b = site_block[site]
-                minus_count[b] += -1 if spin == 1 else 1
-                if t_first[b] is None and minus_count[b] == 0:
-                    t_first[b] = t
-                    events.append((t, b, 1))
-                elif t_first[b] is not None and t_deinf[b] is None \
-                        and minus_count[b] > config.eligibility_defect:
-                    # the indicator is one-shot: once de-infected it stays 0
-                    t_deinf[b] = t
-                    events.append((t, b, 0))
-            observed = [t for t in t_first.values() if t is not None]
-            first = min(observed) if observed else None
-            censored = first is None
-            deinfections = sum(1 for t in t_deinf.values() if t is not None)
-            rows.append({"replica": rep, "seed": seed, "beta": beta,
-                         "first_infection_time": first if first is not None
-                         else traj.t_end,
-                         "censored": censored,
-                         "deinfections": deinfections,
-                         "stop_reason": traj.stop_reason,
-                         "events": events})
-            if not censored:
-                firsts.append(first)
-        first_by_beta[beta] = firsts
+
+    def replica(i):
+        beta, rep = config.beta[i // config.replicas], i % config.replicas
+        traj = evolve_rejection_free(
+            config.seed + rep, ctx, Configuration.all_minus(ctx.geometry),
+            beta, stop=pred_all_plus(), time_cap=config.caps_time,
+            max_events=event_cap)
+        minus_count = {b: block_size for b in blocks}
+        t_first = {b: None for b in blocks}
+        t_deinf = {b: None for b in blocks}
+        events = []
+        for t, site, spin in traj.events:
+            b = site_block[site]
+            minus_count[b] += -1 if spin == 1 else 1
+            if t_first[b] is None and minus_count[b] == 0:
+                t_first[b] = t
+                events.append((t, b, 1))
+            elif t_first[b] is not None and t_deinf[b] is None \
+                    and minus_count[b] > config.eligibility_defect:
+                # the indicator is one-shot: once de-infected it stays 0
+                t_deinf[b] = t
+                events.append((t, b, 0))
+        observed = [t for t in t_first.values() if t is not None]
+        first = min(observed) if observed else None
+        return {"replica": rep, "seed": config.seed + rep, "beta": beta,
+                "first_infection_time": first if first is not None
+                else traj.t_end,
+                "censored": first is None,
+                "deinfections": sum(1 for t in t_deinf.values()
+                                    if t is not None),
+                "stop_reason": traj.stop_reason,
+                "events": events}
+
+    rows = _map_replicas(replica, len(config.beta) * config.replicas)
     report = {"rows": rows, "block_dims": block_dims,
               "event_cap": {"requested": config.caps_events,
                             "effective": event_cap},
@@ -342,9 +329,10 @@ def run_infection_microscopic(config):
             / len(brows),
             "censored_fraction": sum(r["censored"] for r in brows) / len(brows),
         }
-    usable = {b: v for b, v in first_by_beta.items() if len(v) >= 2
-              and not any(r["censored"] for r in rows if r["beta"] == b)}
-    if len(usable) >= 2:
+    usable = {b: [r["first_infection_time"] for r in rows if r["beta"] == b]
+              for b in config.beta
+              if not report["persistence"][b]["censored_fraction"]}
+    if len(usable) >= 2 and config.replicas >= 2:
         report["fit"] = arrhenius_fit(usable, seed=config.seed)
     else:
         report["fit"] = {"error": "fewer than two uncensored betas with two "
@@ -364,6 +352,10 @@ def infection_files(report):
 
 # side of a clipped growth window, in relaxation-cone lengths
 WINDOW_CONES = 3.0
+# the most sites a growth window may hold: a replica keeps about 80 bytes
+# per site (two padded clock arrays, their sort order and a list of growth
+# clocks), and every worker of the pool runs one at a time
+MAX_WINDOW_SITES = 2 ** 20
 # the largest x for which math.exp(x) does not overflow
 _EXP_MAX = math.log(sys.float_info.max)
 
@@ -377,8 +369,8 @@ class GrowthModelParams:
     ``kappa_prev = inf`` freezes growth entirely.  The simulated window is
     exp(beta*L) per side, clipped to ``WINDOW_CONES`` relaxation cones for
     tractability (clipping is flagged in the report).  ``gamma`` and ``L``
-    must be finite, and every rate and window exponential must be a finite
-    float at every beta.
+    must be finite, every rate and window exponential a finite float at
+    every beta, and no window larger than ``MAX_WINDOW_SITES`` sites.
     """
 
     d: int
@@ -420,10 +412,30 @@ class GrowthModelParams:
                 if not x <= _EXP_MAX:
                     raise ValueError(f"{name} out of range: exp({term}) "
                                      f"overflows at beta {beta!r}")
+            side = self.window(beta)[0]
+            if side ** self.d > MAX_WINDOW_SITES:
+                raise ValueError(
+                    f"L out of range: at beta {beta!r} the growth window "
+                    f"holds {side}^{self.d} sites, over the bound of "
+                    f"{MAX_WINDOW_SITES}")
 
     def kappa_predicted(self):
         return (self.gamma + self.d * self.kappa_prev) / (self.d + 1) \
             if math.isfinite(self.kappa_prev) else None
+
+    def window(self, beta):
+        """(side, clipped): the odd side of the simulated window at beta,
+        and whether the relaxation cone clipped it."""
+        nominal = math.exp(beta * self.L)
+        kappa = self.kappa_predicted()
+        clipped = False
+        if kappa is not None and math.exp(-beta * self.kappa_prev) > 0:
+            cone = WINDOW_CONES * math.exp(beta * (kappa - self.kappa_prev))
+            clipped = cone + 1 < nominal
+            side_f = cone if clipped else nominal
+        else:
+            side_f = min(nominal, 3.0)
+        return 2 * max(1, int(math.ceil(side_f / 2))) + 1, clipped
 
 
 def _growth_single(params, beta, seed):
@@ -442,7 +454,7 @@ def _growth_single(params, beta, seed):
     nucleation clock, running from time 0, still has rate rho then.  Every
     settled site is one infection event of that chain.
 
-    Returns (t, clipped, side, stop_reason, events): t is None unless
+    Returns (t, stop_reason, events): t is None unless
     stop_reason is "origin"; "event_cap" when the settled count reaches
     ``params.max_events`` (the origin's own event included), "frozen" when
     no clock can ring any more.
@@ -450,30 +462,14 @@ def _growth_single(params, beta, seed):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         int(seed), spawn_key=(5,))))
     d = params.d
-    rho = math.exp(-beta * params.gamma)
+    side = params.window(beta)[0]
+    shape = (side,) * d
+    nuc = _padded(_clocks(rng, math.exp(-beta * params.gamma), shape))
     v = 0.0 if not math.isfinite(params.kappa_prev) else \
         math.exp(-beta * params.kappa_prev)
-    nominal = math.exp(beta * params.L)
-    kappa = params.kappa_predicted()
-    clipped = False
-    if kappa is not None and v > 0:
-        cone = WINDOW_CONES * math.exp(beta * (kappa - params.kappa_prev))
-        if cone + 1 < nominal:
-            side_f = cone
-            clipped = True
-        else:
-            side_f = nominal
-    else:
-        side_f = min(nominal, 3.0)
-    half = max(1, int(math.ceil(side_f / 2)))
-    side = 2 * half + 1
-    shape = (side,) * d
-    nuc = _padded(_clocks(rng, rho, shape))
     gro = _padded(_clocks(rng, v, shape))
-    origin = sum((half + 1) * (side + 2) ** k for k in range(d))
-    t, stop_reason, events = _first_passage(nuc, gro, origin,
-                                            params.max_events)
-    return t, clipped, side, stop_reason, events
+    origin = sum((side // 2 + 1) * (side + 2) ** k for k in range(d))
+    return _first_passage(nuc, gro, origin, params.max_events)
 
 
 def _clocks(rng, rate, shape):
@@ -546,40 +542,48 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _growth_replica(params, beta, seed):
-    """One replica, as a pool task.  The pool pickles this function by name
-    and the worker looks ``_growth_single`` up when the task runs, so the
-    simulator may be replaced by an object that cannot be pickled."""
-    return _growth_single(params, beta, seed)
+# the task of the running ``_map_replicas`` call, inherited by its workers
+_TASK = None
 
 
-def _map_replicas(tasks):
-    """``_growth_replica`` over the (params, beta, seed) ``tasks``, results
-    in task order.
+def _run_task(i):
+    return _TASK(i)
 
-    The tasks run in a pool of forked workers, one per CPU up to one per
-    task, which is closed and joined before this returns or raises; with
-    one worker, or where fork is missing, they run in this process.  Fork,
-    not spawn: a worker starts with the package already imported, where a
-    spawned one would import numpy and isingkit again.
+
+def _map_replicas(task, count):
+    """``[task(i) for i in range(count)]``, run in a pool of forked workers,
+    one per CPU up to one per call, which is closed and joined before this
+    returns or raises; in this process with one worker or without fork.
+
+    The task may close over unpicklable state: it sits in ``_TASK`` (one
+    slot, so one call at a time per process) when the pool forks, so the
+    workers inherit it and only indices and results cross the pipe.  Fork,
+    not spawn, also spares each worker a fresh import of numpy and
+    isingkit.  Never call this at import time: workers forked while the
+    parent holds an import lock block on it.
     """
-    workers = min(_cpu_count(), len(tasks))
+    global _TASK
+    workers = min(_cpu_count(), count)
     if workers > 1:
         # imported here: at the top it would add 12-24 ms to every
         # ``import isingkit``
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            pool = multiprocessing.get_context("fork").Pool(workers)
+            _TASK = task
             try:
-                results = pool.starmap(_growth_replica, tasks, chunksize=1)
-                pool.close()
-            except BaseException:
-                pool.terminate()
-                raise
+                pool = multiprocessing.get_context("fork").Pool(workers)
+                try:
+                    results = pool.map(_run_task, range(count), chunksize=1)
+                    pool.close()
+                except BaseException:
+                    pool.terminate()
+                    raise
+                finally:
+                    pool.join()
             finally:
-                pool.join()
+                _TASK = None
             return results
-    return [_growth_replica(*task) for task in tasks]
+    return [task(i) for i in range(count)]
 
 
 def run_growth_model(params):
@@ -592,40 +596,33 @@ def run_growth_model(params):
     replica: dropping the censored ones would bias the mean time low.  The
     replicas of all temperatures run through one ``_map_replicas`` call.
     """
-    rows = []
-    times_by_beta = {}
-    flags = {"clipped_windows": [], "too_small": [], "censored_betas": [],
-             "censored": {"event_cap": 0, "frozen": 0}}
-    results = iter(_map_replicas([(params, beta, params.seed + rep)
-                                  for beta in params.betas
-                                  for rep in range(params.replicas)]))
-    for beta in params.betas:
-        times = []
-        for rep in range(params.replicas):
-            t, clipped, side, stop_reason, events = next(results)
-            rows.append({"replica": rep, "seed": params.seed + rep,
-                         "beta": beta, "coverage_time": t,
-                         "censored": t is None, "side": side,
-                         "stop_reason": stop_reason, "events": events})
-            if clipped and beta not in flags["clipped_windows"]:
-                flags["clipped_windows"].append(beta)
-            if t is None:
-                flags["censored"][stop_reason] += 1
-                if beta not in flags["censored_betas"]:
-                    flags["censored_betas"].append(beta)
-            else:
-                times.append(t)
-        kappa = params.kappa_predicted()
-        if kappa is not None and side < math.exp(beta * (kappa - params.kappa_prev)):
-            flags["too_small"].append(beta)
-        times_by_beta[beta] = times
-    report = {"rows": rows, "flags": flags,
-              "kappa_target": params.kappa_predicted()}
-    usable = {b: v for b, v in times_by_beta.items()
-              if len(v) >= 2 and b not in flags["censored_betas"]}
-    if len(usable) >= 2:
-        report["fit"] = arrhenius_fit(usable, target=params.kappa_predicted(),
-                                      seed=params.seed)
+    def replica(i):
+        beta, rep = params.betas[i // params.replicas], i % params.replicas
+        t, stop_reason, events = _growth_single(params, beta,
+                                                params.seed + rep)
+        return {"replica": rep, "seed": params.seed + rep, "beta": beta,
+                "coverage_time": t, "censored": t is None,
+                "side": params.window(beta)[0], "stop_reason": stop_reason,
+                "events": events}
+
+    rows = _map_replicas(replica, len(params.betas) * params.replicas)
+    kappa = params.kappa_predicted()
+    censored = [r for r in rows if r["censored"]]
+    flags = {"clipped_windows": [b for b in params.betas
+                                 if params.window(b)[1]],
+             "too_small": [b for b in params.betas if kappa is not None and
+                           params.window(b)[0]
+                           < math.exp(b * (kappa - params.kappa_prev))],
+             "censored_betas": [b for b in params.betas
+                                if any(r["beta"] == b for r in censored)],
+             "censored": {reason: sum(r["stop_reason"] == reason
+                                      for r in censored)
+                          for reason in ("event_cap", "frozen")}}
+    report = {"rows": rows, "flags": flags, "kappa_target": kappa}
+    usable = {b: [r["coverage_time"] for r in rows if r["beta"] == b]
+              for b in params.betas if b not in flags["censored_betas"]}
+    if len(usable) >= 2 and params.replicas >= 2:
+        report["fit"] = arrhenius_fit(usable, target=kappa, seed=params.seed)
     else:
         report["fit"] = {"error": "fewer than two uncensored betas with two "
                                   "or more replicas"}
@@ -685,7 +682,8 @@ def run_stc_audit(config):
     Each replica runs the unrestricted dynamics from all-minus until it first
     leaves the restricted ensemble, tracks the space-time clusters over that
     window (exit flip included), and records the maximal cluster diameter
-    and the run's stop reason.  The audit runs at one beta.
+    with the run's stop reason and applied flips.  The audit runs at one
+    beta.
     """
     if len(config.beta) != 1:
         raise ValueError(f"stc-audit runs at one beta, got {config.beta!r}")
@@ -695,20 +693,21 @@ def run_stc_audit(config):
     ens = restricted_ensemble(ctx, d, const)
     exit_pred = pred_exits_set(ens)
     beta = config.beta[0]
-    rows = []
-    for rep in range(config.replicas):
-        seed = config.seed + rep
+
+    def replica(rep):
         res = hitting_time("rejection_free", ctx,
                            Configuration.all_minus(ctx.geometry), beta,
-                           exit_pred, seed=seed,
+                           exit_pred, seed=config.seed + rep,
                            time_cap=config.caps_time,
                            max_events=config.caps_events,
                            keep_trajectory=True)
-        ledger = track(ctx, res.trajectory)
-        rows.append({"replica": rep, "seed": seed,
-                     "max_diam": ledger.max_diameter(),
-                     "exit_time": res.time, "censored": res.censored,
-                     "stop_reason": res.trajectory.stop_reason})
+        return {"replica": rep, "seed": config.seed + rep,
+                "max_diam": track(ctx, res.trajectory).max_diameter(),
+                "exit_time": res.time, "censored": res.censored,
+                "stop_reason": res.trajectory.stop_reason,
+                "events": len(res.trajectory.events)}
+
+    rows = _map_replicas(replica, config.replicas)
     max_diam = max(r["max_diam"] for r in rows)
     return {"rows": rows, "max_diam": max_diam,
             "threshold_D": config.stc_threshold_D,
@@ -721,7 +720,7 @@ def stc_audit_files(report):
     """The files of an stc audit, name -> text."""
     return {"distribution.csv": _rows_to_csv(
                 report["rows"], ["replica", "seed", "max_diam", "exit_time",
-                                 "censored", "stop_reason"]),
+                                 "censored", "stop_reason", "events"]),
             "summary.json": _json({k: report[k] for k in (
                 "max_diam", "threshold_D", "passed", "beta")})}
 

@@ -594,7 +594,11 @@ class TestCli:
     @pytest.mark.parametrize("bad", [("--replicas", "0"), ("--d", "0"),
                                      ("--seed", "-1"), ("--beta", "0,4"),
                                      ("--gamma", "nan"), ("--L", "nan"),
-                                     ("--L", "1e6"), ("--kappa-prev", "nan")])
+                                     ("--L", "1e6"), ("--kappa-prev", "nan"),
+                                     # a window of e^100 sites
+                                     ("--d", "1", "--gamma", "400",
+                                      "--kappa-prev", "0", "--L", "100",
+                                      "--beta", "1,2")])
     def test_growth_model_bad_input_fails_cleanly(self, tmp_path, capsys,
                                                   bad):
         from isingkit.cli import main

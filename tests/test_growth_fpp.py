@@ -121,16 +121,16 @@ GROWTH = GrowthModelParams(d=2, gamma=2.0, kappa_prev=0.5, L=0.7,
 
 
 def test_event_cap_counts_the_origin_event():
-    t, _, _, reason, events = _growth_single(GROWTH, 4.0, 3)
+    t, reason, events = _growth_single(GROWTH, 4.0, 3)
     assert reason == "origin" and events > 1
     at_cap = dataclasses.replace(GROWTH, max_events=events)
-    assert _growth_single(at_cap, 4.0, 3)[3:] == ("event_cap", events)
+    assert _growth_single(at_cap, 4.0, 3)[1:] == ("event_cap", events)
     assert _growth_single(at_cap, 4.0, 3)[0] is None
     above = dataclasses.replace(GROWTH, max_events=events + 1)
     assert _growth_single(above, 4.0, 3)[0] == t
-    assert _growth_single(above, 4.0, 3)[3:] == ("origin", events)
+    assert _growth_single(above, 4.0, 3)[1:] == ("origin", events)
     one = dataclasses.replace(GROWTH, max_events=1)
-    assert _growth_single(one, 4.0, 3)[3:] == ("event_cap", 1)
+    assert _growth_single(one, 4.0, 3)[1:] == ("event_cap", 1)
 
 
 def test_censored_replicas_counted_by_reason():
@@ -186,6 +186,32 @@ def test_bad_params_rejected(bad):
         GrowthModelParams(**kw)
     # the message names the parameter ("beta values" for betas)
     assert next(iter(bad)).rstrip("s") in str(exc.value)
+
+
+@pytest.mark.parametrize("kw,beta", [
+    # the unclipped window exp(beta * L) = e^100 per side
+    (dict(d=1, gamma=400.0, kappa_prev=0.0, L=100.0, betas=[1.0, 2.0]), "1.0"),
+    # a window clipped to 3 cones, still 7,027,061 sites per side at
+    # beta 4 (119 at beta 1)
+    (dict(d=2, gamma=12.0, kappa_prev=1.0, L=10.0, betas=[1.0, 4.0]), "4.0"),
+])
+def test_window_over_site_bound_rejected(kw, beta):
+    with pytest.raises(ValueError) as exc:
+        GrowthModelParams(**kw)
+    msg = str(exc.value)
+    assert msg.startswith("L out of range") and f"beta {beta}" in msg
+    assert str(experiments.MAX_WINDOW_SITES) in msg
+
+
+def test_window_at_site_bound_accepted():
+    # at d = 1 the bound allows any odd side up to MAX_WINDOW_SITES
+    bound = experiments.MAX_WINDOW_SITES
+    L = math.log(bound - 2)
+    params = GrowthModelParams(d=1, gamma=30.0, kappa_prev=0.0, L=L,
+                               betas=[1.0], replicas=1, max_events=5)
+    side, clipped = params.window(1.0)
+    assert side <= bound and not clipped
+    assert _growth_single(params, 1.0, 0)[1:] == ("event_cap", 5)
 
 
 # nine replicas over three temperatures

@@ -1,0 +1,126 @@
+"""The replica map shared by every replicated experiment.
+
+``experiments._map_replicas`` runs one closure per replica in a pool of
+forked workers, one per CPU the process may use.  These tests pin that the
+CPU count changes no output byte, that no worker outlives a run, normal or
+failed, and that a closure replaced at module level runs in the workers.
+A pool that hangs fails its test through ``SIGALRM`` instead of stalling
+the suite.
+"""
+
+import multiprocessing
+import os
+import signal
+
+import pytest
+
+from isingkit import experiments
+from isingkit.experiments import (RunConfig, infection_files,
+                                  nucleation_files, run_infection_microscopic,
+                                  run_nucleation, run_stc_audit,
+                                  stc_audit_files)
+
+# seconds a test may take before the alarm fails it
+POOL_TIMEOUT = 120
+
+
+@pytest.fixture(autouse=True)
+def alarm():
+    def expire(signum, frame):
+        raise TimeoutError(f"pool test ran past {POOL_TIMEOUT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(POOL_TIMEOUT)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# (run, files, config) of each replicated experiment: six replicas each
+RUNS = {
+    "stc_audit": (run_stc_audit, stc_audit_files, RunConfig(
+        experiment="stc_audit", dims=[6, 6], h="sqrt2/2", beta=[2.0],
+        replicas=6, seed=0)),
+    "nucleation_rejection_free": (run_nucleation, nucleation_files, RunConfig(
+        experiment="nucleation", dims=[4, 4], h="sqrt2/2", beta=[1.5, 2.0],
+        replicas=3, seed=11)),
+    "nucleation_graphical": (run_nucleation, nucleation_files, RunConfig(
+        experiment="nucleation", dims=[3], h="0.5", beta=[2.0, 3.0],
+        replicas=3, seed=12, mode="graphical")),
+    "infection": (run_infection_microscopic, infection_files, RunConfig(
+        experiment="infection", dims=[8], h="0.5", beta=[2.0, 3.0],
+        replicas=3, seed=13, block_side=4)),
+}
+
+
+def run_with_cpus(monkeypatch, name, cpus):
+    run, files, config = RUNS[name]
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
+    report = run(config)
+    return report["rows"], files(report)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_independent_of_worker_count(monkeypatch, name):
+    serial = run_with_cpus(monkeypatch, name, 1)
+    # 16 CPUs: more than the six replicas, so the pool is capped at six
+    for cpus in (2, 3, 16):
+        assert run_with_cpus(monkeypatch, name, cpus) == serial
+        assert multiprocessing.active_children() == []
+    assert experiments._TASK is None
+
+
+@pytest.mark.parametrize("name", ["stc_audit", "nucleation_graphical"])
+def test_rows_record_applied_flips(monkeypatch, name):
+    rows, files = run_with_cpus(monkeypatch, name, 2)
+    assert all(r["events"] >= 1 for r in rows)
+    header = next(iter(files.values())).splitlines()[0]
+    assert header.endswith(",stop_reason,events")
+
+
+def test_replaced_hitting_time_runs_in_workers(monkeypatch, tmp_path):
+    # a local closure, as the benchmark's probes install: the pool must not
+    # try to pickle it
+    serial = run_with_cpus(monkeypatch, "stc_audit", 1)
+    log = tmp_path / "pids"
+    original = experiments.hitting_time
+
+    def hooked(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "hitting_time", hooked)
+    assert run_with_cpus(monkeypatch, "stc_audit", 2) == serial
+    pids = log.read_text().split()
+    assert len(pids) == 6
+    assert str(os.getpid()) not in pids and len(set(pids)) <= 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_replica_error_raised_and_no_worker_left(monkeypatch, name, cpus):
+    seed = RUNS[name][2].seed + 1
+    target = "evolve_rejection_free" if name == "infection" \
+        else "hitting_time"
+    original = getattr(experiments, target)
+
+    def failing(*args, **kwargs):
+        if kwargs.get("seed", args[0]) == seed:
+            raise ValueError("replica failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, target, failing)
+    with pytest.raises(ValueError, match="replica failed"):
+        run_with_cpus(monkeypatch, name, cpus)
+    assert multiprocessing.active_children() == []
+    assert experiments._TASK is None
+
+
+def test_map_keeps_call_order(monkeypatch):
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 3)
+    offset = 7  # a closure over local state, as every experiment's task is
+    assert experiments._map_replicas(lambda i: (i, i + offset), 10) == \
+        [(i, i + offset) for i in range(10)]
+    assert multiprocessing.active_children() == []
