@@ -1,12 +1,13 @@
 """Command-line surface.
 
 The replicated experiments (nucleation, infection, stc-audit) take
-``--config`` (a JSON key-value file) plus flag overrides; every subcommand
-takes only the flags it reads.  They and growth-model run their replicas
-across the CPUs the process may use.  Every subcommand hands its files and
-its stdout result to ``_emit``.  Outputs are deterministic given the seeds
-and independent of the CPU count, and written atomically, so partial
-results never land on disk when a run fails.
+``--config`` (a JSON key-value file) plus flags named after the
+``RunConfig`` fields they override; every subcommand takes only the flags it
+reads.  They and growth-model run their replicas through
+``experiments._replicate``, across the CPUs the process may use.  Every
+subcommand hands its files and its stdout result to ``_emit``.  Outputs are
+deterministic given the seeds and independent of the CPU count, and written
+atomically, so partial results never land on disk when a run fails.
 """
 
 from __future__ import annotations
@@ -59,11 +60,9 @@ def _load_config(args, experiment, required=()):
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON "
                              f"object, got {type(data).__name__}")
-    flags = {key: getattr(args, key, None) for key in (
-        "dims", "bc", "h", "beta", "replicas", "seed", "block_side",
-        "eligibility_defect", "stc_threshold_D", "out_dir", "mode",
-        "caps_events", "caps_time")}
-    flags = {k: v for k, v in flags.items() if v is not None}
+    # every flag is named after the RunConfig field it sets
+    flags = {key: getattr(args, key) for key in RunConfig.__dataclass_fields__
+             if getattr(args, key, None) is not None}
     for key in required:
         if key not in data and key not in flags:
             raise ValueError(f"{args.command} needs --{key} or a {key} key "

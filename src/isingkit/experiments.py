@@ -3,12 +3,12 @@
 Arrhenius nucleation runs (hitting-time slopes against the exact barrier),
 the microscopic infection process on a renormalized block lattice, an
 abstract nucleation-and-growth model checking the relaxation-exponent
-recursion, and the growth-threshold optimization identity.  Seeds are
-derived as seed base + replica index.  The replicas of every replicated run
-(nucleation, infection, growth model, stc audit) go through one
-``_map_replicas`` call, in a pool of forked workers, one per CPU the process
-may use; outputs are deterministic given the seeds and independent of the
-CPU count.
+recursion, and the growth-threshold optimization identity.  Every
+replicated run (nucleation, infection, growth model, stc audit) goes through
+``_replicate``, which owns the beta-major replica order, the seeds (seed
+base + replica index), the row prefix and the fork pool, and the fitted ones
+through ``_fit``.  Outputs are deterministic given the seeds and independent
+of the CPU count.
 """
 
 from __future__ import annotations
@@ -171,6 +171,84 @@ def arrhenius_fit(times_by_beta, target=None, n_boot=1000, seed=0):
     return out
 
 
+def _fit(rows, betas, time, censored, target, seed):
+    """The Arrhenius fit of column ``time`` over the betas with no row
+    flagged in column ``censored`` (dropping censored replicas would bias
+    the mean time low), given two such betas with two or more replicas each
+    (one replica gives a bootstrap interval of zero width); else an error."""
+    dropped = {r["beta"] for r in rows if r[censored]}
+    usable = {b: [r[time] for r in rows if r["beta"] == b]
+              for b in betas if b not in dropped}
+    if len(usable) < 2 or min(map(len, usable.values())) < 2:
+        return {"error": "fewer than two uncensored betas with two or more "
+                         "replicas"}
+    return arrhenius_fit(usable, target=target, seed=seed)
+
+
+# -- replicated runs -----------------------------------------------------------
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the task of the running ``_replicate`` call, inherited by its workers
+_TASK = None
+
+
+def _run_task(i):
+    return _TASK(i)
+
+
+def _replicate(betas, replicas, seed, run):
+    """One row per replica of every beta, beta-major: replica ``rep`` of
+    ``beta`` is ``run(beta, seed + rep)``, a dict of its own columns, after
+    the prefix ``replica``, ``seed``, ``beta``.
+
+    The replicas run in a pool of forked workers, one per CPU up to one per
+    replica, which is closed and joined before this returns or raises; in
+    this process with one worker or without fork.  ``run`` may close over
+    unpicklable state: the replica task sits in ``_TASK`` (one slot, so one
+    call at a time per process) when the pool forks, so the workers inherit
+    it and only indices and rows cross the pipe.  Fork, not spawn, also
+    spares each worker a fresh import of numpy and isingkit.  Never call
+    this at import time: workers forked while the parent holds an import
+    lock block on it.
+    """
+    global _TASK
+
+    def task(i):
+        beta, rep = betas[i // replicas], i % replicas
+        return {"replica": rep, "seed": seed + rep, "beta": beta,
+                **run(beta, seed + rep)}
+
+    count = len(betas) * replicas
+    workers = min(_cpu_count(), count)
+    if workers > 1:
+        # imported here: at the top it would add 12-24 ms to every
+        # ``import isingkit``
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            _TASK = task
+            try:
+                pool = multiprocessing.get_context("fork").Pool(workers)
+                try:
+                    results = pool.map(_run_task, range(count), chunksize=1)
+                    pool.close()
+                except BaseException:
+                    pool.terminate()
+                    raise
+                finally:
+                    pool.join()
+            finally:
+                _TASK = None
+            return results
+    return [task(i) for i in range(count)]
+
+
 # -- nucleation runs -----------------------------------------------------------
 
 # clock arrivals a graphical replica may read: a run whose every tick is
@@ -184,12 +262,13 @@ def run_nucleation(config):
 
     Local nucleation is the first exit from the restricted ensemble of the
     box dimension (volume above the critical volume or energy above the
-    barrier).  Each replica runs once with both observables recorded; the
-    Arrhenius fits use only temperatures with no censored replicas.  A
-    graphical replica reads at most ``GRAPHICAL_TICK_CAP`` clock arrivals;
-    the report's flags record the tick cap that applied, and each row the
-    stop reason of its run ("stopped" once all-plus is reached, else the cap
-    or "underflow" that ended it) and its applied flips.
+    barrier).  Each replica runs once with both observables recorded; each
+    Arrhenius fit is ``_fit``'s, over the temperatures with no censored
+    replica of that observable.  A graphical replica reads at most
+    ``GRAPHICAL_TICK_CAP`` clock arrivals; the report's flags record the
+    tick cap that applied, and each row the stop reason of its run
+    ("stopped" once all-plus is reached, else the cap or "underflow" that
+    ended it) and its applied flips.
     """
     tick_cap = GRAPHICAL_TICK_CAP if config.mode == "graphical" else None
     ctx = config.context()
@@ -200,8 +279,7 @@ def run_nucleation(config):
     exit_pred = pred_exits_set(ens)
     plus_pred = pred_all_plus()
 
-    def replica(i):
-        beta, rep = config.beta[i // config.replicas], i % config.replicas
+    def replica(beta, seed):
         nucleation_time = None
 
         def stop(state):
@@ -212,34 +290,28 @@ def run_nucleation(config):
 
         res = hitting_time(config.mode, ctx,
                            Configuration.all_minus(ctx.geometry), beta, stop,
-                           seed=config.seed + rep, time_cap=config.caps_time,
+                           seed=seed, time_cap=config.caps_time,
                            max_events=config.caps_events, max_ticks=tick_cap,
                            keep_trajectory=True)
         nuc_censored = nucleation_time is None
-        return {"replica": rep, "seed": config.seed + rep, "beta": beta,
-                "nucleation_time": res.time if nuc_censored
+        return {"nucleation_time": res.time if nuc_censored
                 else nucleation_time,
                 "nucleation_censored": nuc_censored,
                 "all_plus_time": res.time, "all_plus_censored": res.censored,
                 "stop_reason": res.trajectory.stop_reason,
                 "events": len(res.trajectory.events)}
 
-    rows = _map_replicas(replica, len(config.beta) * config.replicas)
+    rows = _replicate(config.beta, config.replicas, config.seed, replica)
     target = float(const.gammas[d].value)
     report = {"constants": {"gamma": const.gammas[d].pair(),
                             "gamma_value": target, "m": const.m[d],
                             "l_c": const.l_c[d]},
               "rows": rows, "fits": {}, "flags": {"tick_cap": tick_cap}}
     for name in ("nucleation", "all_plus"):
-        censored = {r["beta"] for r in rows if r[name + "_censored"]}
-        usable = {b: [r[name + "_time"] for r in rows if r["beta"] == b]
-                  for b in config.beta if b not in censored}
-        report["flags"][name + "_censored_betas"] = sorted(censored)
-        if len(usable) >= 2:
-            report["fits"][name] = arrhenius_fit(usable, target=target,
-                                                 seed=config.seed)
-        else:
-            report["fits"][name] = {"error": "fewer than two uncensored betas"}
+        report["flags"][name + "_censored_betas"] = sorted(
+            {r["beta"] for r in rows if r[name + "_censored"]})
+        report["fits"][name] = _fit(rows, config.beta, name + "_time",
+                                    name + "_censored", target, config.seed)
     return report
 
 
@@ -285,11 +357,10 @@ def run_infection_microscopic(config):
     blocks = sorted(set(site_block.values()))
     event_cap = min(config.caps_events, INFECTION_EVENT_CAP)
 
-    def replica(i):
-        beta, rep = config.beta[i // config.replicas], i % config.replicas
+    def replica(beta, seed):
         traj = evolve_rejection_free(
-            config.seed + rep, ctx, Configuration.all_minus(ctx.geometry),
-            beta, stop=pred_all_plus(), time_cap=config.caps_time,
+            seed, ctx, Configuration.all_minus(ctx.geometry), beta,
+            stop=pred_all_plus(), time_cap=config.caps_time,
             max_events=event_cap)
         minus_count = {b: block_size for b in blocks}
         t_first = {b: None for b in blocks}
@@ -308,8 +379,7 @@ def run_infection_microscopic(config):
                 events.append((t, b, 0))
         observed = [t for t in t_first.values() if t is not None]
         first = min(observed) if observed else None
-        return {"replica": rep, "seed": config.seed + rep, "beta": beta,
-                "first_infection_time": first if first is not None
+        return {"first_infection_time": first if first is not None
                 else traj.t_end,
                 "censored": first is None,
                 "deinfections": sum(1 for t in t_deinf.values()
@@ -317,7 +387,7 @@ def run_infection_microscopic(config):
                 "stop_reason": traj.stop_reason,
                 "events": events}
 
-    rows = _map_replicas(replica, len(config.beta) * config.replicas)
+    rows = _replicate(config.beta, config.replicas, config.seed, replica)
     report = {"rows": rows, "block_dims": block_dims,
               "event_cap": {"requested": config.caps_events,
                             "effective": event_cap},
@@ -329,14 +399,8 @@ def run_infection_microscopic(config):
             / len(brows),
             "censored_fraction": sum(r["censored"] for r in brows) / len(brows),
         }
-    usable = {b: [r["first_infection_time"] for r in rows if r["beta"] == b]
-              for b in config.beta
-              if not report["persistence"][b]["censored_fraction"]}
-    if len(usable) >= 2 and config.replicas >= 2:
-        report["fit"] = arrhenius_fit(usable, seed=config.seed)
-    else:
-        report["fit"] = {"error": "fewer than two uncensored betas with two "
-                                  "or more replicas"}
+    report["fit"] = _fit(rows, config.beta, "first_infection_time",
+                         "censored", None, config.seed)
     return report
 
 
@@ -535,77 +599,21 @@ def _first_passage(nuc, gro, target, max_events):
                     heappush(heap, (ty, y))
 
 
-def _cpu_count():
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# the task of the running ``_map_replicas`` call, inherited by its workers
-_TASK = None
-
-
-def _run_task(i):
-    return _TASK(i)
-
-
-def _map_replicas(task, count):
-    """``[task(i) for i in range(count)]``, run in a pool of forked workers,
-    one per CPU up to one per call, which is closed and joined before this
-    returns or raises; in this process with one worker or without fork.
-
-    The task may close over unpicklable state: it sits in ``_TASK`` (one
-    slot, so one call at a time per process) when the pool forks, so the
-    workers inherit it and only indices and results cross the pipe.  Fork,
-    not spawn, also spares each worker a fresh import of numpy and
-    isingkit.  Never call this at import time: workers forked while the
-    parent holds an import lock block on it.
-    """
-    global _TASK
-    workers = min(_cpu_count(), count)
-    if workers > 1:
-        # imported here: at the top it would add 12-24 ms to every
-        # ``import isingkit``
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            _TASK = task
-            try:
-                pool = multiprocessing.get_context("fork").Pool(workers)
-                try:
-                    results = pool.map(_run_task, range(count), chunksize=1)
-                    pool.close()
-                except BaseException:
-                    pool.terminate()
-                    raise
-                finally:
-                    pool.join()
-            finally:
-                _TASK = None
-            return results
-    return [task(i) for i in range(count)]
-
-
 def run_growth_model(params):
     """Origin-coverage times of the renormalized model and the fitted
     relaxation exponent, compared with (gamma + d*kappa_prev)/(d+1).
 
     Each row records why its replica stopped and how many infections it
-    took; ``flags["censored"]`` counts the censored replicas by reason.  As
-    in ``run_nucleation``, the fit uses only temperatures with no censored
-    replica: dropping the censored ones would bias the mean time low.  The
-    replicas of all temperatures run through one ``_map_replicas`` call.
+    took; ``flags["censored"]`` counts the censored replicas by reason.
+    The fit is ``_fit``'s, over the temperatures with no censored replica.
     """
-    def replica(i):
-        beta, rep = params.betas[i // params.replicas], i % params.replicas
-        t, stop_reason, events = _growth_single(params, beta,
-                                                params.seed + rep)
-        return {"replica": rep, "seed": params.seed + rep, "beta": beta,
-                "coverage_time": t, "censored": t is None,
+    def replica(beta, seed):
+        t, stop_reason, events = _growth_single(params, beta, seed)
+        return {"coverage_time": t, "censored": t is None,
                 "side": params.window(beta)[0], "stop_reason": stop_reason,
                 "events": events}
 
-    rows = _map_replicas(replica, len(params.betas) * params.replicas)
+    rows = _replicate(params.betas, params.replicas, params.seed, replica)
     kappa = params.kappa_predicted()
     censored = [r for r in rows if r["censored"]]
     flags = {"clipped_windows": [b for b in params.betas
@@ -618,15 +626,9 @@ def run_growth_model(params):
              "censored": {reason: sum(r["stop_reason"] == reason
                                       for r in censored)
                           for reason in ("event_cap", "frozen")}}
-    report = {"rows": rows, "flags": flags, "kappa_target": kappa}
-    usable = {b: [r["coverage_time"] for r in rows if r["beta"] == b]
-              for b in params.betas if b not in flags["censored_betas"]}
-    if len(usable) >= 2 and params.replicas >= 2:
-        report["fit"] = arrhenius_fit(usable, target=kappa, seed=params.seed)
-    else:
-        report["fit"] = {"error": "fewer than two uncensored betas with two "
-                                  "or more replicas"}
-    return report
+    return {"rows": rows, "flags": flags, "kappa_target": kappa,
+            "fit": _fit(rows, params.betas, "coverage_time", "censored",
+                        kappa, params.seed)}
 
 
 def growth_model_files(report):
@@ -683,7 +685,7 @@ def run_stc_audit(config):
     leaves the restricted ensemble, tracks the space-time clusters over that
     window (exit flip included), and records the maximal cluster diameter
     with the run's stop reason and applied flips.  The audit runs at one
-    beta.
+    beta, which its rows carry but ``distribution.csv`` does not write.
     """
     if len(config.beta) != 1:
         raise ValueError(f"stc-audit runs at one beta, got {config.beta!r}")
@@ -692,28 +694,25 @@ def run_stc_audit(config):
     const = critical_constants(d, ctx.field)
     ens = restricted_ensemble(ctx, d, const)
     exit_pred = pred_exits_set(ens)
-    beta = config.beta[0]
 
-    def replica(rep):
+    def replica(beta, seed):
         res = hitting_time("rejection_free", ctx,
                            Configuration.all_minus(ctx.geometry), beta,
-                           exit_pred, seed=config.seed + rep,
-                           time_cap=config.caps_time,
+                           exit_pred, seed=seed, time_cap=config.caps_time,
                            max_events=config.caps_events,
                            keep_trajectory=True)
-        return {"replica": rep, "seed": config.seed + rep,
-                "max_diam": track(ctx, res.trajectory).max_diameter(),
+        return {"max_diam": track(ctx, res.trajectory).max_diameter(),
                 "exit_time": res.time, "censored": res.censored,
                 "stop_reason": res.trajectory.stop_reason,
                 "events": len(res.trajectory.events)}
 
-    rows = _map_replicas(replica, config.replicas)
+    rows = _replicate(config.beta, config.replicas, config.seed, replica)
     max_diam = max(r["max_diam"] for r in rows)
     return {"rows": rows, "max_diam": max_diam,
             "threshold_D": config.stc_threshold_D,
             "passed": max_diam <= config.stc_threshold_D and
             not any(r["censored"] for r in rows),
-            "beta": beta}
+            "beta": config.beta[0]}
 
 
 def stc_audit_files(report):

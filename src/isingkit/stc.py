@@ -54,7 +54,7 @@ class StcLedger:
         root = self.uf.add()
         self._records[root] = {
             "segments": [], "open": {coord: t}, "lo": list(coord),
-            "hi": list(coord), "birth": t, "death": None, "live": 1,
+            "hi": list(coord), "birth": t, "death": None,
         }
         self.diameter_events.append((t, root, 0))
         return root
@@ -86,7 +86,6 @@ class StcLedger:
                     rec[key], orec[key] = orec[key], rec[key]
             rec["segments"].extend(orec["segments"])
             rec["open"].update(orec["open"])
-            rec["live"] += orec["live"]
             rec["birth"] = min(rec["birth"], orec["birth"])
             for a, (olo, ohi) in enumerate(zip(orec["lo"], orec["hi"])):
                 lo[a] = min(lo[a], olo)
@@ -101,7 +100,6 @@ class StcLedger:
         root = self._merge(cluster_roots)
         rec = self._records[root]
         rec["open"][coord] = t
-        rec["live"] += 1
         for a, c in enumerate(coord):
             rec["lo"][a] = min(rec["lo"][a], c)
             rec["hi"][a] = max(rec["hi"][a], c)
@@ -115,8 +113,7 @@ class StcLedger:
         rec = self._records[root]
         t_on = rec["open"].pop(coord)
         rec["segments"].append((coord, t_on, t))
-        rec["live"] -= 1
-        if rec["live"] == 0:
+        if not rec["open"]:
             rec["death"] = t
 
     # -- queries -----------------------------------------------------------
@@ -201,7 +198,6 @@ def track(ctx, trajectory):
             root = roots.pop()
             rec = records[root]
             rec["open"][coord] = t
-            rec["live"] += 1
             lo, hi = rec["lo"], rec["hi"]
             for a, c in enumerate(coord):
                 if not lo[a] <= c <= hi[a]:

@@ -35,7 +35,6 @@ class OracleLedger(StcLedger):
             orec = self._records.pop(other)
             rec["segments"].extend(orec["segments"])
             rec["open"].update(orec["open"])
-            rec["live"] += orec["live"]
             rec["birth"] = min(rec["birth"], orec["birth"])
             for a in range(len(rec["lo"])):
                 if orec["lo"][a] is not None:

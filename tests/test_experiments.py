@@ -142,6 +142,23 @@ class TestNucleation:
         for row in r1["rows"]:
             assert row["nucleation_time"] <= row["all_plus_time"]
 
+    def test_one_replica_per_beta_reports_error(self, capsys):
+        # one replica has a bootstrap interval of zero width: no fit, as in
+        # infection and the growth model
+        from isingkit.cli import main
+        error = {"error": "fewer than two uncensored betas with two or more "
+                          "replicas"}
+        cfg = RunConfig(experiment="nucleation", dims=[3], h="0.5",
+                        beta=[3.0, 4.0], replicas=1, seed=0)
+        report = run_nucleation(cfg)
+        assert not report["flags"]["nucleation_censored_betas"]
+        assert not report["flags"]["all_plus_censored_betas"]
+        assert report["fits"] == {"nucleation": error, "all_plus": error}
+        assert main(["nucleation", "--dims", "3", "--h", "0.5", "--beta",
+                     "3,4", "--replicas", "1", "--seed", "0"]) == 0
+        fits = json.loads(capsys.readouterr().out)["fits"]
+        assert fits == {"nucleation": error, "all_plus": error}
+
 
 def recompute_infection_indicator(events, block, t):
     """Indicator state of one block at time t from its recorded events."""
@@ -783,6 +800,50 @@ class TestCli:
         code, out = self.run_cli("growth-threshold", "--d", "2", "--h", "0.1",
                                  "--L", "5.0")
         assert code == 0
+
+
+# each flag of the replicated subcommands, its value and the RunConfig field
+# it must set, none of them at its default
+RUN_FLAGS = [("--dims", "5,5", "dims", [5, 5]),
+             ("--bc", "n_pm_1", "bc", "n_pm_1"),
+             ("--h", "sqrt2/2", "h", "sqrt2/2"),
+             ("--out-dir", "o", "out_dir", "o"),
+             ("--beta", "2.5", "beta", [2.5]),
+             ("--replicas", "7", "replicas", 7),
+             ("--seed", "9", "seed", 9),
+             ("--caps-events", "123", "caps_events", 123),
+             ("--caps-time", "4.5", "caps_time", 4.5)]
+SUBCOMMAND_FLAGS = {
+    "nucleation": ("run_nucleation",
+                   [("--mode", "graphical", "mode", "graphical")]),
+    "infection": ("run_infection_microscopic",
+                  [("--block-side", "2", "block_side", 2),
+                   ("--eligibility-defect", "5", "eligibility_defect", 5)]),
+    "stc-audit": ("run_stc_audit",
+                  [("--stc-threshold-D", "3", "stc_threshold_D", 3)]),
+}
+
+
+@pytest.mark.parametrize("command, flag, value, field, want", [
+    (command, *case) for command, (_, own) in sorted(SUBCOMMAND_FLAGS.items())
+    for case in RUN_FLAGS + own])
+def test_each_flag_reaches_the_run_config(monkeypatch, command, flag, value,
+                                          field, want):
+    from isingkit import cli
+
+    class Captured(Exception):
+        pass
+
+    def capture(config):
+        raise Captured(config)
+
+    monkeypatch.setattr(cli, SUBCOMMAND_FLAGS[command][0], capture)
+    # stc-audit needs a beta; the flag under test comes last and wins
+    with pytest.raises(Captured) as exc:
+        cli.main([command, "--beta", "7", flag, value])
+    config = exc.value.args[0]
+    assert getattr(config, field) == want
+    assert getattr(RunConfig(experiment="x"), field) != want
 
 
 class TestCliConfigOverride:

@@ -1,9 +1,11 @@
-"""The replica map shared by every replicated experiment.
+"""The replica driver shared by every replicated experiment.
 
-``experiments._map_replicas`` runs one closure per replica in a pool of
-forked workers, one per CPU the process may use.  These tests pin that the
-CPU count changes no output byte, that no worker outlives a run, normal or
-failed, and that a closure replaced at module level runs in the workers.
+``experiments._replicate`` runs one closure per replica, beta-major with
+seed base + replica index, in a pool of forked workers, one per CPU the
+process may use.  These tests pin the order, the seeds and the row prefix,
+that the CPU count changes no output byte, that no worker outlives a run,
+normal or failed, and that a closure replaced at module level runs in the
+workers.
 A pool that hangs fails its test through ``SIGALRM`` instead of stalling
 the suite.
 """
@@ -118,9 +120,17 @@ def test_replica_error_raised_and_no_worker_left(monkeypatch, name, cpus):
     assert experiments._TASK is None
 
 
-def test_map_keeps_call_order(monkeypatch):
+def test_replicate_keeps_beta_major_order(monkeypatch):
     monkeypatch.setattr(experiments, "_cpu_count", lambda: 3)
-    offset = 7  # a closure over local state, as every experiment's task is
-    assert experiments._map_replicas(lambda i: (i, i + offset), 10) == \
-        [(i, i + offset) for i in range(10)]
+    betas = [3.0, 1.0, 2.0]  # unsorted: the driver keeps the given order
+    offset = 7  # a closure over local state, as every experiment's run is
+
+    def run(beta, seed):
+        return {"value": (beta, seed + offset)}
+
+    assert experiments._replicate(betas, 4, 11, run) == [
+        {"replica": rep, "seed": 11 + rep, "beta": beta,
+         "value": (beta, 11 + rep + offset)}
+        for beta in betas for rep in range(4)]
     assert multiprocessing.active_children() == []
+    assert experiments._TASK is None

@@ -118,6 +118,17 @@ class TestTrackAgainstOracle:
             assert_same_ledger(track(ctx, traj), oracle.track(ctx, traj))
 
 
+class TestClusterDeath:
+    @settings(max_examples=100, deadline=None)
+    @given(case=trajectories())
+    def test_dead_exactly_when_no_segment_is_open(self, case):
+        # a cluster dies when its last plus site closes, and only then
+        ctx, traj = case
+        for view in track(ctx, traj).clusters():
+            still_open = any(end is None for _, _, end in view.segments)
+            assert (view.death is None) == still_open
+
+
 class TestPrefixConsistency:
     @settings(max_examples=60, deadline=None)
     @given(case=trajectories(), frac=st.floats(0.0, 1.0))
