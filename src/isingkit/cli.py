@@ -5,9 +5,10 @@ The replicated experiments (nucleation, infection, stc-audit) take
 ``RunConfig`` fields they override; every subcommand takes only the flags it
 reads.  They and growth-model run their replicas through
 ``experiments._replicate``, across the CPUs the process may use.  Every
-subcommand hands its files and its stdout result to ``_emit``.  Outputs are
-deterministic given the seeds and independent of the CPU count, and written
-atomically, so partial results never land on disk when a run fails.
+subcommand hands its files to ``_emit``, which prints one JSON object: the
+object of the run's JSON file when it writes one.  Outputs are deterministic
+given the seeds and independent of the CPU count, and written atomically,
+so partial results never land on disk when a run fails.
 """
 
 from __future__ import annotations
@@ -25,34 +26,38 @@ from . import __version__
 from .energy import MagneticField
 from .experiments import (GrowthModelParams, RunConfig, growth_model_files,
                           growth_threshold_from_constants, infection_files,
-                          nucleation_files, run_growth_model,
-                          run_infection_microscopic, run_nucleation,
-                          run_stc_audit, stc_audit_files, write_files)
+                          json_text, nucleation_files, rows_to_csv,
+                          run_growth_model, run_infection_microscopic,
+                          run_nucleation, run_stc_audit, stc_audit_files,
+                          write_files)
 from .landscape import (critical_constants, enumerate_landscape,
                         landscape_to_csv, maximal_compounds, maximal_cycles,
                         partition_to_csv)
 from .lattice import BoundaryCondition, BoxGeometry, Configuration, build_context
-from .isoperimetry import oracle_table_csv
+from .isoperimetry import oracle_table
 from .kmc import (EventStream, evolve_graphical, evolve_rejection_free,
                   pred_all_plus)
 from .wgraph import (exit_oracle_linear, exit_point_law, expected_exit_time,
                      random_rate_matrix)
 
 
-def _emit(out_dir, files, printed):
+def _emit(out_dir, files, printed=None):
     """The one output step of every subcommand: write ``files`` (name ->
-    text) into ``out_dir`` when one is given, then print ``printed``, a
-    string as it is and anything else as indented JSON."""
+    text) into ``out_dir`` when one is given, then print one JSON object,
+    ``printed`` or, when that is omitted, the object of the one ``.json``
+    file among ``files``."""
     if out_dir:
         write_files(out_dir, files)
-    if not isinstance(printed, str):
-        printed = json.dumps(printed, indent=2, sort_keys=True, default=str)
-    print(printed)
+    if printed is None:
+        [name] = [name for name in files if name.endswith(".json")]
+        printed = json.loads(files[name])
+    print(json_text(printed))
 
 
 def _load_config(args, experiment, required=()):
     """The run config from ``--config`` and the flags, the flags winning;
-    each key in ``required`` must come from one of them, not a default."""
+    each key in ``required`` must come from one of them, not a default, and
+    a file's ``experiment`` key must name this one."""
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -60,6 +65,9 @@ def _load_config(args, experiment, required=()):
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON "
                              f"object, got {type(data).__name__}")
+        if data.get("experiment", experiment) != experiment:
+            raise ValueError(f"config file {args.config} is for experiment "
+                             f"{data['experiment']!r}, not {experiment!r}")
     # every flag is named after the RunConfig field it sets
     flags = {key: getattr(args, key) for key in RunConfig.__dataclass_fields__
              if getattr(args, key, None) is not None}
@@ -149,9 +157,9 @@ def _cmd_landscape(args):
     files = {"states.csv": _text(landscape_to_csv, graph),
              "partition.csv": assign.getvalue(),
              "blocks.csv": summary.getvalue()}
-    _emit(out_dir, files,
-          f"wrote {out_dir}/states.csv, partition.csv, blocks.csv "
-          f"({graph.n_states} states, {len(part.blocks)} blocks)")
+    _emit(out_dir, files, {"out_dir": out_dir, "files": list(files),
+                           "states": graph.n_states,
+                           "blocks": len(part.blocks)})
     return 0
 
 
@@ -176,10 +184,8 @@ def _cmd_wgraph_check(args):
         rel = abs(t - t_o) / t_o if t_o else 0.0
         worst_tv, worst_rel = max(worst_tv, tv), max(worst_rel, rel)
     passed = worst_tv <= 1e-9 and worst_rel <= 1e-9
-    # one line, unlike the other subcommands' indented JSON
-    _emit(None, {}, json.dumps({"instances": args.count, "max_tv": worst_tv,
-                                "max_rel_time_err": worst_rel,
-                                "pass": passed}))
+    _emit(None, {}, {"instances": args.count, "max_tv": worst_tv,
+                     "max_rel_time_err": worst_rel, "pass": passed})
     return 0 if passed else 1
 
 
@@ -205,29 +211,20 @@ def _cmd_simulate(args):
             seed, ctx, alpha, args.beta, stop=stop, time_cap=args.caps_time,
             max_events=1_000_000 if args.caps_events is None
             else args.caps_events)
-    out_dir = args.out_dir or "."
-    _emit(out_dir, {"trajectory.csv": _text(traj.to_csv),
-                    "summary.json": traj.summary_json()},
-          f"wrote {out_dir}/trajectory.csv ({len(traj.events)} events, "
-          f"stop: {traj.stop_reason})")
+    _emit(args.out_dir or ".", {"trajectory.csv": _text(traj.to_csv),
+                                "summary.json": traj.summary_json()})
     return 0
 
 
 def _cmd_nucleation(args):
     config = _load_config(args, "nucleation")
-    report = run_nucleation(config)
-    fits = {k: {kk: vv for kk, vv in v.items() if kk != "replicas"}
-            for k, v in report["fits"].items()}
-    _emit(config.out_dir, nucleation_files(report),
-          {"fits": fits, "constants": report["constants"]})
+    _emit(config.out_dir, nucleation_files(run_nucleation(config)))
     return 0
 
 
 def _cmd_infection(args):
     config = _load_config(args, "infection")
-    report = run_infection_microscopic(config)
-    _emit(config.out_dir, infection_files(report),
-          {k: report[k] for k in ("persistence", "event_cap", "fit")})
+    _emit(config.out_dir, infection_files(run_infection_microscopic(config)))
     return 0
 
 
@@ -237,24 +234,21 @@ def _cmd_growth_model(args):
     params = GrowthModelParams(d=args.d, gamma=args.gamma,
                                kappa_prev=args.kappa_prev, L=args.L,
                                betas=args.beta, **optional)
-    report = run_growth_model(params)
-    _emit(args.out_dir, growth_model_files(report),
-          {k: report[k] for k in ("fit", "kappa_target")})
+    _emit(args.out_dir, growth_model_files(run_growth_model(params)))
     return 0
 
 
 def _cmd_isoperimetry(args):
-    table = _text(oracle_table_csv, args.d, args.vmax)
-    _emit(args.out_dir, {"isoperimetry.csv": table}, table.strip())
+    rows = oracle_table(args.d, args.vmax)
+    _emit(args.out_dir, {"isoperimetry.csv": rows_to_csv(rows, list(rows[0]))},
+          {"d": args.d, "vmax": args.vmax, "rows": rows})
     return 0
 
 
 def _cmd_stc_audit(args):
     config = _load_config(args, "stc_audit", required=("beta",))
     report = run_stc_audit(config)
-    _emit(config.out_dir, stc_audit_files(report),
-          {k: report[k] for k in ("max_diam", "threshold_D", "passed",
-                                  "beta")})
+    _emit(config.out_dir, stc_audit_files(report))
     return 0 if report["passed"] else 1
 
 

@@ -317,13 +317,13 @@ def run_nucleation(config):
 
 def nucleation_files(report):
     """The files of a nucleation run, name -> text."""
-    return {"results.csv": _rows_to_csv(
+    return {"results.csv": rows_to_csv(
                 report["rows"], ["replica", "seed", "beta", "nucleation_time",
                                  "nucleation_censored", "all_plus_time",
                                  "all_plus_censored", "stop_reason",
                                  "events"]),
-            "fit.json": _json({k: report[k]
-                               for k in ("fits", "constants", "flags")})}
+            "fit.json": json_text({k: report[k]
+                                   for k in ("fits", "constants", "flags")})}
 
 
 # -- microscopic infection -----------------------------------------------------
@@ -406,9 +406,12 @@ def run_infection_microscopic(config):
 
 def infection_files(report):
     """The files of an infection run, name -> text."""
-    return {"results.csv": _rows_to_csv(
-        report["rows"], ["replica", "seed", "beta", "first_infection_time",
-                         "censored", "deinfections", "stop_reason"])}
+    return {"results.csv": rows_to_csv(
+                report["rows"], ["replica", "seed", "beta",
+                                 "first_infection_time", "censored",
+                                 "deinfections", "stop_reason"]),
+            "summary.json": json_text({k: report[k] for k in (
+                "persistence", "event_cap", "fit")})}
 
 
 # -- abstract growth model -----------------------------------------------------
@@ -633,11 +636,11 @@ def run_growth_model(params):
 
 def growth_model_files(report):
     """The files of a growth-model run, name -> text."""
-    return {"results.csv": _rows_to_csv(
+    return {"results.csv": rows_to_csv(
                 report["rows"], ["replica", "seed", "beta", "coverage_time",
                                  "censored", "side", "stop_reason", "events"]),
-            "fit.json": _json({k: report[k]
-                               for k in ("fit", "kappa_target", "flags")})}
+            "fit.json": json_text({k: report[k]
+                                   for k in ("fit", "kappa_target", "flags")})}
 
 
 # -- growth threshold identity ---------------------------------------------------
@@ -717,17 +720,17 @@ def run_stc_audit(config):
 
 def stc_audit_files(report):
     """The files of an stc audit, name -> text."""
-    return {"distribution.csv": _rows_to_csv(
+    return {"distribution.csv": rows_to_csv(
                 report["rows"], ["replica", "seed", "max_diam", "exit_time",
                                  "censored", "stop_reason", "events"]),
-            "summary.json": _json({k: report[k] for k in (
+            "summary.json": json_text({k: report[k] for k in (
                 "max_diam", "threshold_D", "passed", "beta")})}
 
 
 # -- helpers --------------------------------------------------------------------
 
 
-def _rows_to_csv(rows, columns):
+def rows_to_csv(rows, columns):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
@@ -736,7 +739,7 @@ def _rows_to_csv(rows, columns):
     return buf.getvalue()
 
 
-def _json(obj):
+def json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True, default=str)
 
 

@@ -9,7 +9,6 @@ dimension (691,277 polyominoes at d = 2, v <= 12; 190,535 at d = 3, v <= 8).
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 
 from .lattice import (BoundaryCondition, BoxGeometry, Configuration,
@@ -125,18 +124,17 @@ def isoperimetric_check(d, v):
     }
 
 
-def oracle_table_csv(d, vmax, fh):
-    """The oracle against both bounds for volumes 1..vmax, with vmax at
-    most the dimension's cap in ``DEFAULT_CAPS``, past which the
-    enumeration of polyominoes grows out of reach."""
+def oracle_table(d, vmax):
+    """The oracle against both bounds for volumes 1..vmax, one row each,
+    with vmax at most the dimension's cap in ``DEFAULT_CAPS``, past which
+    the enumeration of polyominoes grows out of reach."""
     if not 1 <= vmax <= DEFAULT_CAPS.get(d, 0):
         raise ValueError(f"vmax must be from 1 to the oracle cap of d "
                          f"{DEFAULT_CAPS}, got d={d}, vmax={vmax}")
-    writer = csv.writer(fh)
-    writer.writerow(["d", "v", "min_perimeter", "simplified_bound", "neves_bound"])
-    for v in range(1, vmax + 1):
-        writer.writerow([d, v, min_perimeter(d, v, cap=vmax),
-                         repr(simplified_bound(d, v)), floored_root_bound(d, v)])
+    return [{"d": d, "v": v, "min_perimeter": min_perimeter(d, v, cap=vmax),
+             "simplified_bound": simplified_bound(d, v),
+             "neves_bound": floored_root_bound(d, v)}
+            for v in range(1, vmax + 1)]
 
 
 # -- gravity fall and dimensional projection ----------------------------------
@@ -195,12 +193,9 @@ def project_to_lower_dim(ctx, config):
     """
     geom = ctx.geometry
     d = geom.dimension
-    if ctx.bc.kind == BoundaryCondition.N_PM:
-        n = ctx.bc.n
-    elif ctx.bc.kind == BoundaryCondition.ALL_MINUS:
-        n = d
-    else:
+    if ctx.bc.kind != BoundaryCondition.N_PM:
         raise ValueError("projection needs an n-face-minus boundary")
+    n = ctx.bc.n
     if not 1 <= n < d:
         raise ValueError("projection needs 1 <= n < d")
     vol = config.plus_count()

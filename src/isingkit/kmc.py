@@ -176,7 +176,7 @@ class Trajectory:
         for t, site, spin in self.events:
             fh.write(f"{t!r},{site},{spin}\n")
 
-    def summary_json(self, **extra):
+    def summary_json(self):
         payload = {"seed": self.seed, "beta": self.beta, "h": self.h_token,
                    "box": list(self.initial.geometry.dims),
                    "bc": self.bc_label, "stop_reason": self.stop_reason,
@@ -184,7 +184,6 @@ class Trajectory:
                    "n_events": len(self.events),
                    "ticks_read": self.ticks_read,
                    "ticks_rejected": self.ticks_rejected}
-        payload.update(extra)
         return json.dumps(payload, sort_keys=True)
 
 

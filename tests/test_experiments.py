@@ -707,6 +707,43 @@ class TestCli:
             assert "JSON object" in lines[0]
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command, other", [
+        ("nucleation", "infection"), ("infection", "stc_audit"),
+        ("stc-audit", "nucleation")])
+    def test_config_for_another_experiment_fails_cleanly(
+            self, tmp_path, capsys, monkeypatch, command, other):
+        from isingkit import cli
+
+        def no_run(config):
+            raise AssertionError("the run started")
+
+        for name in ("run_nucleation", "run_infection_microscopic",
+                     "run_stc_audit"):
+            monkeypatch.setattr(cli, name, no_run)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"experiment": other, "dims": [8],
+                                   "block_side": 4, "beta": [2],
+                                   "replicas": 2}))
+        out_dir = tmp_path / "out"
+        code = cli.main([command, "--config", str(cfg),
+                         "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert repr(other) in lines[0]
+        assert repr(command.replace("-", "_")) in lines[0]
+        assert not out_dir.exists()
+
+    def test_config_naming_its_own_experiment_runs(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"experiment": "nucleation", "dims": [2],
+                                   "beta": [2, 3], "replicas": 2}))
+        code, out = self.run_cli("nucleation", "--config", str(cfg))
+        assert code == 0
+        assert "fits" in json.loads(out)
+
     @pytest.mark.parametrize("beta", ["-1", "0"])
     def test_simulate_non_positive_beta_rejected(self, tmp_path, capsys,
                                                  beta):
@@ -937,7 +974,8 @@ OUT_DIR_FILES = {
     "nucleation": (("--dims", "2", "--beta", "2,3", "--replicas", "2"),
                    {"results.csv", "fit.json"}),
     "infection": (("--dims", "4", "--h", "0.5", "--block-side", "2",
-                   "--beta", "2,3", "--replicas", "2"), {"results.csv"}),
+                   "--beta", "2,3", "--replicas", "2"),
+                  {"results.csv", "summary.json"}),
     "growth-model": (("--d", "1", "--gamma", "1.5", "--kappa-prev", "0",
                       "--L", "1", "--beta", "4,6", "--replicas", "2"),
                      {"results.csv", "fit.json"}),
@@ -960,3 +998,39 @@ def test_out_dir_holds_exactly_the_subcommand_files(tmp_path, monkeypatch,
         assert main([command, *argv, "--out-dir", "out"]) == 0
     assert os.listdir(tmp_path) == ["out"]
     assert set(os.listdir(tmp_path / "out")) == files
+
+
+# every subcommand's arguments; those that take --out-dir write into "out"
+STDOUT_ARGV = {
+    "constants": ("--d", "2", "--h", "sqrt2/2"),
+    "wgraph-check": ("--count", "5", "--seed", "1"),
+    "growth-threshold": ("--d", "2", "--h", "0.1", "--L", "5.0"),
+    **{command: (*argv, "--out-dir", "out")
+       for command, (argv, _) in OUT_DIR_FILES.items()},
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_ARGV))
+def test_stdout_is_one_strict_json_object(tmp_path, monkeypatch, command):
+    # and the object of the JSON file the run writes, if it writes one
+    from contextlib import redirect_stdout
+    import io
+    from isingkit.cli import main
+
+    def reject(constant):
+        raise ValueError(f"{constant} in stdout")
+
+    monkeypatch.chdir(tmp_path)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main([command, *STDOUT_ARGV[command]]) == 0
+    printed = json.loads(buf.getvalue(), parse_constant=reject)
+    assert isinstance(printed, dict)
+    # indented, keys sorted, like every file's JSON
+    assert buf.getvalue() == json.dumps(printed, indent=2, sort_keys=True) \
+        + "\n"
+    json_files = [name for name in OUT_DIR_FILES.get(command, ((), ()))[1]
+                  if name.endswith(".json")]
+    assert len(json_files) <= 1
+    for name in json_files:
+        assert json.loads((tmp_path / "out" / name).read_text()) == printed

@@ -1,13 +1,13 @@
-import io
 import random
 
 import pytest
 
 from isingkit.energy import MagneticField
+from isingkit.experiments import rows_to_csv
 from isingkit.isoperimetry import (cell_perimeter, enumerate_polyominoes,
                                    fall_cells, gravity_fall,
                                    isoperimetric_check, min_perimeter,
-                                   floored_root_bound, oracle_table_csv,
+                                   floored_root_bound, oracle_table,
                                    project_to_lower_dim, simplified_bound)
 from isingkit.lattice import (BoundaryCondition, BoxGeometry, Configuration,
                               build_context, hamiltonian)
@@ -73,10 +73,11 @@ class TestIsoperimetricCheck:
                 assert min_perimeter(d, v) >= floored_root_bound(d, v)
 
     def test_csv_shape(self):
-        buf = io.StringIO()
-        oracle_table_csv(2, 12, buf)
-        lines = buf.getvalue().strip().splitlines()
+        rows = oracle_table(2, 12)
+        assert [r["v"] for r in rows] == list(range(1, 13))
+        lines = rows_to_csv(rows, list(rows[0])).strip().splitlines()
         assert len(lines) == 13
+        assert lines[0] == "d,v,min_perimeter,simplified_bound,neves_bound"
 
 
 class TestGravityFall:
@@ -140,6 +141,13 @@ class TestProjection:
                 sub_ctx, low = project_to_lower_dim(ctx, cfg)
                 assert low.plus_count() == vol
                 assert hamiltonian(sub_ctx, low) <= hamiltonian(ctx, cfg)
+
+    @pytest.mark.parametrize("dims", [(5, 5), (6, 6, 6)])
+    def test_all_minus_box_rejected(self, dims):
+        ctx = build_context(BoxGeometry(dims), BoundaryCondition.all_minus(),
+                            SQRT2_2)
+        with pytest.raises(ValueError, match="n-face-minus"):
+            project_to_lower_dim(ctx, Configuration.all_minus(ctx.geometry))
 
     def test_volume_precondition(self):
         ctx = build_context(BoxGeometry((2, 2, 2)), BoundaryCondition.n_pm(1),

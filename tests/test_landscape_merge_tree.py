@@ -255,13 +255,21 @@ def test_csv_export_matches_row_writer(dims, bc):
         landscape_to_csv(landscape_graph, got)
         oracle.landscape_to_csv_rows(landscape_graph, want)
         assert lines(got) == lines(want)
-    for part in (maximal_cycles(g, y), maximal_compounds(g, y)):
+    # Y = every state: one block with no exterior, so empty exit and depth
+    # fields
+    every = frozenset(g.states())
+    for part in (maximal_cycles(g, y), maximal_compounds(g, y),
+                 maximal_cycles(g, every), maximal_compounds(g, every)):
         got, want = [io.StringIO(), io.StringIO()], [io.StringIO(),
                                                     io.StringIO()]
         partition_to_csv(g, part, *got)
         oracle.partition_to_csv_rows(g, part, *want)
         for a, b in zip(got, want):
             assert lines(a) == lines(b)
+    summary = lines(got[1])
+    assert len(summary) == 3 and summary[2] == ""
+    assert summary[1].split(",")[2:4] == ["", ""]
+    assert summary[1].split(",")[5:] == ["", "\r"]
 
 
 def lines(buf):

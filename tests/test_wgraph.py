@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -68,6 +69,36 @@ class TestEnumeration:
                     if node == y:
                         union.add(g)
             assert avoid == union
+
+    def test_to_target_splits_plain_by_landing_state(self):
+        # x outside W: each W-graph sends x along its arrow path to one
+        # y in W, so the to_target sets partition G(W), and their rate sums
+        # over that of G(W) are the exit law
+        rng = random.Random(11)
+
+        def weight(graphs):
+            return math.fsum(math.prod(rm.rates[a, b] for a, b in g)
+                             for g in graphs)
+
+        for _ in range(20):
+            n = rng.randrange(4, 7)
+            rm = random_rate_matrix(rng, n, dense=rng.random() < 0.5)
+            w = rng.sample(range(n), rng.randrange(1, n))
+            x = rng.choice([s for s in range(n) if s not in w])
+            plain = set(enumerate_wgraphs(rm, w))
+            law = exit_point_law(rm, w, x)
+            union = set()
+            for y in w:
+                graphs = set(enumerate_wgraphs(rm, w, "to_target", x=x, y=y))
+                assert not graphs & union
+                union |= graphs
+                for g in graphs:
+                    arrows, node = dict(g), x
+                    while node in arrows:
+                        node = arrows[node]
+                    assert node == y
+                assert abs(weight(graphs) / weight(plain) - law[y]) <= 1e-12
+            assert union == plain
 
     def test_size_guard(self):
         rng = random.Random(0)
