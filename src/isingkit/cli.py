@@ -4,11 +4,12 @@ The replicated experiments (nucleation, infection, stc-audit) take
 ``--config`` (a JSON key-value file) plus flags named after the
 ``RunConfig`` fields they override; every subcommand takes only the flags it
 reads.  They and growth-model run their replicas through
-``experiments._replicate``, across the CPUs the process may use.  Every
-subcommand hands its files to ``_emit``, which prints one JSON object: the
-object of the run's JSON file when it writes one.  Outputs are deterministic
-given the seeds and independent of the CPU count, and written atomically,
-so partial results never land on disk when a run fails.
+``experiments._replicate``, across the CPUs the process may use, and every
+run of the dynamics, simulate's too, is one ``kmc.hitting_time`` call.
+Every subcommand hands its files to ``_emit``, which prints one JSON object
+(the run's JSON file's, if it writes one) through ``json_text``.  Outputs are
+deterministic given the seeds and independent of the CPU count, and written
+atomically, so partial results never land on disk when a run fails.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .landscape import (critical_constants, enumerate_landscape,
                         partition_to_csv)
 from .lattice import BoundaryCondition, BoxGeometry, Configuration, build_context
 from .isoperimetry import oracle_table
-from .kmc import (EventStream, evolve_graphical, evolve_rejection_free,
-                  pred_all_plus)
+from .kmc import hitting_time, pred_all_plus
 from .wgraph import (exit_oracle_linear, exit_point_law, expected_exit_time,
                      random_rate_matrix)
 
@@ -199,20 +199,18 @@ def _cmd_simulate(args):
                          f"got {args.caps_events}")
     if args.caps_time is not None and not args.caps_time > 0:
         raise ValueError(f"caps time must be positive, got {args.caps_time}")
-    seed = 1 if args.seed is None else args.seed
-    stop = pred_all_plus() if args.stop == "all_plus" else None
+    # a graphical run is bounded in time, a rejection-free one in events
+    time_cap, max_events = args.caps_time, args.caps_events
     if args.mode == "graphical":
-        traj = evolve_graphical(
-            EventStream(seed), ctx, alpha, args.beta, stop=stop,
-            horizon=100.0 if args.caps_time is None else args.caps_time,
-            max_events=args.caps_events)
-    else:
-        traj = evolve_rejection_free(
-            seed, ctx, alpha, args.beta, stop=stop, time_cap=args.caps_time,
-            max_events=1_000_000 if args.caps_events is None
-            else args.caps_events)
+        time_cap = 100.0 if time_cap is None else time_cap
+    elif max_events is None:
+        max_events = 1_000_000
+    stop = pred_all_plus() if args.stop == "all_plus" else None
+    traj = hitting_time(args.mode, ctx, alpha, args.beta, stop,
+                        seed=1 if args.seed is None else args.seed,
+                        time_cap=time_cap, max_events=max_events).trajectory
     _emit(args.out_dir or ".", {"trajectory.csv": _text(traj.to_csv),
-                                "summary.json": traj.summary_json()})
+                                "summary.json": json_text(traj.summary())})
     return 0
 
 

@@ -151,9 +151,6 @@ class EnergyValue:
         return EnergyValue(self.bonds - other.bonds, self.pluses - other.pluses,
                            self.field)
 
-    def __neg__(self):
-        return EnergyValue(-self.bonds, -self.pluses, self.field)
-
     def uphill_part(self):
         """max(0, self), the Metropolis activation cost."""
         if self.compare_zero() > 0:

@@ -28,8 +28,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .energy import MagneticField
-from .kmc import (hitting_time, pred_all_plus, pred_exits_set,
-                  evolve_rejection_free)
+from .kmc import hitting_time, pred_all_plus, pred_exits_set
 from .landscape import critical_constants, restricted_ensemble
 from .lattice import (BoundaryCondition, BoxGeometry, Configuration,
                       build_context)
@@ -70,6 +69,10 @@ class RunConfig:
         _check_betas(self.beta)
         if self.mode not in ("rejection_free", "graphical"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode != "rejection_free" and \
+                self.experiment in ("infection", "stc_audit"):
+            raise ValueError(f"mode {self.mode!r} does not apply to "
+                             f"{self.experiment}, which runs rejection_free")
         _check_int("caps events", self.caps_events, 1)
         _check_int("block side", self.block_side, 1)
         _check_int("eligibility defect", self.eligibility_defect, 0)
@@ -291,8 +294,7 @@ def run_nucleation(config):
         res = hitting_time(config.mode, ctx,
                            Configuration.all_minus(ctx.geometry), beta, stop,
                            seed=seed, time_cap=config.caps_time,
-                           max_events=config.caps_events, max_ticks=tick_cap,
-                           keep_trajectory=True)
+                           max_events=config.caps_events, max_ticks=tick_cap)
         nuc_censored = nucleation_time is None
         return {"nucleation_time": res.time if nuc_censored
                 else nucleation_time,
@@ -341,7 +343,8 @@ def run_infection_microscopic(config):
     block side and the defect stand in for the slowly growing scales of the
     asymptotic theory and are explicit parameters here.  Each replica runs
     at most ``INFECTION_EVENT_CAP`` events whatever ``caps_events`` says;
-    the report records the cap that applied and each row its stop reason.
+    the report records the cap that applied, and each row its stop reason,
+    its applied flips and its ``indicator`` changes (time, block, 0 or 1).
     """
     ctx = config.context()
     dims = ctx.geometry.dims
@@ -358,25 +361,26 @@ def run_infection_microscopic(config):
     event_cap = min(config.caps_events, INFECTION_EVENT_CAP)
 
     def replica(beta, seed):
-        traj = evolve_rejection_free(
-            seed, ctx, Configuration.all_minus(ctx.geometry), beta,
-            stop=pred_all_plus(), time_cap=config.caps_time,
-            max_events=event_cap)
+        traj = hitting_time("rejection_free", ctx,
+                            Configuration.all_minus(ctx.geometry), beta,
+                            pred_all_plus(), seed=seed,
+                            time_cap=config.caps_time,
+                            max_events=event_cap).trajectory
         minus_count = {b: block_size for b in blocks}
         t_first = {b: None for b in blocks}
         t_deinf = {b: None for b in blocks}
-        events = []
+        indicator = []
         for t, site, spin in traj.events:
             b = site_block[site]
             minus_count[b] += -1 if spin == 1 else 1
             if t_first[b] is None and minus_count[b] == 0:
                 t_first[b] = t
-                events.append((t, b, 1))
+                indicator.append((t, b, 1))
             elif t_first[b] is not None and t_deinf[b] is None \
                     and minus_count[b] > config.eligibility_defect:
                 # the indicator is one-shot: once de-infected it stays 0
                 t_deinf[b] = t
-                events.append((t, b, 0))
+                indicator.append((t, b, 0))
         observed = [t for t in t_first.values() if t is not None]
         first = min(observed) if observed else None
         return {"first_infection_time": first if first is not None
@@ -385,7 +389,7 @@ def run_infection_microscopic(config):
                 "deinfections": sum(1 for t in t_deinf.values()
                                     if t is not None),
                 "stop_reason": traj.stop_reason,
-                "events": events}
+                "events": len(traj.events), "indicator": indicator}
 
     rows = _replicate(config.beta, config.replicas, config.seed, replica)
     report = {"rows": rows, "block_dims": block_dims,
@@ -409,7 +413,7 @@ def infection_files(report):
     return {"results.csv": rows_to_csv(
                 report["rows"], ["replica", "seed", "beta",
                                  "first_infection_time", "censored",
-                                 "deinfections", "stop_reason"]),
+                                 "deinfections", "stop_reason", "events"]),
             "summary.json": json_text({k: report[k] for k in (
                 "persistence", "event_cap", "fit")})}
 
@@ -702,8 +706,7 @@ def run_stc_audit(config):
         res = hitting_time("rejection_free", ctx,
                            Configuration.all_minus(ctx.geometry), beta,
                            exit_pred, seed=seed, time_cap=config.caps_time,
-                           max_events=config.caps_events,
-                           keep_trajectory=True)
+                           max_events=config.caps_events)
         return {"max_diam": track(ctx, res.trajectory).max_diameter(),
                 "exit_time": res.time, "censored": res.censored,
                 "stop_reason": res.trajectory.stop_reason,

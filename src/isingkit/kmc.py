@@ -11,7 +11,6 @@ embedded jump chain directly and is the workhorse for slow hitting times.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -176,15 +175,13 @@ class Trajectory:
         for t, site, spin in self.events:
             fh.write(f"{t!r},{site},{spin}\n")
 
-    def summary_json(self):
-        payload = {"seed": self.seed, "beta": self.beta, "h": self.h_token,
-                   "box": list(self.initial.geometry.dims),
-                   "bc": self.bc_label, "stop_reason": self.stop_reason,
-                   "hitting_time": self.hitting_time, "t_end": self.t_end,
-                   "n_events": len(self.events),
-                   "ticks_read": self.ticks_read,
-                   "ticks_rejected": self.ticks_rejected}
-        return json.dumps(payload, sort_keys=True)
+    def summary(self):
+        return {"seed": self.seed, "beta": self.beta, "h": self.h_token,
+                "box": list(self.initial.geometry.dims),
+                "bc": self.bc_label, "stop_reason": self.stop_reason,
+                "hitting_time": self.hitting_time, "t_end": self.t_end,
+                "n_events": len(self.events), "ticks_read": self.ticks_read,
+                "ticks_rejected": self.ticks_rejected}
 
 
 class _SimState:
@@ -271,10 +268,10 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
     Arrivals are read in the doubling windows (0, 8], (8, 16], (16, 32], ...,
     the last one clipped at ``horizon``; ``horizon=None`` sets no time bound
     and then needs ``max_events`` or ``max_ticks``.  The run stops when the
-    predicate holds, at the horizon, or at the end of the first window whose
-    applied flips reach ``max_events`` ("event_cap") or whose arrivals read
-    reach ``max_ticks`` ("tick_cap").  The trajectory counts the arrivals
-    read and those that flipped nothing.
+    predicate holds ("stopped"), at the horizon ("time_cap"), or at the end
+    of the first window whose applied flips reach ``max_events``
+    ("event_cap") or whose arrivals read reach ``max_ticks`` ("tick_cap").
+    The trajectory counts the arrivals read and those that flipped nothing.
 
     Each window is walked as Python lists, with the spins, the rate tables
     and the boundary part of each neighbour sum held as list copies; the
@@ -333,7 +330,7 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
         else:
             ticks += times.size
             if t1 == horizon:
-                reason = "horizon"
+                reason = "time_cap"
             elif max_events is not None and len(events) >= max_events:
                 reason = "event_cap"
             elif max_ticks is not None and ticks >= max_ticks:
@@ -537,15 +534,15 @@ class HittingResult:
 
 
 def hitting_time(mode, ctx, alpha, beta, predicate, seed, time_cap=None,
-                 max_events=10_000_000, keep_trajectory=False,
-                 max_ticks=None):
-    """First time the predicate holds, by either sampler.
+                 max_events=10_000_000, max_ticks=None):
+    """First time the predicate holds, by the sampler ``mode`` names (the
+    one place that picks one), with the run's trajectory and stop reason.
 
     Censored observations are flagged, and report the cap that stopped the
     run (the time cap, or the end of the graphical window that reached the
     event or tick cap) as a lower bound; a rejection-free run stopped by
-    "underflow" is censored at the time it stopped.
-    ``max_ticks`` caps the clock arrivals a graphical run reads.
+    "underflow" is censored at the time it stopped.  ``max_ticks`` caps
+    the clock arrivals a graphical run reads.
     """
     if mode == "rejection_free":
         if max_ticks is not None:
@@ -556,13 +553,9 @@ def hitting_time(mode, ctx, alpha, beta, predicate, seed, time_cap=None,
         traj = evolve_graphical(EventStream(seed), ctx, alpha, beta,
                                 stop=predicate, horizon=time_cap,
                                 max_events=max_events, max_ticks=max_ticks)
-        if traj.stop_reason == "horizon":
-            traj.stop_reason = "time_cap"
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    censored = traj.stop_reason != "stopped"
     # a stopped run ends at its hitting time
-    time = traj.t_end
-    if not keep_trajectory:
-        traj.events = []
-    return HittingResult(time=time, censored=censored, trajectory=traj)
+    return HittingResult(time=traj.t_end,
+                         censored=traj.stop_reason != "stopped",
+                         trajectory=traj)

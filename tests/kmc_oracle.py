@@ -152,7 +152,7 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
     """
     state = _SimState(ctx, alpha)
     events = []
-    reason = "horizon"
+    reason = "time_cap"
     hit = None
     if stop is not None and stop(state):
         reason = "stopped"
@@ -253,7 +253,7 @@ def evolve_graphical_scalar(stream, ctx, alpha, beta, stop=None,
         else:
             ticks += times.size
             if t1 == horizon:
-                reason = "horizon"
+                reason = "time_cap"
             elif max_events is not None and len(events) >= max_events:
                 reason = "event_cap"
             elif max_ticks is not None and ticks >= max_ticks:
@@ -269,7 +269,7 @@ def evolve_graphical_scalar(stream, ctx, alpha, beta, stop=None,
 
 
 def hitting_time_graphical(ctx, alpha, beta, predicate, seed, time_cap=None,
-                           max_events=10_000_000, keep_trajectory=False):
+                           max_events=10_000_000):
     """Graphical hitting time by restarting ``evolve_graphical`` for each
     doubled window; censored observations report the cap as a lower bound."""
     stream = kmc.EventStream(seed)
@@ -288,8 +288,6 @@ def hitting_time_graphical(ctx, alpha, beta, predicate, seed, time_cap=None,
                               beta=beta, h_token=ctx.field.token,
                               bc_label=ctx.bc.label(), seed=seed,
                               hitting_time=traj.hitting_time)
-            if not keep_trajectory:
-                full.events = []
             return HittingResult(time=traj.hitting_time, censored=False,
                                  trajectory=full)
         all_events.extend(traj.events)
@@ -300,8 +298,6 @@ def hitting_time_graphical(ctx, alpha, beta, predicate, seed, time_cap=None,
                               t_end=time_cap, stop_reason="time_cap",
                               beta=beta, h_token=ctx.field.token,
                               bc_label=ctx.bc.label(), seed=seed)
-            if not keep_trajectory:
-                full.events = []
             return HittingResult(time=time_cap, censored=True,
                                  trajectory=full)
         if max_events is not None and len(all_events) >= max_events:
@@ -309,8 +305,6 @@ def hitting_time_graphical(ctx, alpha, beta, predicate, seed, time_cap=None,
                               t_end=horizon, stop_reason="event_cap",
                               beta=beta, h_token=ctx.field.token,
                               bc_label=ctx.bc.label(), seed=seed)
-            if not keep_trajectory:
-                full.events = []
             return HittingResult(time=horizon, censored=True, trajectory=full)
         state_cfg = _final_config(traj)
         t0 = horizon
@@ -351,7 +345,7 @@ def coupled_evolve(stream, contexts, alphas, beta, horizon, check_order=None):
         if changed and check_order is not None:
             check_order(float(times[k]), [st.spins for st in states])
     return [Trajectory(initial=a.copy(), events=evs, t_end=horizon,
-                       stop_reason="horizon", beta=beta,
+                       stop_reason="time_cap", beta=beta,
                        h_token=ctx.field.token, bc_label=ctx.bc.label(),
                        seed=stream.seed, ticks_read=times.size,
                        ticks_rejected=times.size - len(evs))

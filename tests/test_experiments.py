@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -207,11 +208,31 @@ class TestInfection:
                         beta=[2.0], replicas=2, seed=9, block_side=4)
         report = run_infection_microscopic(cfg)
         for row in report["rows"]:
-            events = row["events"]
+            events = row["indicator"]
             for t, b, val in events:
                 assert recompute_infection_indicator(events, b, t) == val
                 before = recompute_infection_indicator(events, b, t - 1e-9)
                 assert before != val
+
+    @pytest.mark.parametrize("caps_events", [5, 10_000_000])
+    def test_events_count_the_applied_flips(self, caps_events):
+        # the same seed's rejection-free run, at the cap that applied
+        from isingkit.kmc import evolve_rejection_free, pred_all_plus
+        from isingkit.lattice import Configuration
+        cfg = RunConfig(experiment="infection", dims=[8], h="0.5",
+                        beta=[2.0, 3.0], replicas=2, seed=9, block_side=4,
+                        caps_events=caps_events)
+        report = run_infection_microscopic(cfg)
+        ctx = cfg.context()
+        for row in report["rows"]:
+            traj = evolve_rejection_free(
+                row["seed"], ctx, Configuration.all_minus(ctx.geometry),
+                row["beta"], stop=pred_all_plus(),
+                max_events=report["event_cap"]["effective"])
+            assert row["events"] == len(traj.events) >= 1
+            assert row["stop_reason"] == traj.stop_reason
+        assert {r["stop_reason"] for r in report["rows"]} == \
+            {"event_cap" if caps_events == 5 else "stopped"}
 
     def test_one_beta_fit_reports_error(self, capsys):
         from isingkit.cli import main
@@ -743,6 +764,86 @@ class TestCli:
         code, out = self.run_cli("nucleation", "--config", str(cfg))
         assert code == 0
         assert "fits" in json.loads(out)
+
+    @pytest.mark.parametrize("command", ["infection", "stc-audit"])
+    def test_config_mode_applies_to_nucleation_only(
+            self, tmp_path, capsys, monkeypatch, command):
+        # infection and stc-audit run the rejection-free sampler only: any
+        # other mode is refused before anything runs or is written
+        from isingkit import cli
+
+        def no_run(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, {"infection": "run_infection_microscopic",
+                                  "stc-audit": "run_stc_audit"}[command],
+                            no_run)
+        cfg = tmp_path / "m.json"
+        cfg.write_text(json.dumps({"mode": "graphical", "dims": [8],
+                                   "block_side": 4, "beta": [2],
+                                   "replicas": 2}))
+        out_dir = tmp_path / "out"
+        code = cli.main([command, "--config", str(cfg),
+                         "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "'graphical'" in lines[0]
+        assert command.replace("-", "_") in lines[0]
+        assert not out_dir.exists()
+        cfg.write_text(json.dumps({"mode": "rejection_free", "dims": [8],
+                                   "block_side": 4, "beta": [2],
+                                   "replicas": 2}))
+        with pytest.raises(AssertionError, match="the run started"):
+            cli.main([command, "--config", str(cfg)])
+
+    @pytest.mark.parametrize("mode, stop", [("rejection_free", "all_plus"),
+                                            ("graphical", "all_plus"),
+                                            ("graphical", "none")])
+    def test_simulate_writes_the_sampler_trajectory(self, tmp_path,
+                                                    monkeypatch, mode, stop):
+        # simulate runs through hitting_time with its own caps: a graphical
+        # run to time 100 with no event cap, a rejection-free one to
+        # 1,000,000 events with no time cap
+        from isingkit import kmc
+        from isingkit.lattice import (BoundaryCondition, BoxGeometry,
+                                      Configuration, build_context)
+        calls = []
+        for name in ("evolve_graphical", "evolve_rejection_free"):
+            def spy(*args, _run=getattr(kmc, name), **kwargs):
+                calls.append(kwargs)
+                return _run(*args, **kwargs)
+            monkeypatch.setattr(kmc, name, spy)
+        code, out = self.run_cli("simulate", "--mode", mode, "--dims", "3,3",
+                                 "--h", "0.5", "--beta", "2.0", "--seed", "7",
+                                 "--stop", stop, "--out-dir", str(tmp_path))
+        assert code == 0
+        ctx = build_context(BoxGeometry((3, 3)),
+                            BoundaryCondition.all_minus(),
+                            MagneticField("0.5"))
+        alpha = Configuration.all_minus(ctx.geometry)
+        pred = kmc.pred_all_plus() if stop == "all_plus" else None
+        if mode == "graphical":
+            assert [(c["horizon"], c["max_events"]) for c in calls] == \
+                [(100.0, None)]
+            traj = kmc.evolve_graphical(kmc.EventStream(7), ctx, alpha, 2.0,
+                                        stop=pred, horizon=100.0)
+        else:
+            assert [(c["time_cap"], c["max_events"]) for c in calls] == \
+                [(None, 1_000_000)]
+            traj = kmc.evolve_rejection_free(7, ctx, alpha, 2.0, stop=pred,
+                                             max_events=1_000_000)
+        buf = io.StringIO()
+        traj.to_csv(buf)
+        assert (tmp_path / "trajectory.csv").read_text() == buf.getvalue()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary == json.loads(out) == traj.summary()
+        # the file indented like stdout, which adds a newline
+        assert (tmp_path / "summary.json").read_text() + "\n" == out
+        if stop == "none":
+            assert summary["stop_reason"] == "time_cap"
 
     @pytest.mark.parametrize("beta", ["-1", "0"])
     def test_simulate_non_positive_beta_rejected(self, tmp_path, capsys,

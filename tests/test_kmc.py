@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kmc_oracle
+from box_strategy import boxes
 from isingkit import kmc
 from isingkit.energy import MagneticField
 from isingkit.kmc import (EventStream, HittingResult, Trajectory,
@@ -69,7 +71,7 @@ class TestGraphical:
         traj = evolve_graphical(stream, ctx, Configuration.all_minus(ctx.geometry),
                                 beta=2.0, horizon=1e-6)
         assert traj.events == []
-        assert traj.stop_reason == "horizon"
+        assert traj.stop_reason == "time_cap"
 
     def test_downhill_always_flips(self):
         # all-plus boundary makes every up-flip downhill: at huge beta the
@@ -426,13 +428,63 @@ class TestHittingTime:
         beta = 2.5
         res = hitting_time("graphical", ctx,
                            Configuration.all_minus(ctx.geometry), beta,
-                           pred_all_plus(), seed=77, keep_trajectory=True)
+                           pred_all_plus(), seed=77)
         stream = EventStream(77)
         one_shot = evolve_graphical(stream, ctx,
                                     Configuration.all_minus(ctx.geometry),
                                     beta, stop=pred_all_plus(), horizon=1e5)
         assert res.time == one_shot.hitting_time
         assert res.trajectory.events == one_shot.events
+
+
+# the stop reasons each sampler may write
+GRAPHICAL_STOPS = {"stopped", "time_cap", "event_cap", "tick_cap"}
+REJECTION_FREE_STOPS = {"stopped", "time_cap", "event_cap", "underflow"}
+
+
+class TestStopVocabulary:
+    @settings(max_examples=150, deadline=None)
+    @given(case=boxes(fields=("0.5", "sqrt2/2")),
+           mode=st.sampled_from(["graphical", "rejection_free"]),
+           beta=st.sampled_from([0.5, 1.5, 1000.0]),
+           stop=st.booleans(),
+           time_cap=st.sampled_from([None, 0.5, 3.0, 20.0]),
+           max_events=st.integers(1, 40),
+           max_ticks=st.none() | st.integers(1, 3000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_sampler_names_its_own_stops(self, case, mode, beta, stop,
+                                              time_cap, max_events, max_ticks,
+                                              seed):
+        # hitting_time passes the sampler's stop reason through unchanged
+        ctx, alpha = case
+        if mode == "rejection_free":
+            max_ticks = None
+        elif time_cap is None and max_ticks is None:
+            # a run whose every tick is rejected needs a tick cap to end
+            max_ticks = 3000
+        res = hitting_time(mode, ctx, alpha, beta,
+                           pred_all_plus() if stop else None, seed,
+                           time_cap=time_cap, max_events=max_events,
+                           max_ticks=max_ticks)
+        reason = res.trajectory.stop_reason
+        assert reason in (GRAPHICAL_STOPS if mode == "graphical"
+                          else REJECTION_FREE_STOPS)
+        assert res.censored == (reason != "stopped")
+        if reason == "time_cap":
+            assert res.time == res.trajectory.t_end == time_cap
+        if mode == "graphical":
+            sampled = evolve_graphical(EventStream(seed), ctx, alpha, beta,
+                                       stop=pred_all_plus() if stop else None,
+                                       horizon=time_cap,
+                                       max_events=max_events,
+                                       max_ticks=max_ticks)
+        else:
+            sampled = evolve_rejection_free(
+                seed, ctx, alpha, beta,
+                stop=pred_all_plus() if stop else None, time_cap=time_cap,
+                max_events=max_events)
+        assert (sampled.events, sampled.t_end, sampled.stop_reason) == \
+            (res.trajectory.events, res.trajectory.t_end, reason)
 
 
 class _FrozenEnsemble:

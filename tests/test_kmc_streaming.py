@@ -6,8 +6,6 @@ exactly: hitting time, censoring, and the trajectory's events, end time,
 stop reason and hitting time.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -54,10 +52,10 @@ def test_hitting_time_matches_restarts(dims, time_cap, max_events):
     for seed in (11, 12):
         new = hitting_time("graphical", ctx, alpha, beta, pred_all_plus(),
                            seed=seed, time_cap=time_cap,
-                           max_events=max_events, keep_trajectory=True)
+                           max_events=max_events)
         old = oracle.hitting_time_graphical(
             ctx, alpha, beta, pred_all_plus(), seed=seed, time_cap=time_cap,
-            max_events=max_events, keep_trajectory=True)
+            max_events=max_events)
         assert observed(new) == observed(old)
 
 
@@ -84,10 +82,10 @@ def test_stateful_nucleation_predicate(dims, time_cap):
         return observed(res), first_exit
 
     for seed in (21, 22, 23):
-        new = run(lambda *a: hitting_time("graphical", *a, time_cap=time_cap,
-                                          keep_trajectory=True), seed)
+        new = run(lambda *a: hitting_time("graphical", *a, time_cap=time_cap),
+                  seed)
         old = run(lambda *a: oracle.hitting_time_graphical(
-            *a, time_cap=time_cap, keep_trajectory=True), seed)
+            *a, time_cap=time_cap), seed)
         assert new == old
 
 
@@ -154,7 +152,7 @@ def test_rejecting_run_stops_at_tick_cap():
     read = stream.window(ctx, 0.0, traj.t_end)[0].size
     assert traj.ticks_read == traj.ticks_rejected == read >= 10_000
     assert stream.window(ctx, 0.0, traj.t_end / 2)[0].size < 10_000
-    summary = json.loads(traj.summary_json())
+    summary = traj.summary()
     assert summary["ticks_read"] == summary["ticks_rejected"] == read
 
 

@@ -72,7 +72,8 @@ def test_outputs_independent_of_worker_count(monkeypatch, name):
     assert experiments._TASK is None
 
 
-@pytest.mark.parametrize("name", ["stc_audit", "nucleation_graphical"])
+@pytest.mark.parametrize("name", ["stc_audit", "nucleation_graphical",
+                                  "infection"])
 def test_rows_record_applied_flips(monkeypatch, name):
     rows, files = run_with_cpus(monkeypatch, name, 2)
     assert all(r["events"] >= 1 for r in rows)
@@ -104,16 +105,14 @@ def test_replaced_hitting_time_runs_in_workers(monkeypatch, tmp_path):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_replica_error_raised_and_no_worker_left(monkeypatch, name, cpus):
     seed = RUNS[name][2].seed + 1
-    target = "evolve_rejection_free" if name == "infection" \
-        else "hitting_time"
-    original = getattr(experiments, target)
+    original = experiments.hitting_time
 
     def failing(*args, **kwargs):
-        if kwargs.get("seed", args[0]) == seed:
+        if kwargs["seed"] == seed:
             raise ValueError("replica failed")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, target, failing)
+    monkeypatch.setattr(experiments, "hitting_time", failing)
     with pytest.raises(ValueError, match="replica failed"):
         run_with_cpus(monkeypatch, name, cpus)
     assert multiprocessing.active_children() == []
