@@ -25,7 +25,8 @@ import numpy as np
 
 from . import __version__
 from .energy import MagneticField
-from .experiments import (GrowthModelParams, RunConfig, growth_model_files,
+from .experiments import (GrowthModelParams, RunConfig, check_betas,
+                          check_caps_time, check_int, growth_model_files,
                           growth_threshold_from_constants, infection_files,
                           json_text, nucleation_files, rows_to_csv,
                           run_growth_model, run_infection_microscopic,
@@ -192,13 +193,10 @@ def _cmd_wgraph_check(args):
 def _cmd_simulate(args):
     ctx = _box_context(args)
     alpha = Configuration.all_minus(ctx.geometry)
-    if not args.beta > 0:
-        raise ValueError(f"beta must be positive, got {args.beta}")
-    if args.caps_events is not None and args.caps_events < 1:
-        raise ValueError(f"caps events must be an integer >= 1, "
-                         f"got {args.caps_events}")
-    if args.caps_time is not None and not args.caps_time > 0:
-        raise ValueError(f"caps time must be positive, got {args.caps_time}")
+    check_betas([args.beta])
+    if args.caps_events is not None:
+        check_int("caps events", args.caps_events, 1)
+    check_caps_time(args.caps_time)
     # a graphical run is bounded in time, a rejection-free one in events
     time_cap, max_events = args.caps_time, args.caps_events
     if args.mode == "graphical":
@@ -238,7 +236,7 @@ def _cmd_growth_model(args):
 
 def _cmd_isoperimetry(args):
     rows = oracle_table(args.d, args.vmax)
-    _emit(args.out_dir, {"isoperimetry.csv": rows_to_csv(rows, list(rows[0]))},
+    _emit(args.out_dir, {"isoperimetry.csv": rows_to_csv(rows)},
           {"d": args.d, "vmax": args.vmax, "rows": rows})
     return 0
 

@@ -7,8 +7,10 @@ recursion, and the growth-threshold optimization identity.  Every
 replicated run (nucleation, infection, growth model, stc audit) goes through
 ``_replicate``, which owns the beta-major replica order, the seeds (seed
 base + replica index), the row prefix and the fork pool, and the fitted ones
-through ``_fit``.  Outputs are deterministic given the seeds and independent
-of the CPU count.
+through ``_fit``.  Each one's files are its report, written by
+``_report_files``: the rows as one CSV whose columns are the row keys, and
+every other key as one JSON file.  Outputs are deterministic given the seeds
+and independent of the CPU count.
 """
 
 from __future__ import annotations
@@ -64,24 +66,20 @@ class RunConfig:
                         for s in self.dims)):
             raise ValueError(f"dims must be a non-empty list of positive "
                              f"integers, got {self.dims!r}")
-        _check_int("replicas", self.replicas, 1)
-        _check_int("seed", self.seed, 0)
-        _check_betas(self.beta)
+        check_int("replicas", self.replicas, 1)
+        check_int("seed", self.seed, 0)
+        check_betas(self.beta)
         if self.mode not in ("rejection_free", "graphical"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode != "rejection_free" and \
                 self.experiment in ("infection", "stc_audit"):
             raise ValueError(f"mode {self.mode!r} does not apply to "
                              f"{self.experiment}, which runs rejection_free")
-        _check_int("caps events", self.caps_events, 1)
-        _check_int("block side", self.block_side, 1)
-        _check_int("eligibility defect", self.eligibility_defect, 0)
-        _check_int("stc threshold D", self.stc_threshold_D, 0)
-        if self.caps_time is not None and not (
-                _is_number(self.caps_time, numbers.Real)
-                and self.caps_time > 0):
-            raise ValueError(f"caps time must be positive or null, "
-                             f"got {self.caps_time!r}")
+        check_int("caps events", self.caps_events, 1)
+        check_int("block side", self.block_side, 1)
+        check_int("eligibility defect", self.eligibility_defect, 0)
+        check_int("stc threshold D", self.stc_threshold_D, 0)
+        check_caps_time(self.caps_time)
         BoundaryCondition.from_label(self.bc)
 
     @classmethod
@@ -119,12 +117,12 @@ def _is_number(value, kind):
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _check_int(name, value, low):
+def check_int(name, value, low):
     if not (_is_number(value, numbers.Integral) and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def _check_betas(betas):
+def check_betas(betas):
     if not (isinstance(betas, (list, tuple)) and betas
             and all(_is_number(b, numbers.Real) and b > 0 for b in betas)):
         raise ValueError(f"beta values must be a non-empty list of positive "
@@ -132,6 +130,12 @@ def _check_betas(betas):
     # runs and fits are keyed by beta, so a repeat would drop replicas
     if len(set(betas)) != len(betas):
         raise ValueError(f"beta values must be distinct, got {betas!r}")
+
+
+def check_caps_time(value):
+    if value is not None and not (_is_number(value, numbers.Real)
+                                  and value > 0):
+        raise ValueError(f"caps time must be positive or null, got {value!r}")
 
 
 # -- Arrhenius fitting ---------------------------------------------------------
@@ -319,23 +323,18 @@ def run_nucleation(config):
 
 def nucleation_files(report):
     """The files of a nucleation run, name -> text."""
-    return {"results.csv": rows_to_csv(
-                report["rows"], ["replica", "seed", "beta", "nucleation_time",
-                                 "nucleation_censored", "all_plus_time",
-                                 "all_plus_censored", "stop_reason",
-                                 "events"]),
-            "fit.json": json_text({k: report[k]
-                                   for k in ("fits", "constants", "flags")})}
+    return _report_files(report, "results.csv", "fit.json")
 
 
 # -- microscopic infection -----------------------------------------------------
 
-# the indicator replays the whole trajectory, so it is kept in memory
+# a replica holds its whole trajectory in memory while it replays the
+# flips block by block, so its run stops at this many events
 INFECTION_EVENT_CAP = 200_000
 
 
 def run_infection_microscopic(config):
-    """Microscopic dynamics with a renormalized infection indicator.
+    """Microscopic dynamics with renormalized block infections.
 
     The box is tiled by blocks of the configured side.  A block becomes
     infected the first time it is entirely plus and stops being infected the
@@ -343,8 +342,10 @@ def run_infection_microscopic(config):
     block side and the defect stand in for the slowly growing scales of the
     asymptotic theory and are explicit parameters here.  Each replica runs
     at most ``INFECTION_EVENT_CAP`` events whatever ``caps_events`` says;
-    the report records the cap that applied, and each row its stop reason,
-    its applied flips and its ``indicator`` changes (time, block, 0 or 1).
+    the report records the cap that applied and the shape of the block
+    lattice, and each row its first infection time (the run's end when
+    no block was infected), its count of de-infected blocks, its stop
+    reason and its applied flips.
     """
     ctx = config.context()
     dims = ctx.geometry.dims
@@ -368,28 +369,24 @@ def run_infection_microscopic(config):
                             max_events=event_cap).trajectory
         minus_count = {b: block_size for b in blocks}
         t_first = {b: None for b in blocks}
-        t_deinf = {b: None for b in blocks}
-        indicator = []
+        deinfected = set()
         for t, site, spin in traj.events:
             b = site_block[site]
             minus_count[b] += -1 if spin == 1 else 1
             if t_first[b] is None and minus_count[b] == 0:
                 t_first[b] = t
-                indicator.append((t, b, 1))
-            elif t_first[b] is not None and t_deinf[b] is None \
+            elif t_first[b] is not None and b not in deinfected \
                     and minus_count[b] > config.eligibility_defect:
-                # the indicator is one-shot: once de-infected it stays 0
-                t_deinf[b] = t
-                indicator.append((t, b, 0))
+                # one-shot: a de-infected block is never infected again
+                deinfected.add(b)
         observed = [t for t in t_first.values() if t is not None]
         first = min(observed) if observed else None
         return {"first_infection_time": first if first is not None
                 else traj.t_end,
                 "censored": first is None,
-                "deinfections": sum(1 for t in t_deinf.values()
-                                    if t is not None),
+                "deinfections": len(deinfected),
                 "stop_reason": traj.stop_reason,
-                "events": len(traj.events), "indicator": indicator}
+                "events": len(traj.events)}
 
     rows = _replicate(config.beta, config.replicas, config.seed, replica)
     report = {"rows": rows, "block_dims": block_dims,
@@ -410,12 +407,7 @@ def run_infection_microscopic(config):
 
 def infection_files(report):
     """The files of an infection run, name -> text."""
-    return {"results.csv": rows_to_csv(
-                report["rows"], ["replica", "seed", "beta",
-                                 "first_infection_time", "censored",
-                                 "deinfections", "stop_reason", "events"]),
-            "summary.json": json_text({k: report[k] for k in (
-                "persistence", "event_cap", "fit")})}
+    return _report_files(report, "results.csv", "summary.json")
 
 
 # -- abstract growth model -----------------------------------------------------
@@ -454,7 +446,7 @@ class GrowthModelParams:
     max_events: int = 2_000_000
 
     def __post_init__(self):
-        _check_int("d", self.d, 1)
+        check_int("d", self.d, 1)
         for name in ("gamma", "L"):
             value = getattr(self, name)
             if not (_is_number(value, numbers.Real) and math.isfinite(value)):
@@ -464,10 +456,10 @@ class GrowthModelParams:
                 and -math.inf < self.kappa_prev <= math.inf):
             raise ValueError(f"kappa_prev must be a finite number or inf "
                              f"(frozen growth), got {self.kappa_prev!r}")
-        _check_betas(self.betas)
-        _check_int("replicas", self.replicas, 1)
-        _check_int("seed", self.seed, 0)
-        _check_int("max_events", self.max_events, 1)
+        check_betas(self.betas)
+        check_int("replicas", self.replicas, 1)
+        check_int("seed", self.seed, 0)
+        check_int("max_events", self.max_events, 1)
         kappa = self.kappa_predicted()
         for beta in self.betas:
             # the exponents _growth_single and run_growth_model exponentiate
@@ -640,11 +632,7 @@ def run_growth_model(params):
 
 def growth_model_files(report):
     """The files of a growth-model run, name -> text."""
-    return {"results.csv": rows_to_csv(
-                report["rows"], ["replica", "seed", "beta", "coverage_time",
-                                 "censored", "side", "stop_reason", "events"]),
-            "fit.json": json_text({k: report[k]
-                                   for k in ("fit", "kappa_target", "flags")})}
+    return _report_files(report, "results.csv", "fit.json")
 
 
 # -- growth threshold identity ---------------------------------------------------
@@ -692,7 +680,7 @@ def run_stc_audit(config):
     leaves the restricted ensemble, tracks the space-time clusters over that
     window (exit flip included), and records the maximal cluster diameter
     with the run's stop reason and applied flips.  The audit runs at one
-    beta, which its rows carry but ``distribution.csv`` does not write.
+    beta, which its rows and its summary carry.
     """
     if len(config.beta) != 1:
         raise ValueError(f"stc-audit runs at one beta, got {config.beta!r}")
@@ -723,22 +711,27 @@ def run_stc_audit(config):
 
 def stc_audit_files(report):
     """The files of an stc audit, name -> text."""
-    return {"distribution.csv": rows_to_csv(
-                report["rows"], ["replica", "seed", "max_diam", "exit_time",
-                                 "censored", "stop_reason", "events"]),
-            "summary.json": json_text({k: report[k] for k in (
-                "max_diam", "threshold_D", "passed", "beta")})}
+    return _report_files(report, "distribution.csv", "summary.json")
 
 
 # -- helpers --------------------------------------------------------------------
 
 
-def rows_to_csv(rows, columns):
+def _report_files(report, csv_name, json_name):
+    """A replicated run's files: its report's rows as ``csv_name`` and every
+    other key of the report as ``json_name``."""
+    rest = {k: v for k, v in report.items() if k != "rows"}
+    return {csv_name: rows_to_csv(report["rows"]), json_name: json_text(rest)}
+
+
+def rows_to_csv(rows):
+    """CSV text of a list of dicts whose keys, in the first row's order,
+    are the columns."""
+    columns = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(columns)
-    for r in rows:
-        writer.writerow([r[c] for c in columns])
+    writer.writerows([r[c] for c in columns] for r in rows)
     return buf.getvalue()
 
 

@@ -240,13 +240,11 @@ def diam_infty_window(ledger, s, t):
     spins = traj.initial.spins.tolist()
     for _, site, spin in events[:first]:
         spins[site] = spin
-    # the pluses at s enter as flips at time 0 from all minus, ahead of every
-    # window flip, so a cluster born at 0.0 holds a site plus at s
-    opens = [(0.0, site, 1) for site, spin in enumerate(spins) if spin == 1]
+    # ``track`` opens the pluses at s at time 0, ahead of every window flip,
+    # so a cluster born at 0.0 holds a site plus at s
     window = track(ledger.ctx, Trajectory(
-        Configuration.all_minus(traj.initial.geometry),
-        opens + events[first:last], t, traj.stop_reason, traj.beta,
-        traj.h_token, traj.bc_label))
+        Configuration(traj.initial.geometry, spins), events[first:last], t,
+        traj.stop_reason, traj.beta, traj.h_token, traj.bc_label))
     meeting = other = 0
     for rec in window._records.values():
         diam = window._diam(rec)

@@ -161,14 +161,26 @@ class TestNucleation:
         assert fits == {"nucleation": error, "all_plus": error}
 
 
-def recompute_infection_indicator(events, block, t):
-    """Indicator state of one block at time t from its recorded events."""
-    state = 0
-    for et, b, val in events:
-        if b != block or et > t:
-            continue
-        state = val
-    return state
+def replay_block_infections(traj, side, defect):
+    """(first infection time or None, de-infected block count) read off the
+    configurations a trajectory passes through: a block is infected once it
+    is entirely plus, and de-infected for good once more than ``defect`` of
+    its sites are minus after that."""
+    geom = traj.initial.geometry
+    label = [tuple(c // side for c in geom.coord(i))
+             for i in range(geom.n_sites)]
+    first, infected, deinfected = None, set(), set()
+    for t, _, _, cfg in traj.replay():
+        minus = {b: 0 for b in label}
+        for i in np.flatnonzero(cfg.spins == -1):
+            minus[label[i]] += 1
+        for b, count in minus.items():
+            if b not in infected and count == 0:
+                infected.add(b)
+                first = t if first is None else first
+            elif b in infected and count > defect:
+                deinfected.add(b)
+    return first, len(deinfected)
 
 
 class TestInfection:
@@ -203,16 +215,32 @@ class TestInfection:
                                        "effective": 200_000}
         assert report["rows"][0]["stop_reason"] == "stopped"
 
-    def test_indicator_recompute_matches(self):
-        cfg = RunConfig(experiment="infection", dims=[8], h="0.5",
-                        beta=[2.0], replicas=2, seed=9, block_side=4)
-        report = run_infection_microscopic(cfg)
-        for row in report["rows"]:
-            events = row["indicator"]
-            for t, b, val in events:
-                assert recompute_infection_indicator(events, b, t) == val
-                before = recompute_infection_indicator(events, b, t - 1e-9)
-                assert before != val
+    def test_block_infections_replay_the_trajectory(self):
+        # each row against the same seed's rejection-free run, capped and
+        # uncapped; defect 0 lets a single minus flip de-infect a block
+        from isingkit.kmc import evolve_rejection_free, pred_all_plus
+        from isingkit.lattice import Configuration
+        seen = set()
+        for caps_events, defect in ((5, 0), (10_000_000, 0), (10_000_000, 1)):
+            cfg = RunConfig(experiment="infection", dims=[8], h="0.5",
+                            beta=[2.0, 3.0], replicas=3, seed=9, block_side=4,
+                            eligibility_defect=defect, caps_events=caps_events)
+            report = run_infection_microscopic(cfg)
+            ctx = cfg.context()
+            for row in report["rows"]:
+                traj = evolve_rejection_free(
+                    row["seed"], ctx, Configuration.all_minus(ctx.geometry),
+                    row["beta"], stop=pred_all_plus(),
+                    max_events=report["event_cap"]["effective"])
+                first, deinfections = replay_block_infections(traj, 4,
+                                                              defect)
+                assert row["censored"] == (first is None)
+                assert row["first_infection_time"] == \
+                    (traj.t_end if first is None else first)
+                assert row["deinfections"] == deinfections
+                seen.add((row["censored"], deinfections > 0))
+        # censored and infected rows, with and without a de-infection
+        assert seen == {(True, False), (False, False), (False, True)}
 
     @pytest.mark.parametrize("caps_events", [5, 10_000_000])
     def test_events_count_the_applied_flips(self, caps_events):

@@ -75,7 +75,7 @@ class TestIsoperimetricCheck:
     def test_csv_shape(self):
         rows = oracle_table(2, 12)
         assert [r["v"] for r in rows] == list(range(1, 13))
-        lines = rows_to_csv(rows, list(rows[0])).strip().splitlines()
+        lines = rows_to_csv(rows).strip().splitlines()
         assert len(lines) == 13
         assert lines[0] == "d,v,min_perimeter,simplified_bound,neves_bound"
 

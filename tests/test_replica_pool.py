@@ -3,6 +3,7 @@
 ``experiments._replicate`` runs one closure per replica, beta-major with
 seed base + replica index, in a pool of forked workers, one per CPU the
 process may use.  These tests pin the order, the seeds and the row prefix,
+that each run's files are its report (rows as CSV, the rest as JSON),
 that the CPU count changes no output byte, that no worker outlives a run,
 normal or failed, and that a closure replaced at module level runs in the
 workers.
@@ -10,6 +11,9 @@ A pool that hangs fails its test through ``SIGALRM`` instead of stalling
 the suite.
 """
 
+import csv
+import io
+import json
 import multiprocessing
 import os
 import signal
@@ -17,8 +21,10 @@ import signal
 import pytest
 
 from isingkit import experiments
-from isingkit.experiments import (RunConfig, infection_files,
-                                  nucleation_files, run_infection_microscopic,
+from isingkit.experiments import (GrowthModelParams, RunConfig,
+                                  growth_model_files, infection_files,
+                                  json_text, nucleation_files,
+                                  run_growth_model, run_infection_microscopic,
                                   run_nucleation, run_stc_audit,
                                   stc_audit_files)
 
@@ -79,6 +85,27 @@ def test_rows_record_applied_flips(monkeypatch, name):
     assert all(r["events"] >= 1 for r in rows)
     header = next(iter(files.values())).splitlines()[0]
     assert header.endswith(",stop_reason,events")
+
+
+# every replicated experiment's (run, files, config), the growth model too
+FILE_RUNS = {**RUNS, "growth_model": (
+    run_growth_model, growth_model_files, GrowthModelParams(
+        d=1, gamma=1.5, kappa_prev=0.0, L=1.0, betas=[4.0, 6.0], replicas=2,
+        seed=0))}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_RUNS))
+def test_files_are_the_report(name):
+    # the CSV header is the row keys, and the JSON file every other key
+    run, files, config = FILE_RUNS[name]
+    report = run(config)
+    written = files(report)
+    [table] = [text for n, text in written.items() if n.endswith(".csv")]
+    [summary] = [text for n, text in written.items() if n.endswith(".json")]
+    assert len(written) == 2
+    assert next(csv.reader(io.StringIO(table))) == list(report["rows"][0])
+    rest = {k: v for k, v in report.items() if k != "rows"}
+    assert json.loads(summary) == json.loads(json_text(rest))
 
 
 def test_replaced_hitting_time_runs_in_workers(monkeypatch, tmp_path):
