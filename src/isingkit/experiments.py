@@ -145,10 +145,11 @@ def arrhenius_fit(times_by_beta, target=None, n_boot=1000, seed=0):
     """Least-squares slope of ln(mean hitting time) against beta.
 
     Bootstrap resampling of the replicas gives the confidence interval:
-    resample k draws each temperature's replicas in turn, and the slopes of
-    all resamples come from one least-squares fit with a column per
-    resample.  Needs at least two temperatures: a slope from one point is
-    undefined.
+    resample k draws each temperature's replicas in turn, the indices of a
+    block of resamples come from one bounded draw in that order, and the
+    slopes of all resamples come from one least-squares fit with a column
+    per resample.  Needs at least two temperatures: a slope from one point
+    is undefined.
     """
     betas = sorted(times_by_beta)
     if len(betas) < 2:
@@ -158,12 +159,22 @@ def arrhenius_fit(times_by_beta, target=None, n_boot=1000, seed=0):
     slope, intercept = np.polyfit(x, y, 1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     samples = {b: np.asarray(times_by_beta[b], dtype=float) for b in betas}
+    sizes = [samples[b].size for b in betas]
+    bounds = np.cumsum([0] + sizes).tolist()
+    # each beta's indices are bounded by its replica count; one scalar
+    # bound, when every beta has as many replicas, takes numpy's faster
+    # loop and draws the same indices
+    highs = sizes[0] if len(set(sizes)) == 1 else np.repeat(sizes, sizes)
     ys = np.empty((len(betas), n_boot))
-    for k in range(n_boot):
-        for i, b in enumerate(betas):
-            arr = samples[b]
-            idx = rng.integers(0, arr.size, size=arr.size)
-            ys[i, k] = math.log(arr[idx].mean())
+    # resamples drawn in blocks of about 2^16 indices, so memory stays
+    # bounded; row k of a block holds one resample's indices
+    step = max(1, (1 << 16) // bounds[-1])
+    for k in range(0, n_boot, step):
+        idx = rng.integers(0, highs, size=(min(step, n_boot - k), bounds[-1]))
+        for i, (b, lo, hi) in enumerate(zip(betas, bounds, bounds[1:])):
+            ys[i, k:k + len(idx)] = [
+                math.log(m)
+                for m in samples[b][idx[:, lo:hi]].mean(axis=1).tolist()]
     boot = np.polyfit(x, ys, 1)[0]
     ci_low, ci_high = np.percentile(boot, [2.5, 97.5])
     out = {"slope": float(slope), "intercept": float(intercept),

@@ -10,13 +10,17 @@ relaxation exponents) from the reference path energy profile.
 The merge runs level by level, each level one vectorised step with numpy:
 activate the level's states, take their flip edges to active states, find
 both ends' roots in union-by-size trees, and join the roots by one
-connected-components pass, OR-ing per-state flags onto the new roots.  Its
-work grows with the states and edges of the levels it visits, so a
-communication energy never looks above its barrier.  Maximal cycle
-compounds are the connected components of a fixed graph over the cycles,
-adjacent cycles whose exits share a level; the worklist merge that records
-tie events under a rational field is replayed only in the compounds where
-tied exits can differ in pair.
+connected-components pass, OR-ing per-state flags onto the new roots.  The
+level order is placed on demand, a prefix of levels at a time, and the
+per-state ranks and levels are built only for the consumers that read
+every state.  The merge's work grows with the states and edges of the
+levels it visits, so a communication energy merges no level above its
+barrier, and places no more than the lowest sixteenth of the states when
+its barrier lies within them.  Maximal cycle compounds are the connected
+components of a fixed graph over the cycles, adjacent cycles whose exits
+share a level; the worklist merge that records tie events under a
+rational field is replayed only in the compounds where tied exits can
+differ in pair.
 """
 
 from __future__ import annotations
@@ -122,58 +126,107 @@ class LevelIndex:
     order.  The few distinct (bonds, pluses) pairs are sorted once, exactly,
     with ``compare_pair``; pairs of equal value (possible only for a rational
     field) follow one another in the order of the first state carrying each.
-    ``rank[p]`` is the place of position p's pair in that order, and
-    ``level[p]`` numbers the distinct values, so two states share a level
-    exactly when their energies are equal.  ``values[r]`` is the energy of
-    rank r, ``rank_level[r]`` its level, and ``level_rank[k]`` the first
-    rank of level k, the pair that names level k.  ``order`` lists the
-    positions by level, states ascending within a level, level k occupies
-    ``order[starts[k]:starts[k + 1]]``, and position p sits at
-    ``order[where[p]]``.  ``flips`` maps positions to the positions their
-    flips lead to, and ``edge_ends`` reads columns at both ends of every
-    flip edge.
+    ``values[r]`` is the energy of rank r, ``rank_level[r]`` its level, and
+    ``level_rank[k]`` the first rank of level k, the pair that names level
+    k; level k holds the states ``starts[k]:starts[k + 1]`` of the level
+    order.  Per position, ``rank[p]`` is the place of p's pair in that
+    order and ``level[p]`` numbers the distinct values, so two states share
+    a level exactly when their energies are equal; both are built on first
+    read.  ``order`` lists the positions by level, states ascending within a
+    level, and position p sits at ``order[where[p]]``; reading either places
+    every state, while ``place`` places only a prefix of the levels.
+    ``flips`` maps positions to the positions their flips lead to, and
+    ``edge_ends`` reads columns at both ends of every flip edge.
     """
+
+    # a first request for at most 1/_SHARE of the states is placed alone
+    _SHARE = 16
 
     def __init__(self, ids, bonds, pluses, field, n_sites):
         n = len(ids)
         self.ids = ids
         self.n_sites = n_sites
         self.full = n == 1 << n_sites
-        # one small integer key per pair, since pluses never exceed n_sites
+        # one small integer key per pair, since pluses never exceed n_sites;
+        # built in place as intp, since bincount and every gather would
+        # first copy a narrower key to intp
         b0 = int(bonds.min())
         width = n_sites + 1
-        key = (bonds - b0) * width + pluses
-        first = np.full(int(key.max()) + 1, n, dtype=np.int64)
-        np.minimum.at(first, key, np.arange(n))
-        present = np.flatnonzero(first < n)
+        key = np.subtract(bonds, b0, dtype=np.intp)
+        key *= width
+        key += pluses
+        count = np.bincount(key).tolist()
         groups = {}
-        for k in present[np.argsort(first[present])].tolist():
+        for k in (k for k, c in enumerate(count) if c):
             b, p = divmod(k, width)
             groups.setdefault(field.level_key(b + b0, p), []).append(
                 (k, b + b0, p))
+        if any(len(group) > 1 for group in groups.values()):
+            # pairs of one value, in the order of their first states
+            first = np.full(len(count), n, dtype=np.int64)
+            np.minimum.at(first, key, np.arange(n))
+            for group in groups.values():
+                group.sort(key=lambda pair: first[pair[0]])
         by_value = sorted(groups.values(), key=functools.cmp_to_key(
             lambda x, y: field.compare_pair(x[0][1] - y[0][1],
                                             x[0][2] - y[0][2])))
-        rank_of_key = np.zeros(len(first), dtype=np.int32)
-        self.values, self.level_rank, rank_level = [], [], []
+        self._rank_of_key = np.zeros(len(count), dtype=np.int32)
+        self.values, self.level_rank, rank_level, sizes = [], [], [], [0]
         for level, group in enumerate(by_value):
             self.level_rank.append(len(self.values))
             for k, b, p in group:
-                rank_of_key[k] = len(self.values)
+                self._rank_of_key[k] = len(self.values)
                 self.values.append(EnergyValue(b, p, field))
                 rank_level.append(level)
+            sizes.append(sum(count[k] for k, _, _ in group))
         self.n_levels = len(by_value)
         self.rank_level = np.array(rank_level, dtype=np.int32)
-        self.rank = rank_of_key[key]
-        self.level = self.rank_level[self.rank]
-        # stable, so one order under any dtype; numpy radix-sorts 8/16 bits
-        key = self.level.astype(np.min_scalar_type(self.n_levels))
-        self.order = np.argsort(key, kind="stable")
-        self.starts = np.searchsorted(
-            key[self.order], np.arange(self.n_levels + 1, dtype=key.dtype))
-        self.where = np.empty(n, dtype=np.int32)
-        self.where[self.order] = np.arange(n, dtype=np.int32)
+        self.starts = np.cumsum(sizes)
+        # narrow, so the level sort is a radix sort of 8 or 16 bits
+        self._level_of_key = self.rank_level[self._rank_of_key].astype(
+            np.min_scalar_type(self.n_levels))
+        self._key = key
+        self._order = np.empty(0, dtype=np.int64)
+        self._where = np.full(n, n, dtype=np.int32)
+        self._placed = 0
         self._pairs = None
+
+    @functools.cached_property
+    def rank(self):
+        return np.take(self._rank_of_key, self._key)
+
+    @functools.cached_property
+    def level(self):
+        return self.rank_level[self.rank]
+
+    @property
+    def order(self):
+        return self.place(self.n_levels)[0]
+
+    @property
+    def where(self):
+        return self.place(self.n_levels)[1]
+
+    def place(self, stop):
+        """``order`` and ``where`` with at least the levels below ``stop``
+        placed: ``order`` holds the placed positions only, and an unplaced
+        position's ``where`` is n, after every place.  While nothing is
+        placed, a request within the first 1/_SHARE of the states places
+        every level that fits there, by one masked pass and a sort of those
+        states; any other request places every state by one stable sort."""
+        if stop > self._placed:
+            n, key, level = len(self.ids), self._key, self._level_of_key
+            if not self._placed and self.starts[stop] <= n // self._SHARE:
+                stop = int(np.searchsorted(self.starts, n // self._SHARE,
+                                           "right")) - 1
+                pos = np.flatnonzero(np.take(level < stop, key))
+                pos = pos[np.argsort(level[key[pos]], kind="stable")]
+            else:
+                stop = self.n_levels
+                pos = np.argsort(np.take(level, key), kind="stable")
+            self._where[pos] = np.arange(len(pos), dtype=np.int32)
+            self._order, self._placed = pos, stop
+        return self._order, self._where
 
     def positions(self, states):
         """Positions of a collection of states, ascending, without repeats,
@@ -238,15 +291,17 @@ class _MergeTree:
     level grows with the level's states and edges, not with the box.
 
     Nodes are places in the level order (``lv.where``), so level k is the
-    node range ``lv.starts[k]:lv.starts[k + 1]`` and a sweep that stops
-    early touches only the start of its arrays.  ``flags`` holds a small
-    int per node and is updated in place: a root carries the OR of its
-    tree's flags.  Iterating yields ``(k, pieces, group, pflag, gflag)``
-    after level k: ``pieces`` are the roots that level k touched as they
-    stood before it (a state activated at k is a piece of its own),
-    ``group[i]`` numbers the component piece i joins, ``pflag`` holds the
-    pieces' flags and ``gflag[group]`` the OR over each component.  The
-    pieces are joined when iteration resumes.
+    node range ``lv.starts[k]:lv.starts[k + 1]``.  The order is placed as
+    the sweep reaches it (``lv.place``), so a sweep that stops early touches
+    only the start of its arrays and places few states beyond them.
+    ``flags`` holds a small int per position; each level's flags are copied
+    to its nodes as it is activated, and ``flag`` is updated in place: a
+    root carries the OR of its tree's flags.  Iterating yields
+    ``(k, pieces, group, pflag, gflag)`` after level k: ``pieces`` are the
+    roots that level k touched as they stood before it (a state activated
+    at k is a piece of its own), ``group[i]`` numbers the component piece i
+    joins, ``pflag`` holds the pieces' flags and ``gflag[group]`` the OR
+    over each component.  The pieces are joined when iteration resumes.
     """
 
     def __init__(self, lv, flags):
@@ -254,7 +309,8 @@ class _MergeTree:
         self.lv = lv
         self.parent = np.empty(n, dtype=np.int64)
         self.size = np.empty(n, dtype=np.int64)
-        self.flag = flags
+        self.flag = np.empty(n, dtype=flags.dtype)
+        self._flags = flags
         self._slot = np.empty(n, dtype=np.int64)
         self._bits = np.left_shift(1, np.arange(lv.n_sites, dtype=np.int64))
 
@@ -267,31 +323,34 @@ class _MergeTree:
             r, up = up, parent[up]
         return r
 
-    def _edges(self, lo, hi):
+    def _edges(self, lo, hi, order, where):
         """Flip edges from the nodes lo..hi-1 of one level to active nodes,
         node by node, from one ``flips`` call over the level's states and
         all bits.
 
         A flip changes the energy by an integer minus or plus h, and
         0 < h < 1, so flip neighbours never share a level and every such
-        edge goes down to an earlier level.
+        edge goes down to an earlier level.  A state not yet placed sits at
+        n, above every node.
         """
-        lv = self.lv
-        p, q = lv.flips(lv.order[lo:hi, None], self._bits)
-        q = lv.where[q]
+        p, q = self.lv.flips(order[lo:hi, None], self._bits)
+        q = where[q]
         # an index list, not a boolean mask: about half the flips go down,
         # in no pattern a mask's copy loop could predict
         down = (q < lo).nonzero()[0]
-        return lv.where[p[down]], q[down]
+        return where[p[down]], q[down]
 
     def __iter__(self):
-        starts = self.lv.starts.tolist()
-        for k in range(self.lv.n_levels):
+        lv = self.lv
+        starts = lv.starts.tolist()
+        for k in range(lv.n_levels):
             lo, hi = starts[k], starts[k + 1]
+            order, where = lv.place(k + 1)
             new = np.arange(lo, hi)
             self.parent[lo:hi] = new
             self.size[lo:hi] = 1
-            p, q = self._edges(lo, hi)
+            self.flag[lo:hi] = self._flags[order[lo:hi]]
+            p, q = self._edges(lo, hi, order, where)
             if not len(p):
                 flag = self.flag[new]
                 yield k, new, np.arange(len(new)), flag, flag
@@ -363,8 +422,8 @@ def communication_energy(graph, a_states, b_states):
     if not len(a) or not len(b):
         raise ValueError("communication energy needs non-empty state sets")
     flags = np.zeros(len(lv.ids), dtype=np.int8)
-    flags[lv.where[a]] = 1
-    flags[lv.where[b]] |= 2
+    flags[a] = 1
+    flags[b] |= 2
     for k, _, _, _, gflag in _MergeTree(lv, flags):
         if np.count_nonzero(gflag == 3):
             return lv.values[lv.level_rank[k]]
@@ -568,7 +627,6 @@ def _cycle_labels(lv, y):
     Y takes the label of the first labelled node above it.
     """
     n = len(lv.ids)
-    y = lv.where[y]
     outside = np.ones(n, dtype=np.int8)
     outside[y] = 0
     tree = _MergeTree(lv, outside)
@@ -582,7 +640,7 @@ def _cycle_labels(lv, y):
     label[done] = np.arange(count, count + len(done))
     count += len(done)
     out = np.full(n, -1, dtype=np.int64)
-    todo, cur = y, y
+    todo, cur = y, lv.where[y]
     while len(todo):
         found = label[cur]
         hit = found >= 0
@@ -590,7 +648,7 @@ def _cycle_labels(lv, y):
         up = tree.parent[cur]
         go = ~hit & (up != cur)
         todo, cur = todo[go], up[go]
-    return out[lv.where], count
+    return out, count
 
 
 def maximal_cycles(graph, y_states):
@@ -771,7 +829,9 @@ def truncate_landscape(graph, k):
     arrays of ``graph``.
     """
     lv = graph.levels()
-    order = lv.ids[lv.order[:k]].tolist()
+    # the levels that hold the k lowest states
+    order, _ = lv.place(min(int(np.searchsorted(lv.starts, k)), lv.n_levels))
+    order = lv.ids[order[:k]].tolist()
     chosen = set(order)
     start = order[0]
     seen = {start}

@@ -44,6 +44,7 @@ class StcLedger:
         self.uf = UnionFind()
         self._records = {}         # root -> record dict
         self.diameter_events = []  # (time, root, new diameter)
+        self._max_diameter = 0     # the largest diameter in diameter_events
         self.crossing_times = {}   # axis -> first time a cluster spans the box
 
     # -- bookkeeping -----------------------------------------------------
@@ -56,8 +57,16 @@ class StcLedger:
             "segments": [], "open": {coord: t}, "lo": list(coord),
             "hi": list(coord), "birth": t, "death": None,
         }
-        self.diameter_events.append((t, root, 0))
+        self._grew(t, root, 0)
         return root
+
+    def _grew(self, t, root, diam):
+        """Cluster root's diameter grew to diam at time t.  A bounding box
+        only grows and every growth past the old diameter is recorded here,
+        so the largest recorded diameter is the largest of all clusters."""
+        self.diameter_events.append((t, root, diam))
+        if diam > self._max_diameter:
+            self._max_diameter = diam
 
     def _diam(self, rec):
         return max(h - l for l, h in zip(rec["lo"], rec["hi"]))
@@ -105,7 +114,7 @@ class StcLedger:
             rec["hi"][a] = max(rec["hi"][a], c)
         after = self._diam(rec)
         if after > before:
-            self.diameter_events.append((t, root, after))
+            self._grew(t, root, after)
         self._check_crossing(root, t)
         return root
 
@@ -141,7 +150,7 @@ class StcLedger:
         return segs
 
     def max_diameter(self):
-        return max((self._diam(rec) for rec in self._records.values()), default=0)
+        return self._max_diameter
 
 
 def track(ctx, trajectory):
@@ -172,7 +181,6 @@ def track(ctx, trajectory):
     opens = [(0.0, site, 1) for site in
              np.flatnonzero(trajectory.initial.spins == 1).tolist()]
     records = ledger._records
-    diameter_events = ledger.diameter_events
     find = ledger.uf.find
     record = ledger._record
     get = live.get
@@ -209,7 +217,7 @@ def track(ctx, trajectory):
                             hi[axis] = x
                     after = ledger._diam(rec)
                     if after > before:
-                        diameter_events.append((t, root, after))
+                        ledger._grew(t, root, after)
                     if after >= spans_floor:
                         ledger._check_crossing(root, t)
                     break

@@ -99,6 +99,20 @@ class TestArrheniusFit:
                                        seed=seed)
         assert repr(new) == repr(old)
 
+    @pytest.mark.parametrize("sizes,n_boot", [([700, 650, 1], 150),
+                                              ([500, 500, 500], 150),
+                                              ([40000, 30000], 3)])
+    def test_resamples_drawn_in_blocks(self, sizes, n_boot):
+        # enough replicas that the resamples are drawn in several blocks,
+        # the last one short, or one resample per block; under one bound
+        # for all betas or one per beta
+        rng = np.random.default_rng(len(sizes))
+        times = {2.0 + i: rng.exponential(10.0 ** i, size).tolist()
+                 for i, size in enumerate(sizes)}
+        new = arrhenius_fit(times, n_boot=n_boot, seed=9)
+        old = fit_oracle.arrhenius_fit(times, n_boot=n_boot, seed=9)
+        assert repr(new) == repr(old)
+
     def test_exact_line_recovered(self):
         times = {b: [math.exp(1.5 * b)] * 5 for b in (3.0, 4.0, 5.0)}
         fit = arrhenius_fit(times, target=1.5, n_boot=50)

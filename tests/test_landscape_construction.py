@@ -144,3 +144,61 @@ class TestLevelOrder:
         pluses = rng.integers(0, n_sites + 1, len(ids)).astype(np.int64)
         lv = LevelIndex(ids, bonds, pluses, MagneticField(field), n_sites)
         self.assert_order_as_int32_argsort(lv)
+
+
+def assert_placed_as_full_sort(lv, stop):
+    """``place(stop)`` leaves a prefix of whole levels, at least the levels
+    below ``stop``, placed as one stable sort of every level places them,
+    and every other state unplaced (``where`` n, and not in ``order``)."""
+    order, where = lv.place(stop)
+    n = len(lv.ids)
+    want = np.argsort(lv.level, kind="stable")
+    m = np.count_nonzero(where < n)
+    assert m >= lv.starts[stop] and m in lv.starts
+    np.testing.assert_array_equal(order, want[:m])
+    np.testing.assert_array_equal(where[want[:m]], np.arange(m))
+    assert np.all(where[want[m:]] == n)
+    np.testing.assert_array_equal(
+        lv.starts, np.searchsorted(lv.level[want], np.arange(lv.n_levels + 1)))
+
+
+class TestPlacement:
+    """The level order placed on request, a prefix of levels at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=landscapes(), data=st.data())
+    def test_requests_place_prefixes_of_the_full_sort(self, g, data):
+        lv = g.levels()
+        stops = data.draw(st.lists(st.integers(0, lv.n_levels), max_size=4))
+        for stop in stops:
+            assert_placed_as_full_sort(lv, stop)
+        TestLevelOrder.assert_order_as_int32_argsort(lv)
+
+    @pytest.mark.parametrize("dims,field", [((3, 3), "sqrt2/2"),
+                                            ((3, 3), "0.5"),
+                                            ((2, 5), "1/20")])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_every_first_request(self, dims, field, truncate):
+        # every first stop, on a full landscape, a truncated one, and under
+        # rational fields whose levels hold several pairs; the first stops
+        # within 1/16 of the states take the masked pass
+        ctx = build_context(BoxGeometry(dims), BoundaryCondition.all_minus(),
+                            MagneticField(field))
+        make = (lambda: truncate_landscape(enumerate_landscape(ctx), 300)) \
+            if truncate else (lambda: enumerate_landscape(ctx))
+        n_levels = make().levels().n_levels
+        for first in range(1, n_levels + 1):
+            lv = make().levels()
+            for stop in (first, first, min(first + 1, n_levels), n_levels):
+                assert_placed_as_full_sort(lv, stop)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=landscapes(), frac=st.one_of(st.floats(0.0, 1 / 16),
+                                          st.floats(0.0, 1.0)))
+    def test_truncation_as_from_the_full_order(self, g, frac):
+        # the kept states are those a fully placed order gives, whether
+        # the truncation placed a prefix or every state
+        k = max(1, int(frac * g.n_states))
+        fresh = truncate_landscape(g, k)
+        g.levels().order
+        assert fresh.states() == truncate_landscape(g, k).states()

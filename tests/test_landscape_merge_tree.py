@@ -277,3 +277,64 @@ def lines(buf):
     # text, and a mismatch reports its first row instead of a diff of the
     # whole text
     return buf.getvalue().split("\n")
+
+
+def placed(lv):
+    """How many states the level order holds so far."""
+    return int((lv.place(0)[1] < len(lv.ids)).sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([(3, 3), (2, 5), (4, 4)]),
+       bc=st.sampled_from(BOUNDARIES), token=st.sampled_from(["sqrt2/2", "0.5"]),
+       seed=st.integers(0, 2 ** 16), truncate=st.booleans())
+def test_communication_energy_on_a_placed_order(dims, bc, token, seed,
+                                                truncate):
+    # the sweep's answer does not depend on how much of the order an
+    # earlier query placed
+    def make():
+        g = enumerate_landscape(build_context(BoxGeometry(dims), bc,
+                                              MagneticField(token)))
+        return truncate_landscape(g, g.n_states // 3) if truncate else g
+
+    fresh, placed_in_full = make(), make()
+    placed_in_full.levels().order
+    rng = random.Random(seed)
+    states = fresh.states()
+    for _ in range(3):
+        a = rng.sample(states, rng.randint(1, 3))
+        b = rng.sample(states, rng.randint(1, 3))
+        assert communication_energy(fresh, a, b).pair() == \
+            communication_energy(placed_in_full, a, b).pair()
+
+
+@pytest.mark.parametrize("dims,bc,token", [
+    ((4, 4), "all_minus", "sqrt2/2"), ((4, 4), "n_pm_1", "0.5"),
+    ((4, 4), "n_pm_2", "0.5"), ((3, 4), "n_pm_2", "sqrt2/2"),
+    ((2, 6), "n_pm_1", "sqrt2/2")])
+def test_maximal_cycles_after_a_barrier_query(dims, bc, token):
+    # the barrier query places a prefix of the order; the cycles found on
+    # the same graph after it are those of a fresh graph
+    ctx = build_context(BoxGeometry(dims), BoundaryCondition.from_label(bc),
+                        MagneticField(token))
+    queried, fresh = enumerate_landscape(ctx), enumerate_landscape(ctx)
+    full = queried.n_states - 1
+    communication_energy(queried, [0], [full])
+    assert 0 < placed(queried.levels()) < queried.n_states
+    y = frozenset(queried.states()) - {full}
+    after, want = maximal_cycles(queried, y), maximal_cycles(fresh, y)
+    assert exact_blocks(after) == exact_blocks(want)
+    assert after.blocks == want.blocks
+
+
+def test_4x5_barrier_query_places_a_prefix():
+    # the sweep stops at level 23, whose prefix holds 998 of the 2^20
+    # states: the query places at most 1/16 of them and builds no per-state
+    # rank or level
+    g = enumerate_landscape(build_context(
+        BoxGeometry((4, 5)), BoundaryCondition.all_minus(),
+        MagneticField("sqrt2/2")))
+    assert communication_energy(g, [0], [g.n_states - 1]).pair() == (12, 7)
+    lv = g.levels()
+    assert 998 <= placed(lv) <= g.n_states // 16
+    assert "rank" not in vars(lv) and "level" not in vars(lv)

@@ -129,6 +129,37 @@ class TestClusterDeath:
             assert (view.death is None) == still_open
 
 
+def walked_max_diameter(ledger):
+    """The largest diameter over every cluster record, walked at the end."""
+    return max((ledger._diam(rec) for rec in ledger._records.values()),
+               default=0)
+
+
+class TestMaxDiameter:
+    @settings(max_examples=150, deadline=None)
+    @given(case=trajectories(), frac=st.floats(0.0, 1.0))
+    def test_running_maximum_equals_the_walk(self, case, frac):
+        # on the whole trajectory and on a prefix of it
+        ctx, traj = case
+        cut = int(frac * len(traj.events))
+        prefix = Trajectory(traj.initial, traj.events[:cut], traj.t_end,
+                            traj.stop_reason, traj.beta, traj.h_token,
+                            traj.bc_label)
+        for run in (traj, prefix):
+            ledger = track(ctx, run)
+            assert ledger.max_diameter() == walked_max_diameter(ledger)
+
+    def test_sampled_trajectories(self):
+        # growing droplets on 16x16, where merges of large clusters occur
+        ctx = build_context(BoxGeometry((16, 16)),
+                            BoundaryCondition.all_minus(), SQRT2_2)
+        alpha = Configuration.all_minus(ctx.geometry)
+        for seed in range(3):
+            ledger = track(ctx, evolve_rejection_free(seed, ctx, alpha, 1.2,
+                                                      max_events=3000))
+            assert ledger.max_diameter() == walked_max_diameter(ledger) > 0
+
+
 class TestPrefixConsistency:
     @settings(max_examples=60, deadline=None)
     @given(case=trajectories(), frac=st.floats(0.0, 1.0))
