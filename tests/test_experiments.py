@@ -104,8 +104,8 @@ class TestArrheniusFit:
                                               ([40000, 30000], 3)])
     def test_resamples_drawn_in_blocks(self, sizes, n_boot):
         # enough replicas that the resamples are drawn in several blocks,
-        # the last one short, or one resample per block; under one bound
-        # for all betas or one per beta
+        # the last one short, or one resample per block; equal and unequal
+        # replica counts
         rng = np.random.default_rng(len(sizes))
         times = {2.0 + i: rng.exponential(10.0 ** i, size).tolist()
                  for i, size in enumerate(sizes)}
