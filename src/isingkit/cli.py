@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -249,6 +250,9 @@ def _cmd_stc_audit(args):
 
 
 def _cmd_growth_threshold(args):
+    # K ranges over 0 <= K <= L
+    if not 0 <= args.L < math.inf:
+        raise ValueError(f"--L must be a finite number >= 0, got {args.L}")
     h, const = _constants(args)
     L = Fraction(args.L).limit_denominator(10**6) if h.rational is not None \
         else float(args.L)

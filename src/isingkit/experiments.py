@@ -124,9 +124,10 @@ def check_int(name, value, low):
 
 def check_betas(betas):
     if not (isinstance(betas, (list, tuple)) and betas
-            and all(_is_number(b, numbers.Real) and b > 0 for b in betas)):
-        raise ValueError(f"beta values must be a non-empty list of positive "
-                         f"numbers, got {betas!r}")
+            and all(_is_number(b, numbers.Real) and 0 < b < math.inf
+                    for b in betas)):
+        raise ValueError(f"beta values must be a non-empty list of finite "
+                         f"positive numbers, got {betas!r}")
     # runs and fits are keyed by beta, so a repeat would drop replicas
     if len(set(betas)) != len(betas):
         raise ValueError(f"beta values must be distinct, got {betas!r}")
@@ -134,8 +135,9 @@ def check_betas(betas):
 
 def check_caps_time(value):
     if value is not None and not (_is_number(value, numbers.Real)
-                                  and value > 0):
-        raise ValueError(f"caps time must be positive or null, got {value!r}")
+                                  and 0 < value < math.inf):
+        raise ValueError(f"caps time must be a finite positive number or "
+                         f"null, got {value!r}")
 
 
 # -- Arrhenius fitting ---------------------------------------------------------

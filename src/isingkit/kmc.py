@@ -266,17 +266,20 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
     attached uniform lies below the exact Metropolis rate, the spin reverses.
     With ``restrict``, flips that would leave the ensemble are suppressed.
     Arrivals are read in the doubling windows (0, 8], (8, 16], (16, 32], ...,
-    the last one clipped at ``horizon``; ``horizon=None`` sets no time bound
-    and then needs ``max_events`` or ``max_ticks``.  The run stops when the
-    predicate holds ("stopped"), at the horizon ("time_cap"), or at the end
-    of the first window whose applied flips reach ``max_events``
-    ("event_cap") or whose arrivals read reach ``max_ticks`` ("tick_cap").
-    The trajectory counts the arrivals read and those that flipped nothing.
+    the last one clipped at ``horizon``; ``horizon=None``, or a non-finite
+    horizon, sets no time bound and then needs ``max_events`` or
+    ``max_ticks``.  The run stops when the predicate holds ("stopped"), at
+    the horizon ("time_cap"), or at the end of the first window whose
+    applied flips reach ``max_events`` ("event_cap") or whose arrivals read
+    reach ``max_ticks`` ("tick_cap").  The trajectory counts the arrivals
+    read and those that flipped nothing.
 
     Each window is walked as Python lists, with the spins, the rate tables
     and the boundary part of each neighbour sum held as list copies; the
     state handed to ``stop`` is brought up to date on each applied flip.
     """
+    if horizon is not None and not math.isfinite(horizon):
+        horizon = None
     if horizon is None and max_events is None and max_ticks is None:
         raise ValueError("graphical run needs a horizon, max_events or "
                          "max_ticks")

@@ -2,7 +2,6 @@ import io
 import json
 import math
 import os
-import subprocess
 import sys
 import warnings
 from fractions import Fraction
@@ -418,222 +417,6 @@ class TestCli:
         assert row["l_c"] == 2 and row["gamma_bonds"] == 12 \
             and row["gamma_pluses"] == 7
 
-    @pytest.mark.parametrize("argv", [
-        ("constants", "--d", "0", "--h", "0.5"),
-        ("constants", "--d", "-1", "--h", "0.5"),
-        ("growth-threshold", "--d", "0", "--h", "0.5", "--L", "0.5"),
-        ("growth-threshold", "--d", "-2", "--h", "0.5", "--L", "0.5")])
-    def test_dimension_below_one_fails_cleanly(self, capsys, argv):
-        from isingkit.cli import main
-        code = main(list(argv))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-
-    def test_isoperimetry_table_shape(self, tmp_path):
-        code, out = self.run_cli("isoperimetry", "--d", "2", "--vmax", "12",
-                                 "--out-dir", str(tmp_path))
-        assert code == 0
-        lines = (tmp_path / "isoperimetry.csv").read_text().strip().splitlines()
-        assert len(lines) == 13
-
-    def test_version_matches_pyproject(self):
-        import re
-        import isingkit
-        pyproject = os.path.join(os.path.dirname(__file__), os.pardir,
-                                 "pyproject.toml")
-        with open(pyproject) as fh:
-            want = re.search(r'^version\s*=\s*"([^"]+)"', fh.read(),
-                             re.MULTILINE).group(1)
-        assert isingkit.__version__ == want
-        proc = subprocess.run(
-            [sys.executable, "-m", "isingkit.cli", "--version"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == f"isingkit {want}"
-
-    def test_unknown_subcommand_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "isingkit.cli", "frobnicate"],
-            capture_output=True, text=True)
-        assert proc.returncode == 2
-
-    def test_invalid_config_nonzero_no_partial_output(self, tmp_path):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"replicas": 0}))
-        out_dir = tmp_path / "out"
-        code, _ = self.run_cli("nucleation", "--config", str(cfg),
-                               "--out-dir", str(out_dir))
-        assert code == 1
-        assert not out_dir.exists()
-
-    def test_unknown_bc_fails_before_any_work(self, tmp_path, capsys):
-        from isingkit.cli import main
-        out_dir = tmp_path / "out"
-        code = main(["nucleation", "--bc", "bogus", "--dims", "3",
-                     "--replicas", "1", "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert not out_dir.exists()
-
-    def test_null_event_cap_in_config_fails_cleanly(self, tmp_path, capsys):
-        from isingkit.cli import main
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"caps": {"events": None}}))
-        code = main(["nucleation", "--config", str(cfg), "--dims", "3",
-                     "--beta", "1,2", "--replicas", "1"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-
-    def test_caps_not_an_object_fails_cleanly(self, tmp_path, capsys):
-        from isingkit.cli import main
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"caps": 5}))
-        code = main(["nucleation", "--config", str(cfg), "--dims", "3",
-                     "--beta", "1,2", "--replicas", "1", "--caps-events", "3"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-
-    @pytest.mark.parametrize("argv", [
-        ("landscape", "--dims", "2,2", "--h", "sqrt2/2", "--config",
-         "missing.json", "--seed", "4", "--caps-events", "0"),
-        ("landscape", "--h", "sqrt2/2"),
-        ("simulate", "--beta", "1,5", "--replicas", "9", "--config",
-         "missing.json"),
-        ("simulate", "--dims", "3", "--h", "0.5")])
-    def test_unread_or_missing_flags_fail_cleanly(self, tmp_path, monkeypatch,
-                                                  capsys, argv):
-        # landscape and simulate accept only the flags they read, and
-        # require the box (and simulate one beta)
-        from isingkit.cli import main
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code != 0
-        assert "error:" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("bad", [{"replicas": None}, {"dims": None},
-                                     {"beta": None}, {"seed": None}])
-    def test_null_config_value_fails_cleanly(self, tmp_path, capsys, bad):
-        from isingkit.cli import main
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(dict({"dims": [3], "beta": [1.0, 2.0],
-                                        "replicas": 1}, **bad)))
-        code = main(["nucleation", "--config", str(cfg)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-
-    @pytest.mark.parametrize("argv", [
-        ("nucleation", "--dims", "3", "--beta", "1.0,1.0", "--replicas", "1"),
-        ("nucleation", "--dims", "3", "--beta", "2,1,2.0", "--replicas", "1"),
-        ("growth-model", "--d", "1", "--gamma", "1.5", "--kappa-prev", "0",
-         "--L", "1", "--beta", "4,6,4", "--replicas", "1")])
-    def test_repeated_beta_fails_cleanly(self, tmp_path, capsys, argv):
-        from isingkit.cli import main
-        out_dir = tmp_path / "out"
-        code = main(list(argv) + ["--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "distinct" in lines[0]
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize("argv", [
-        ("infection", "--dims", "8", "--h", "0.5", "--beta", "2,3",
-         "--block-side", "0"),
-        ("infection", "--dims", "8", "--h", "0.5", "--beta", "2,3",
-         "--block-side", "-4"),
-        ("stc-audit", "--dims", "4,4", "--h", "sqrt2/2", "--beta", "3",
-         "--stc-threshold-D", "-3")])
-    def test_bad_experiment_parameter_fails_cleanly(self, tmp_path, capsys,
-                                                    argv):
-        # rejected before any run: a zero block side would divide by zero,
-        # a negative one would censor every replica, and a negative
-        # threshold would fail every audit
-        from isingkit.cli import main
-        out_dir = tmp_path / "out"
-        code = main([*argv, "--replicas", "2", "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "Traceback" not in captured.err
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize("beta", [("--beta", "2,5,9"), ()])
-    def test_stc_audit_several_betas_fail_cleanly(self, tmp_path, capsys,
-                                                  beta):
-        # a list is rejected, not cut down to its first beta, and a run
-        # given no beta is told to give one rather than shown the default
-        from isingkit.cli import main
-        out_dir = tmp_path / "out"
-        code = main(["stc-audit", "--dims", "4,4", "--h", "sqrt2/2",
-                     *beta, "--replicas", "2", "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        want = "[2.0, 5.0, 9.0]" if beta else "--beta"
-        assert want in lines[0]
-        assert not out_dir.exists()
-
-    def test_stc_audit_beta_from_the_config_file(self, tmp_path, capsys):
-        from isingkit.cli import main
-        argv = ["stc-audit", "--dims", "3", "--h", "sqrt2/2", "--replicas",
-                "2", "--out-dir", str(tmp_path / "out")]
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": 3}))
-        assert main([*argv, "--config", str(config)]) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "--beta" in lines[0]
-        assert not (tmp_path / "out").exists()
-        config.write_text(json.dumps({"seed": 3, "beta": [2.0]}))
-        main([*argv, "--config", str(config)])
-        assert capsys.readouterr().err == ""
-        assert json.loads((tmp_path / "out" / "summary.json").read_text()
-                          )["beta"] == 2.0
-
-    @pytest.mark.parametrize("d, vmax", [(2, 13), (3, 9), (2, 0), (4, 2)])
-    def test_isoperimetry_vmax_outside_cap_fails_cleanly(
-            self, tmp_path, capsys, monkeypatch, d, vmax):
-        # rejected before any polyomino is enumerated
-        from isingkit import isoperimetry
-        from isingkit.cli import main
-
-        def no_enumeration(*args):
-            raise AssertionError("enumerated past the check")
-
-        monkeypatch.setattr(isoperimetry, "_grow_tables", no_enumeration)
-        out_dir = tmp_path / "out"
-        code = main(["isoperimetry", "--d", str(d), "--vmax", str(vmax),
-                     "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert not out_dir.exists()
-
     GROWTH_ARGV = ("growth-model", "--d", "1", "--gamma", "1.5",
                    "--kappa-prev", "0", "--L", "1", "--beta", "4,6")
 
@@ -671,31 +454,6 @@ class TestCli:
         fit = json.loads(out, parse_constant=reject)["fit"]
         assert fit["target"] == 0.0 and fit["relative_error"] is None
 
-    @pytest.mark.parametrize("bad", [("--replicas", "0"), ("--d", "0"),
-                                     ("--seed", "-1"), ("--beta", "0,4"),
-                                     ("--gamma", "nan"), ("--L", "nan"),
-                                     ("--L", "1e6"), ("--kappa-prev", "nan"),
-                                     # a window of e^100 sites
-                                     ("--d", "1", "--gamma", "400",
-                                      "--kappa-prev", "0", "--L", "100",
-                                      "--beta", "1,2")])
-    def test_growth_model_bad_input_fails_cleanly(self, tmp_path, capsys,
-                                                  bad):
-        from isingkit.cli import main
-        argv = list(self.GROWTH_ARGV)
-        for flag, value in zip(bad[::2], bad[1::2]):
-            if flag in argv:
-                argv[argv.index(flag) + 1] = value
-            else:
-                argv += [flag, value]
-        code = main(argv + ["--out-dir", str(tmp_path / "out")])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert not (tmp_path / "out").exists()
-
     def test_simulate_seed_zero_is_not_seed_one(self, tmp_path):
         for seed in ("0", "1"):
             code, _ = self.run_cli("simulate", "--dims", "3", "--h", "0.5",
@@ -705,19 +463,6 @@ class TestCli:
             assert code == 0
         assert (tmp_path / "0" / "trajectory.csv").read_bytes() != \
             (tmp_path / "1" / "trajectory.csv").read_bytes()
-
-    @pytest.mark.parametrize("bad", [("--caps-events", "0"),
-                                     ("--caps-time", "0"),
-                                     ("--mode", "graphical",
-                                      "--caps-time", "0")])
-    def test_simulate_zero_caps_rejected(self, tmp_path, capsys, bad):
-        from isingkit.cli import main
-        code = main(["simulate", "--dims", "3", "--h", "0.5", "--beta", "2.0",
-                     *bad, "--out-dir", str(tmp_path / "out")])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("error:")
-        assert not (tmp_path / "out").exists()
 
     def test_simulate_graphical_honours_event_cap(self, tmp_path):
         code, out = self.run_cli("simulate", "--mode", "graphical",
@@ -753,52 +498,6 @@ class TestCli:
         assert flags["tick_cap"] == 1000
         assert flags["all_plus_censored_betas"] == [2000.0, 3000.0]
 
-    def test_config_not_an_object_fails_cleanly(self, tmp_path, capsys):
-        from isingkit.cli import main
-        out_dir = tmp_path / "out"
-        for i, text in enumerate(["[1]", "3", '"dims"', "null"]):
-            cfg = tmp_path / f"c{i}.json"
-            cfg.write_text(text)
-            code = main(["nucleation", "--config", str(cfg), "--dims", "3",
-                         "--beta", "1,2", "--replicas", "1",
-                         "--out-dir", str(out_dir)])
-            captured = capsys.readouterr()
-            assert code == 1
-            assert captured.out == ""
-            lines = captured.err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:")
-            assert "JSON object" in lines[0]
-            assert not out_dir.exists()
-
-    @pytest.mark.parametrize("command, other", [
-        ("nucleation", "infection"), ("infection", "stc_audit"),
-        ("stc-audit", "nucleation")])
-    def test_config_for_another_experiment_fails_cleanly(
-            self, tmp_path, capsys, monkeypatch, command, other):
-        from isingkit import cli
-
-        def no_run(config):
-            raise AssertionError("the run started")
-
-        for name in ("run_nucleation", "run_infection_microscopic",
-                     "run_stc_audit"):
-            monkeypatch.setattr(cli, name, no_run)
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"experiment": other, "dims": [8],
-                                   "block_side": 4, "beta": [2],
-                                   "replicas": 2}))
-        out_dir = tmp_path / "out"
-        code = cli.main([command, "--config", str(cfg),
-                         "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert repr(other) in lines[0]
-        assert repr(command.replace("-", "_")) in lines[0]
-        assert not out_dir.exists()
-
     def test_config_naming_its_own_experiment_runs(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"experiment": "nucleation", "dims": [2],
@@ -806,40 +505,6 @@ class TestCli:
         code, out = self.run_cli("nucleation", "--config", str(cfg))
         assert code == 0
         assert "fits" in json.loads(out)
-
-    @pytest.mark.parametrize("command", ["infection", "stc-audit"])
-    def test_config_mode_applies_to_nucleation_only(
-            self, tmp_path, capsys, monkeypatch, command):
-        # infection and stc-audit run the rejection-free sampler only: any
-        # other mode is refused before anything runs or is written
-        from isingkit import cli
-
-        def no_run(config):
-            raise AssertionError("the run started")
-
-        monkeypatch.setattr(cli, {"infection": "run_infection_microscopic",
-                                  "stc-audit": "run_stc_audit"}[command],
-                            no_run)
-        cfg = tmp_path / "m.json"
-        cfg.write_text(json.dumps({"mode": "graphical", "dims": [8],
-                                   "block_side": 4, "beta": [2],
-                                   "replicas": 2}))
-        out_dir = tmp_path / "out"
-        code = cli.main([command, "--config", str(cfg),
-                         "--out-dir", str(out_dir)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "'graphical'" in lines[0]
-        assert command.replace("-", "_") in lines[0]
-        assert not out_dir.exists()
-        cfg.write_text(json.dumps({"mode": "rejection_free", "dims": [8],
-                                   "block_side": 4, "beta": [2],
-                                   "replicas": 2}))
-        with pytest.raises(AssertionError, match="the run started"):
-            cli.main([command, "--config", str(cfg)])
 
     @pytest.mark.parametrize("mode, stop", [("rejection_free", "all_plus"),
                                             ("graphical", "all_plus"),
@@ -887,20 +552,6 @@ class TestCli:
         if stop == "none":
             assert summary["stop_reason"] == "time_cap"
 
-    @pytest.mark.parametrize("beta", ["-1", "0"])
-    def test_simulate_non_positive_beta_rejected(self, tmp_path, capsys,
-                                                 beta):
-        from isingkit.cli import main
-        code = main(["simulate", "--dims", "3", "--h", "0.5",
-                     f"--beta={beta}", "--caps-events", "5",
-                     "--out-dir", str(tmp_path / "out")])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("caps", [(), ("--caps-events", "3")])
     def test_rows_record_stop_reason(self, tmp_path, caps):
         # a capped replica is censored with the cap as its reason; an
@@ -930,24 +581,6 @@ class TestCli:
                                  "--max-states", "5", "--seed", "4")
         assert code == 0
         assert json.loads(out)["pass"]
-
-    @pytest.mark.parametrize("argv", [("--count", "0"), ("--count", "-5"),
-                                      ("--max-states", "1")])
-    def test_wgraph_check_bad_flags_fail_cleanly(self, capsys, monkeypatch,
-                                                 argv):
-        from isingkit import cli
-
-        def no_instance(*args, **kwargs):
-            raise AssertionError("an instance ran")
-
-        monkeypatch.setattr(cli, "random_rate_matrix", no_instance)
-        code = cli.main(["wgraph-check", *argv])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert argv[0] in lines[0]
 
     def test_simulate_outputs(self, tmp_path):
         code, _ = self.run_cli("simulate", "--dims", "3", "--h", "0.5",
@@ -1069,43 +702,6 @@ class TestCliConfigOverride:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert all(r["stop_reason"] == want_reason for r in rows)
-
-    @pytest.mark.parametrize("flag", [("--caps-time", "2"), ()])
-    def test_caps_not_an_object_fails_whatever_the_flags(self, tmp_path,
-                                                         capsys, flag):
-        from isingkit.cli import main
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"caps": [5]}))
-        code = main(["nucleation", "--config", str(cfg), "--dims", "3",
-                     "--beta", "1,2", "--replicas", "1", *flag,
-                     "--out-dir", str(tmp_path / "o")])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "caps must be an object" in lines[0]
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("data, spelt", [
-        ({"caps_events": 5}, "caps.events"),
-        ({"caps_time": 2.0}, "caps.time"),
-        ({"caps_events": 5, "caps": {"events": 3}}, "caps.events"),
-        ({"caps_time": 2.0, "caps": {"time": 1.0}}, "caps.time")])
-    def test_top_level_caps_keys_fail(self, tmp_path, capsys, data, spelt):
-        from isingkit.cli import main
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(data))
-        code = main(["nucleation", "--config", str(cfg), "--dims", "3",
-                     "--beta", "1,2", "--replicas", "1", "--caps-events", "3",
-                     "--out-dir", str(tmp_path / "o")])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert spelt in lines[0]
-        assert not (tmp_path / "o").exists()
 
 
 # each subcommand that takes --out-dir: its arguments and the files it writes

@@ -6,6 +6,8 @@ exactly: hitting time, censoring, and the trajectory's events, end time,
 stop reason and hitting time.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,21 @@ def test_unbounded_graphical_run_rejected():
         evolve_graphical(EventStream(1), ctx,
                          Configuration.all_minus(ctx.geometry), 2.0,
                          stop=pred_all_plus(), horizon=None, max_events=None)
+
+
+def test_infinite_horizon_sets_no_time_bound():
+    # refused without a cap, as None is (a predicate that holds at once
+    # would end an unguarded run at once), and the same run as None with one
+    ctx = context((3, 3))
+    alpha = Configuration.all_minus(ctx.geometry)
+    with pytest.raises(ValueError):
+        evolve_graphical(EventStream(1), ctx, alpha, 1.5,
+                         stop=lambda state: True, horizon=math.inf)
+    none, inf = [evolve_graphical(EventStream(1), ctx, alpha, 1.5,
+                                  horizon=horizon, max_events=5)
+                 for horizon in (None, math.inf)]
+    assert none.stop_reason == "event_cap"
+    assert _trajectory(inf) == _trajectory(none)
 
 
 def lone_site():
