@@ -195,6 +195,8 @@ def _cmd_simulate(args):
     ctx = _box_context(args)
     alpha = Configuration.all_minus(ctx.geometry)
     check_betas([args.beta])
+    seed = 1 if args.seed is None else args.seed
+    check_int("seed", seed, 0)
     if args.caps_events is not None:
         check_int("caps events", args.caps_events, 1)
     check_caps_time(args.caps_time)
@@ -205,8 +207,7 @@ def _cmd_simulate(args):
     elif max_events is None:
         max_events = 1_000_000
     stop = pred_all_plus() if args.stop == "all_plus" else None
-    traj = hitting_time(args.mode, ctx, alpha, args.beta, stop,
-                        seed=1 if args.seed is None else args.seed,
+    traj = hitting_time(args.mode, ctx, alpha, args.beta, stop, seed=seed,
                         time_cap=time_cap, max_events=max_events).trajectory
     _emit(args.out_dir or ".", {"trajectory.csv": _text(traj.to_csv),
                                 "summary.json": json_text(traj.summary())})

@@ -48,8 +48,8 @@ class LandscapeGraph:
 
     Holds all 2^|box| states, or, when ``ids`` is given, only those states:
     a flip-connected subset such as ``truncate_landscape`` keeps, whose
-    flips lead only to other kept states.  ``bonds`` and ``pluses`` are
-    indexed by state and cover all 2^|box| states either way.
+    flips lead only to other kept states.  ``bonds`` (int16) and ``pluses``
+    (int8) are indexed by state and cover all 2^|box| states either way.
     """
 
     def __init__(self, ctx, bonds, pluses, ids=None):
@@ -79,14 +79,13 @@ class LandscapeGraph:
 
     def levels(self):
         """The exact integer level index of the states, built on first use;
-        the full graph's energy arrays are passed as they are, not copied."""
+        the full graph's energy arrays are passed as they are, not copied,
+        and with no state list, since its positions are its states."""
         if self._levels is None:
-            if self._ids is None:
-                ids, bonds, pluses = (np.arange(self.n_states, dtype=np.int64),
-                                      self._bonds, self._pluses)
-            else:
+            ids, bonds, pluses = None, self._bonds, self._pluses
+            if self._ids is not None:
                 ids = np.array(self._ids, dtype=np.int64)
-                bonds, pluses = self._bonds[ids], self._pluses[ids]
+                bonds, pluses = bonds[ids], pluses[ids]
             self._levels = LevelIndex(ids, bonds, pluses, self.ctx.field,
                                       self.n_sites)
         return self._levels
@@ -97,18 +96,27 @@ def enumerate_landscape(ctx, cap=DEFAULT_ENUMERATION_CAP):
 
     States are indexed by plus-bitmask (bit i = site i), so the ordering is
     deterministic.  States [2^i, 2^(i+1)) are states [0, 2^i) plus site i.
+    ``bonds`` is int16 and ``pluses`` int8, exact for every box whose bonds
+    fit: a state's bonds are at most the sum over its sites of the
+    boundary weight and the neighbour count, in absolute value.
     """
     n = ctx.n_sites
     if n > cap:
         raise ValueError(f"box has {n} sites, enumeration cap is {cap}")
     site_weight = ctx.boundary_minus - ctx.boundary_plus
-    bonds = np.zeros(1 << n, dtype=np.int64)
-    pluses = np.zeros(1 << n, dtype=np.int64)
+    reach = int(np.abs(site_weight).sum()) + sum(map(len, ctx.neighbors))
+    if reach > np.iinfo(np.int16).max or n > np.iinfo(np.int8).max:
+        raise ValueError(f"box of {n} sites overflows the narrow energy "
+                         f"columns")
+    bonds = np.zeros(1 << n, dtype=np.int16)
+    pluses = np.zeros(1 << n, dtype=np.int8)
     for i in range(n):
         half = 1 << i
         upper = bonds[half:2 * half]
         # sites above i are minus: one more disagreeing bond per neighbour,
-        np.add(bonds[:half], site_weight[i] + len(ctx.neighbors[i]), out=upper)
+        # a Python int, so the add stays in int16
+        np.add(bonds[:half], int(site_weight[i]) + len(ctx.neighbors[i]),
+               out=upper)
         for j in ctx.neighbors[i]:
             if j < i:  # less two where a lower neighbour j is plus
                 upper.reshape(-1, 2, 1 << j)[:, 1] -= 2
@@ -122,21 +130,26 @@ def enumerate_landscape(ctx, cap=DEFAULT_ENUMERATION_CAP):
 class LevelIndex:
     """Exact integer energy levels of the states of a landscape.
 
-    Arrays are indexed by position in ``ids``, the states in ascending
-    order.  The few distinct (bonds, pluses) pairs are sorted once, exactly,
-    with ``compare_pair``; pairs of equal value (possible only for a rational
-    field) follow one another in the order of the first state carrying each.
-    ``values[r]`` is the energy of rank r, ``rank_level[r]`` its level, and
-    ``level_rank[k]`` the first rank of level k, the pair that names level
-    k; level k holds the states ``starts[k]:starts[k + 1]`` of the level
-    order.  Per position, ``rank[p]`` is the place of p's pair in that
-    order and ``level[p]`` numbers the distinct values, so two states share
-    a level exactly when their energies are equal; both are built on first
-    read.  ``order`` lists the positions by level, states ascending within a
-    level, and position p sits at ``order[where[p]]``; reading either places
-    every state, while ``place`` places only a prefix of the levels.
-    ``flips`` maps positions to the positions their flips lead to, and
-    ``edge_ends`` reads columns at both ends of every flip edge.
+    Arrays are indexed by position, the place of a state among the ``n``
+    states in ascending order.  On a full landscape a position is its state
+    and ``ids`` is None; on a subset ``ids`` lists the states.  ``states_at``
+    reads the states at positions.  ``bonds`` and ``pluses`` are the
+    columns of the positions, of any integer type (int16 and int8 from
+    ``enumerate_landscape``).  The few distinct (bonds, pluses) pairs are
+    sorted once, exactly, with ``compare_pair``; pairs of equal value
+    (possible only for a rational field) follow one another in the order of
+    the first state carrying each.  ``values[r]`` is the energy of rank r,
+    ``rank_level[r]`` its level, and ``level_rank[k]`` the first rank of
+    level k, the pair that names level k; level k holds the states
+    ``starts[k]:starts[k + 1]`` of the level order.  Per position,
+    ``rank[p]`` is the place of p's pair in that order and ``level[p]``
+    numbers the distinct values, so two states share a level exactly when
+    their energies are equal; both are built on first read.  ``order``
+    lists the positions by level, states ascending within a level, and
+    position p sits at ``order[where[p]]``; reading either places every
+    state, while ``place`` places only a prefix of the levels.  ``flips``
+    maps positions to the positions their flips lead to, and ``edge_ends``
+    reads columns at both ends of every flip edge.
     """
 
     # a first request for at most 1/_SHARE of the states is placed alone;
@@ -146,10 +159,10 @@ class LevelIndex:
     _SHARE = 16
 
     def __init__(self, ids, bonds, pluses, field, n_sites):
-        n = len(ids)
-        self.ids = ids
+        self.n = n = len(bonds)
         self.n_sites = n_sites
         self.full = n == 1 << n_sites
+        self.ids = None if self.full else ids
         # one small integer key per pair, since pluses never exceed n_sites;
         # built in place as intp, since bincount and every gather would
         # first copy a narrower key to intp
@@ -166,8 +179,8 @@ class LevelIndex:
                 (k, b + b0, p))
         if any(len(group) > 1 for group in groups.values()):
             # pairs of one value, in the order of their first states
-            first = np.full(len(count), n, dtype=np.int64)
-            np.minimum.at(first, key, np.arange(n))
+            first = np.full(len(count), n, dtype=np.int32)
+            np.minimum.at(first, key, np.arange(n, dtype=np.int32))
             for group in groups.values():
                 group.sort(key=lambda pair: first[pair[0]])
         by_value = sorted(groups.values(), key=functools.cmp_to_key(
@@ -218,7 +231,7 @@ class LevelIndex:
         every level that fits there, by one masked pass and a sort of those
         states; any other request places every state by one stable sort."""
         if stop > self._placed:
-            n, key, level = len(self.ids), self._key, self._level_of_key
+            n, key, level = self.n, self._key, self._level_of_key
             if not self._placed and self.starts[stop] <= n // self._SHARE:
                 stop = int(np.searchsorted(self.starts, n // self._SHARE,
                                            "right")) - 1
@@ -231,17 +244,31 @@ class LevelIndex:
             self._order, self._placed = pos, stop
         return self._order, self._where
 
+    def states_at(self, pos):
+        """The states at positions: the positions themselves on a full
+        landscape."""
+        return pos if self.full else self.ids[pos]
+
     def positions(self, states):
-        """Positions of a collection of states, ascending, without repeats,
-        read back from a boolean mask over the landscape.  An int64 array
-        of states is read as it is."""
+        """Positions of a collection of states, ascending, without repeats.
+        Strictly ascending states map to their positions as they are (an
+        int64 array of them, on a full landscape, is returned itself); any
+        other collection is read back from a boolean mask over the
+        landscape."""
         s = np.asarray(states, dtype=np.int64) \
             if isinstance(states, np.ndarray) else \
             np.fromiter(states, dtype=np.int64)
-        pos = s if self.full else np.searchsorted(self.ids, s)
-        if np.any(self.ids[np.clip(pos, 0, len(self.ids) - 1)] != s):
-            raise ValueError("states outside the landscape")
-        mask = np.zeros(len(self.ids), dtype=bool)
+        if self.full:
+            pos = s
+            if len(s) and (s.min() < 0 or s.max() >= self.n):
+                raise ValueError("states outside the landscape")
+        else:
+            pos = np.searchsorted(self.ids, s)
+            if np.any(self.ids[np.minimum(pos, self.n - 1)] != s):
+                raise ValueError("states outside the landscape")
+        if np.all(s[1:] > s[:-1]):
+            return pos
+        mask = np.zeros(self.n, dtype=bool)
         mask[pos] = True
         return np.flatnonzero(mask)
 
@@ -251,12 +278,12 @@ class LevelIndex:
         flat arrays.  ``bit`` is one bit mask for an array of positions, or
         a row of bit masks against a column of positions, which gives each
         position's flips in turn."""
-        t = self.ids[pos] ^ bit
+        t = self.states_at(pos) ^ bit
         pos = pos.repeat(t.size // max(pos.size, 1))
         t = t.ravel()
         if self.full:
             return pos, t
-        q = np.minimum(np.searchsorted(self.ids, t), len(self.ids) - 1)
+        q = np.minimum(np.searchsorted(self.ids, t), self.n - 1)
         ok = self.ids[q] == t
         return pos[ok], q[ok]
 
@@ -308,7 +335,7 @@ class _MergeTree:
     """
 
     def __init__(self, lv, flags):
-        n = len(lv.ids)
+        n = lv.n
         self.lv = lv
         self.parent = np.empty(n, dtype=np.int64)
         self.size = np.empty(n, dtype=np.int64)
@@ -424,7 +451,7 @@ def communication_energy(graph, a_states, b_states):
     a, b = lv.positions(a_states), lv.positions(b_states)
     if not len(a) or not len(b):
         raise ValueError("communication energy needs non-empty state sets")
-    flags = np.zeros(len(lv.ids), dtype=np.int8)
+    flags = np.zeros(lv.n, dtype=np.int8)
     flags[a] = 1
     flags[b] |= 2
     for k, _, _, _, gflag in _MergeTree(lv, flags):
@@ -485,9 +512,10 @@ class CyclePartition:
 
     def block_of(self, state):
         """The block holding a state of Y; ``KeyError`` for any other."""
-        ids = self.lv.ids
-        p = int(np.searchsorted(ids, state))
-        if p == len(ids) or ids[p] != state or self.label[p] < 0:
+        lv = self.lv
+        p = state if lv.full else int(np.searchsorted(lv.ids, state))
+        if not 0 <= p < lv.n or lv.states_at(p) != state \
+                or self.label[p] < 0:
             raise KeyError(state)
         return self.blocks[int(self.label[p])]
 
@@ -495,7 +523,7 @@ class CyclePartition:
         """CycleBlocks i..j-1, built together from the columns."""
         lv, start = self.lv, self.start[i:j + 1]
         pos = self.members[start[0]:start[-1]]
-        states = lv.ids[pos].tolist()
+        states = lv.states_at(pos).tolist()
         low = lv.rank_level[self.bottom_rank[i:j]].repeat(np.diff(start))
         at_bottom = (lv.level[pos] == low).tolist()
         bounds = (start - start[0]).tolist()
@@ -591,7 +619,7 @@ def _by_first_state(label, count):
 def _block_stats(graph, states):
     """Exit energy, height, bottom and depth of one block."""
     lv = graph.levels()
-    label = np.full(len(lv.ids), -1, dtype=np.int64)
+    label = np.full(lv.n, -1, dtype=np.int64)
     label[lv.positions(states)] = 0
     return CyclePartition(lv, label, 1, "cycles").blocks[0]
 
@@ -599,7 +627,7 @@ def _block_stats(graph, states):
 def _is_connected(graph, states):
     """Whether a set of states is non-empty and flip-connected."""
     lv = graph.levels()
-    label = np.full(len(lv.ids), -1, dtype=np.int64)
+    label = np.full(lv.n, -1, dtype=np.int64)
     label[lv.positions(states)] = 0
     return _all_connected(lv, label, 1)
 
@@ -629,7 +657,7 @@ def _cycle_labels(lv, y):
     and then its states of Y were labelled below it before; so a state of
     Y takes the label of the first labelled node above it.
     """
-    n = len(lv.ids)
+    n = lv.n
     outside = np.ones(n, dtype=np.int8)
     outside[y] = 0
     tree = _MergeTree(lv, outside)
@@ -639,7 +667,9 @@ def _cycle_labels(lv, y):
         done = pieces[(gflag[group] != 0) & (pflag == 0)]
         label[done] = np.arange(count, count + len(done))
         count += len(done)
-    done = np.flatnonzero((tree.parent == np.arange(n)) & (tree.flag == 0))
+    # the roots inside Y; numpy casts an int32 range a buffer at a time
+    done = np.flatnonzero((tree.parent == np.arange(n, dtype=np.int32))
+                          & (tree.flag == 0))
     label[done] = np.arange(count, count + len(done))
     count += len(done)
     out = np.full(n, -1, dtype=np.int64)
@@ -796,7 +826,8 @@ def _replay_ties(lv, label, first, exit_rank, comp, replay):
         if c == d:
             continue
         if exit_rank[c] != exit_rank[d]:
-            tie_events.append((int(lv.ids[first[c]]), int(lv.ids[first[d]]),
+            tie_events.append((int(lv.states_at(first[c])),
+                               int(lv.states_at(first[d])),
                                lv.values[exit_rank[c]].pair(),
                                lv.values[exit_rank[d]].pair()))
         # the joined block keeps the larger neighbour map
@@ -821,7 +852,7 @@ def bottom_of(graph, states):
     if not pos.size:
         raise ValueError("bottom of an empty set")
     level = lv.level[pos]
-    return frozenset(lv.ids[pos[level == level.min()]].tolist())
+    return frozenset(lv.states_at(pos[level == level.min()]).tolist())
 
 
 def truncate_landscape(graph, k):
@@ -834,7 +865,7 @@ def truncate_landscape(graph, k):
     lv = graph.levels()
     # the levels that hold the k lowest states
     order, _ = lv.place(min(int(np.searchsorted(lv.starts, k)), lv.n_levels))
-    order = lv.ids[order[:k]].tolist()
+    order = lv.states_at(order[:k]).tolist()
     chosen = set(order)
     start = order[0]
     seen = {start}
@@ -1256,7 +1287,9 @@ def _patterns(geometry, states):
 
     Sites run row-major, so the text is the rows of the last axis in order,
     with '|' between rows and '||' where ``to_text`` puts a blank line,
-    before every ``dims[-2]``-th row.
+    before every ``dims[-2]``-th row.  ``states`` is an array of states, or
+    the range of every state of the box, whose site i is written as blocks
+    of 2^i minus and 2^i plus states in turn.
     """
     dims = geometry.dims
     if len(dims) == 1:
@@ -1268,25 +1301,34 @@ def _patterns(geometry, states):
             if r:
                 cols += [-1, -1] if r % block == 0 else [-1]
             cols += range(r * width, (r + 1) * width)
-    cols = np.array(cols, dtype=np.int64)
-    site = cols >= 0
-    states = np.asarray(states, dtype=np.int64)
     text = np.full((len(states), len(cols)), ord("|"), dtype=np.uint8)
-    plus = (states[:, None] >> cols[site]) & 1
-    text[:, site] = np.where(plus == 1, ord("+"), ord("-"))
+    if isinstance(states, range):
+        for j, i in enumerate(cols):
+            if i >= 0:
+                blocks = text.reshape(-1, 2, 1 << i, len(cols))
+                blocks[:, 0, :, j] = ord("-")
+                blocks[:, 1, :, j] = ord("+")
+    else:
+        cols = np.array(cols, dtype=np.int64)
+        site = cols >= 0
+        states = np.asarray(states, dtype=np.int64)
+        plus = (states[:, None] >> cols[site]) & 1
+        text[:, site] = np.where(plus == 1, ord("+"), ord("-"))
     text = text.tobytes().decode("ascii")
     step = len(cols)
     return [text[i:i + step] for i in range(0, len(text), step)]
 
 
 def landscape_to_csv(graph, fh):
-    states = np.fromiter(graph.states(), dtype=np.int64)
+    """One (state, pattern, bonds, pluses) row per state, ascending; a full
+    landscape's states are read as a range, with no array of them."""
+    states, bonds, pluses = graph.states(), graph._bonds, graph._pluses
+    if graph._ids is not None:
+        bonds, pluses = bonds[states], pluses[states]
     writer = csv.writer(fh)
     writer.writerow(["state", "pattern", "bonds", "pluses"])
-    writer.writerows(zip(states.tolist(),
-                         _patterns(graph.ctx.geometry, states),
-                         graph._bonds[states].tolist(),
-                         graph._pluses[states].tolist()))
+    writer.writerows(zip(states, _patterns(graph.ctx.geometry, states),
+                         bonds.tolist(), pluses.tolist()))
 
 
 def partition_to_csv(graph, partition, assign_fh, summary_fh):
@@ -1297,7 +1339,7 @@ def partition_to_csv(graph, partition, assign_fh, summary_fh):
     y = np.flatnonzero(label >= 0)
     writer = csv.writer(assign_fh)
     writer.writerow(["state", "block"])
-    writer.writerows(zip(lv.ids[y].tolist(), label[y].tolist()))
+    writer.writerows(zip(lv.states_at(y).tolist(), label[y].tolist()))
     writer = csv.writer(summary_fh)
     writer.writerow(["block", "size", "exit_bonds", "exit_pluses",
                      "bottom_pattern", "depth_bonds", "depth_pluses"])
@@ -1308,7 +1350,7 @@ def partition_to_csv(graph, partition, assign_fh, summary_fh):
     at_bottom = lv.level[members] == lv.rank_level[lo[label[members]]]
     place = np.where(at_bottom, np.arange(len(members)), len(members))
     first = np.minimum.reduceat(place, partition.start[:-1])
-    bottoms = _patterns(graph.ctx.geometry, lv.ids[members[first]])
+    bottoms = _patterns(graph.ctx.geometry, lv.states_at(members[first]))
     cols = [c.tolist() for c in (pairs[ex].T, (pairs[ex] - pairs[lo]).T)]
     (exit_b, exit_p), (depth_b, depth_p) = cols
     for k in np.flatnonzero(ex == none).tolist():

@@ -86,12 +86,18 @@ def enumerate_landscape(ctx, cap=DEFAULT_ENUMERATION_CAP):
     return LandscapeGraph(ctx, bonds, pluses)
 
 
+def _ids(lv):
+    """The state of every position of a level index, as an array; a full
+    landscape's index keeps none, its positions being its states."""
+    return np.arange(lv.n, dtype=np.int64) if lv.ids is None else lv.ids
+
+
 def positions(lv, states):
     """Positions of a collection of states in a level index, ascending,
     without repeats: the sort-based lookup the index used before its mask."""
     s = np.unique(np.fromiter(states, dtype=np.int64))
     pos = s if lv.full else np.searchsorted(lv.ids, s)
-    if np.any(lv.ids[np.minimum(pos, len(lv.ids) - 1)] != s):
+    if np.any(_ids(lv)[np.minimum(pos, lv.n - 1)] != s):
         raise ValueError("states outside the landscape")
     return pos
 
@@ -119,7 +125,7 @@ def _boundary_edges(lv, label):
     ``flips`` call, as the library read them before ``edge_ends``."""
     for i in range(lv.n_sites):
         bit = 1 << i
-        p, q = lv.flips(np.flatnonzero((lv.ids & bit) == 0), bit)
+        p, q = lv.flips(np.flatnonzero((_ids(lv) & bit) == 0), bit)
         lp, lq = label[p], label[q]
         cut = lp != lq
         yield lp[cut], lq[cut], np.maximum(lv.rank[p[cut]], lv.rank[q[cut]])
@@ -158,7 +164,8 @@ def _blocks(lv, label, count):
     pair, which = np.unique(key, return_inverse=True)
     depths = [values[r_ex] - values[r_lo] if r_ex < none else None
               for r_ex, r_lo in (divmod(k, none) for k in pair.tolist())]
-    states = lv.ids[y[o]].tolist()
+    ids = _ids(lv)
+    states = ids[y[o]].tolist()
     # the blocks are plain data; pausing the cycle collector while they
     # are built keeps its passes from rescanning a growing heap
     paused = gc.isenabled()
@@ -169,7 +176,7 @@ def _blocks(lv, label, count):
         bottoms = list(members)
         for c in np.flatnonzero(sizes > 1).tolist():
             a, b = starts[c], ends[c]
-            bottoms[c] = frozenset(lv.ids[y[o[a:b][at_bottom[a:b]]]].tolist())
+            bottoms[c] = frozenset(ids[y[o[a:b][at_bottom[a:b]]]].tolist())
         return list(map(CycleBlock, members, [exits[r] for r in ex.tolist()],
                         [heights[r] for r in hi.tolist()], bottoms,
                         [depths[i] for i in which.tolist()]))
@@ -509,7 +516,7 @@ def sweep_communication_energy(graph, a_states, b_states):
     a, b = lv.positions(a_states), lv.positions(b_states)
     if not len(a) or not len(b):
         raise ValueError("communication energy needs non-empty state sets")
-    flags = np.zeros(len(lv.ids), dtype=np.int8)
+    flags = np.zeros(lv.n, dtype=np.int8)
     flags[a] = 1
     flags[b] |= 2
     for k, joined in _Sweep(lv, flags):
@@ -530,9 +537,9 @@ def sweep_cycle_labels(lv, y):
     the pieces inside Y of a component that comes to hold a state outside
     Y, and the components inside Y that never do.
     """
-    outside = np.ones(len(lv.ids), dtype=np.int8)
+    outside = np.ones(lv.n, dtype=np.int8)
     outside[y] = 0
-    label = np.full(len(lv.ids), -1, dtype=np.int64)
+    label = np.full(lv.n, -1, dtype=np.int64)
     count = 0
     sweep = _Sweep(lv, outside)
     for _, joined in sweep:
@@ -579,13 +586,13 @@ def _compound_labels(lv, label, count):
     ties = [(c, d) for c in range(count) for d in adjacent[c]
             if c < d and exit_rank[c] < none and exit_rank[d] < none
             and level[exit_rank[c]] == level[exit_rank[d]]]
-    tie_events = []
+    tie_events, ids = [], _ids(lv)
     for c, d in ties:
         c, d = uf.find(c), uf.find(d)
         if c == d:
             continue
         if exit_rank[c] != exit_rank[d]:
-            tie_events.append((int(lv.ids[first[c]]), int(lv.ids[first[d]]),
+            tie_events.append((int(ids[first[c]]), int(ids[first[d]]),
                                lv.values[exit_rank[c]].pair(),
                                lv.values[exit_rank[d]].pair()))
         # the merged block keeps the larger neighbour map; its exit pair

@@ -175,6 +175,9 @@ ROWS = {
     "simulate-beta-inf": Row(
         "simulate --dims 3 --h 0.5 --beta inf --caps-events 3", 1,
         error(r"beta values .*\[inf\]")),
+    "simulate-seed-neg": Row(
+        "simulate --dims 3 --h 0.5 --beta 2.0 --seed -1 --out-dir out", 1,
+        error(re.escape("seed must be an integer >= 0, got -1"))),
     "simulate-unread-flags": Row(
         "simulate --beta 1,5 --replicas 9 --config missing.json", 2, USAGE),
     "simulate-no-beta": Row("simulate --dims 3 --h 0.5", 2, USAGE),

@@ -1,8 +1,8 @@
 """Differential tests of the exact landscape's construction steps.
 
-The enumeration by doubling, the mask lookup of state positions and the
-level order are each compared, exactly, with the implementation they
-replaced: the chunked enumerator and the ``np.unique`` lookup kept in
+The enumeration by doubling, the lookup of state positions and the level
+order are each compared, exactly, with the implementation they replaced:
+the chunked int64 enumerator and the ``np.unique`` lookup kept in
 ``landscape_oracle``, and the int32 stable ``argsort`` with ``searchsorted``
 for the level order.
 """
@@ -39,9 +39,12 @@ def contexts(draw, max_sites=16):
 
 
 def assert_same_arrays(got, want):
+    """The narrow int16 bonds and int8 pluses hold exactly the values of
+    the int64 oracle."""
+    assert got._bonds.dtype == np.int16 and got._pluses.dtype == np.int8
     for a, b in ((got._bonds, want._bonds), (got._pluses, want._pluses)):
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
+        assert b.dtype == np.int64
+        np.testing.assert_array_equal(a.astype(np.int64), b)
 
 
 class TestEnumeration:
@@ -56,6 +59,25 @@ class TestEnumeration:
                             MagneticField("sqrt2/2"))
         assert_same_arrays(enumerate_landscape(ctx), oracle.enumerate_landscape(ctx))
 
+    @pytest.mark.parametrize("bc", ["all_plus", "n_pm_1", "n_pm_2", "n_pm_3",
+                                    "n_pm_4"])
+    def test_4d_20_sites_match_chunked_oracle(self, bc):
+        # a 4-d box of 20 sites: eight bond slots per site, the most
+        # boundary bonds under all_plus and each face split of n_pm
+        ctx = build_context(BoxGeometry((2, 2, 5, 1)),
+                            BoundaryCondition.from_label(bc),
+                            MagneticField("sqrt2/2"))
+        assert_same_arrays(enumerate_landscape(ctx),
+                           oracle.enumerate_landscape(ctx))
+
+    def test_narrow_columns_refuse_a_box_they_cannot_hold(self):
+        # pluses reach 128 on 128 sites, past int8; a raised cap fails
+        # before any state is built, rather than wrapping
+        ctx = build_context(BoxGeometry((128,)), BoundaryCondition.all_plus(),
+                            MagneticField("sqrt2/2"))
+        with pytest.raises(ValueError, match="overflows"):
+            enumerate_landscape(ctx, cap=128)
+
 
 def shapes(draw, g):
     """A maker of one collection of states of ``g``, in one of the shapes
@@ -63,7 +85,7 @@ def shapes(draw, g):
     twice."""
     states = g.states()
     kind = draw(st.sampled_from(["list", "range", "generator", "frozenset",
-                                 "empty"]))
+                                 "ascending", "empty"]))
     if kind == "range":
         lo = draw(st.integers(0, len(states)))
         hi = draw(st.integers(lo, len(states)))
@@ -76,6 +98,8 @@ def shapes(draw, g):
         return lambda: (s for s in picked)
     if kind == "frozenset":
         return lambda: frozenset(picked)
+    if kind == "ascending":
+        return lambda: np.unique(np.array(picked, dtype=np.int64))
     return set
 
 
@@ -105,12 +129,28 @@ class TestPositions:
         lv = g.levels()
         inside = g.states()[0]
         dropped = sorted(set(range(1 << g.n_sites)) - set(g.states()))
-        # -1, a state below every negative index, 2^n, dropped states
+        # -1, a state below every negative index, 2^n, dropped states;
+        # unordered, and as a strictly ascending array
         far = -1 - (1 << g.n_sites)
         for s in [-1, far, 1 << g.n_sites] + dropped[:3]:
-            for states in ([s], [inside, s, inside]):
+            for states in ([s], [inside, s, inside],
+                           np.array(sorted({inside, s}), dtype=np.int64)):
                 with pytest.raises(ValueError):
                     lv.positions(states)
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=landscapes(), data=st.data())
+    def test_ascending_arrays_read_as_they_are(self, g, data):
+        # on a full landscape an ascending int64 array is its own position
+        # list; on a truncated one, its positions by one searchsorted
+        states = np.array(sorted(data.draw(st.sets(st.sampled_from(
+            g.states()), max_size=40))), dtype=np.int64)
+        lv = g.levels()
+        got = lv.positions(states)
+        if lv.full:
+            assert got is states
+        np.testing.assert_array_equal(got, oracle.positions(lv, states))
+        np.testing.assert_array_equal(lv.states_at(got), states)
 
 
 class TestLevelOrder:
@@ -151,7 +191,7 @@ def assert_placed_as_full_sort(lv, stop):
     below ``stop``, placed as one stable sort of every level places them,
     and every other state unplaced (``where`` n, and not in ``order``)."""
     order, where = lv.place(stop)
-    n = len(lv.ids)
+    n = lv.n
     want = np.argsort(lv.level, kind="stable")
     m = np.count_nonzero(where < n)
     assert m >= lv.starts[stop] and m in lv.starts

@@ -15,6 +15,7 @@ block order, every pair of every block, bottoms and tie events.
 import io
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -281,7 +282,7 @@ def lines(buf):
 
 def placed(lv):
     """How many states the level order holds so far."""
-    return int((lv.place(0)[1] < len(lv.ids)).sum())
+    return int((lv.place(0)[1] < lv.n).sum())
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,3 +339,41 @@ def test_4x5_barrier_query_places_a_prefix():
     lv = g.levels()
     assert 998 <= placed(lv) <= g.n_states // 16
     assert "rank" not in vars(lv) and "level" not in vars(lv)
+
+
+class _NoStateRange:
+    """numpy as the landscape module sees it, but ``arange`` fails on an
+    int64 range over all n states: on a full landscape that is what a list
+    of the states would be, since there a position is its state."""
+
+    def __init__(self, n):
+        self._n = n
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def arange(self, *args, **kwargs):
+        out = np.arange(*args, **kwargs)
+        assert not (out.dtype == np.int64 and out.size == self._n
+                    and out[0] == 0 and out[-1] == self._n - 1), \
+            "an int64 array of every state"
+        return out
+
+
+@pytest.mark.parametrize("token", ["sqrt2/2", "0.5"])
+def test_full_landscape_builds_no_state_array(monkeypatch, token):
+    # under h = 0.5 levels hold several pairs, so the index also orders
+    # pairs by their first states
+    g = enumerate_landscape(build_context(
+        BoxGeometry((3, 4)), BoundaryCondition.n_pm(1), MagneticField(token)))
+    full = g.n_states - 1
+    y = np.arange(full)
+    monkeypatch.setattr(landscape, "np", _NoStateRange(g.n_states))
+    communication_energy(g, [0], [full])
+    assert g.levels().ids is None
+    part = maximal_cycles(g, y)
+    landscape_to_csv(g, io.StringIO())
+    partition_to_csv(g, part, io.StringIO(), io.StringIO())
+    monkeypatch.undo()
+    assert exact_blocks(part) == exact_blocks(maximal_cycles(
+        enumerate_landscape(g.ctx), y))
