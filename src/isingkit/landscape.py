@@ -5,7 +5,9 @@ integer energy level, computes communication energies and maximal cycles
 from one ascending merge of the sublevel sets (the merge tree), merges
 cycles into maximal cycle compounds, builds reference filling paths, and
 derives the critical constants (droplet side, critical volume and barrier,
-relaxation exponents) from the reference path energy profile.
+relaxation exponents) from the reference path energy profile.  Every
+landscape's level index covers the 2^|box| states of its box, a position
+being its state; a truncation's dropped states are never placed.
 
 The merge runs level by level, each level one vectorised step with numpy:
 activate the level's states, take their flip edges to active states, find
@@ -29,6 +31,7 @@ import csv
 import functools
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -46,10 +49,11 @@ DEFAULT_ENUMERATION_CAP = 24
 class LandscapeGraph:
     """Configurations of a box with exact energies and flip adjacency.
 
-    Holds all 2^|box| states, or, when ``ids`` is given, only those states:
-    a flip-connected subset such as ``truncate_landscape`` keeps, whose
-    flips lead only to other kept states.  ``bonds`` (int16) and ``pluses``
-    (int8) are indexed by state and cover all 2^|box| states either way.
+    Holds all 2^|box| states, or, when ``ids`` is given, only those states,
+    marked in one boolean mask: a flip-connected subset such as
+    ``truncate_landscape`` keeps, whose flips lead only to other kept
+    states.  ``bonds`` (int16), ``pluses`` (int8) and the level index are
+    indexed by state and cover all 2^|box| states either way.
     """
 
     def __init__(self, ctx, bonds, pluses, ids=None):
@@ -57,13 +61,14 @@ class LandscapeGraph:
         self.n_sites = ctx.n_sites
         self._bonds = bonds
         self._pluses = pluses
-        self._ids = None if ids is None else sorted(ids)
-        self._set = None if ids is None else frozenset(self._ids)
-        self.n_states = 1 << self.n_sites if ids is None else len(self._ids)
+        self._kept = None if ids is None \
+            else np.isin(np.arange(len(bonds)), list(ids))
+        self.n_states = len(bonds) if ids is None else int(self._kept.sum())
         self._levels = None
 
     def states(self):
-        return range(self.n_states) if self._ids is None else list(self._ids)
+        return range(self.n_states) if self._kept is None \
+            else np.flatnonzero(self._kept).tolist()
 
     def energy_pair(self, s):
         return EnergyValue(int(self._bonds[s]), int(self._pluses[s]), self.ctx.field)
@@ -71,23 +76,18 @@ class LandscapeGraph:
     def neighbors(self, s):
         for i in range(self.n_sites):
             t = s ^ (1 << i)
-            if self._set is None or t in self._set:
+            if self._kept is None or self._kept[t]:
                 yield t
 
     def configuration(self, s):
         return Configuration.from_bitmask(self.ctx.geometry, s)
 
     def levels(self):
-        """The exact integer level index of the states, built on first use;
-        the full graph's energy arrays are passed as they are, not copied,
-        and with no state list, since its positions are its states."""
+        """The exact integer level index of the states, built on first use."""
         if self._levels is None:
-            ids, bonds, pluses = None, self._bonds, self._pluses
-            if self._ids is not None:
-                ids = np.array(self._ids, dtype=np.int64)
-                bonds, pluses = bonds[ids], pluses[ids]
-            self._levels = LevelIndex(ids, bonds, pluses, self.ctx.field,
-                                      self.n_sites)
+            self._levels = LevelIndex(self._bonds, self._pluses,
+                                      self.ctx.field, self.n_sites,
+                                      self._kept)
         return self._levels
 
 
@@ -130,26 +130,26 @@ def enumerate_landscape(ctx, cap=DEFAULT_ENUMERATION_CAP):
 class LevelIndex:
     """Exact integer energy levels of the states of a landscape.
 
-    Arrays are indexed by position, the place of a state among the ``n``
-    states in ascending order.  On a full landscape a position is its state
-    and ``ids`` is None; on a subset ``ids`` lists the states.  ``states_at``
-    reads the states at positions.  ``bonds`` and ``pluses`` are the
-    columns of the positions, of any integer type (int16 and int8 from
-    ``enumerate_landscape``).  The few distinct (bonds, pluses) pairs are
-    sorted once, exactly, with ``compare_pair``; pairs of equal value
-    (possible only for a rational field) follow one another in the order of
-    the first state carrying each.  ``values[r]`` is the energy of rank r,
-    ``rank_level[r]`` its level, and ``level_rank[k]`` the first rank of
-    level k, the pair that names level k; level k holds the states
-    ``starts[k]:starts[k + 1]`` of the level order.  Per position,
-    ``rank[p]`` is the place of p's pair in that order and ``level[p]``
-    numbers the distinct values, so two states share a level exactly when
-    their energies are equal; both are built on first read.  ``order``
-    lists the positions by level, states ascending within a level, and
-    position p sits at ``order[where[p]]``; reading either places every
-    state, while ``place`` places only a prefix of the levels.  ``flips``
-    maps positions to the positions their flips lead to, and ``edge_ends``
-    reads columns at both ends of every flip edge.
+    Arrays are indexed by position, and a position is its state, one of
+    the ``n`` = 2^n_sites states of the box, on every landscape.  ``bonds``
+    and ``pluses`` are the columns of every state, of any integer type
+    (int16 and int8 from ``enumerate_landscape``).  A truncation passes
+    ``kept``, the mask of its states; the dropped states share one spare
+    key that is never a level, so they are never counted or placed, and
+    read rank ``len(values)``, no exit, and level ``n_levels``.  The few
+    distinct (bonds, pluses) pairs are sorted once, exactly, with
+    ``compare_pair``; pairs of equal value (possible only for a rational
+    field) follow one another in the order of the first state carrying
+    each.  ``values[r]`` is the energy of rank r, ``rank_level[r]`` its
+    level, and ``level_rank[k]`` the first rank of level k, the pair that
+    names level k; level k holds the states ``starts[k]:starts[k + 1]`` of
+    the level order.  Per position, ``rank[p]`` is the place of p's pair in
+    that order and ``level[p]`` numbers the distinct values, so two states
+    share a level exactly when their energies are equal; both are built on
+    first read.  ``order`` lists the kept positions by level, ascending
+    within a level, and p sits at ``order[where[p]]``; reading either
+    places every kept state, while ``place`` places a prefix of the levels.
+    ``flips`` and ``edge_ends`` read the flip edges.
     """
 
     # a first request for at most 1/_SHARE of the states is placed alone;
@@ -158,11 +158,10 @@ class LevelIndex:
     # 2^20 states
     _SHARE = 16
 
-    def __init__(self, ids, bonds, pluses, field, n_sites):
+    def __init__(self, bonds, pluses, field, n_sites, kept=None):
         self.n = n = len(bonds)
         self.n_sites = n_sites
-        self.full = n == 1 << n_sites
-        self.ids = None if self.full else ids
+        self._kept = kept
         # one small integer key per pair, since pluses never exceed n_sites;
         # built in place as intp, since bincount and every gather would
         # first copy a narrower key to intp
@@ -171,9 +170,15 @@ class LevelIndex:
         key = np.subtract(bonds, b0, dtype=np.intp)
         key *= width
         key += pluses
+        if kept is not None:
+            # the dropped states share one spare key, past every pair's,
+            # that is never a level
+            spare = int(key.max()) + 1
+            key[~kept] = spare
         count = np.bincount(key).tolist()
+        real = len(count) if kept is None else spare
         groups = {}
-        for k in (k for k, c in enumerate(count) if c):
+        for k in (k for k, c in enumerate(count[:real]) if c):
             b, p = divmod(k, width)
             groups.setdefault(field.level_key(b + b0, p), []).append(
                 (k, b + b0, p))
@@ -196,16 +201,17 @@ class LevelIndex:
                 rank_level.append(level)
             sizes.append(sum(count[k] for k, _, _ in group))
         self.n_levels = len(by_value)
+        # the spare key reads rank len(values) and level n_levels
+        self._rank_of_key[real:] = len(self.values)
         self.rank_level = np.array(rank_level, dtype=np.int32)
         self.starts = np.cumsum(sizes)
         # narrow, so the level sort is a radix sort of 8 or 16 bits
-        self._level_of_key = self.rank_level[self._rank_of_key].astype(
-            np.min_scalar_type(self.n_levels))
+        self._level_of_key = np.append(self.rank_level, self.n_levels)[
+            self._rank_of_key].astype(np.min_scalar_type(self.n_levels))
         self._key = key
         self._order = np.empty(0, dtype=np.int64)
         self._where = np.full(n, n, dtype=np.int32)
         self._placed = 0
-        self._pairs = None
 
     @functools.cached_property
     def rank(self):
@@ -213,7 +219,7 @@ class LevelIndex:
 
     @functools.cached_property
     def level(self):
-        return self.rank_level[self.rank]
+        return np.take(self._level_of_key.astype(np.int32), self._key)
 
     @property
     def order(self):
@@ -229,7 +235,8 @@ class LevelIndex:
         position's ``where`` is n, after every place.  While nothing is
         placed, a request within the first 1/_SHARE of the states places
         every level that fits there, by one masked pass and a sort of those
-        states; any other request places every state by one stable sort."""
+        states; any other request places every kept state by one stable
+        sort, in which the dropped states come last."""
         if stop > self._placed:
             n, key, level = self.n, self._key, self._level_of_key
             if not self._placed and self.starts[stop] <= n // self._SHARE:
@@ -239,71 +246,49 @@ class LevelIndex:
                 pos = pos[np.argsort(level[key[pos]], kind="stable")]
             else:
                 stop = self.n_levels
-                pos = np.argsort(np.take(level, key), kind="stable")
+                pos = np.argsort(np.take(level, key),
+                                 kind="stable")[:self.starts[-1]]
             self._where[pos] = np.arange(len(pos), dtype=np.int32)
             self._order, self._placed = pos, stop
         return self._order, self._where
 
-    def states_at(self, pos):
-        """The states at positions: the positions themselves on a full
-        landscape."""
-        return pos if self.full else self.ids[pos]
-
     def positions(self, states):
         """Positions of a collection of states, ascending, without repeats.
-        Strictly ascending states map to their positions as they are (an
-        int64 array of them, on a full landscape, is returned itself); any
-        other collection is read back from a boolean mask over the
-        landscape."""
-        s = np.asarray(states, dtype=np.int64) \
+        Strictly ascending states are their positions as they are (an int64
+        array of them is returned itself, a range read from its start, stop
+        and step); any other collection is read back from a boolean mask
+        over the landscape."""
+        s = np.arange(states.start, states.stop, states.step) \
+            if isinstance(states, range) else \
+            np.asarray(states, dtype=np.int64) \
             if isinstance(states, np.ndarray) else \
             np.fromiter(states, dtype=np.int64)
-        if self.full:
-            pos = s
-            if len(s) and (s.min() < 0 or s.max() >= self.n):
-                raise ValueError("states outside the landscape")
-        else:
-            pos = np.searchsorted(self.ids, s)
-            if np.any(self.ids[np.minimum(pos, self.n - 1)] != s):
-                raise ValueError("states outside the landscape")
+        outside = len(s) and (s.min() < 0 or s.max() >= self.n)
+        if outside or self._kept is not None and not self._kept[s].all():
+            raise ValueError("states outside the landscape")
         if np.all(s[1:] > s[:-1]):
-            return pos
+            return s
         mask = np.zeros(self.n, dtype=bool)
-        mask[pos] = True
+        mask[s] = True
         return np.flatnonzero(mask)
 
     def flips(self, pos, bit):
-        """(p, q): the positions p of ``pos`` whose states stay in the
-        landscape when ``bit`` flips, and the positions q they flip to, as
-        flat arrays.  ``bit`` is one bit mask for an array of positions, or
-        a row of bit masks against a column of positions, which gives each
-        position's flips in turn."""
-        t = self.states_at(pos) ^ bit
-        pos = pos.repeat(t.size // max(pos.size, 1))
-        t = t.ravel()
-        if self.full:
-            return pos, t
-        q = np.minimum(np.searchsorted(self.ids, t), self.n - 1)
-        ok = self.ids[q] == t
-        return pos[ok], q[ok]
+        """(p, q): the positions p of ``pos`` and q = p ^ ``bit`` their flips
+        lead to, as flat arrays; q may be a truncation's dropped state, never
+        placed.  ``bit`` is one bit mask, or a row of them against a column
+        of positions, which gives each position's flips in turn."""
+        q = pos ^ bit
+        return pos.repeat(q.size // max(pos.size, 1)), q.ravel()
 
     def edge_ends(self, *cols):
         """Per bit i, every column read at both ends of every flip edge of
-        bit i: ``(c[p], c[q])`` for each column c in turn, p the ends with
-        bit i clear, ascending.  On a full landscape these are strided
-        views, blocks of 2^i states with bit i clear and set in turn; on a
-        subset they are gathers through per-bit position lists built on
-        first use."""
-        if not self.full and self._pairs is None:
-            self._pairs = [self.flips(np.flatnonzero((self.ids & b) == 0), b)
-                           for b in (1 << i for i in range(self.n_sites))]
+        bit i, as strided views: ``(c[p], c[q])`` for each column c in turn,
+        p the blocks of 2^i positions with bit i clear, q those with it set.
+        A truncation's dropped states are read too: outside every Y, of
+        rank ``len(values)``, they join no block and give no exit."""
         for i in range(self.n_sites):
-            if self.full:
-                yield [c.reshape(-1, 2, 1 << i)[:, end]
-                       for c in cols for end in (0, 1)]
-            else:
-                p, q = self._pairs[i]
-                yield [c[end] for c in cols for end in (p, q)]
+            yield [c.reshape(-1, 2, 1 << i)[:, end]
+                   for c in cols for end in (0, 1)]
 
 
 class _MergeTree:
@@ -335,7 +320,7 @@ class _MergeTree:
     """
 
     def __init__(self, lv, flags):
-        n = lv.n
+        n = int(lv.starts[-1])
         self.lv = lv
         self.parent = np.empty(n, dtype=np.int64)
         self.size = np.empty(n, dtype=np.int64)
@@ -512,18 +497,15 @@ class CyclePartition:
 
     def block_of(self, state):
         """The block holding a state of Y; ``KeyError`` for any other."""
-        lv = self.lv
-        p = state if lv.full else int(np.searchsorted(lv.ids, state))
-        if not 0 <= p < lv.n or lv.states_at(p) != state \
-                or self.label[p] < 0:
+        if not 0 <= state < self.lv.n or self.label[state] < 0:
             raise KeyError(state)
-        return self.blocks[int(self.label[p])]
+        return self.blocks[int(self.label[state])]
 
     def _build(self, i, j):
         """CycleBlocks i..j-1, built together from the columns."""
         lv, start = self.lv, self.start[i:j + 1]
         pos = self.members[start[0]:start[-1]]
-        states = lv.states_at(pos).tolist()
+        states = pos.tolist()
         low = lv.rank_level[self.bottom_rank[i:j]].repeat(np.diff(start))
         at_bottom = (lv.level[pos] == low).tolist()
         bounds = (start - start[0]).tolist()
@@ -657,22 +639,22 @@ def _cycle_labels(lv, y):
     and then its states of Y were labelled below it before; so a state of
     Y takes the label of the first labelled node above it.
     """
-    n = lv.n
-    outside = np.ones(n, dtype=np.int8)
+    outside = np.ones(lv.n, dtype=np.int8)
     outside[y] = 0
     tree = _MergeTree(lv, outside)
-    label = np.full(n, -1, dtype=np.int64)
+    m = len(tree.parent)
+    label = np.full(m, -1, dtype=np.int64)
     count = 0
     for _, pieces, group, pflag, gflag in tree:
         done = pieces[(gflag[group] != 0) & (pflag == 0)]
         label[done] = np.arange(count, count + len(done))
         count += len(done)
     # the roots inside Y; numpy casts an int32 range a buffer at a time
-    done = np.flatnonzero((tree.parent == np.arange(n, dtype=np.int32))
+    done = np.flatnonzero((tree.parent == np.arange(m, dtype=np.int32))
                           & (tree.flag == 0))
     label[done] = np.arange(count, count + len(done))
     count += len(done)
-    out = np.full(n, -1, dtype=np.int64)
+    out = np.full(lv.n, -1, dtype=np.int64)
     todo, cur = y, lv.where[y]
     while len(todo):
         found = label[cur]
@@ -755,8 +737,8 @@ def _compound_labels(lv, label, count):
     label, first = _by_first_state(label, count)
     ex = _exit_ranks(lv, label, count)
     # exit level per cycle, -1 without exit; the spare last slot, read by
-    # label -1, is outside Y and ties with nothing
-    exit_level = np.append(np.append(lv.rank_level, -1)[ex], -1)
+    # label -1 (outside Y, or dropped), is -2 and ties with nothing
+    exit_level = np.append(np.append(lv.rank_level, -1)[ex], -2)
     a, b = [], []
     for lp, lq in lv.edge_ends(label):
         tie = (lp != lq) & (exit_level[lp] == exit_level[lq])
@@ -826,8 +808,7 @@ def _replay_ties(lv, label, first, exit_rank, comp, replay):
         if c == d:
             continue
         if exit_rank[c] != exit_rank[d]:
-            tie_events.append((int(lv.states_at(first[c])),
-                               int(lv.states_at(first[d])),
+            tie_events.append((first[c], first[d],
                                lv.values[exit_rank[c]].pair(),
                                lv.values[exit_rank[d]].pair()))
         # the joined block keeps the larger neighbour map
@@ -852,7 +833,7 @@ def bottom_of(graph, states):
     if not pos.size:
         raise ValueError("bottom of an empty set")
     level = lv.level[pos]
-    return frozenset(lv.states_at(pos[level == level.min()]).tolist())
+    return frozenset(pos[level == level.min()].tolist())
 
 
 def truncate_landscape(graph, k):
@@ -860,19 +841,17 @@ def truncate_landscape(graph, k):
 
     States are taken by exact energy, states of equal energy by number.
     Returns a ``LandscapeGraph`` on the kept states that shares the energy
-    arrays of ``graph``.
+    arrays of ``graph``.  ``k`` is an integer >= 1.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     lv = graph.levels()
     # the levels that hold the k lowest states
     order, _ = lv.place(min(int(np.searchsorted(lv.starts, k)), lv.n_levels))
-    order = lv.states_at(order[:k]).tolist()
-    chosen = set(order)
-    start = order[0]
-    seen = {start}
-    stack = [start]
+    order = order[:k].tolist()
+    chosen, seen, stack = set(order), {order[0]}, [order[0]]
     while stack:
-        s = stack.pop()
-        for t in graph.neighbors(s):
+        for t in graph.neighbors(stack.pop()):
             if t in chosen and t not in seen:
                 seen.add(t)
                 stack.append(t)
@@ -1323,8 +1302,8 @@ def landscape_to_csv(graph, fh):
     """One (state, pattern, bonds, pluses) row per state, ascending; a full
     landscape's states are read as a range, with no array of them."""
     states, bonds, pluses = graph.states(), graph._bonds, graph._pluses
-    if graph._ids is not None:
-        bonds, pluses = bonds[states], pluses[states]
+    if graph._kept is not None:
+        bonds, pluses = bonds[graph._kept], pluses[graph._kept]
     writer = csv.writer(fh)
     writer.writerow(["state", "pattern", "bonds", "pluses"])
     writer.writerows(zip(states, _patterns(graph.ctx.geometry, states),
@@ -1339,7 +1318,7 @@ def partition_to_csv(graph, partition, assign_fh, summary_fh):
     y = np.flatnonzero(label >= 0)
     writer = csv.writer(assign_fh)
     writer.writerow(["state", "block"])
-    writer.writerows(zip(lv.states_at(y).tolist(), label[y].tolist()))
+    writer.writerows(zip(y.tolist(), label[y].tolist()))
     writer = csv.writer(summary_fh)
     writer.writerow(["block", "size", "exit_bonds", "exit_pluses",
                      "bottom_pattern", "depth_bonds", "depth_pluses"])
@@ -1350,7 +1329,7 @@ def partition_to_csv(graph, partition, assign_fh, summary_fh):
     at_bottom = lv.level[members] == lv.rank_level[lo[label[members]]]
     place = np.where(at_bottom, np.arange(len(members)), len(members))
     first = np.minimum.reduceat(place, partition.start[:-1])
-    bottoms = _patterns(graph.ctx.geometry, lv.states_at(members[first]))
+    bottoms = _patterns(graph.ctx.geometry, members[first])
     cols = [c.tolist() for c in (pairs[ex].T, (pairs[ex] - pairs[lo]).T)]
     (exit_b, exit_p), (depth_b, depth_p) = cols
     for k in np.flatnonzero(ex == none).tolist():

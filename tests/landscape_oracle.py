@@ -23,9 +23,10 @@ difference in a partition comes from the merge alone.  The compound oracle
 after it is the worklist merge the library used before its compounds were
 components of a fixed tie graph: one neighbour dict per cycle, tie pairs
 joined in order through a union-find, tie events recorded as blocks join.
-``_boundary_edges`` reads the flip edges one bit at a time through a
-position list and ``flips``, as the library did before ``edge_ends``.  The
-row-by-row CSV writers are the reference for the vectorised export.
+``_boundary_edges`` reads the flip edges one bit at a time through a list
+of the graph's states and ``flips``, as the library did before
+``edge_ends``.  The row-by-row CSV writers are the reference for the
+vectorised export.
 
 The critical constants at the end are the walk ``critical_constants`` made
 before its recursion over faces: it streams every entry of the reference
@@ -86,20 +87,21 @@ def enumerate_landscape(ctx, cap=DEFAULT_ENUMERATION_CAP):
     return LandscapeGraph(ctx, bonds, pluses)
 
 
-def _ids(lv):
-    """The state of every position of a level index, as an array; a full
-    landscape's index keeps none, its positions being its states."""
-    return np.arange(lv.n, dtype=np.int64) if lv.ids is None else lv.ids
+def _states(graph):
+    """The states of a landscape, ascending, as an array."""
+    return np.fromiter(graph.states(), dtype=np.int64)
 
 
-def positions(lv, states):
-    """Positions of a collection of states in a level index, ascending,
-    without repeats: the sort-based lookup the index used before its mask."""
+def positions(graph, states):
+    """Positions of a collection of states in a landscape's level index,
+    ascending, without repeats: the sort-based lookup the index used before
+    its mask, in the graph's own states.  A position is its state."""
     s = np.unique(np.fromiter(states, dtype=np.int64))
-    pos = s if lv.full else np.searchsorted(lv.ids, s)
-    if np.any(_ids(lv)[np.minimum(pos, lv.n - 1)] != s):
+    ids = _states(graph)
+    pos = np.searchsorted(ids, s)
+    if np.any(ids[np.minimum(pos, len(ids) - 1)] != s):
         raise ValueError("states outside the landscape")
-    return pos
+    return ids[pos]
 
 
 @dataclass
@@ -118,32 +120,37 @@ class ListPartition:
         raise KeyError(state)
 
 
-def _boundary_edges(lv, label):
+def _boundary_edges(graph, label):
     """Flip edges whose two ends carry different labels, one bit at a time,
     as arrays (label_p, label_q, weight); the weight is the larger rank of
-    the ends.  The edges of each bit come from a position list and one
-    ``flips`` call, as the library read them before ``edge_ends``."""
+    the ends.  The edges of each bit come from a list of the graph's states
+    and one ``flips`` call, as the library read them before ``edge_ends``,
+    keeping the flips that lead to a state of the graph."""
+    lv, ids = graph.levels(), _states(graph)
     for i in range(lv.n_sites):
         bit = 1 << i
-        p, q = lv.flips(np.flatnonzero((_ids(lv) & bit) == 0), bit)
+        p, q = lv.flips(ids[(ids & bit) == 0], bit)
+        inside = np.isin(q, ids)
+        p, q = p[inside], q[inside]
         lp, lq = label[p], label[q]
         cut = lp != lq
         yield lp[cut], lq[cut], np.maximum(lv.rank[p[cut]], lv.rank[q[cut]])
 
 
-def _blocks(lv, label, count):
+def _blocks(graph, label, count):
     """CycleBlocks of the positions labelled 0..count-1 (-1 is outside),
     ordered by smallest state, all built at once.
 
     The exit of a block is the least weight over its boundary edges, its
     height and bottom come from the highest and lowest ranks inside it.
     """
+    lv = graph.levels()
     none = len(lv.values)
     label, _ = _by_first_state(label, count)
     y = np.flatnonzero(label >= 0)
     lab = label[y]
     ex = np.full(count, none, dtype=lv.rank.dtype)
-    for la, lb, w in _boundary_edges(lv, label):
+    for la, lb, w in _boundary_edges(graph, label):
         for side in (la, lb):
             inside = side >= 0
             np.minimum.at(ex, side[inside], w[inside])
@@ -164,8 +171,7 @@ def _blocks(lv, label, count):
     pair, which = np.unique(key, return_inverse=True)
     depths = [values[r_ex] - values[r_lo] if r_ex < none else None
               for r_ex, r_lo in (divmod(k, none) for k in pair.tolist())]
-    ids = _ids(lv)
-    states = ids[y[o]].tolist()
+    states = y[o].tolist()
     # the blocks are plain data; pausing the cycle collector while they
     # are built keeps its passes from rescanning a growing heap
     paused = gc.isenabled()
@@ -176,7 +182,7 @@ def _blocks(lv, label, count):
         bottoms = list(members)
         for c in np.flatnonzero(sizes > 1).tolist():
             a, b = starts[c], ends[c]
-            bottoms[c] = frozenset(ids[y[o[a:b][at_bottom[a:b]]]].tolist())
+            bottoms[c] = frozenset(y[o[a:b][at_bottom[a:b]]].tolist())
         return list(map(CycleBlock, members, [exits[r] for r in ex.tolist()],
                         [heights[r] for r in hi.tolist()], bottoms,
                         [depths[i] for i in which.tolist()]))
@@ -559,16 +565,17 @@ def sweep_cycle_labels(lv, y):
 # -- compound oracle: the worklist merge of cycles over per-cycle dicts -------
 
 
-def _compound_labels(lv, label, count):
+def _compound_labels(graph, label, count):
     """Compound label of every position (-1 outside Y), the count and the
     tie events, from the maximal-cycle labels: adjacent cycles with equal
     exit levels merged."""
+    lv = graph.levels()
     none = len(lv.values)
     level = lv.rank_level.tolist()
     # number the cycles by smallest state, so that the merge order, and so
     # the tie events, depend on the cycle partition alone
     label, first = _by_first_state(label, count)
-    la, lb, w = map(np.concatenate, zip(*_boundary_edges(lv, label)))
+    la, lb, w = map(np.concatenate, zip(*_boundary_edges(graph, label)))
     # per block: least weight to states outside Y, to each adjacent block
     out = np.full(count, none, dtype=lv.rank.dtype)
     for side, other in ((la, lb), (lb, la)):
@@ -586,13 +593,13 @@ def _compound_labels(lv, label, count):
     ties = [(c, d) for c in range(count) for d in adjacent[c]
             if c < d and exit_rank[c] < none and exit_rank[d] < none
             and level[exit_rank[c]] == level[exit_rank[d]]]
-    tie_events, ids = [], _ids(lv)
+    tie_events = []
     for c, d in ties:
         c, d = uf.find(c), uf.find(d)
         if c == d:
             continue
         if exit_rank[c] != exit_rank[d]:
-            tie_events.append((int(ids[first[c]]), int(ids[first[d]]),
+            tie_events.append((first[c], first[d],
                                lv.values[exit_rank[c]].pair(),
                                lv.values[exit_rank[d]].pair()))
         # the merged block keeps the larger neighbour map; its exit pair

@@ -18,6 +18,7 @@ runs them.
 """
 
 import csv
+import hashlib
 import importlib
 import json
 import os
@@ -73,6 +74,20 @@ def last_row(rows):
     return [rows[-1]["v"], rows[-1]["min_perimeter"]]
 
 
+def export_bytes(states, partition, blocks):
+    """A check that a landscape run's three files have these sha256
+    digests, so its bytes are pinned, not only its row counts."""
+    want = {"states.csv": states, "partition.csv": partition,
+            "blocks.csv": blocks}
+
+    def check(out):
+        got = {name: hashlib.sha256((out.out_dir / name).read_bytes())
+               .hexdigest() for name in want}
+        assert got == want
+        return True
+    return check
+
+
 def config(**keys):
     return json.dumps(keys)
 
@@ -90,6 +105,8 @@ def growth(**flags):
 NUCLEATION_CONFIG = "nucleation --config c.json --dims 3 --beta 1,2 --replicas 1"
 BOX_4X5 = "landscape --dims 4,5 --h sqrt2/2 --out-dir out --partition"
 STATES_4X5 = {"states.csv": 2 ** 20, "partition.csv": 2 ** 20 - 1}
+STATES_4X5_SHA256 = \
+    "67e8830ac91e113e85786e257bee44f34a5ca113eff3c037a3175e3f35751008"
 
 ROWS = {
     # constants and growth-threshold
@@ -113,22 +130,48 @@ ROWS = {
     "landscape-3x3": Row(
         "landscape --dims 3,3 --h sqrt2/2 --partition compounds --out-dir out",
         files={"states.csv": 2 ** 9, "partition.csv": 2 ** 9 - 1,
-               "blocks.csv": 408}),
+               "blocks.csv": 408},
+        check=export_bytes(
+            "2788193bc6e0a5a0abefd37c609eff47d3c37d1ce5e5ff8c2c76b12a3fb3937b",
+            "36cbc6544ec6f24e1f3e6236163d1adef578280f4946fda4c8bc801ff1b0394f",
+            "cf90d2d80c0cc47160da0e1b72ddf1f008ddd3a6f98f2653ba24449117a97081")),
+    # under a rational field levels hold several pairs, so compounds join
+    # cycles whose exit pairs differ
+    "landscape-3x3-rational": Row(
+        "landscape --dims 3,3 --h 0.5 --bc n_pm_1 --out-dir out",
+        files={"states.csv": 2 ** 9, "partition.csv": 2 ** 9 - 1,
+               "blocks.csv": 487},
+        check=export_bytes(
+            "899b53f291c211ac7c9dd70d8ab85e0a447af23edc112220a4d468d235b0402f",
+            "c4beb55fba818772829c6fe3289912c8d4ddc5fa98a6e1a651d83a1a91678add",
+            "13eb6905739c7fdfdc1455740efe6f02ff42640fb259db534c393802fe34614b")),
     "landscape-4x4-cycles": Row(
         "landscape --dims 4,4 --h sqrt2/2 --partition cycles --out-dir out",
         timeout=120, files={"states.csv": 2 ** 16,
                             "partition.csv": 2 ** 16 - 1,
-                            "blocks.csv": 65246}),
+                            "blocks.csv": 65246},
+        check=export_bytes(
+            "d358b026cf7d3f1d8e40c4aa22b63dd265fb603a4d180dca822650d4d57ced68",
+            "3f1b9d7a811549776c48bcd9307436c9dd90767bf7a0a51cfc721ba8af5fbf3b",
+            "aa869c5847e87a63433fd1fa166443514552612cfc2949b9848117755ccb9ccf")),
     # the columnar partition peaks near 650 MB; a list of a million built
     # blocks would pass 1000 MB
     "landscape-4x5-cycles": Row(
         f"{BOX_4X5} cycles", timeout=300, peak_mb=800,
-        files={**STATES_4X5, "blocks.csv": 1048130}),
+        files={**STATES_4X5, "blocks.csv": 1048130},
+        check=export_bytes(
+            STATES_4X5_SHA256,
+            "6b4e6f7de9070bebb8f19c7a596676ce3653df681f2417e486898f22f0572954",
+            "9cd3d2c23c54f71ddbf31c86ec2fa7f4afb0b4683ae8ecb72e9600c1149f02c5")),
     # compounds as components of the tie graph peak near 670 MB; a merge
     # over one dict per cycle would pass 2000 MB
     "landscape-4x5-compounds": Row(
         f"{BOX_4X5} compounds", timeout=300, peak_mb=800,
-        files={**STATES_4X5, "blocks.csv": 1047876}),
+        files={**STATES_4X5, "blocks.csv": 1047876},
+        check=export_bytes(
+            STATES_4X5_SHA256,
+            "e92c6decb7e3c5d2729124054332cb6a2c4ca0fdceb4a829fab537595e070baa",
+            "c2ee26dfbabe1b07c63a6222b0f0b9317142f51d75eb7f8a89d2d540f750a2a4")),
     "landscape-no-dims": Row("landscape --h sqrt2/2", 2, USAGE),
     "landscape-5x5": Row("landscape --dims 5,5 --h sqrt2/2", 1,
                          error("box has 25 sites, .*")),

@@ -1,7 +1,9 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import landscape_oracle as oracle
@@ -424,6 +426,17 @@ class TestTruncation:
         assert 0 in t.states()
         for s in t.states():
             assert any(n in set(t.states()) for n in t.neighbors(s)) or t.n_states == 1
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, "3", None])
+    def test_k_must_be_an_integer_of_one_or_more(self, k):
+        with pytest.raises(ValueError, match=re.escape(
+                f"k must be an integer >= 1, got {k!r}")):
+            truncate_landscape(make_graph([2, 2]), k)
+
+    def test_k_of_any_integer_type(self):
+        g = make_graph([2, 2])
+        assert truncate_landscape(g, np.int64(3)).states() == \
+            truncate_landscape(g, 3).states()
 
 
 class TestTieAudit:

@@ -49,12 +49,12 @@ def assert_columns_match_oracle(g, y):
     lv = g.levels()
     y = frozenset(y)
     label, count = _cycle_labels(lv, lv.positions(y))
-    final, n, ties = _compound_labels(lv, label, count)
+    final, n, ties = _compound_labels(g, label, count)
     for got, want in (
             (CyclePartition(lv, label, count, "cycles"),
-             oracle.ListPartition(oracle._blocks(lv, label, count), "cycles")),
+             oracle.ListPartition(oracle._blocks(g, label, count), "cycles")),
             (_compounds(lv, label, count),
-             oracle.ListPartition(oracle._blocks(lv, final, n), "compounds",
+             oracle.ListPartition(oracle._blocks(g, final, n), "compounds",
                                   ties))):
         assert got.kind == want.kind
         assert len(got.blocks) == len(want.blocks)

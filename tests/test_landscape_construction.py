@@ -89,8 +89,10 @@ def shapes(draw, g):
     if kind == "range":
         lo = draw(st.integers(0, len(states)))
         hi = draw(st.integers(lo, len(states)))
-        # for a truncation, a slice of its sorted list of states
-        return lambda: states[lo:hi]
+        step = draw(st.sampled_from([1, 2, 3, -1, -2]))
+        # ascending, stepped or descending; for a truncation, a slice of its
+        # sorted list of states
+        return lambda: states[lo:hi][::step]
     picked = draw(st.lists(st.sampled_from(states), max_size=40))
     if kind == "list":
         return lambda: picked + picked[:len(picked) // 2]
@@ -119,7 +121,7 @@ class TestPositions:
         g = data.draw(landscapes())
         make = shapes(data.draw, g)
         lv = g.levels()
-        got, want = lv.positions(make()), oracle.positions(lv, make())
+        got, want = lv.positions(make()), oracle.positions(g, make())
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
@@ -141,31 +143,33 @@ class TestPositions:
     @settings(max_examples=40, deadline=None)
     @given(g=landscapes(), data=st.data())
     def test_ascending_arrays_read_as_they_are(self, g, data):
-        # on a full landscape an ascending int64 array is its own position
-        # list; on a truncated one, its positions by one searchsorted
+        # a position is its state, so an ascending int64 array of states
+        # is its own position list, full landscape or truncated
         states = np.array(sorted(data.draw(st.sets(st.sampled_from(
             g.states()), max_size=40))), dtype=np.int64)
-        lv = g.levels()
-        got = lv.positions(states)
-        if lv.full:
-            assert got is states
-        np.testing.assert_array_equal(got, oracle.positions(lv, states))
-        np.testing.assert_array_equal(lv.states_at(got), states)
+        got = g.levels().positions(states)
+        assert got is states
+        np.testing.assert_array_equal(got, oracle.positions(g, states))
 
 
 class TestLevelOrder:
     @staticmethod
-    def assert_order_as_int32_argsort(lv):
+    def assert_order_as_int32_argsort(lv, kept):
+        """``order`` is the int32 stable argsort of the levels cut to the
+        ``kept`` states, which it holds exactly: a truncation's dropped
+        states read level ``n_levels``, sort last and are never placed."""
         want = np.argsort(lv.level, kind="stable")
         assert lv.level.dtype == np.int32
-        np.testing.assert_array_equal(lv.order, want)
+        np.testing.assert_array_equal(lv.order, want[:len(kept)])
+        np.testing.assert_array_equal(np.sort(lv.order), kept)
+        assert np.all(lv.where[want[len(kept):]] == lv.n)
         np.testing.assert_array_equal(
             lv.starts, np.searchsorted(lv.level[want], np.arange(lv.n_levels + 1)))
 
     @settings(max_examples=40, deadline=None)
     @given(g=landscapes())
     def test_landscapes(self, g):
-        self.assert_order_as_int32_argsort(g.levels())
+        self.assert_order_as_int32_argsort(g.levels(), g.states())
 
     @settings(max_examples=40, deadline=None)
     @given(field=st.sampled_from(FIELDS), n_sites=st.integers(1, 12),
@@ -175,15 +179,15 @@ class TestLevelOrder:
         """Synthetic pairs with up to thousands of levels, so the sort key
         takes 8, 16 and 32 bits."""
         rng = np.random.default_rng(seed)
-        ids = np.arange(1 << n_sites, dtype=np.int64)
+        kept = None
         if keep < 1.0:
-            ids = ids[rng.random(len(ids)) < keep]
-            if not len(ids):
-                ids = np.zeros(1, dtype=np.int64)
-        bonds = rng.integers(-spread, spread, len(ids)).astype(np.int64)
-        pluses = rng.integers(0, n_sites + 1, len(ids)).astype(np.int64)
-        lv = LevelIndex(ids, bonds, pluses, MagneticField(field), n_sites)
-        self.assert_order_as_int32_argsort(lv)
+            kept = rng.random(1 << n_sites) < keep
+            kept[0] = True
+        bonds = rng.integers(-spread, spread, 1 << n_sites).astype(np.int64)
+        pluses = rng.integers(0, n_sites + 1, 1 << n_sites).astype(np.int64)
+        lv = LevelIndex(bonds, pluses, MagneticField(field), n_sites, kept)
+        self.assert_order_as_int32_argsort(
+            lv, np.arange(1 << n_sites) if kept is None else np.flatnonzero(kept))
 
 
 def assert_placed_as_full_sort(lv, stop):
@@ -212,7 +216,7 @@ class TestPlacement:
         stops = data.draw(st.lists(st.integers(0, lv.n_levels), max_size=4))
         for stop in stops:
             assert_placed_as_full_sort(lv, stop)
-        TestLevelOrder.assert_order_as_int32_argsort(lv)
+        TestLevelOrder.assert_order_as_int32_argsort(lv, g.states())
 
     @pytest.mark.parametrize("dims,field", [((3, 3), "sqrt2/2"),
                                             ((3, 3), "0.5"),

@@ -223,10 +223,9 @@ def test_4x4_merge_matches_sweep_oracle(bc):
     ((3, 3), BoundaryCondition.all_minus(), "0.5", 200),
     ((4, 4), BoundaryCondition.all_minus(), "sqrt2/2", 5000)])
 def test_truncated_merge_matches_sweep_oracle(dims, bc, token, k):
-    # a truncated landscape is no full hypercube, so its flips go through
-    # the searchsorted lookup
+    # a truncated landscape indexes every state of the box, and its
+    # dropped states are never placed, so the merge never reaches them
     t = truncate_landscape(graph(dims, bc, token), k)
-    assert not t.levels().full
     states = t.states()
     rng = random.Random(k)
     for _ in range(5):
@@ -238,6 +237,16 @@ def test_truncated_merge_matches_sweep_oracle(dims, bc, token, k):
         cycles, compounds = sweep_partitions(t, y)
         assert_same_as_sweep(maximal_cycles(t, y), cycles)
         assert_same_as_sweep(maximal_compounds(t, y), compounds)
+    assert_dropped_never_placed(t)
+
+
+def assert_dropped_never_placed(t):
+    """A truncated landscape's index places exactly its kept states: every
+    dropped state has ``where`` n, and ``order`` holds the kept ones."""
+    lv = t.levels()
+    dropped = np.setdiff1d(np.arange(lv.n), t.states())
+    assert len(dropped) and np.all(lv.where[dropped] == lv.n)
+    np.testing.assert_array_equal(np.sort(lv.order), t.states())
 
 
 @pytest.mark.parametrize("dims,bc", [
@@ -370,7 +379,6 @@ def test_full_landscape_builds_no_state_array(monkeypatch, token):
     y = np.arange(full)
     monkeypatch.setattr(landscape, "np", _NoStateRange(g.n_states))
     communication_energy(g, [0], [full])
-    assert g.levels().ids is None
     part = maximal_cycles(g, y)
     landscape_to_csv(g, io.StringIO())
     partition_to_csv(g, part, io.StringIO(), io.StringIO())
