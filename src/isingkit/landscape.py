@@ -33,6 +33,7 @@ import itertools
 import math
 import numbers
 import operator
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -409,8 +410,10 @@ def _components(m, a, b):
     least node: until no edge is cut, hook every root that is the larger
     end of a cut edge to the least root across such edges, then
     pointer-jump until every node sees its root.  Every node starts as its
-    own root, so the first round hooks the ends as they are."""
-    label = np.arange(m)
+    own root, so the first round hooks the ends as they are.  Labels take
+    the edges' integer type: ``ufunc.at`` runs its fast loop only when the
+    indices, values and target share one."""
+    label = np.arange(m, dtype=a.dtype)
     la, lb = a, b
     while True:
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
@@ -445,10 +448,14 @@ def communication_energy(graph, a_states, b_states):
     raise RuntimeError("state graph is not connected")
 
 
-@dataclass(slots=True)
+@dataclass
 class CycleBlock:
     """One block of a cycle / cycle-compound partition."""
 
+    # by hand, as ``dataclass(weakref_slot=True)`` needs Python 3.11: a
+    # partition keeps its blocks by weak reference
+    __slots__ = ("states", "exit_energy", "height", "bottom", "depth",
+                 "__weakref__")
     states: frozenset
     exit_energy: object        # EnergyValue, or None when the block has no exterior
     height: object             # EnergyValue or the -inf sentinel
@@ -471,8 +478,14 @@ class CyclePartition:
     rank of each edge's ends), ``height_rank`` and ``bottom_rank`` are the
     highest and lowest ranks inside it; ``len(lv.values)`` stands for no
     exterior, and for the height of a singleton.  ``blocks`` is the sequence
-    of ``CycleBlock``s, each built when first read and then kept by the
-    partition (a view, so no reference cycle holds the columns).
+    of ``CycleBlock``s (a view, so no reference cycle holds the columns),
+    each built when read and kept by the partition only while a caller
+    holds it: a read of a held block returns that object, and a later read
+    of a dropped one rebuilds it equal.  One pass over a partition's blocks
+    holds one chunk of them at a time, and a second pass with nothing held
+    builds them all again at the first pass's cost, about 0.15 s for the
+    65,246 maximal cycles of 4x4; a caller that reads them more than once
+    can keep a list.
     """
 
     def __init__(self, lv, label, count, kind, tie_events=()):
@@ -489,11 +502,17 @@ class CyclePartition:
         self.bottom_rank = np.minimum.reduceat(rank, self.start[:-1])
         self.height_rank = np.where(
             sizes > 1, np.maximum.reduceat(rank, self.start[:-1]), none)
-        self._built = {}
 
     @property
     def blocks(self):
         return _Blocks(self)
+
+    @functools.cached_property
+    def _held(self):
+        """The blocks callers hold, by index.  Made on the first block
+        read, so a partition read only through its columns adds no objects
+        for the garbage collector to track."""
+        return weakref.WeakValueDictionary()
 
     def block_of(self, state):
         """The block holding a state of Y; ``KeyError`` for any other."""
@@ -530,15 +549,17 @@ class CyclePartition:
 
 
 class _Blocks(Sequence):
-    """The blocks of a ``CyclePartition``, in order.  A block is built on
-    its first read and kept, so every read of it returns the same object;
-    a slice reads a list of them, and iteration builds the blocks it
-    reaches a chunk at a time."""
+    """The blocks of a ``CyclePartition``, in order.  A block is built when
+    read and kept while a caller holds it, so every read of a held block
+    returns the same object, and a read of a dropped one builds it again,
+    equal, at the cost of its first build; a slice reads a list of them,
+    and iteration builds the blocks a chunk at a time and keeps none the
+    caller dropped."""
 
     _CHUNK = 4096
 
     def __init__(self, part):
-        self._part, self._built = part, part._built
+        self._part = part
 
     def __len__(self):
         return len(self._part.exit_rank)
@@ -551,23 +572,24 @@ class _Blocks(Sequence):
         if not -n <= i < n:
             raise IndexError("block index out of range")
         i %= n
-        if i not in self._built:
-            self._built[i] = self._part._build(i, i + 1)[0]
-        return self._built[i]
+        held = self._part._held
+        blk = held.get(i)
+        if blk is None:
+            blk = held[i] = self._part._build(i, i + 1)[0]
+        return blk
 
     def __iter__(self):
-        built, n = self._built, len(self)
-        for i in range(n):
-            if i not in built:
-                new = self._part._build(i, min(i + self._CHUNK, n))
-                for k, blk in enumerate(new, i):
-                    built.setdefault(k, blk)
-            yield built[i]
+        held, n = self._part._held, len(self)
+        for i in range(0, n, self._CHUNK):
+            for k, blk in enumerate(
+                    self._part._build(i, min(i + self._CHUNK, n)), i):
+                yield held.setdefault(k, blk)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        return list(self) == list(other)
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
 
 
 def _exit_ranks(lv, label, count):
@@ -617,12 +639,15 @@ def _is_connected(graph, states):
 def _all_connected(lv, label, count):
     """Whether each of the blocks labelled 0..count-1 is flip-connected: the
     edges inside blocks leave exactly one component per block."""
-    ps, qs = [], []
-    for lp, lq, p, q in lv.edge_ends(label, np.arange(len(label))):
-        inside = (lp == lq) & (lp >= 0)
-        ps.append(p[inside])
-        qs.append(q[inside])
-    comp = _components(len(label), np.concatenate(ps), np.concatenate(qs))
+    dtype = np.int32 if len(label) <= 1 << 31 else np.int64
+    fs = [np.flatnonzero((lp == lq) & (lp >= 0)).astype(dtype)
+          for lp, lq in lv.edge_ends(label)]
+    # f = r * 2^i + o, row r and offset o of bit i's views, is the edge from
+    # position p = r * 2^(i+1) + o = f + (f >> i << i) to p | 2^i
+    f = np.concatenate(fs)
+    i = np.repeat(np.arange(len(fs), dtype=dtype), [len(x) for x in fs])
+    p = f + (f >> i << i)
+    comp = _components(len(label), p, p | (1 << i))
     y = np.flatnonzero(label >= 0)
     return np.count_nonzero(comp[y] == y) == count
 

@@ -7,7 +7,10 @@ and the tie events of the compounds.  ``block_of`` must find what a scan
 of the oracle's list finds, and raise ``KeyError`` outside Y.
 """
 
+import dataclasses
 import random
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -172,3 +175,71 @@ def test_y_as_array_or_frozenset(monkeypatch):
     for bad in ([-1], [full + 1], [0, 1 << 20]):
         with pytest.raises(ValueError):
             lv.positions(np.array(bad, dtype=np.int64))
+
+
+def cycles_4x4():
+    g = graph((4, 4), BoundaryCondition.all_minus(), "sqrt2/2")
+    return maximal_cycles(g, np.arange(g.n_states - 1))
+
+
+def test_one_pass_keeps_no_block():
+    part = cycles_4x4()
+    refs = [weakref.ref(b) for k, b in enumerate(part.blocks)
+            if k in (0, 4095, 4096, 65245)]
+    assert len(refs) == 4
+    assert all(r() is None for r in refs)
+
+
+def test_one_pass_holds_one_chunk_of_blocks():
+    part = cycles_4x4()
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in part.blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 65246
+    assert peak < 8 << 20
+
+
+def test_held_block_is_what_every_read_returns():
+    part = cycles_4x4()
+    k = 5000
+    held = part.blocks[k]
+    seen = {}
+    for j, b in enumerate(part.blocks):
+        if j in (k, k + 1):
+            seen[j] = b
+    assert seen[k] is held
+    assert part.blocks[k] is held
+    assert part.block_of(min(held.states)) is held
+    # a block the pass yielded and the caller kept is read back too
+    assert part.blocks[k + 1] is seen[k + 1]
+    assert part.block_of(max(seen[k + 1].states)) is seen[k + 1]
+
+
+def test_cycle_block_has_slots_and_weak_references():
+    blk = cycles_4x4().blocks[0]
+    assert not hasattr(blk, "__dict__")
+    assert weakref.ref(blk)() is blk
+
+
+def test_blocks_equal_pair_by_pair():
+    g = graph((3, 3), BoundaryCondition.all_minus(), "sqrt2/2")
+    part = maximal_cycles(g, range(511))
+    assert part.blocks == maximal_cycles(g, range(511)).blocks
+    blocks = list(part.blocks)
+    assert part.blocks != blocks[:-1]
+    other = list(blocks)
+    other[3] = dataclasses.replace(blocks[3], states=frozenset({-1}))
+    assert len(other) == len(blocks) and part.blocks != other
+    assert part.blocks.__eq__(3) is NotImplemented
+
+
+def test_partition_read_by_its_columns_makes_no_weak_map():
+    # the weak map's objects would be tracked by the garbage collector
+    g = graph((3, 3), BoundaryCondition.all_minus(), "sqrt2/2")
+    part = maximal_compounds(g, range(511))
+    assert len(part.blocks) > 6 and "_held" not in vars(part)
+    blk = part.block_of(0)
+    assert part._held[0] is blk

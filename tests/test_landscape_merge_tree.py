@@ -380,8 +380,12 @@ def test_full_landscape_builds_no_state_array(monkeypatch, token):
     monkeypatch.setattr(landscape, "np", _NoStateRange(g.n_states))
     communication_energy(g, [0], [full])
     part = maximal_cycles(g, y)
+    comp = maximal_compounds(g, y)
     landscape_to_csv(g, io.StringIO())
     partition_to_csv(g, part, io.StringIO(), io.StringIO())
     monkeypatch.undo()
-    assert exact_blocks(part) == exact_blocks(maximal_cycles(
-        enumerate_landscape(g.ctx), y))
+    fresh = enumerate_landscape(g.ctx)
+    assert exact_blocks(part) == exact_blocks(maximal_cycles(fresh, y))
+    want = maximal_compounds(fresh, y)
+    assert exact_blocks(comp) == exact_blocks(want)
+    assert comp.tie_events == want.tie_events
