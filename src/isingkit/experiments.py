@@ -75,6 +75,11 @@ class RunConfig:
                 self.experiment in ("infection", "stc_audit"):
             raise ValueError(f"mode {self.mode!r} does not apply to "
                              f"{self.experiment}, which runs rejection_free")
+        # replica r reads the event stream of seed + r, whose key is 64 bits
+        if self.mode == "graphical" and self.seed + self.replicas > 1 << 64:
+            raise ValueError(f"graphical replicas need --seed + --replicas "
+                             f"- 1 below 2^64, got {self.seed} + "
+                             f"{self.replicas} - 1")
         check_int("caps events", self.caps_events, 1)
         check_int("block side", self.block_side, 1)
         check_int("eligibility defect", self.eligibility_defect, 0)
@@ -272,8 +277,10 @@ def _replicate(betas, replicas, seed, run):
 # -- nucleation runs -----------------------------------------------------------
 
 # clock arrivals a graphical replica may read: a run whose every tick is
-# rejected (rates underflow at large beta) ends here, and its last window
-# holds about half of them in memory at once
+# rejected (rates underflow at large beta) ends here.  Its last window holds
+# about half of them, and the run peaks at about 48 bytes per arrival of
+# that window (tracemalloc: 96 MiB for the 2.1M arrivals of a 4x4 box's
+# window (65536, 131072])
 GRAPHICAL_TICK_CAP = 4_000_000
 
 

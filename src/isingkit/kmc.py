@@ -22,8 +22,12 @@ _FIRST_WINDOW = 8.0
 _COORD_OFFSET = 1 << 20
 _COORD_BITS = 21
 _MAX_DIMENSION = 4
-# clocks x arrivals drawn in one round: bounds the generator's scratch arrays
-_CHUNK_CELLS = 1 << 18
+# clocks x arrivals drawn in one round, on every box: the clocks are drawn
+# _CHUNK_CELLS // 4 at a time, so a round's scratch arrays stay small next
+# to the window they build
+_CHUNK_CELLS = 1 << 15
+# window rows that evolve_graphical turns into Python lists at a time
+_WALK_ROWS = 4096
 # rejection-free events per refill of uniforms (two per event)
 _DRAW_BLOCK = 256
 
@@ -84,7 +88,7 @@ def _chunk_width(left, clocks):
     bound.  Clocks that run past the round are read on in further rounds, so
     the width changes no value, only how many rounds a window takes."""
     return min(max(1, math.ceil(left + math.sqrt(left))),
-               max(4, _CHUNK_CELLS // clocks))
+               _CHUNK_CELLS // clocks)
 
 
 class EventStream:
@@ -97,6 +101,8 @@ class EventStream:
     of arrival j is the left-to-right sum of gaps 0..j, so boxes of different
     shapes or positions that share coordinates see identical clocks, and a
     window is computed afresh from arrival 0 without state between calls.
+    Any block of clocks draws the same values on its own, so a window is
+    drawn in blocks of bounded rounds.
     """
 
     def __init__(self, seed):
@@ -106,44 +112,59 @@ class EventStream:
 
     def _arrivals(self, words, t0, t1):
         """Arrivals of each clock in (t0, t1] (from time 0 on if t0 <= 0):
-        (times, clock rows, arrival indices, marks), unsorted."""
+        (times, clock rows, arrival indices, marks), unsorted, each a tuple
+        of pieces.  The clocks are drawn ``_CHUNK_CELLS // 4`` rows at a
+        time, so no round holds more than ``_CHUNK_CELLS`` cells."""
         c1, c2, c3 = words
         k0, k1 = self.seed & 0xFFFFFFFF, self.seed >> 32
-        rows = np.arange(c1.size)
-        carry = np.zeros(c1.size)
-        start = 0
+        block = _CHUNK_CELLS // 4
         parts = []
-        while rows.size:
-            width = _chunk_width(max(t1 - float(carry.min()), 0.0), rows.size)
-            if start + width > 1 << 32:
-                raise ValueError("a clock cannot read past 2^32 arrivals")
-            j = np.arange(start, start + width, dtype=np.uint64)
-            w0, w1, w2, w3 = philox4x32(j, c1[rows, None], c2[rows, None],
-                                        c3[rows, None], k0, k1)
-            gaps = -np.log1p(-_unit(w0, w1))
-            gaps[:, 0] += carry
-            times = np.cumsum(gaps, axis=1)
-            keep = times <= t1
-            if t0 > 0:
-                keep &= times > t0
-            r, k = np.nonzero(keep)
-            parts.append((times[r, k], rows[r], k + start,
-                          _unit(w2[r, k], w3[r, k])))
-            more = times[:, -1] <= t1
-            rows, carry = rows[more], times[more, -1]
-            start += width
-        return tuple(np.concatenate(p) for p in zip(*parts))
+        for first in range(0, c1.size, block):
+            rows = np.arange(first, min(first + block, c1.size))
+            carry = np.zeros(rows.size)
+            start = 0
+            while rows.size:
+                width = _chunk_width(max(t1 - float(carry.min()), 0.0),
+                                     rows.size)
+                if start + width > 1 << 32:
+                    raise ValueError("a clock cannot read past 2^32 arrivals")
+                j = np.arange(start, start + width, dtype=np.uint64)
+                w0, w1, w2, w3 = philox4x32(j, c1[rows, None], c2[rows, None],
+                                            c3[rows, None], k0, k1)
+                gaps = -np.log1p(-_unit(w0, w1))
+                gaps[:, 0] += carry
+                times = np.cumsum(gaps, axis=1)
+                keep = times <= t1
+                if t0 > 0:
+                    keep &= times > t0
+                r, k = np.nonzero(keep)
+                parts.append((times[r, k], rows[r], k + start,
+                              _unit(w2[r, k], w3[r, k])))
+                more = times[:, -1] <= t1
+                rows, carry = rows[more], times[more, -1]
+                start += width
+        return tuple(zip(*parts))
 
     def window(self, ctx, t0, t1):
         """Time-ordered events of a box in (t0, t1]: (times, sites, families,
-        uniforms); exact ties fall back to (site, family, index) order."""
+        uniforms); exact ties fall back to (site, family, index) order.
+        Each column is joined from its pieces and put in time order on its
+        own, dropping what it replaces."""
         # clock 2 i + b is site i's family 2 b - 1
         words = _counter_words(np.repeat(ctx.global_coord_array, 2, axis=0),
                                np.tile([0, 1], ctx.n_sites))
         times, rows, idxs, marks = self._arrivals(words, t0, t1)
+        times = np.concatenate(times)
+        rows = np.concatenate(rows)
+        idxs = np.concatenate(idxs)
         order = np.lexsort((idxs, rows, times))
+        del idxs
+        times = times[order]
         rows = rows[order]
-        return times[order], rows >> 1, 2 * (rows & 1) - 1, marks[order]
+        fams = 2 * (rows & 1) - 1
+        rows >>= 1
+        marks = np.concatenate(marks)
+        return times, rows, fams, marks[order]
 
 
 @dataclass
@@ -274,9 +295,10 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
     reach ``max_ticks`` ("tick_cap").  The trajectory counts the arrivals
     read and those that flipped nothing.
 
-    Each window is walked as Python lists, with the spins, the rate tables
-    and the boundary part of each neighbour sum held as list copies; the
-    state handed to ``stop`` is brought up to date on each applied flip.
+    Each window is walked ``_WALK_ROWS`` arrivals at a time as Python
+    lists, with the spins, the rate tables and the boundary part of each
+    neighbour sum held as list copies; the state handed to ``stop`` is
+    brought up to date on each applied flip.
     """
     if horizon is not None and not math.isfinite(horizon):
         horizon = None
@@ -304,31 +326,35 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
         if horizon is not None and t1 >= horizon:
             t1 = horizon
         times, sites, fams, unis = stream.window(ctx, t0, t1)
-        fams, unis = fams.tolist(), unis.tolist()
-        for k, site in enumerate(sites.tolist()):
-            eps = fams[k]
-            if spins[site] == eps:
-                continue
-            s = boundary[site]
-            for nb in neighbors[site]:
-                s += spins[nb]
-            if unis[k] >= (up if eps == 1 else down)[s + d2]:
-                continue
-            # the spin goes from -eps to eps
-            if restrict is not None and \
-                    not restrict.contains_pair(bonds - eps * s, pluses + eps):
-                continue
-            bonds -= eps * s
-            pluses += eps
-            spins[site] = eps
-            t = float(times[k])
-            state.spins[site] = eps
-            state.bonds, state.pluses, state.time = bonds, pluses, t
-            append((t, site, eps))
-            if stop is not None and stop(state):
-                reason = "stopped"
-                hit = t
-                ticks += k + 1
+        for first in range(0, times.size, _WALK_ROWS):
+            chunk = slice(first, first + _WALK_ROWS)
+            eps_at, u_at = fams[chunk].tolist(), unis[chunk].tolist()
+            for k, site in enumerate(sites[chunk].tolist()):
+                eps = eps_at[k]
+                if spins[site] == eps:
+                    continue
+                s = boundary[site]
+                for nb in neighbors[site]:
+                    s += spins[nb]
+                if u_at[k] >= (up if eps == 1 else down)[s + d2]:
+                    continue
+                # the spin goes from -eps to eps
+                if restrict is not None and not restrict.contains_pair(
+                        bonds - eps * s, pluses + eps):
+                    continue
+                bonds -= eps * s
+                pluses += eps
+                spins[site] = eps
+                t = float(times[first + k])
+                state.spins[site] = eps
+                state.bonds, state.pluses, state.time = bonds, pluses, t
+                append((t, site, eps))
+                if stop is not None and stop(state):
+                    reason = "stopped"
+                    hit = t
+                    ticks += first + k + 1
+                    break
+            if reason is not None:
                 break
         else:
             ticks += times.size
@@ -340,6 +366,8 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
                 reason = "tick_cap"
             else:
                 t0, t1 = t1, 2.0 * t1
+                # the next window is built with this one released
+                del times, sites, fams, unis
     return Trajectory(initial=alpha.copy(), events=events,
                       t_end=hit if hit is not None else t1,
                       stop_reason=reason, beta=beta, h_token=ctx.field.token,

@@ -130,7 +130,8 @@ def site_events(stream, coord, family, t_max):
     """Arrival times and uniforms of one site/family of the library's
     counter-based ``stream`` up to t_max."""
     words = kmc._counter_words([coord], [0 if family == -1 else 1])
-    times, _, _, marks = stream._arrivals(words, 0.0, t_max)
+    times, _, _, marks = map(np.concatenate,
+                             stream._arrivals(words, 0.0, t_max))
     return times, marks
 
 

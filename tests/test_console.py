@@ -244,6 +244,16 @@ ROWS = {
     "nucleation-beta-repeated-2.0": Row(
         "nucleation --dims 3 --beta 2,1,2.0 --replicas 1 --out-dir out", 1,
         error(".*distinct.*")),
+    # replica r of a graphical run reads the event stream of seed + r, whose
+    # key is 64 bits: the top seed is checked before any replica runs, and
+    # it may be 2^64 - 1
+    "nucleation-graphical-seed-past-2^64": Row(
+        "nucleation --mode graphical --seed 18446744073709551605 "
+        "--replicas 12 --dims 4,4 --h sqrt2/2 --beta 1.5,2.0", 1,
+        error(r".*--seed.*--replicas.*"), no_run=RUNS),
+    "nucleation-graphical-top-seed": Row(
+        "nucleation --mode graphical --seed 18446744073709551614 "
+        "--replicas 2 --dims 3 --beta 3,4"),
     "nucleation-bc-bogus": Row(
         "nucleation --bc bogus --dims 3 --replicas 1 --out-dir out", 1,
         error()),

@@ -5,16 +5,22 @@ per arrival).
 
 Both read the same windows of the same stream, so seeded runs must agree
 exactly: events, ticks read and rejected, end time, stop reason and hitting
-time, and every state a stop predicate is shown.
+time, and every state a stop predicate is shown.  Every run is repeated
+under each row block and walk chunk of ``kmc_chunks``.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import kmc_oracle as oracle
 from box_strategy import boxes
+from isingkit.energy import MagneticField
 from isingkit.kmc import EventStream, evolve_graphical, pred_all_plus, \
     pred_spin_up_at
 from isingkit.landscape import critical_constants, restricted_ensemble
+from isingkit.lattice import (BoundaryCondition, BoxGeometry, Configuration,
+                              build_context)
+from kmc_chunks import chunk_sizes
 
 
 def recorder(limit):
@@ -79,11 +85,38 @@ class TestGraphicalAgainstScalarLoop:
     @given(case=runs(), seed=st.integers(0, 2**32 - 1))
     def test_same_trajectory(self, case, seed):
         ctx, alpha, kwargs, kind, site, limit = case
-        stop, seen = predicate(kind, site, limit)
-        new = evolve_graphical(EventStream(seed), ctx, alpha, stop=stop,
-                               **kwargs)
-        stop, seen_old = predicate(kind, site, limit)
-        old = oracle.evolve_graphical_scalar(EventStream(seed), ctx, alpha,
-                                             stop=stop, **kwargs)
-        assert observed(new) == observed(old)
-        assert seen == seen_old
+        for _ in chunk_sizes():
+            stop, seen = predicate(kind, site, limit)
+            new = evolve_graphical(EventStream(seed), ctx, alpha, stop=stop,
+                                   **kwargs)
+            stop, seen_old = predicate(kind, site, limit)
+            old = oracle.evolve_graphical_scalar(EventStream(seed), ctx,
+                                                 alpha, stop=stop, **kwargs)
+            assert observed(new) == observed(old)
+            assert seen == seen_old
+
+
+@pytest.mark.parametrize("kwargs, reason, ticks", [
+    # the recorder holds at row 5747 of the window (0, 8]: past its first
+    # 4096 rows, and inside a chunk of 3
+    ({"stop": 400, "max_ticks": 10**6}, "stopped", 5747),
+    # both caps are read at the end of the window that reaches them: (0, 8]
+    # holds 9253 arrivals and applies 878 flips
+    ({"max_events": 200}, "event_cap", 9253),
+    ({"max_ticks": 5000}, "tick_cap", 9253),
+], ids=["stop", "event_cap", "tick_cap"])
+def test_stops_and_caps_across_chunks(kwargs, reason, ticks):
+    ctx = build_context(BoxGeometry((24, 24)), BoundaryCondition.all_minus(),
+                        MagneticField("sqrt2/2"))
+    alpha = Configuration.all_minus(ctx.geometry)
+    kwargs = dict(kwargs)
+    limit = kwargs.pop("stop", None)
+    for _ in chunk_sizes():
+        both = []
+        for evolve in (evolve_graphical, oracle.evolve_graphical_scalar):
+            stop, seen = recorder(limit) if limit else (None, None)
+            traj = evolve(EventStream(11), ctx, alpha, 1.0, stop=stop,
+                          horizon=None, **kwargs)
+            both.append((observed(traj), seen))
+        assert both[0] == both[1]
+        assert (traj.stop_reason, traj.ticks_read) == (reason, ticks)

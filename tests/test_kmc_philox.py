@@ -2,19 +2,23 @@
 
 Exact checks: the Philox4x32-10 known-answer vectors of Random123, arrival
 times rebuilt one gap at a time from the documented counter layout, window
-splits and chunk sizes that change no value, and boxes that share global
-coordinates.  Law checks, numpy only: gaps against the per-site generator
-stream kept in ``kmc_oracle``, uniform marks, and no correlation between
-neighbouring sites, families or consecutive arrivals.  The law checks use
-fixed seeds and thresholds at about four standard errors.
+splits, round widths and row blocks (``kmc_chunks``) that change no value,
+and boxes that share global coordinates; and a bound on a window's traced
+peak against its output.  Law checks, numpy only: gaps against the per-site
+generator stream kept in ``kmc_oracle``, uniform marks, and no correlation
+between neighbouring sites, families or consecutive arrivals.  The law
+checks use fixed seeds and thresholds at about four standard errors.
 """
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kmc_oracle as oracle
+from kmc_chunks import chunk_sizes
 from isingkit import kmc
 from isingkit.energy import MagneticField
 from isingkit.kmc import EventStream, philox4x32
@@ -93,33 +97,36 @@ def per_clock(ctx, window):
 def test_window_matches_site_events():
     ctx = context((3, 4), origin=(-1, 2))
     stream = EventStream(19)
-    clocks = per_clock(ctx, stream.window(ctx, 4.0, 12.0))
-    for coord in ctx.global_coords:
-        for fam in (-1, 1):
-            t, u = oracle.site_events(stream, coord, fam, 12.0)
-            inside = t > 4.0
-            assert clocks.get((coord, fam), []) == list(zip(t[inside].tolist(),
-                                                         u[inside].tolist()))
+    for _ in chunk_sizes():
+        clocks = per_clock(ctx, stream.window(ctx, 4.0, 12.0))
+        for coord in ctx.global_coords:
+            for fam in (-1, 1):
+                t, u = oracle.site_events(stream, coord, fam, 12.0)
+                inside = t > 4.0
+                assert clocks.get((coord, fam), []) == \
+                    list(zip(t[inside].tolist(), u[inside].tolist()))
 
 
 def test_window_order_and_interval():
     ctx = context((5, 5))
-    times, sites, fams, _ = EventStream(3).window(ctx, 2.0, 9.0)
-    assert times.size > 0 and np.all(np.diff(times) >= 0)
-    assert times[0] > 2.0 and times[-1] <= 9.0
-    assert sites.dtype == fams.dtype == np.int64
-    assert set(fams.tolist()) == {-1, 1}
-    assert set(sites.tolist()) == set(range(ctx.n_sites))
+    for _ in chunk_sizes():
+        times, sites, fams, _ = EventStream(3).window(ctx, 2.0, 9.0)
+        assert times.size > 0 and np.all(np.diff(times) >= 0)
+        assert times[0] > 2.0 and times[-1] <= 9.0
+        assert sites.dtype == fams.dtype == np.int64
+        assert set(fams.tolist()) == {-1, 1}
+        assert set(sites.tolist()) == set(range(ctx.n_sites))
 
 
 def test_split_windows_equal_one_window():
     ctx = context((4, 4))
     stream = EventStream(23)
-    first = stream.window(ctx, 0.0, 8.0)
-    second = stream.window(ctx, 8.0, 16.0)
-    whole = stream.window(ctx, 0.0, 16.0)
-    for a, b, w in zip(first, second, whole):
-        assert np.array_equal(np.concatenate([a, b]), w)
+    for _ in chunk_sizes():
+        first = stream.window(ctx, 0.0, 8.0)
+        second = stream.window(ctx, 8.0, 16.0)
+        whole = stream.window(ctx, 0.0, 16.0)
+        for a, b, w in zip(first, second, whole):
+            assert np.array_equal(np.concatenate([a, b]), w)
 
 
 @pytest.mark.parametrize("dims, origin", [
@@ -128,7 +135,7 @@ def test_split_windows_equal_one_window():
 ])
 def test_chunk_size_changes_no_value(monkeypatch, dims, origin):
     ctx = context(dims, origin)
-    reads = [EventStream(29).window(ctx, 3.0, 20.0)]
+    reads = [EventStream(29).window(ctx, 3.0, 20.0) for _ in chunk_sizes()]
     for width in (1, 3, 7, 64):
         monkeypatch.setattr(kmc, "_chunk_width", lambda left, clocks: width)
         reads.append(EventStream(29).window(ctx, 3.0, 20.0))
@@ -137,15 +144,45 @@ def test_chunk_size_changes_no_value(monkeypatch, dims, origin):
             assert np.array_equal(a, b)
 
 
+# more clocks than one block of the library's 2^15 cells, 8192 clocks
+BIG_BOXES = ((4097,), (65, 64), (16, 16, 17))
+
+
+@settings(max_examples=4, deadline=None)
+@given(dims=st.sampled_from(BIG_BOXES), seed=st.integers(0, 2**64 - 1),
+       t0=st.floats(1e-3, 0.5), length=st.floats(1e-3, 0.5))
+def test_blocks_change_no_window(dims, seed, t0, length):
+    ctx = context(dims)
+    reads = [EventStream(seed).window(ctx, t0, t0 + length)
+             for _ in chunk_sizes()]
+    for read in reads[1:]:
+        for a, b in zip(reads[0], read):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_window_peak_is_bounded_by_its_output():
+    # the single-block build of the whole box, which sorted all four
+    # columns together, peaked at 4.7 times its output
+    ctx = context((128, 128))
+    tracemalloc.start()
+    try:
+        window = EventStream(7).window(ctx, 0.0, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sum(a.nbytes for a in window)
+
+
 def test_sub_context_sees_the_same_clocks():
     ctx = build_context(BoxGeometry((5, 4, 3)), BoundaryCondition.all_minus(),
                         HALF)
     sub = ctx.sub_context((1, 2, 0), (4, 4, 2))
     stream = EventStream(31)
-    full = per_clock(ctx, stream.window(ctx, 1.0, 10.0))
-    part = per_clock(sub, stream.window(sub, 1.0, 10.0))
-    assert part == {key: v for key, v in full.items()
-                    if key[0] in set(sub.global_coords)}
+    for _ in chunk_sizes():
+        full = per_clock(ctx, stream.window(ctx, 1.0, 10.0))
+        part = per_clock(sub, stream.window(sub, 1.0, 10.0))
+        assert part == {key: v for key, v in full.items()
+                        if key[0] in set(sub.global_coords)}
 
 
 def gaps_and_marks(site_events, coords, t_max):
