@@ -235,7 +235,9 @@ def _replicate(betas, replicas, seed, run):
 
     The replicas run in a pool of forked workers, one per CPU up to one per
     replica, which is closed and joined before this returns or raises; in
-    this process with one worker or without fork.  ``run`` may close over
+    this process with one worker or without fork.  Rows are read in order,
+    and the first replica whose run raises ends the pool with that error,
+    without waiting for the replicas after it.  ``run`` may close over
     unpicklable state: the replica task sits in ``_TASK`` (one slot, so one
     call at a time per process) when the pool forks, so the workers inherit
     it and only indices and rows cross the pipe.  Fork, not spawn, also
@@ -261,7 +263,7 @@ def _replicate(betas, replicas, seed, run):
             try:
                 pool = multiprocessing.get_context("fork").Pool(workers)
                 try:
-                    results = pool.map(_run_task, range(count), chunksize=1)
+                    results = list(pool.imap(_run_task, range(count)))
                     pool.close()
                 except BaseException:
                     pool.terminate()

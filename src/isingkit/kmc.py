@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,12 +169,63 @@ class EventStream:
         return times, rows, fams, marks[order]
 
 
+class Events(Sequence):
+    """Flip events ``(time, site, new_spin)`` held in three typed columns:
+    ``times`` (``array('d')``), ``sites`` (``array('i')``) and ``spins``
+    (``array('b')``), about 14 bytes per event held where a tuple per
+    event held about 92.
+
+    A read-only sequence of tuples: an integer index gives the tuple, a
+    slice gives an ``Events``, and it equals any sequence of equal tuples,
+    from either side of ``==``.  The samplers append to the columns.
+    """
+
+    __slots__ = ("times", "sites", "spins")
+
+    def __init__(self, events=()):
+        self.times, self.sites, self.spins = array("d"), array("i"), array("b")
+        for t, site, spin in events:
+            self.times.append(t)
+            self.sites.append(site)
+            self.spins.append(spin)
+
+    def __len__(self):
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            part = Events()
+            part.times, part.sites, part.spins = (
+                self.times[index], self.sites[index], self.spins[index])
+            return part
+        return self.times[index], self.sites[index], self.spins[index]
+
+    def __iter__(self):
+        return zip(self.times, self.sites, self.spins)
+
+    def __eq__(self, other):
+        if isinstance(other, Events):
+            return (self.times == other.times and self.sites == other.sites
+                    and self.spins == other.spins)
+        if not isinstance(other, (list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    def __repr__(self):
+        return f"Events({list(self)!r})"
+
+
 @dataclass
 class Trajectory:
-    """Initial configuration plus the ordered flip events that replay it."""
+    """Initial configuration plus the ordered flip events that replay it.
+
+    ``events`` is stored as an ``Events``; any other sequence of
+    ``(time, site, new_spin)`` tuples passed in is converted once.
+    """
 
     initial: Configuration
-    events: list                      # (time, site, new_spin)
+    events: Events
     t_end: float
     stop_reason: str
     beta: float
@@ -182,6 +235,10 @@ class Trajectory:
     hitting_time: float = None
     ticks_read: int = None            # graphical: clock arrivals examined
     ticks_rejected: int = None        # ... of which flipped nothing
+
+    def __post_init__(self):
+        if not isinstance(self.events, Events):
+            self.events = Events(self.events)
 
     def replay(self):
         cfg = self.initial.copy()
@@ -306,8 +363,10 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
         raise ValueError("graphical run needs a horizon, max_events or "
                          "max_ticks")
     state = _SimState(ctx, alpha)
-    events = []
-    append = events.append
+    events = Events()
+    add_time, add_site, add_spin = (events.times.append, events.sites.append,
+                                    events.spins.append)
+    flips = 0
     ticks = 0
     reason = None
     hit = None
@@ -348,7 +407,10 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
                 t = float(times[first + k])
                 state.spins[site] = eps
                 state.bonds, state.pluses, state.time = bonds, pluses, t
-                append((t, site, eps))
+                add_time(t)
+                add_site(site)
+                add_spin(eps)
+                flips += 1
                 if stop is not None and stop(state):
                     reason = "stopped"
                     hit = t
@@ -360,7 +422,7 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
             ticks += times.size
             if t1 == horizon:
                 reason = "time_cap"
-            elif max_events is not None and len(events) >= max_events:
+            elif max_events is not None and flips >= max_events:
                 reason = "event_cap"
             elif max_ticks is not None and ticks >= max_ticks:
                 reason = "tick_cap"
@@ -373,7 +435,7 @@ def evolve_graphical(stream, ctx, alpha, beta, stop=None, horizon=10.0,
                       stop_reason=reason, beta=beta, h_token=ctx.field.token,
                       bc_label=ctx.bc.label(), seed=stream.seed,
                       hitting_time=hit, ticks_read=ticks,
-                      ticks_rejected=ticks - len(events))
+                      ticks_rejected=ticks - flips)
 
 
 def coupled_evolve(stream, contexts, alphas, beta, horizon, check_order=None):
@@ -464,8 +526,10 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
     w = [len(m) * rate for m, rate in zip(members, rates)]
     log1p = math.log1p
 
-    events = []
-    append = events.append
+    events = Events()
+    add_time, add_site, add_spin = (events.times.append, events.sites.append,
+                                    events.spins.append)
+    flips = 0
     reason = None
     hit = None
     t = 0.0
@@ -508,7 +572,10 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
         bonds += sigma * sums[pick]
         pluses -= sigma
         spins[site] = -sigma
-        append((t, site, -sigma))
+        add_time(t)
+        add_site(site)
+        add_spin(-sigma)
+        flips += 1
         # swap-remove each moved site from its class list, append it to its
         # new one and refresh both weights: the site changes spin, each
         # neighbour's sum moves by 2
@@ -545,7 +612,7 @@ def evolve_rejection_free(seed, ctx, alpha, beta, stop=None, time_cap=None,
                 reason = "stopped"
                 hit = t
                 break
-        if len(events) >= max_events:
+        if flips >= max_events:
             reason = "event_cap"
             break
     return Trajectory(initial=alpha.copy(), events=events, t_end=t,

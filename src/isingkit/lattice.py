@@ -255,6 +255,9 @@ class LatticeContext:
         for axis in range(len(dims) - 2, -1, -1):
             strides[axis] = strides[axis + 1] * dims[axis + 1]
         shifted = any(self.origin)
+        # every tuple entry is an element of ``ids``, so all entries naming
+        # one site share one int object
+        ids = list(range(self.n_sites))
         self.neighbors = []
         global_coords = []
         plus, minus = [], []
@@ -267,7 +270,7 @@ class LatticeContext:
             for axis, (c, side, stride) in enumerate(zip(coord, dims, strides)):
                 for step in (-1, 1):
                     if 0 <= c + step < side:
-                        nbrs.append(i + step * stride)
+                        nbrs.append(ids[i + step * stride])
                     elif bc.exterior_spin(coord[:axis] + (c + step,)
                                           + coord[axis + 1:], geometry) == 1:
                         n_plus += 1

@@ -14,7 +14,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -243,10 +242,10 @@ def diam_infty_window(ledger, s, t):
     if not 0.0 <= s < t <= traj.t_end:
         raise ValueError("window outside the tracked horizon")
     events = traj.events
-    first = bisect_right(events, s, key=itemgetter(0))
-    last = bisect_right(events, t, lo=first, key=itemgetter(0))
+    first = bisect_right(events.times, s)
+    last = bisect_right(events.times, t, lo=first)
     spins = traj.initial.spins.tolist()
-    for _, site, spin in events[:first]:
+    for site, spin in zip(events.sites[:first], events.spins[:first]):
         spins[site] = spin
     # ``track`` opens the pluses at s at time 0, ahead of every window flip,
     # so a cluster born at 0.0 holds a site plus at s

@@ -284,7 +284,7 @@ def hitting_time_graphical(ctx, alpha, beta, predicate, seed, time_cap=None,
                                 t_start=t0)
         if traj.stop_reason == "stopped":
             full = Trajectory(initial=alpha.copy(),
-                              events=all_events + traj.events,
+                              events=all_events + list(traj.events),
                               t_end=traj.hitting_time, stop_reason="stopped",
                               beta=beta, h_token=ctx.field.token,
                               bc_label=ctx.bc.label(), seed=seed,

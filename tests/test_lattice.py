@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -135,6 +136,33 @@ class TestContext:
             assert ctx.global_coords[i] == ctx.global_coord(i) == \
                 tuple(o + c for o, c in zip(shift, coord)) == \
                 tuple(ctx.global_coord_array[i].tolist())
+
+    @pytest.mark.parametrize("dims", [(300,), (17, 19), (7, 7, 7),
+                                      (5, 4, 5, 4)])
+    def test_neighbors_share_one_int_per_site(self, dims):
+        # the tuples equal those of the per-entry stride loop, in order, for
+        # every boundary kind and a shifted origin, and all entries naming
+        # one site (every box has more than 256) are one object
+        d = len(dims)
+        strides = [1] * d
+        for axis in range(d - 2, -1, -1):
+            strides[axis] = strides[axis + 1] * dims[axis + 1]
+        walked = []
+        for i, coord in enumerate(itertools.product(*map(range, dims))):
+            walked.append(tuple(
+                i + step * stride
+                for c, side, stride in zip(coord, dims, strides)
+                for step in (-1, 1) if 0 <= c + step < side))
+        labels = ["all_minus", "all_plus"] + [f"n_pm_{n}" for n in range(d + 1)]
+        for label in labels:
+            ctx = build_context(BoxGeometry(dims),
+                                BoundaryCondition.from_label(label), SQRT2_2,
+                                origin=tuple(range(-2, -2 + 3 * d, 3)))
+            assert ctx.neighbors == walked
+            first = {}
+            for nbrs in ctx.neighbors:
+                for nb in nbrs:
+                    assert first.setdefault(nb, nb) is nb
 
     def test_n_pm_faces(self):
         ctx = build_context(BoxGeometry((3, 3)), BoundaryCondition.n_pm(1), SQRT2_2)

@@ -5,8 +5,9 @@ seed base + replica index, in a pool of forked workers, one per CPU the
 process may use.  These tests pin the order, the seeds and the row prefix,
 that each run's files are its report (rows as CSV, the rest as JSON),
 that the CPU count changes no output byte, that no worker outlives a run,
-normal or failed, and that a closure replaced at module level runs in the
-workers.
+normal or failed, that the first failing replica raises without waiting
+for the replicas after it, and that a closure replaced at module level
+runs in the workers.
 A pool that hangs fails its test through ``SIGALRM`` instead of stalling
 the suite.
 """
@@ -17,6 +18,7 @@ import json
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -142,6 +144,26 @@ def test_replica_error_raised_and_no_worker_left(monkeypatch, name, cpus):
     monkeypatch.setattr(experiments, "hitting_time", failing)
     with pytest.raises(ValueError, match="replica failed"):
         run_with_cpus(monkeypatch, name, cpus)
+    assert multiprocessing.active_children() == []
+    assert experiments._TASK is None
+
+
+def test_first_failing_replica_raises_without_waiting(monkeypatch):
+    # replica 0 fails at once while the seven others would sleep 7 s in
+    # all (3.5 s on the two workers): the error comes back before them
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    nap = 1.0
+
+    def run(beta, seed):
+        if seed == 0:
+            raise ValueError("replica 0 failed")
+        time.sleep(nap)
+        return {}
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="replica 0 failed"):
+        experiments._replicate([1.0], 8, 0, run)
+    assert time.monotonic() - start < 1.5 * nap
     assert multiprocessing.active_children() == []
     assert experiments._TASK is None
 

@@ -12,10 +12,14 @@ doubling witnesses without their ids.  Likewise
 ``isingkit.stc.diam_infty_window`` (the window re-tracked) against the
 clipped-segment union-find kept there, on every window that ends before the
 horizon; at the horizon it must equal the oracle at a time between the last
-flip and the horizon, where open segments are not clipped.
+flip and the horizon, where open segments are not clipped.  It must also
+equal, on every window, the same function reading a list of event tuples
+(``tuple_window``), which it replaced by reading the event columns.
 """
 
+from bisect import bisect_right
 from collections import Counter
+from operator import itemgetter
 
 from hypothesis import given, settings, strategies as st
 
@@ -100,7 +104,7 @@ class TestTrackAgainstOracle:
         ctx, traj = case
         opens = [(0.0, site, 1) for site in traj.initial.plus_sites()]
         replay = Trajectory(Configuration.all_minus(ctx.geometry),
-                            opens + traj.events, traj.t_end,
+                            opens + list(traj.events), traj.t_end,
                             traj.stop_reason, traj.beta, traj.h_token,
                             traj.bc_label)
         ledger = track(ctx, replay)
@@ -227,3 +231,52 @@ class TestWindowAgainstOracle:
             for u in [e[0] for e in traj.events][1:-1:3]:
                 for s, t in ((0.0, u), (u, traj.t_end), (0.0, traj.t_end)):
                     self.assert_same_window(ledger, s, t)
+
+
+def tuple_window(ledger, s, t):
+    """``diam_infty_window`` as it read a list of event tuples: bisect by
+    ``itemgetter(0)``, then replay the prefix tuple by tuple."""
+    traj = ledger.trajectory
+    events = list(traj.events)
+    first = bisect_right(events, s, key=itemgetter(0))
+    last = bisect_right(events, t, lo=first, key=itemgetter(0))
+    spins = traj.initial.spins.tolist()
+    for _, site, spin in events[:first]:
+        spins[site] = spin
+    window = track(ledger.ctx, Trajectory(
+        Configuration(traj.initial.geometry, spins), events[first:last], t,
+        traj.stop_reason, traj.beta, traj.h_token, traj.bc_label))
+    meeting = other = 0
+    for rec in window._records.values():
+        diam = window._diam(rec)
+        if rec["birth"] == 0.0 or rec["death"] is None:
+            meeting += diam
+        else:
+            other = max(other, diam)
+    return max(meeting, other)
+
+
+class TestWindowColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(case=trajectories(), data=st.data())
+    def test_equals_the_tuple_window(self, case, data):
+        # s at a flip time (a flip exactly at s), at 0 or anywhere before
+        # the horizon; t after it, the horizon included
+        ctx, traj = case
+        ledger = track(ctx, traj)
+        times = [e[0] for e in traj.events]
+        face = st.one_of(st.sampled_from([0.0] + times),
+                         st.floats(0.0, traj.t_end))
+        for _ in range(6):
+            s = data.draw(face)
+            if s >= traj.t_end:
+                continue
+            t = data.draw(st.one_of(st.just(traj.t_end),
+                                    st.floats(s, traj.t_end)))
+            if s < t:
+                assert diam_infty_window(ledger, s, t) == \
+                    tuple_window(ledger, s, t)
+        for s in times:
+            if s < traj.t_end:
+                assert diam_infty_window(ledger, s, traj.t_end) == \
+                    tuple_window(ledger, s, traj.t_end)
