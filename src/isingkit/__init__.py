@@ -34,10 +34,9 @@ from .stc import (StcLedger, crossing_detected, crossing_time,
                   doubling_extraction, track)
 from .isoperimetry import (gravity_fall, isoperimetric_check, min_perimeter,
                            project_to_lower_dim)
-from .experiments import (GrowthModelParams, RunConfig, arrhenius_fit,
-                          run_growth_model, run_infection_microscopic,
-                          run_nucleation, run_stc_audit,
-                          solve_growth_threshold)
+from .experiments import (RunConfig, arrhenius_fit, run_growth_model,
+                          run_infection_microscopic, run_nucleation,
+                          run_stc_audit, solve_growth_threshold)
 
 __all__ = [
     "__version__",
@@ -62,7 +61,7 @@ __all__ = [
     "discrete_path_clusters", "doubling_extraction", "track",
     "gravity_fall", "isoperimetric_check", "min_perimeter",
     "project_to_lower_dim",
-    "GrowthModelParams", "RunConfig", "arrhenius_fit", "run_growth_model",
+    "RunConfig", "arrhenius_fit", "run_growth_model",
     "run_infection_microscopic", "run_nucleation", "run_stc_audit",
     "solve_growth_threshold",
 ]

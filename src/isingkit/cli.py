@@ -1,9 +1,10 @@
 """Command-line surface.
 
-The replicated experiments (nucleation, infection, stc-audit) take
-``--config`` (a JSON key-value file) plus flags named after the
-``RunConfig`` fields they override; every subcommand takes only the flags it
-reads.  They and growth-model run their replicas through
+The replicated experiments (nucleation, infection, growth-model,
+stc-audit) read their flags through ``_load_config`` into one ``RunConfig``,
+each flag named after the field it sets; all but growth-model also take
+``--config`` (a JSON key-value file) whose keys the flags override.  Every
+subcommand takes only the flags it reads.  They run their replicas through
 ``experiments._replicate``, across the CPUs the process may use, and every
 run of the dynamics, simulate's too, is one ``kmc.hitting_time`` call.
 Every subcommand hands its files to ``_emit``, which prints one JSON object
@@ -26,13 +27,12 @@ import numpy as np
 
 from . import __version__
 from .energy import MagneticField
-from .experiments import (GrowthModelParams, RunConfig, check_betas,
-                          check_caps_time, check_int, growth_model_files,
-                          growth_threshold_from_constants, infection_files,
-                          json_text, nucleation_files, rows_to_csv,
-                          run_growth_model, run_infection_microscopic,
-                          run_nucleation, run_stc_audit, stc_audit_files,
-                          write_files)
+from .experiments import (RunConfig, check_betas, check_caps_time, check_int,
+                          growth_model_files, growth_threshold_from_constants,
+                          infection_files, json_text, nucleation_files,
+                          rows_to_csv, run_growth_model,
+                          run_infection_microscopic, run_nucleation,
+                          run_stc_audit, stc_audit_files, write_files)
 from .landscape import (critical_constants, enumerate_landscape,
                         landscape_to_csv, maximal_compounds, maximal_cycles,
                         partition_to_csv)
@@ -227,12 +227,8 @@ def _cmd_infection(args):
 
 
 def _cmd_growth_model(args):
-    optional = {k: getattr(args, k) for k in ("replicas", "seed")
-                if getattr(args, k) is not None}
-    params = GrowthModelParams(d=args.d, gamma=args.gamma,
-                               kappa_prev=args.kappa_prev, L=args.L,
-                               betas=args.beta, **optional)
-    _emit(args.out_dir, growth_model_files(run_growth_model(params)))
+    config = _load_config(args, "growth_model")
+    _emit(config.out_dir, growth_model_files(run_growth_model(config)))
     return 0
 
 

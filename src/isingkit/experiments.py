@@ -4,12 +4,12 @@ Arrhenius nucleation runs (hitting-time slopes against the exact barrier),
 the microscopic infection process on a renormalized block lattice, an
 abstract nucleation-and-growth model checking the relaxation-exponent
 recursion, and the growth-threshold optimization identity.  Every
-replicated run (nucleation, infection, growth model, stc audit) goes through
-``_replicate``, which owns the beta-major replica order, the seeds (seed
-base + replica index), the row prefix and the fork pool, and the fitted ones
-through ``_fit``.  Each one's files are its report, written by
-``_report_files``: the rows as one CSV whose columns are the row keys, and
-every other key as one JSON file.  Outputs are deterministic given the seeds
+replicated run (nucleation, infection, growth model, stc audit) is described
+by one ``RunConfig`` and goes through ``_replicate``, which owns the
+beta-major replica order, the seeds (seed base + replica index), the row
+prefix and the fork pool, and the fitted ones through ``_fit``.  Each one's
+files are its report, written by ``_report_files``: the rows as one CSV
+whose columns are the row keys, and every other key as one JSON file.  Outputs are deterministic given the seeds
 and independent of the CPU count.
 """
 
@@ -40,10 +40,34 @@ from .stc import track
 _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
+# side of a clipped growth window, in relaxation-cone lengths
+WINDOW_CONES = 3.0
+# the most sites a growth window may hold: a replica keeps about 80 bytes
+# per site (two padded clock arrays, their sort order and a list of growth
+# clocks), and every worker of the pool runs one at a time
+MAX_WINDOW_SITES = 2 ** 20
+# the largest x for which math.exp(x) does not overflow
+_EXP_MAX = math.log(sys.float_info.max)
+# the fields only the growth model reads
+GROWTH_KEYS = ("d", "gamma", "kappa_prev", "L")
+
 
 @dataclass
 class RunConfig:
-    """One experiment run: box, field, temperatures, replication and caps."""
+    """One experiment run: box, field, temperatures, replication and caps.
+
+    The growth model (``experiment="growth_model"``) is the renormalized
+    nucleation-and-growth model on Z^d, and only it takes ``d``, ``gamma``,
+    ``kappa_prev`` and ``L``.  Sites nucleate independently at rate
+    exp(-beta*gamma); uninfected sites adjacent to the infected set catch at
+    rate exp(-beta*kappa_prev) each.  ``kappa_prev = inf`` freezes growth
+    entirely.  The simulated window is exp(beta*L) per side, clipped to
+    ``WINDOW_CONES`` relaxation cones for tractability (clipping is flagged
+    in the report).  ``gamma`` and ``L`` must be finite, every rate and
+    window exponential a finite float at every beta, and no window larger
+    than ``MAX_WINDOW_SITES`` sites.  Of the other fields it reads ``beta``,
+    ``replicas``, ``seed`` and ``caps_events``.
+    """
 
     experiment: str
     dims: list = dc_field(default_factory=lambda: [3])
@@ -59,6 +83,10 @@ class RunConfig:
     stc_threshold_D: int = 6
     out_dir: str = None
     mode: str = "rejection_free"
+    d: int = None
+    gamma: float = None
+    kappa_prev: float = None
+    L: float = None
 
     def __post_init__(self):
         if not (isinstance(self.dims, (list, tuple)) and self.dims
@@ -72,7 +100,7 @@ class RunConfig:
         if self.mode not in ("rejection_free", "graphical"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode != "rejection_free" and \
-                self.experiment in ("infection", "stc_audit"):
+                self.experiment in ("infection", "stc_audit", "growth_model"):
             raise ValueError(f"mode {self.mode!r} does not apply to "
                              f"{self.experiment}, which runs rejection_free")
         # replica r reads the event stream of seed + r, whose key is 64 bits
@@ -86,6 +114,48 @@ class RunConfig:
         check_int("stc threshold D", self.stc_threshold_D, 0)
         check_caps_time(self.caps_time)
         BoundaryCondition.from_label(self.bc)
+        given = [k for k in GROWTH_KEYS if getattr(self, k) is not None]
+        if self.experiment == "growth_model":
+            self._check_growth_model()
+        elif given:
+            raise ValueError(f"config keys {given} apply only to "
+                             f"growth_model, not {self.experiment}")
+
+    def _check_growth_model(self):
+        check_int("d", self.d, 1)
+        for name in ("gamma", "L"):
+            value = getattr(self, name)
+            if not (_is_number(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {value!r}")
+        if not (_is_number(self.kappa_prev, numbers.Real)
+                and -math.inf < self.kappa_prev <= math.inf):
+            raise ValueError(f"kappa_prev must be a finite number or inf "
+                             f"(frozen growth), got {self.kappa_prev!r}")
+        kappa = self.kappa_predicted()
+        for beta in self.beta:
+            # the exponents _growth_single and run_growth_model exponentiate
+            exponents = [("gamma", "-beta * gamma", -beta * self.gamma),
+                         ("L", "beta * L", beta * self.L)]
+            if kappa is not None:
+                exponents += [
+                    ("kappa_prev", "-beta * kappa_prev",
+                     -beta * self.kappa_prev),
+                    ("gamma - kappa_prev", "beta * (kappa - kappa_prev)",
+                     beta * (kappa - self.kappa_prev))]
+            for name, term, x in exponents:
+                if not x <= _EXP_MAX:
+                    raise ValueError(f"{name} out of range: exp({term}) "
+                                     f"overflows at beta {beta!r}")
+            side = self.window(beta)[0]
+            if side ** self.d > MAX_WINDOW_SITES:
+                raise ValueError(
+                    f"L out of range: at beta {beta!r} the growth window "
+                    f"holds {side}^{self.d} sites, over the bound of "
+                    f"{MAX_WINDOW_SITES}")
+
+    # ``beta`` under the name the benchmark's growth-model probe reads
+    betas = property(lambda self: self.beta)
 
     @classmethod
     def from_dict(cls, data, **overrides):
@@ -106,8 +176,9 @@ class RunConfig:
             raise ValueError(f"unknown caps keys: {sorted(unknown)}")
         data.update({"caps_" + k: v for k, v in caps.items()})
         data.update(overrides)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if data.get("experiment") != "growth_model":
+            unknown |= set(GROWTH_KEYS) & set(data)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
@@ -116,6 +187,25 @@ class RunConfig:
         return build_context(BoxGeometry(tuple(self.dims)),
                              BoundaryCondition.from_label(self.bc),
                              MagneticField(self.h))
+
+    def kappa_predicted(self):
+        """(gamma + d*kappa_prev)/(d+1), or None when growth is frozen."""
+        return (self.gamma + self.d * self.kappa_prev) / (self.d + 1) \
+            if math.isfinite(self.kappa_prev) else None
+
+    def window(self, beta):
+        """(side, clipped): the odd side of the growth model's simulated
+        window at beta, and whether the relaxation cone clipped it."""
+        nominal = math.exp(beta * self.L)
+        kappa = self.kappa_predicted()
+        clipped = False
+        if kappa is not None and math.exp(-beta * self.kappa_prev) > 0:
+            cone = WINDOW_CONES * math.exp(beta * (kappa - self.kappa_prev))
+            clipped = cone + 1 < nominal
+            side_f = cone if clipped else nominal
+        else:
+            side_f = min(nominal, 3.0)
+        return 2 * max(1, int(math.ceil(side_f / 2))) + 1, clipped
 
 
 def _is_number(value, kind):
@@ -435,95 +525,7 @@ def infection_files(report):
 # -- abstract growth model -----------------------------------------------------
 
 
-# side of a clipped growth window, in relaxation-cone lengths
-WINDOW_CONES = 3.0
-# the most sites a growth window may hold: a replica keeps about 80 bytes
-# per site (two padded clock arrays, their sort order and a list of growth
-# clocks), and every worker of the pool runs one at a time
-MAX_WINDOW_SITES = 2 ** 20
-# the largest x for which math.exp(x) does not overflow
-_EXP_MAX = math.log(sys.float_info.max)
-
-
-@dataclass
-class GrowthModelParams:
-    """Renormalized nucleation-and-growth model on Z^d.
-
-    Sites nucleate independently at rate exp(-beta*gamma); uninfected sites
-    adjacent to the infected set catch at rate exp(-beta*kappa_prev) each.
-    ``kappa_prev = inf`` freezes growth entirely.  The simulated window is
-    exp(beta*L) per side, clipped to ``WINDOW_CONES`` relaxation cones for
-    tractability (clipping is flagged in the report).  ``gamma`` and ``L``
-    must be finite, every rate and window exponential a finite float at
-    every beta, and no window larger than ``MAX_WINDOW_SITES`` sites.
-    """
-
-    d: int
-    gamma: float
-    kappa_prev: float
-    L: float
-    betas: list
-    replicas: int = 200
-    seed: int = 1
-    max_events: int = 2_000_000
-
-    def __post_init__(self):
-        check_int("d", self.d, 1)
-        for name in ("gamma", "L"):
-            value = getattr(self, name)
-            if not (_is_number(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, "
-                                 f"got {value!r}")
-        if not (_is_number(self.kappa_prev, numbers.Real)
-                and -math.inf < self.kappa_prev <= math.inf):
-            raise ValueError(f"kappa_prev must be a finite number or inf "
-                             f"(frozen growth), got {self.kappa_prev!r}")
-        check_betas(self.betas)
-        check_int("replicas", self.replicas, 1)
-        check_int("seed", self.seed, 0)
-        check_int("max_events", self.max_events, 1)
-        kappa = self.kappa_predicted()
-        for beta in self.betas:
-            # the exponents _growth_single and run_growth_model exponentiate
-            exponents = [("gamma", "-beta * gamma", -beta * self.gamma),
-                         ("L", "beta * L", beta * self.L)]
-            if kappa is not None:
-                exponents += [
-                    ("kappa_prev", "-beta * kappa_prev",
-                     -beta * self.kappa_prev),
-                    ("gamma - kappa_prev", "beta * (kappa - kappa_prev)",
-                     beta * (kappa - self.kappa_prev))]
-            for name, term, x in exponents:
-                if not x <= _EXP_MAX:
-                    raise ValueError(f"{name} out of range: exp({term}) "
-                                     f"overflows at beta {beta!r}")
-            side = self.window(beta)[0]
-            if side ** self.d > MAX_WINDOW_SITES:
-                raise ValueError(
-                    f"L out of range: at beta {beta!r} the growth window "
-                    f"holds {side}^{self.d} sites, over the bound of "
-                    f"{MAX_WINDOW_SITES}")
-
-    def kappa_predicted(self):
-        return (self.gamma + self.d * self.kappa_prev) / (self.d + 1) \
-            if math.isfinite(self.kappa_prev) else None
-
-    def window(self, beta):
-        """(side, clipped): the odd side of the simulated window at beta,
-        and whether the relaxation cone clipped it."""
-        nominal = math.exp(beta * self.L)
-        kappa = self.kappa_predicted()
-        clipped = False
-        if kappa is not None and math.exp(-beta * self.kappa_prev) > 0:
-            cone = WINDOW_CONES * math.exp(beta * (kappa - self.kappa_prev))
-            clipped = cone + 1 < nominal
-            side_f = cone if clipped else nominal
-        else:
-            side_f = min(nominal, 3.0)
-        return 2 * max(1, int(math.ceil(side_f / 2))) + 1, clipped
-
-
-def _growth_single(params, beta, seed):
+def _growth_single(config, beta, seed):
     """Origin-coverage time of one replica, as site first-passage
     percolation (Richardson 1973).
 
@@ -541,20 +543,20 @@ def _growth_single(params, beta, seed):
 
     Returns (t, stop_reason, events): t is None unless
     stop_reason is "origin"; "event_cap" when the settled count reaches
-    ``params.max_events`` (the origin's own event included), "frozen" when
+    ``config.caps_events`` (the origin's own event included), "frozen" when
     no clock can ring any more.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         int(seed), spawn_key=(5,))))
-    d = params.d
-    side = params.window(beta)[0]
+    d = config.d
+    side = config.window(beta)[0]
     shape = (side,) * d
-    nuc = _padded(_clocks(rng, math.exp(-beta * params.gamma), shape))
-    v = 0.0 if not math.isfinite(params.kappa_prev) else \
-        math.exp(-beta * params.kappa_prev)
+    nuc = _padded(_clocks(rng, math.exp(-beta * config.gamma), shape))
+    v = 0.0 if not math.isfinite(config.kappa_prev) else \
+        math.exp(-beta * config.kappa_prev)
     gro = _padded(_clocks(rng, v, shape))
     origin = sum((side // 2 + 1) * (side + 2) ** k for k in range(d))
-    return _first_passage(nuc, gro, origin, params.max_events)
+    return _first_passage(nuc, gro, origin, config.caps_events)
 
 
 def _clocks(rng, rate, shape):
@@ -620,7 +622,7 @@ def _first_passage(nuc, gro, target, max_events):
                     heappush(heap, (ty, y))
 
 
-def run_growth_model(params):
+def run_growth_model(config):
     """Origin-coverage times of the renormalized model and the fitted
     relaxation exponent, compared with (gamma + d*kappa_prev)/(d+1).
 
@@ -629,27 +631,27 @@ def run_growth_model(params):
     The fit is ``_fit``'s, over the temperatures with no censored replica.
     """
     def replica(beta, seed):
-        t, stop_reason, events = _growth_single(params, beta, seed)
+        t, stop_reason, events = _growth_single(config, beta, seed)
         return {"coverage_time": t, "censored": t is None,
-                "side": params.window(beta)[0], "stop_reason": stop_reason,
+                "side": config.window(beta)[0], "stop_reason": stop_reason,
                 "events": events}
 
-    rows = _replicate(params.betas, params.replicas, params.seed, replica)
-    kappa = params.kappa_predicted()
+    rows = _replicate(config.beta, config.replicas, config.seed, replica)
+    kappa = config.kappa_predicted()
     censored = [r for r in rows if r["censored"]]
-    flags = {"clipped_windows": [b for b in params.betas
-                                 if params.window(b)[1]],
-             "too_small": [b for b in params.betas if kappa is not None and
-                           params.window(b)[0]
-                           < math.exp(b * (kappa - params.kappa_prev))],
-             "censored_betas": [b for b in params.betas
+    flags = {"clipped_windows": [b for b in config.beta
+                                 if config.window(b)[1]],
+             "too_small": [b for b in config.beta if kappa is not None and
+                           config.window(b)[0]
+                           < math.exp(b * (kappa - config.kappa_prev))],
+             "censored_betas": [b for b in config.beta
                                 if any(r["beta"] == b for r in censored)],
              "censored": {reason: sum(r["stop_reason"] == reason
                                       for r in censored)
                           for reason in ("event_cap", "frozen")}}
     return {"rows": rows, "flags": flags, "kappa_target": kappa,
-            "fit": _fit(rows, params.betas, "coverage_time", "censored",
-                        kappa, params.seed)}
+            "fit": _fit(rows, config.beta, "coverage_time", "censored",
+                        kappa, config.seed)}
 
 
 def growth_model_files(report):

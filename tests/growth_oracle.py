@@ -89,6 +89,6 @@ def _growth_single(params, beta, seed):
             c = frontier_list[int(rng.integers(0, len(frontier_list)))]
             infect(c)
         events += 1
-        if events >= params.max_events:
+        if events >= params.caps_events:
             return None, clipped, side
     return t, clipped, side

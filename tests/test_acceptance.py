@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from isingkit.energy import MagneticField
-from isingkit.experiments import (GrowthModelParams, RunConfig,
-                                  growth_threshold_from_constants,
+from isingkit.experiments import (RunConfig, growth_threshold_from_constants,
                                   run_growth_model, run_nucleation,
                                   run_stc_audit)
 from isingkit.kmc import (EventStream, Trajectory, coupled_evolve,
@@ -298,13 +297,13 @@ def test_criterion_12_stc_audit(tmp_path):
 
 
 def test_criterion_13_growth_model_recursion():
-    p1 = GrowthModelParams(d=1, gamma=1.5, kappa_prev=0.0, L=1.0,
-                           betas=[4.0, 6.0, 8.0], replicas=200, seed=100)
+    p1 = RunConfig(experiment="growth_model", d=1, gamma=1.5, kappa_prev=0.0,
+                   L=1.0, beta=[4.0, 6.0, 8.0], replicas=200, seed=100)
     r1 = run_growth_model(p1)
     assert r1["fit"]["target"] == pytest.approx(0.75)
     assert r1["fit"]["relative_error"] < 0.15
-    p2 = GrowthModelParams(d=2, gamma=2.0, kappa_prev=0.5, L=0.7,
-                           betas=[4.0, 6.0, 8.0], replicas=200, seed=200)
+    p2 = RunConfig(experiment="growth_model", d=2, gamma=2.0, kappa_prev=0.5,
+                   L=0.7, beta=[4.0, 6.0, 8.0], replicas=200, seed=200)
     r2 = run_growth_model(p2)
     assert r2["fit"]["target"] == pytest.approx(1.0)
     assert r2["fit"]["relative_error"] < 0.15

@@ -271,6 +271,11 @@ ROWS = {
                                  ("string", '"dims"'), ("null", "null"))},
     "nucleation-config-caps-events-null": Row(
         NUCLEATION_CONFIG, 1, error(), config(caps={"events": None})),
+    # a growth-model field is no key of a nucleation config
+    "nucleation-config-gamma": Row(
+        "nucleation --config c.json", 1,
+        error(re.escape("unknown config keys: ['gamma']")), config(gamma=2),
+        no_run=RUNS),
     "nucleation-config-caps-5": Row(
         f"{NUCLEATION_CONFIG} --caps-events 3", 1, error(), config(caps=5)),
     "nucleation-config-caps-list": Row(

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import fit_oracle
 from isingkit.energy import MagneticField
-from isingkit.experiments import (GrowthModelParams, RunConfig, arrhenius_fit,
+from isingkit.experiments import (GROWTH_KEYS, MAX_WINDOW_SITES, RunConfig,
+                                  arrhenius_fit,
                                   growth_threshold_from_constants,
                                   run_growth_model,
                                   run_infection_microscopic, run_nucleation,
@@ -27,8 +28,23 @@ class TestRunConfig:
         assert cfg.caps_events == 100 and cfg.caps_time == 5.0
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig.from_dict({"experiment": "x", "bogus": 1})
+        inputs = [{"experiment": "x", "bogus": 1}]
+        # the growth model's own fields, set or null, in another run's file
+        inputs += [{"experiment": experiment, key: value}
+                   for experiment in ("nucleation", "infection", "stc_audit")
+                   for key in GROWTH_KEYS for value in (2, None)]
+        for data in inputs:
+            [key] = set(data) - {"experiment"}
+            with pytest.raises(ValueError,
+                               match=f"unknown config keys: .*'{key}'"):
+                RunConfig.from_dict(data)
+
+    @pytest.mark.parametrize("experiment", ["nucleation", "infection",
+                                            "stc_audit"])
+    @pytest.mark.parametrize("key", GROWTH_KEYS)
+    def test_growth_fields_rejected_elsewhere(self, experiment, key):
+        with pytest.raises(ValueError, match=f"'{key}'.*growth_model"):
+            RunConfig(experiment=experiment, **{key: 2})
 
     def test_replicas_positive(self):
         with pytest.raises(ValueError):
@@ -43,8 +59,8 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="distinct"):
             RunConfig(experiment="nucleation", beta=betas)
         with pytest.raises(ValueError, match="distinct"):
-            GrowthModelParams(d=1, gamma=1.5, kappa_prev=0.0, L=1.0,
-                              betas=betas)
+            RunConfig(experiment="growth_model", d=1, gamma=1.5,
+                      kappa_prev=0.0, L=1.0, beta=betas)
 
     @pytest.mark.parametrize("caps", [
         {"events": None}, {"events": 0}, {"events": -5}, {"events": 2.5},
@@ -292,8 +308,9 @@ class TestInfection:
 
 class TestGrowthModel:
     def test_frozen_growth_is_pure_nucleation(self):
-        params = GrowthModelParams(d=1, gamma=1.0, kappa_prev=math.inf,
-                                   L=0.5, betas=[2.0], replicas=400, seed=7)
+        params = RunConfig(experiment="growth_model", d=1, gamma=1.0,
+                           kappa_prev=math.inf, L=0.5, beta=[2.0],
+                           replicas=400, seed=7)
         report = run_growth_model(params)
         times = [r["coverage_time"] for r in report["rows"]]
         # origin nucleates at rate exp(-beta*gamma)
@@ -303,19 +320,35 @@ class TestGrowthModel:
         assert report["kappa_target"] is None
 
     def test_d1_recursion(self):
-        params = GrowthModelParams(d=1, gamma=1.5, kappa_prev=0.0, L=1.0,
-                                   betas=[4.0, 6.0, 8.0], replicas=80, seed=11)
+        params = RunConfig(experiment="growth_model", d=1, gamma=1.5,
+                           kappa_prev=0.0, L=1.0, beta=[4.0, 6.0, 8.0],
+                           replicas=80, seed=11)
         report = run_growth_model(params)
         fit = report["fit"]
         assert fit["target"] == pytest.approx(0.75)
         assert abs(fit["slope"] - 0.75) / 0.75 < 0.15
 
     def test_d2_synthetic_recursion(self):
-        params = GrowthModelParams(d=2, gamma=2.0, kappa_prev=0.5, L=0.62,
-                                   betas=[4.0, 6.0], replicas=40, seed=13)
+        params = RunConfig(experiment="growth_model", d=2, gamma=2.0,
+                           kappa_prev=0.5, L=0.62, beta=[4.0, 6.0],
+                           replicas=40, seed=13)
         report = run_growth_model(params)
         assert report["kappa_target"] == pytest.approx(1.0)
         assert "fit" in report
+
+    def test_default_event_cap_is_unreachable(self):
+        # a replica settles each window site at most once and no window
+        # holds more than MAX_WINDOW_SITES sites, so the default event cap
+        # never stops a replica: taking RunConfig's default of 10,000,000
+        # for the growth model's former 2,000,000 changed no output
+        config = RunConfig(experiment="growth_model", d=1, gamma=1.5,
+                           kappa_prev=0.0, L=1.0)
+        assert MAX_WINDOW_SITES < config.caps_events
+
+    def test_graphical_mode_rejected(self):
+        with pytest.raises(ValueError, match="does not apply to growth_model"):
+            RunConfig(experiment="growth_model", d=1, gamma=1.5,
+                      kappa_prev=0.0, L=1.0, mode="graphical")
 
 
 class TestGrowthThreshold:
@@ -656,6 +689,38 @@ def test_each_flag_reaches_the_run_config(monkeypatch, command, flag, value,
         cli.main([command, "--beta", "7", flag, value])
     config = exc.value.args[0]
     assert getattr(config, field) == want
+    assert getattr(RunConfig(experiment="x"), field) != want
+
+
+# the growth-model flags a run needs, each flag under test set otherwise
+GROWTH_ARGV = {"--d": "1", "--gamma": "1.5", "--kappa-prev": "0", "--L": "1",
+               "--beta": "4"}
+
+
+@pytest.mark.parametrize("flag, value, field, want", [
+    ("--d", "3", "d", 3), ("--gamma", "2.5", "gamma", 2.5),
+    ("--kappa-prev", "0.25", "kappa_prev", 0.25), ("--L", "0.3", "L", 0.3),
+    ("--beta", "2.5", "beta", [2.5]), ("--replicas", "7", "replicas", 7),
+    ("--seed", "9", "seed", 9), ("--out-dir", "o", "out_dir", "o")])
+def test_each_growth_flag_reaches_the_run_config(monkeypatch, flag, value,
+                                                 field, want):
+    from isingkit import cli
+
+    class Captured(Exception):
+        pass
+
+    def capture(config):
+        raise Captured(config)
+
+    monkeypatch.setattr(cli, "run_growth_model", capture)
+    argv = [arg for pair in GROWTH_ARGV.items() for arg in pair]
+    # the flag under test comes last and wins
+    with pytest.raises(Captured) as exc:
+        cli.main(["growth-model", *argv, flag, value])
+    config = exc.value.args[0]
+    assert config.experiment == "growth_model"
+    assert getattr(config, field) == want
+    assert GROWTH_ARGV.get(flag) != value
     assert getattr(RunConfig(experiment="x"), field) != want
 
 

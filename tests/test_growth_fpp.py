@@ -8,6 +8,7 @@ fixed-point iteration of T(x) = min(N(x), E(x) + min over neighbours T(y)).
 """
 
 import dataclasses
+import functools
 import math
 import multiprocessing
 import os
@@ -20,9 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 import growth_oracle as oracle
 from isingkit import experiments
-from isingkit.experiments import (GrowthModelParams, _first_passage,
-                                  _growth_single, _padded, growth_model_files,
+from isingkit.experiments import (RunConfig, _first_passage, _growth_single,
+                                  _padded, growth_model_files,
                                   run_growth_model)
+
+growth_config = functools.partial(RunConfig, experiment="growth_model")
 
 
 def ks_statistic(a, b):
@@ -45,7 +48,7 @@ LAW_CASES = [
 @pytest.mark.parametrize("case", LAW_CASES,
                          ids=["d1", "d2", "d3", "frozen_growth"])
 def test_coverage_time_law_matches_oracle(case):
-    params = GrowthModelParams(betas=[4.0], replicas=1, **case)
+    params = growth_config(beta=[4.0], replicas=1, **case)
     n = 600
     new = np.array([_growth_single(params, 4.0, s)[0] for s in range(n)])
     old = np.array([oracle._growth_single(params, 4.0, 10_000 + s)[0]
@@ -57,8 +60,8 @@ def test_coverage_time_law_matches_oracle(case):
 
 
 def test_frozen_growth_mean_is_nucleation_time():
-    params = GrowthModelParams(d=2, gamma=1.0, kappa_prev=math.inf, L=0.5,
-                               betas=[4.0], replicas=1)
+    params = growth_config(d=2, gamma=1.0, kappa_prev=math.inf, L=0.5,
+                           beta=[4.0], replicas=1)
     times = np.array([_growth_single(params, 4.0, s)[0] for s in range(2000)])
     se = times.std(ddof=1) / math.sqrt(times.size)
     assert abs(times.mean() - math.exp(4.0)) <= 4 * se
@@ -116,34 +119,34 @@ def test_sweep_equals_fixed_point(box):
             assert np.sum(expected < want) < events <= np.sum(expected <= want)
 
 
-GROWTH = GrowthModelParams(d=2, gamma=2.0, kappa_prev=0.5, L=0.7,
-                           betas=[4.0], replicas=1)
+GROWTH = growth_config(d=2, gamma=2.0, kappa_prev=0.5, L=0.7, beta=[4.0],
+                       replicas=1)
 
 
 def test_event_cap_counts_the_origin_event():
     t, reason, events = _growth_single(GROWTH, 4.0, 3)
     assert reason == "origin" and events > 1
-    at_cap = dataclasses.replace(GROWTH, max_events=events)
+    at_cap = dataclasses.replace(GROWTH, caps_events=events)
     assert _growth_single(at_cap, 4.0, 3)[1:] == ("event_cap", events)
     assert _growth_single(at_cap, 4.0, 3)[0] is None
-    above = dataclasses.replace(GROWTH, max_events=events + 1)
+    above = dataclasses.replace(GROWTH, caps_events=events + 1)
     assert _growth_single(above, 4.0, 3)[0] == t
     assert _growth_single(above, 4.0, 3)[1:] == ("origin", events)
-    one = dataclasses.replace(GROWTH, max_events=1)
+    one = dataclasses.replace(GROWTH, caps_events=1)
     assert _growth_single(one, 4.0, 3)[1:] == ("event_cap", 1)
 
 
 def test_censored_replicas_counted_by_reason():
-    capped = dataclasses.replace(GROWTH, betas=[4.0, 6.0], replicas=3,
-                                 max_events=2)
+    capped = dataclasses.replace(GROWTH, beta=[4.0, 6.0], replicas=3,
+                                 caps_events=2)
     report = run_growth_model(capped)
     assert report["flags"]["censored"] == {"event_cap": 6, "frozen": 0}
     assert all(r["stop_reason"] == "event_cap" and r["events"] == 2
                and r["censored"] for r in report["rows"])
     assert "error" in report["fit"]
     # exp(-beta * gamma) underflows to 0.0: nothing can ever nucleate
-    frozen = GrowthModelParams(d=1, gamma=1000.0, kappa_prev=0.0, L=0.5,
-                               betas=[1.0], replicas=2)
+    frozen = growth_config(d=1, gamma=1000.0, kappa_prev=0.0, L=0.5,
+                           beta=[1.0], replicas=2)
     report = run_growth_model(frozen)
     assert report["flags"]["censored"] == {"event_cap": 0, "frozen": 2}
     assert [(r["stop_reason"], r["events"]) for r in report["rows"]] == \
@@ -151,8 +154,8 @@ def test_censored_replicas_counted_by_reason():
 
 
 def test_fit_skips_betas_with_censored_replicas():
-    partly = dataclasses.replace(GROWTH, betas=[4.0, 5.0, 6.0], replicas=3,
-                                 max_events=1200)
+    partly = dataclasses.replace(GROWTH, beta=[4.0, 5.0, 6.0], replicas=3,
+                                 caps_events=1200)
     report = run_growth_model(partly)
     censored = {r["beta"] for r in report["rows"] if r["censored"]}
     assert censored == {6.0} and report["flags"]["censored_betas"] == [6.0]
@@ -168,36 +171,38 @@ def test_uncensored_rows_record_origin_and_events():
 
 @pytest.mark.parametrize("bad", [
     {"d": 0}, {"d": 1.5}, {"replicas": 0}, {"replicas": None},
-    {"betas": []}, {"betas": [4.0, 0.0]}, {"betas": [-1.0]},
-    {"betas": None}, {"max_events": 0}, {"max_events": 2.5},
-    {"max_events": True}, {"seed": -1},
+    {"beta": []}, {"beta": [4.0, 0.0]}, {"beta": [-1.0]},
+    {"beta": None}, {"caps_events": 0}, {"caps_events": 2.5},
+    {"caps_events": True}, {"seed": -1},
     {"gamma": math.nan}, {"gamma": math.inf}, {"gamma": -math.inf},
     {"gamma": None}, {"L": math.nan}, {"L": math.inf}, {"L": "0.7"},
     {"kappa_prev": math.nan}, {"kappa_prev": -math.inf},
     # exp(beta * L), exp(-beta * gamma), exp(-beta * kappa_prev) and the
     # cone exp(beta * (kappa - kappa_prev)) overflow
-    {"L": 1e6}, {"L": 100.0, "betas": [4.0, 8.0]}, {"gamma": -1000.0},
+    {"L": 1e6}, {"L": 100.0, "beta": [4.0, 8.0]}, {"gamma": -1000.0},
     {"kappa_prev": -1000.0}, {"gamma": 3000.0},
 ])
 def test_bad_params_rejected(bad):
-    kw = dict(d=2, gamma=2.0, kappa_prev=0.5, L=0.7, betas=[4.0])
+    kw = dict(d=2, gamma=2.0, kappa_prev=0.5, L=0.7, beta=[4.0])
     kw.update(bad)
     with pytest.raises(ValueError) as exc:
-        GrowthModelParams(**kw)
-    # the message names the parameter ("beta values" for betas)
-    assert next(iter(bad)).rstrip("s") in str(exc.value)
+        growth_config(**kw)
+    # the message names the parameter, an underscore read as a space
+    # ("caps events" for caps_events, "beta values" for beta)
+    key = next(iter(bad)).replace("_", " ")
+    assert key in str(exc.value).replace("_", " ")
 
 
 @pytest.mark.parametrize("kw,beta", [
     # the unclipped window exp(beta * L) = e^100 per side
-    (dict(d=1, gamma=400.0, kappa_prev=0.0, L=100.0, betas=[1.0, 2.0]), "1.0"),
+    (dict(d=1, gamma=400.0, kappa_prev=0.0, L=100.0, beta=[1.0, 2.0]), "1.0"),
     # a window clipped to 3 cones, still 7,027,061 sites per side at
     # beta 4 (119 at beta 1)
-    (dict(d=2, gamma=12.0, kappa_prev=1.0, L=10.0, betas=[1.0, 4.0]), "4.0"),
+    (dict(d=2, gamma=12.0, kappa_prev=1.0, L=10.0, beta=[1.0, 4.0]), "4.0"),
 ])
 def test_window_over_site_bound_rejected(kw, beta):
     with pytest.raises(ValueError) as exc:
-        GrowthModelParams(**kw)
+        growth_config(**kw)
     msg = str(exc.value)
     assert msg.startswith("L out of range") and f"beta {beta}" in msg
     assert str(experiments.MAX_WINDOW_SITES) in msg
@@ -207,15 +212,15 @@ def test_window_at_site_bound_accepted():
     # at d = 1 the bound allows any odd side up to MAX_WINDOW_SITES
     bound = experiments.MAX_WINDOW_SITES
     L = math.log(bound - 2)
-    params = GrowthModelParams(d=1, gamma=30.0, kappa_prev=0.0, L=L,
-                               betas=[1.0], replicas=1, max_events=5)
+    params = growth_config(d=1, gamma=30.0, kappa_prev=0.0, L=L, beta=[1.0],
+                           replicas=1, caps_events=5)
     side, clipped = params.window(1.0)
     assert side <= bound and not clipped
     assert _growth_single(params, 1.0, 0)[1:] == ("event_cap", 5)
 
 
 # nine replicas over three temperatures
-POOLED = dataclasses.replace(GROWTH, betas=[4.0, 5.0, 6.0], replicas=3)
+POOLED = dataclasses.replace(GROWTH, beta=[4.0, 5.0, 6.0], replicas=3)
 
 
 def run_with_cpus(monkeypatch, params, cpus):

@@ -23,8 +23,8 @@ import time
 import pytest
 
 from isingkit import experiments
-from isingkit.experiments import (GrowthModelParams, RunConfig,
-                                  growth_model_files, infection_files,
+from isingkit.experiments import (RunConfig, growth_model_files,
+                                  infection_files,
                                   json_text, nucleation_files,
                                   run_growth_model, run_infection_microscopic,
                                   run_nucleation, run_stc_audit,
@@ -91,9 +91,9 @@ def test_rows_record_applied_flips(monkeypatch, name):
 
 # every replicated experiment's (run, files, config), the growth model too
 FILE_RUNS = {**RUNS, "growth_model": (
-    run_growth_model, growth_model_files, GrowthModelParams(
-        d=1, gamma=1.5, kappa_prev=0.0, L=1.0, betas=[4.0, 6.0], replicas=2,
-        seed=0))}
+    run_growth_model, growth_model_files, RunConfig(
+        experiment="growth_model", d=1, gamma=1.5, kappa_prev=0.0, L=1.0,
+        beta=[4.0, 6.0], replicas=2, seed=0))}
 
 
 @pytest.mark.parametrize("name", sorted(FILE_RUNS))
