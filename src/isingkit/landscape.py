@@ -14,15 +14,15 @@ activate the level's states, take their flip edges to active states, find
 both ends' roots in union-by-size trees, and join the roots by one
 connected-components pass, OR-ing per-state flags onto the new roots.  The
 level order is placed on demand, a prefix of levels at a time, and the
-per-state ranks and levels are built only for the consumers that read
-every state.  The merge's work grows with the states and edges of the
-levels it visits, so a communication energy merges no level above its
-barrier, and places only a small fixed share of the states when its
-barrier lies within them.  Maximal cycle compounds are the connected
-components of a fixed graph over the cycles, adjacent cycles whose exits
-share a level; the worklist merge that records tie events under a
-rational field is replayed only in the compounds where tied exits can
-differ in pair.
+per-state ranks are built only for the consumers that read every state;
+the rest read each state's level through its narrow key.  The merge's
+work grows with the states and edges of the levels it visits, so a
+communication energy merges no level above its barrier, and places only
+a small fixed share of the states when its barrier lies within them.
+Maximal cycle compounds are the connected components of a fixed graph
+over the cycles, adjacent cycles whose exits share a level; the worklist
+merge that records tie events under a rational field is replayed only in
+the compounds where tied exits can differ in pair.
 """
 
 from __future__ import annotations
@@ -134,23 +134,28 @@ class LevelIndex:
     Arrays are indexed by position, and a position is its state, one of
     the ``n`` = 2^n_sites states of the box, on every landscape.  ``bonds``
     and ``pluses`` are the columns of every state, of any integer type
-    (int16 and int8 from ``enumerate_landscape``).  A truncation passes
-    ``kept``, the mask of its states; the dropped states share one spare
-    key that is never a level, so they are never counted or placed, and
-    read rank ``len(values)``, no exit, and level ``n_levels``.  The few
-    distinct (bonds, pluses) pairs are sorted once, exactly, with
-    ``compare_pair``; pairs of equal value (possible only for a rational
-    field) follow one another in the order of the first state carrying
-    each.  ``values[r]`` is the energy of rank r, ``rank_level[r]`` its
-    level, and ``level_rank[k]`` the first rank of level k, the pair that
-    names level k; level k holds the states ``starts[k]:starts[k + 1]`` of
-    the level order.  Per position, ``rank[p]`` is the place of p's pair in
-    that order and ``level[p]`` numbers the distinct values, so two states
-    share a level exactly when their energies are equal; both are built on
-    first read.  ``order`` lists the kept positions by level, ascending
-    within a level, and p sits at ``order[where[p]]``; reading either
-    places every kept state, while ``place`` places a prefix of the levels.
-    ``flips`` and ``edge_ends`` read the flip edges.
+    (int16 and int8 from ``enumerate_landscape``).  Per state the index
+    holds one key, a small number per (bonds, pluses) pair in the least
+    unsigned dtype that holds them all (uint16 on every box up to the
+    enumeration cap), and ``where``; every per-state column is read through
+    the key.  A truncation passes ``kept``, the mask of its states; the
+    dropped states share one spare key that is never a level, so they are
+    never counted or placed, and read rank ``len(values)``, no exit, and
+    level ``n_levels``.  The few distinct pairs are sorted once, exactly,
+    with ``compare_pair``; pairs of equal value (possible only for a
+    rational field) follow one another in the order of the first state
+    carrying each.  ``values[r]`` is the energy of rank r, ``rank_level[r]``
+    its level, and ``level_rank[k]`` the first rank of level k, the pair
+    that names level k; level k holds the states ``starts[k]:starts[k + 1]``
+    of the level order.  Per position, ``rank[p]`` is the place of p's pair
+    in that order and ``level[p]`` numbers the distinct values, so two
+    states share a level exactly when their energies are equal; both are
+    int32 columns built on first read, and ``level_of`` reads the levels of
+    some positions without building ``level``.  ``order`` (int32) lists the
+    kept positions by level, ascending within a level, and p sits at
+    ``order[where[p]]``; reading either places every kept state, while
+    ``place`` places a prefix of the levels.  ``flips`` and ``edge_ends``
+    read the flip edges.
     """
 
     # a first request for at most 1/_SHARE of the states is placed alone;
@@ -158,25 +163,35 @@ class LevelIndex:
     # (1/33 of its states), and a smaller share saves only about 1 ms per
     # 2^20 states
     _SHARE = 16
+    # states per block of a scan that copies the key to intp
+    _BLOCK = 1 << 16
 
     def __init__(self, bonds, pluses, field, n_sites, kept=None):
         self.n = n = len(bonds)
         self.n_sites = n_sites
         self._kept = kept
-        # one small integer key per pair, since pluses never exceed n_sites;
-        # built in place as intp, since bincount and every gather would
-        # first copy a narrower key to intp
-        b0 = int(bonds.min())
+        # one small key per pair, since pluses never exceed n_sites, in the
+        # least unsigned dtype that also holds the spare key (uint16 on every
+        # box up to the enumeration cap); the arithmetic wraps in that
+        # dtype, and every true result fits
+        b0 = bonds.min()
         width = n_sites + 1
-        key = np.subtract(bonds, b0, dtype=np.intp)
+        dtype = np.min_scalar_type((int(bonds.max()) - int(b0) + 1) * width)
+        key = np.subtract(bonds, b0, dtype=dtype, casting="unsafe")
         key *= width
-        key += pluses
+        np.add(key, pluses, out=key, dtype=dtype, casting="unsafe")
+        b0 = int(b0)
         if kept is not None:
             # the dropped states share one spare key, past every pair's,
             # that is never a level
             spare = int(key.max()) + 1
             key[~kept] = spare
-        count = np.bincount(key).tolist()
+        # bincount and ufunc.at copy their index to intp, so they read the
+        # key one block at a time
+        blocks = [(lo, key[lo:lo + self._BLOCK])
+                  for lo in range(0, n, self._BLOCK)]
+        size = int(key.max()) + 1
+        count = sum(np.bincount(b, minlength=size) for _, b in blocks).tolist()
         real = len(count) if kept is None else spare
         groups = {}
         for k in (k for k, c in enumerate(count[:real]) if c):
@@ -186,7 +201,9 @@ class LevelIndex:
         if any(len(group) > 1 for group in groups.values()):
             # pairs of one value, in the order of their first states
             first = np.full(len(count), n, dtype=np.int32)
-            np.minimum.at(first, key, np.arange(n, dtype=np.int32))
+            for lo, b in blocks:
+                np.minimum.at(first, b, np.arange(lo, lo + len(b),
+                                                  dtype=np.int32))
             for group in groups.values():
                 group.sort(key=lambda pair: first[pair[0]])
         by_value = sorted(groups.values(), key=functools.cmp_to_key(
@@ -210,17 +227,22 @@ class LevelIndex:
         self._level_of_key = np.append(self.rank_level, self.n_levels)[
             self._rank_of_key].astype(np.min_scalar_type(self.n_levels))
         self._key = key
-        self._order = np.empty(0, dtype=np.int64)
+        self._order = np.empty(0, dtype=np.int32)
         self._where = np.full(n, n, dtype=np.int32)
         self._placed = 0
 
     @functools.cached_property
     def rank(self):
-        return np.take(self._rank_of_key, self._key)
+        return self._rank_of_key[self._key]
 
     @functools.cached_property
     def level(self):
-        return np.take(self._level_of_key.astype(np.int32), self._key)
+        return self._level_of_key.astype(np.int32)[self._key]
+
+    def level_of(self, pos):
+        """``level[pos]`` in the least dtype, read through the key without
+        building ``level``."""
+        return self._level_of_key[self._key[pos]]
 
     @property
     def order(self):
@@ -243,12 +265,13 @@ class LevelIndex:
             if not self._placed and self.starts[stop] <= n // self._SHARE:
                 stop = int(np.searchsorted(self.starts, n // self._SHARE,
                                            "right")) - 1
-                pos = np.flatnonzero(np.take(level < stop, key))
+                pos = np.flatnonzero((level < stop)[key])
                 pos = pos[np.argsort(level[key[pos]], kind="stable")]
             else:
                 stop = self.n_levels
-                pos = np.argsort(np.take(level, key),
-                                 kind="stable")[:self.starts[-1]]
+                pos = np.argsort(level[key], kind="stable")[:self.starts[-1]]
+            # kept as int32; flatnonzero and argsort give intp
+            pos = pos.astype(np.int32)
             self._where[pos] = np.arange(len(pos), dtype=np.int32)
             self._order, self._placed = pos, stop
         return self._order, self._where
@@ -526,7 +549,7 @@ class CyclePartition:
         pos = self.members[start[0]:start[-1]]
         states = pos.tolist()
         low = lv.rank_level[self.bottom_rank[i:j]].repeat(np.diff(start))
-        at_bottom = (lv.level[pos] == low).tolist()
+        at_bottom = (lv.level_of(pos) == low).tolist()
         bounds = (start - start[0]).tolist()
         values = lv.values
         exits, heights = values + [None], values + [NEG_INF_ENERGY]
@@ -857,7 +880,7 @@ def bottom_of(graph, states):
     pos = lv.positions(states)
     if not pos.size:
         raise ValueError("bottom of an empty set")
-    level = lv.level[pos]
+    level = lv.level_of(pos)
     return frozenset(pos[level == level.min()].tolist())
 
 
@@ -1351,7 +1374,7 @@ def partition_to_csv(graph, partition, assign_fh, summary_fh):
     pairs = np.array([v.pair() for v in lv.values] + [(0, 0)], dtype=np.int64)
     ex, lo = partition.exit_rank, partition.bottom_rank
     # the first place of each block, in block order, at its bottom level
-    at_bottom = lv.level[members] == lv.rank_level[lo[label[members]]]
+    at_bottom = lv.level_of(members) == lv.rank_level[lo[label[members]]]
     place = np.where(at_bottom, np.arange(len(members)), len(members))
     first = np.minimum.reduceat(place, partition.start[:-1])
     bottoms = _patterns(graph.ctx.geometry, members[first])

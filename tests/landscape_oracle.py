@@ -4,6 +4,9 @@ The enumerator at the top is the chunked one ``isingkit.landscape`` used
 before it built the arrays by doubling: one pass over every state for each
 site's bit, each neighbour pair and each site weight.  ``positions`` is the
 ``np.unique`` lookup the level index used before its boolean mask.
+``IntpLevelIndex`` is the level index as it was built before its narrow
+key: one intp key per state, counted by one ``bincount``, every per-state
+column gathered through it by ``np.take``, and the order kept as intp.
 ``ListPartition`` and ``_blocks`` are the partition as the library held it
 before its columns: every ``CycleBlock`` built at once from the labels.
 
@@ -102,6 +105,83 @@ def positions(graph, states):
     if np.any(ids[np.minimum(pos, len(ids) - 1)] != s):
         raise ValueError("states outside the landscape")
     return ids[pos]
+
+
+class IntpLevelIndex:
+    """The level index with one intp key per state: ``values``,
+    ``level_rank``, ``rank_level``, ``starts``, ``rank``, ``level`` and
+    ``place`` as ``isingkit.landscape.LevelIndex`` defines them."""
+
+    _SHARE = 16
+
+    def __init__(self, bonds, pluses, field, n_sites, kept=None):
+        self.n = n = len(bonds)
+        b0 = int(bonds.min())
+        width = n_sites + 1
+        key = np.subtract(bonds, b0, dtype=np.intp)
+        key *= width
+        key += pluses
+        if kept is not None:
+            spare = int(key.max()) + 1
+            key[~kept] = spare
+        count = np.bincount(key).tolist()
+        real = len(count) if kept is None else spare
+        groups = {}
+        for k in (k for k, c in enumerate(count[:real]) if c):
+            b, p = divmod(k, width)
+            groups.setdefault(field.level_key(b + b0, p), []).append(
+                (k, b + b0, p))
+        if any(len(group) > 1 for group in groups.values()):
+            first = np.full(len(count), n, dtype=np.int32)
+            np.minimum.at(first, key, np.arange(n, dtype=np.int32))
+            for group in groups.values():
+                group.sort(key=lambda pair: first[pair[0]])
+        by_value = sorted(groups.values(), key=functools.cmp_to_key(
+            lambda x, y: field.compare_pair(x[0][1] - y[0][1],
+                                            x[0][2] - y[0][2])))
+        self._rank_of_key = np.zeros(len(count), dtype=np.int32)
+        self.values, self.level_rank, rank_level, sizes = [], [], [], [0]
+        for level, group in enumerate(by_value):
+            self.level_rank.append(len(self.values))
+            for k, b, p in group:
+                self._rank_of_key[k] = len(self.values)
+                self.values.append(EnergyValue(b, p, field))
+                rank_level.append(level)
+            sizes.append(sum(count[k] for k, _, _ in group))
+        self.n_levels = len(by_value)
+        self._rank_of_key[real:] = len(self.values)
+        self.rank_level = np.array(rank_level, dtype=np.int32)
+        self.starts = np.cumsum(sizes)
+        self._level_of_key = np.append(self.rank_level, self.n_levels)[
+            self._rank_of_key].astype(np.min_scalar_type(self.n_levels))
+        self._key = key
+        self._order = np.empty(0, dtype=np.int64)
+        self._where = np.full(n, n, dtype=np.int32)
+        self._placed = 0
+
+    @functools.cached_property
+    def rank(self):
+        return np.take(self._rank_of_key, self._key)
+
+    @functools.cached_property
+    def level(self):
+        return np.take(self._level_of_key.astype(np.int32), self._key)
+
+    def place(self, stop):
+        if stop > self._placed:
+            n, key, level = self.n, self._key, self._level_of_key
+            if not self._placed and self.starts[stop] <= n // self._SHARE:
+                stop = int(np.searchsorted(self.starts, n // self._SHARE,
+                                           "right")) - 1
+                pos = np.flatnonzero(np.take(level < stop, key))
+                pos = pos[np.argsort(level[key[pos]], kind="stable")]
+            else:
+                stop = self.n_levels
+                pos = np.argsort(np.take(level, key),
+                                 kind="stable")[:self.starts[-1]]
+            self._where[pos] = np.arange(len(pos), dtype=np.int32)
+            self._order, self._placed = pos, stop
+        return self._order, self._where
 
 
 @dataclass

@@ -154,7 +154,7 @@ ROWS = {
             "d358b026cf7d3f1d8e40c4aa22b63dd265fb603a4d180dca822650d4d57ced68",
             "3f1b9d7a811549776c48bcd9307436c9dd90767bf7a0a51cfc721ba8af5fbf3b",
             "aa869c5847e87a63433fd1fa166443514552612cfc2949b9848117755ccb9ccf")),
-    # the columnar partition peaks near 650 MB; a list of a million built
+    # the columnar partition peaks near 520 MB; a list of a million built
     # blocks would pass 1000 MB
     "landscape-4x5-cycles": Row(
         f"{BOX_4X5} cycles", timeout=300, peak_mb=800,
@@ -163,7 +163,7 @@ ROWS = {
             STATES_4X5_SHA256,
             "6b4e6f7de9070bebb8f19c7a596676ce3653df681f2417e486898f22f0572954",
             "9cd3d2c23c54f71ddbf31c86ec2fa7f4afb0b4683ae8ecb72e9600c1149f02c5")),
-    # compounds as components of the tie graph peak near 670 MB; a merge
+    # compounds as components of the tie graph peak near 520 MB; a merge
     # over one dict per cycle would pass 2000 MB
     "landscape-4x5-compounds": Row(
         f"{BOX_4X5} compounds", timeout=300, peak_mb=800,

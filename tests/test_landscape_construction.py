@@ -1,21 +1,32 @@
 """Differential tests of the exact landscape's construction steps.
 
-The enumeration by doubling, the lookup of state positions and the level
-order are each compared, exactly, with the implementation they replaced:
-the chunked int64 enumerator and the ``np.unique`` lookup kept in
-``landscape_oracle``, and the int32 stable ``argsort`` with ``searchsorted``
-for the level order.
+The enumeration by doubling, the lookup of state positions, the level
+index and the level order are each compared, exactly, with the
+implementation they replaced: the chunked int64 enumerator, the
+``np.unique`` lookup and the intp-keyed level index kept in
+``landscape_oracle``, and the int32 stable ``argsort`` with
+``searchsorted`` for the level order.  The memory the level index holds
+is measured with tracemalloc, and the slow 4x6 barrier in a fresh
+interpreter.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import isingkit
 import landscape_oracle as oracle
 from isingkit.energy import MagneticField
-from isingkit.landscape import LevelIndex, enumerate_landscape, truncate_landscape
+from isingkit.landscape import (LevelIndex, bottom_of, enumerate_landscape,
+                                truncate_landscape)
 from isingkit.lattice import BoundaryCondition, BoxGeometry, build_context
 
 FIELDS = ("sqrt2/2", "sqrt3/3", "0.5", "1/20")
@@ -246,3 +257,142 @@ class TestPlacement:
         fresh = truncate_landscape(g, k)
         g.levels().order
         assert fresh.states() == truncate_landscape(g, k).states()
+
+
+def assert_same_index(lv, want, stops):
+    """The level index equals the intp oracle column for column: the
+    placements after each stop in turn and after every level, then the
+    sorted pairs and the per-state ranks and levels."""
+    for stop in [*stops, lv.n_levels]:
+        (order, where), (o, w) = lv.place(stop), want.place(stop)
+        assert order.dtype == np.int32 and where.dtype == np.int32
+        np.testing.assert_array_equal(order, o)
+        np.testing.assert_array_equal(where, w)
+    assert [v.pair() for v in lv.values] == [v.pair() for v in want.values]
+    assert lv.level_rank == want.level_rank
+    for name in ("rank_level", "starts", "rank", "level"):
+        got, ref = getattr(lv, name), getattr(want, name)
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+    pos = np.arange(lv.n)[::3]
+    np.testing.assert_array_equal(lv.level_of(pos), want.level[pos])
+
+
+def both_indexes(bonds, pluses, field, n_sites, kept=None):
+    return (LevelIndex(bonds, pluses, field, n_sites, kept),
+            oracle.IntpLevelIndex(bonds, pluses, field, n_sites, kept))
+
+
+class TestNarrowKey:
+    """The level index keyed in the least unsigned dtype equals the one
+    keyed in intp, on full, truncated and rational-field landscapes, and
+    with its counts and tie scan cut into blocks of any size."""
+
+    @pytest.mark.parametrize("block", [5, LevelIndex._BLOCK])
+    @settings(max_examples=60, deadline=None)
+    @given(g=landscapes(), data=st.data())
+    def test_landscapes(self, block, g, data):
+        with mock.patch.object(LevelIndex, "_BLOCK", block):
+            lv, want = both_indexes(g._bonds, g._pluses, g.ctx.field,
+                                    g.n_sites, g._kept)
+        assert lv._key.dtype.kind == "u" and lv._key.dtype.itemsize <= 2
+        stops = data.draw(st.lists(st.integers(0, lv.n_levels), max_size=3))
+        assert_same_index(lv, want, stops)
+
+    @pytest.mark.parametrize("dims,field,bc", [((3, 3), "0.5", "n_pm_1"),
+                                               ((2, 5), "1/3", "all_minus"),
+                                               ((4, 5), "0.5", "n_pm_1")])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_ties_across_blocks(self, dims, field, bc, truncate):
+        # rational fields whose levels hold several pairs, so the tie scan
+        # orders them; 4x5 holds sixteen blocks of the key, and each
+        # truncation keeps some of its ties
+        ctx = build_context(BoxGeometry(dims), BoundaryCondition.from_label(bc),
+                            MagneticField(field))
+        g = enumerate_landscape(ctx)
+        if truncate:
+            g = truncate_landscape(g, min(g.n_states * 3 // 4, 3000))
+        lv, want = both_indexes(g._bonds, g._pluses, ctx.field, g.n_sites,
+                                g._kept)
+        assert len(lv.values) > lv.n_levels
+        assert lv._key.dtype == (np.uint16 if g.n_sites == 20 else np.uint8)
+        assert_same_index(lv, want, [1, lv.n_levels // 2])
+
+    @settings(max_examples=30, deadline=None)
+    @given(field=st.sampled_from(FIELDS), seed=st.integers(0, 2 ** 32 - 1),
+           keep=st.sampled_from([1.0, 0.5]), data=st.data())
+    def test_key_past_16_bits(self, field, seed, keep, data):
+        """A synthetic bonds column whose key needs 32 bits: 6000 bond
+        values times 13 plus counts pass 2^16."""
+        n_sites = 12
+        rng = np.random.default_rng(seed)
+        kept = None
+        if keep < 1.0:
+            kept = rng.random(1 << n_sites) < keep
+            kept[0] = True
+        bonds = rng.integers(-3000, 3000, 1 << n_sites).astype(np.int64)
+        bonds[:2] = -3000, 2999
+        pluses = rng.integers(0, n_sites + 1, 1 << n_sites).astype(np.int8)
+        lv, want = both_indexes(bonds, pluses, MagneticField(field), n_sites,
+                                kept)
+        assert lv._key.dtype == np.uint32
+        stops = data.draw(st.lists(st.integers(0, lv.n_levels), max_size=3))
+        assert_same_index(lv, want, stops)
+
+
+MIB = 2 ** 20
+
+
+class TestMemory:
+    def test_4x5_index_and_bottom_of(self):
+        # the key is two bytes a state and ``where`` four: 6 MiB over the
+        # 2^20 states, where an intp key made it 12; ``bottom_of`` reads
+        # the levels of its states alone, not a 4 MiB level column
+        ctx = build_context(BoxGeometry((4, 5)), BoundaryCondition.all_minus(),
+                            MagneticField("sqrt2/2"))
+        g = enumerate_landscape(ctx)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g.levels()
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            bottom = bottom_of(g, [5, 77, 1 << 19])
+            spent = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 6.5 * MIB
+        assert spent < MIB
+        assert bottom == oracle.bottom_of(g, [5, 77, 1 << 19])
+
+
+# the 4x6 minus-to-plus barrier in a fresh interpreter, which prints the
+# barrier's pair and its own peak RSS in MB (ru_maxrss is in KiB on Linux)
+BARRIER_4X6 = """
+import json, resource
+from isingkit.energy import MagneticField
+from isingkit.landscape import communication_energy, enumerate_landscape
+from isingkit.lattice import BoundaryCondition, BoxGeometry, build_context
+ctx = build_context(BoxGeometry((4, 6)), BoundaryCondition.all_minus(),
+                    MagneticField("sqrt2/2"))
+e = communication_energy(enumerate_landscape(ctx), [0], [(1 << 24) - 1])
+print(json.dumps([e.pair(),
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
+"""
+
+
+@pytest.mark.slow
+def test_4x6_barrier_in_a_fresh_interpreter():
+    # 2^24 states at the enumeration cap: the int16 and int8 energy
+    # columns, the uint16 key and ``where`` make 144 MiB; an intp key
+    # made the run peak at 295 MB
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(isingkit.__file__)),
+         *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", BARRIER_4X6], env=env,
+                         capture_output=True, text=True, timeout=300,
+                         check=True).stdout
+    pair, peak_mb = json.loads(out)
+    assert tuple(pair) == (12, 7)
+    assert peak_mb < 250
