@@ -1,16 +1,17 @@
 """Command-line surface.
 
 The replicated experiments (nucleation, infection, growth-model,
-stc-audit) read their flags through ``_load_config`` into one ``RunConfig``,
-each flag named after the field it sets; all but growth-model also take
-``--config`` (a JSON key-value file) whose keys the flags override.  Every
-subcommand takes only the flags it reads.  They run their replicas through
-``experiments._replicate``, across the CPUs the process may use, and every
-run of the dynamics, simulate's too, is one ``kmc.hitting_time`` call.
-Every subcommand hands its files to ``_emit``, which prints one JSON object
-(the run's JSON file's, if it writes one) through ``json_text``.  Outputs are
-deterministic given the seeds and independent of the CPU count, and written
-atomically, so partial results never land on disk when a run fails.
+stc-audit) are one ``_cmd_run``, which reads their flags through
+``_load_config`` into one ``RunConfig``, each flag named after the field it
+sets; all but growth-model also take ``--config`` (a JSON key-value file)
+whose keys the flags override.  Every subcommand takes only the flags it
+reads.  Replicas run through ``experiments._replicate``, across the CPUs
+the process may use, and every run of the dynamics, simulate's too, is one
+``kmc.hitting_time`` call.  Every subcommand hands its files to ``_emit``,
+which prints its JSON file's text as written, or else one object through
+``json_text``.  Outputs are deterministic given the seeds and independent of
+the CPU count, and written atomically, so partial results never land on
+disk when a run fails.
 """
 
 from __future__ import annotations
@@ -28,11 +29,10 @@ import numpy as np
 from . import __version__
 from .energy import MagneticField
 from .experiments import (RunConfig, check_betas, check_caps_time, check_int,
-                          growth_model_files, growth_threshold_from_constants,
-                          infection_files, json_text, nucleation_files,
-                          rows_to_csv, run_growth_model,
+                          growth_threshold_from_constants, json_text,
+                          report_files, rows_to_csv, run_growth_model,
                           run_infection_microscopic, run_nucleation,
-                          run_stc_audit, stc_audit_files, write_files)
+                          run_stc_audit, write_files)
 from .landscape import (critical_constants, enumerate_landscape,
                         landscape_to_csv, maximal_compounds, maximal_cycles,
                         partition_to_csv)
@@ -46,20 +46,24 @@ from .wgraph import (exit_oracle_linear, exit_point_law, expected_exit_time,
 def _emit(out_dir, files, printed=None):
     """The one output step of every subcommand: write ``files`` (name ->
     text) into ``out_dir`` when one is given, then print one JSON object,
-    ``printed`` or, when that is omitted, the object of the one ``.json``
-    file among ``files``."""
+    ``printed`` or, when that is omitted, the text of the one ``.json``
+    file among ``files`` as written."""
     if out_dir:
         write_files(out_dir, files)
     if printed is None:
-        [name] = [name for name in files if name.endswith(".json")]
-        printed = json.loads(files[name])
-    print(json_text(printed))
+        [text] = [text for name, text in files.items()
+                  if name.endswith(".json")]
+    else:
+        text = json_text(printed)
+    print(text)
 
 
-def _load_config(args, experiment, required=()):
-    """The run config from ``--config`` and the flags, the flags winning;
-    each key in ``required`` must come from one of them, not a default, and
-    a file's ``experiment`` key must name this one."""
+def _load_config(args):
+    """The run config of ``args.experiment`` from ``--config`` and the flags,
+    the flags winning; each key in ``args.required`` must come from one of
+    them, not a default, and a file's ``experiment`` key must name this
+    one."""
+    experiment = args.experiment
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -73,11 +77,11 @@ def _load_config(args, experiment, required=()):
     # every flag is named after the RunConfig field it sets
     flags = {key: getattr(args, key) for key in RunConfig.__dataclass_fields__
              if getattr(args, key, None) is not None}
-    for key in required:
+    for key in args.required:
         if key not in data and key not in flags:
             raise ValueError(f"{args.command} needs --{key} or a {key} key "
                              f"in the --config file")
-    return RunConfig.from_dict(data, experiment=experiment, **flags)
+    return RunConfig.from_dict(data, **flags)
 
 
 def _box_context(args):
@@ -214,22 +218,17 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_nucleation(args):
-    config = _load_config(args, "nucleation")
-    _emit(config.out_dir, nucleation_files(run_nucleation(config)))
-    return 0
-
-
-def _cmd_infection(args):
-    config = _load_config(args, "infection")
-    _emit(config.out_dir, infection_files(run_infection_microscopic(config)))
-    return 0
-
-
-def _cmd_growth_model(args):
-    config = _load_config(args, "growth_model")
-    _emit(config.out_dir, growth_model_files(run_growth_model(config)))
-    return 0
+def _cmd_run(args):
+    """A replicated experiment; an stc audit that fails exits 1."""
+    config = _load_config(args)
+    # looked up at each call, so that a wrapper set on this module runs
+    run = {"nucleation": run_nucleation,
+           "infection": run_infection_microscopic,
+           "growth_model": run_growth_model,
+           "stc_audit": run_stc_audit}[config.experiment]
+    report = run(config)
+    _emit(config.out_dir, report_files(config.experiment, report))
+    return 0 if report.get("passed", True) else 1
 
 
 def _cmd_isoperimetry(args):
@@ -237,13 +236,6 @@ def _cmd_isoperimetry(args):
     _emit(args.out_dir, {"isoperimetry.csv": rows_to_csv(rows)},
           {"d": args.d, "vmax": args.vmax, "rows": rows})
     return 0
-
-
-def _cmd_stc_audit(args):
-    config = _load_config(args, "stc_audit", required=("beta",))
-    report = run_stc_audit(config)
-    _emit(config.out_dir, stc_audit_files(report))
-    return 0 if report["passed"] else 1
 
 
 def _cmd_growth_threshold(args):
@@ -294,14 +286,14 @@ def build_parser():
     _add_box(p)
     _add_run(p)
     p.add_argument("--mode", choices=["graphical", "rejection_free"])
-    p.set_defaults(func=_cmd_nucleation)
+    p.set_defaults(func=_cmd_run, experiment="nucleation", required=())
 
     p = sub.add_parser("infection", help="microscopic infection process")
     _add_box(p)
     _add_run(p)
     p.add_argument("--block-side", type=int, dest="block_side")
     p.add_argument("--eligibility-defect", type=int, dest="eligibility_defect")
-    p.set_defaults(func=_cmd_infection)
+    p.set_defaults(func=_cmd_run, experiment="infection", required=())
 
     p = sub.add_parser("growth-model", help="abstract renormalized growth")
     p.add_argument("--d", type=int, required=True)
@@ -312,7 +304,7 @@ def build_parser():
     p.add_argument("--replicas", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=_cmd_growth_model)
+    p.set_defaults(func=_cmd_run, experiment="growth_model", required=())
 
     p = sub.add_parser("isoperimetry", help="minimal-perimeter oracle table")
     p.add_argument("--d", type=int, required=True)
@@ -324,7 +316,8 @@ def build_parser():
     _add_box(p)
     _add_run(p)
     p.add_argument("--stc-threshold-D", type=int, dest="stc_threshold_D")
-    p.set_defaults(func=_cmd_stc_audit)
+    p.set_defaults(func=_cmd_run, experiment="stc_audit",
+                   required=("beta",))
 
     p = sub.add_parser("growth-threshold", help="relaxation threshold identity")
     p.add_argument("--d", type=int, required=True)

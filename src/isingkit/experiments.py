@@ -7,10 +7,11 @@ recursion, and the growth-threshold optimization identity.  Every
 replicated run (nucleation, infection, growth model, stc audit) is described
 by one ``RunConfig`` and goes through ``_replicate``, which owns the
 beta-major replica order, the seeds (seed base + replica index), the row
-prefix and the fork pool, and the fitted ones through ``_fit``.  Each one's
-files are its report, written by ``_report_files``: the rows as one CSV
-whose columns are the row keys, and every other key as one JSON file.  Outputs are deterministic given the seeds
-and independent of the CPU count.
+prefix and the fork pool, and the fitted ones through ``_fit``.
+``EXPERIMENTS`` names the fields each one reads and its two files, and
+``report_files`` writes its report into them: the rows as one CSV whose
+columns are the row keys, and every other key as one JSON file.  Outputs
+are deterministic given the seeds and independent of the CPU count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numbers
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field as dc_field
+from dataclasses import MISSING, dataclass, field as dc_field, fields
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -50,23 +51,37 @@ MAX_WINDOW_SITES = 2 ** 20
 _EXP_MAX = math.log(sys.float_info.max)
 # the fields only the growth model reads
 GROWTH_KEYS = ("d", "gamma", "kappa_prev", "L")
+# the fields every replicated run reads, and those every run on a box reads
+_RUN_KEYS = ("beta", "replicas", "seed", "caps_events")
+_BOX_KEYS = _RUN_KEYS + ("dims", "bc", "h", "caps_time")
+# each replicated experiment: the fields it reads besides ``experiment`` and
+# ``out_dir``, its CSV file and its JSON file
+EXPERIMENTS = {
+    "nucleation": (_BOX_KEYS + ("mode",), "results.csv", "fit.json"),
+    "infection": (_BOX_KEYS + ("block_side", "eligibility_defect"),
+                  "results.csv", "summary.json"),
+    "growth_model": (_RUN_KEYS + GROWTH_KEYS, "results.csv", "fit.json"),
+    "stc_audit": (_BOX_KEYS + ("stc_threshold_D",), "distribution.csv",
+                  "summary.json"),
+}
 
 
 @dataclass
 class RunConfig:
     """One experiment run: box, field, temperatures, replication and caps.
 
-    The growth model (``experiment="growth_model"``) is the renormalized
-    nucleation-and-growth model on Z^d, and only it takes ``d``, ``gamma``,
-    ``kappa_prev`` and ``L``.  Sites nucleate independently at rate
-    exp(-beta*gamma); uninfected sites adjacent to the infected set catch at
-    rate exp(-beta*kappa_prev) each.  ``kappa_prev = inf`` freezes growth
-    entirely.  The simulated window is exp(beta*L) per side, clipped to
-    ``WINDOW_CONES`` relaxation cones for tractability (clipping is flagged
-    in the report).  ``gamma`` and ``L`` must be finite, every rate and
-    window exponential a finite float at every beta, and no window larger
-    than ``MAX_WINDOW_SITES`` sites.  Of the other fields it reads ``beta``,
-    ``replicas``, ``seed`` and ``caps_events``.
+    ``experiment`` is a key of ``EXPERIMENTS``, and every field it does not
+    read keeps its default.  The growth model (``experiment="growth_model"``)
+    is the renormalized nucleation-and-growth model on Z^d, and only it takes
+    ``d``, ``gamma``, ``kappa_prev`` and ``L``.  Sites nucleate independently
+    at rate exp(-beta*gamma); uninfected sites adjacent to the infected set
+    catch at rate exp(-beta*kappa_prev) each.  ``kappa_prev = inf`` freezes
+    growth entirely.  The simulated window is exp(beta*L) per side, clipped
+    to ``WINDOW_CONES`` relaxation cones for tractability (clipping is
+    flagged in the report).  ``gamma`` and ``L`` must be finite, every rate
+    and window exponential a finite float at every beta, and no window
+    larger than ``MAX_WINDOW_SITES`` sites.  Of the other fields it reads
+    ``beta``, ``replicas``, ``seed`` and ``caps_events``.
     """
 
     experiment: str
@@ -89,6 +104,16 @@ class RunConfig:
     L: float = None
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}, not one "
+                             f"of {sorted(EXPERIMENTS)}")
+        reads = EXPERIMENTS[self.experiment][0] + ("experiment", "out_dir")
+        unread = [f.name for f in fields(self) if f.name not in reads and
+                  getattr(self, f.name) != (f.default if f.default_factory
+                                            is MISSING else f.default_factory())]
+        if unread:
+            raise ValueError(f"{self.experiment} does not read {unread}: each "
+                             f"must keep its default")
         if not (isinstance(self.dims, (list, tuple)) and self.dims
                 and all(_is_number(s, numbers.Integral) and s >= 1
                         for s in self.dims)):
@@ -99,10 +124,6 @@ class RunConfig:
         check_betas(self.beta)
         if self.mode not in ("rejection_free", "graphical"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode != "rejection_free" and \
-                self.experiment in ("infection", "stc_audit", "growth_model"):
-            raise ValueError(f"mode {self.mode!r} does not apply to "
-                             f"{self.experiment}, which runs rejection_free")
         # replica r reads the event stream of seed + r, whose key is 64 bits
         if self.mode == "graphical" and self.seed + self.replicas > 1 << 64:
             raise ValueError(f"graphical replicas need --seed + --replicas "
@@ -114,12 +135,8 @@ class RunConfig:
         check_int("stc threshold D", self.stc_threshold_D, 0)
         check_caps_time(self.caps_time)
         BoundaryCondition.from_label(self.bc)
-        given = [k for k in GROWTH_KEYS if getattr(self, k) is not None]
         if self.experiment == "growth_model":
             self._check_growth_model()
-        elif given:
-            raise ValueError(f"config keys {given} apply only to "
-                             f"growth_model, not {self.experiment}")
 
     def _check_growth_model(self):
         check_int("d", self.d, 1)
@@ -433,11 +450,6 @@ def run_nucleation(config):
     return report
 
 
-def nucleation_files(report):
-    """The files of a nucleation run, name -> text."""
-    return _report_files(report, "results.csv", "fit.json")
-
-
 # -- microscopic infection -----------------------------------------------------
 
 # a replica holds its whole trajectory in memory while it replays the
@@ -515,11 +527,6 @@ def run_infection_microscopic(config):
     report["fit"] = _fit(rows, config.beta, "first_infection_time",
                          "censored", None, config.seed)
     return report
-
-
-def infection_files(report):
-    """The files of an infection run, name -> text."""
-    return _report_files(report, "results.csv", "summary.json")
 
 
 # -- abstract growth model -----------------------------------------------------
@@ -654,11 +661,6 @@ def run_growth_model(config):
                         kappa, config.seed)}
 
 
-def growth_model_files(report):
-    """The files of a growth-model run, name -> text."""
-    return _report_files(report, "results.csv", "fit.json")
-
-
 # -- growth threshold identity ---------------------------------------------------
 
 
@@ -733,17 +735,14 @@ def run_stc_audit(config):
             "beta": config.beta[0]}
 
 
-def stc_audit_files(report):
-    """The files of an stc audit, name -> text."""
-    return _report_files(report, "distribution.csv", "summary.json")
-
-
 # -- helpers --------------------------------------------------------------------
 
 
-def _report_files(report, csv_name, json_name):
-    """A replicated run's files: its report's rows as ``csv_name`` and every
-    other key of the report as ``json_name``."""
+def report_files(experiment, report):
+    """The files of a replicated run, name -> text: its report's rows as the
+    experiment's CSV file and every other key of the report as its JSON
+    file."""
+    _, csv_name, json_name = EXPERIMENTS[experiment]
     rest = {k: v for k, v in report.items() if k != "rows"}
     return {csv_name: rows_to_csv(report["rows"]), json_name: json_text(rest)}
 

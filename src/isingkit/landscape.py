@@ -148,10 +148,9 @@ class LevelIndex:
     its level, and ``level_rank[k]`` the first rank of level k, the pair
     that names level k; level k holds the states ``starts[k]:starts[k + 1]``
     of the level order.  Per position, ``rank[p]`` is the place of p's pair
-    in that order and ``level[p]`` numbers the distinct values, so two
-    states share a level exactly when their energies are equal; both are
-    int32 columns built on first read, and ``level_of`` reads the levels of
-    some positions without building ``level``.  ``order`` (int32) lists the
+    in that order, an int32 column built on first read, and
+    ``level_of(p)`` numbers the distinct values, so two states share a level
+    exactly when their energies are equal.  ``order`` (int32) lists the
     kept positions by level, ascending within a level, and p sits at
     ``order[where[p]]``; reading either places every kept state, while
     ``place`` places a prefix of the levels.  ``flips`` and ``edge_ends``
@@ -235,13 +234,9 @@ class LevelIndex:
     def rank(self):
         return self._rank_of_key[self._key]
 
-    @functools.cached_property
-    def level(self):
-        return self._level_of_key.astype(np.int32)[self._key]
-
     def level_of(self, pos):
-        """``level[pos]`` in the least dtype, read through the key without
-        building ``level``."""
+        """The levels of the positions ``pos``, in the least dtype that holds
+        ``n_levels``, read through the key."""
         return self._level_of_key[self._key[pos]]
 
     @property

@@ -109,8 +109,9 @@ def positions(graph, states):
 
 class IntpLevelIndex:
     """The level index with one intp key per state: ``values``,
-    ``level_rank``, ``rank_level``, ``starts``, ``rank``, ``level`` and
-    ``place`` as ``isingkit.landscape.LevelIndex`` defines them."""
+    ``level_rank``, ``rank_level``, ``starts``, ``rank`` and ``place`` as
+    ``isingkit.landscape.LevelIndex`` defines them, and ``level``, the int32
+    column of what its ``level_of`` reads."""
 
     _SHARE = 16
 
@@ -242,7 +243,7 @@ def _blocks(graph, label, count):
     rank = lv.rank[y[o]]
     lo = np.minimum.reduceat(rank, starts)
     hi = np.where(sizes > 1, np.maximum.reduceat(rank, starts), none)
-    at_bottom = lv.level[y[o]] == lv.rank_level[lo[lab[o]]]
+    at_bottom = lv.level_of(y[o]) == lv.rank_level[lo[lab[o]]]
     # few distinct (exit, bottom) rank pairs among many blocks: one
     # EnergyValue difference per pair
     values = lv.values
@@ -543,7 +544,7 @@ class _Sweep:
         ps, qs = [], []
         for i in range(lv.n_sites):
             p, q = lv.flips(new, 1 << i)
-            lq = lv.level[q]
+            lq = lv.level_of(q)
             keep = (lq < k) | ((lq == k) & (q > p))
             ps.append(p[keep])
             qs.append(q[keep])

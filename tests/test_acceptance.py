@@ -287,8 +287,8 @@ def test_criterion_12_stc_audit(tmp_path):
                     beta=[3.0], replicas=500, seed=5150, stc_threshold_D=6,
                     out_dir=str(tmp_path))
     rep = run_stc_audit(cfg)
-    from isingkit.experiments import stc_audit_files, write_files
-    write_files(str(tmp_path), stc_audit_files(rep))
+    from isingkit.experiments import report_files, write_files
+    write_files(str(tmp_path), report_files("stc_audit", rep))
     assert (tmp_path / "distribution.csv").exists()
     assert len(rep["rows"]) == 500
     assert not any(r["censored"] for r in rep["rows"])

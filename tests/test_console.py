@@ -5,7 +5,7 @@ exit code, a regex the whole of stderr must match, the files the run must
 leave in ``out`` with the data rows of each CSV (``None``: not counted) or
 that it writes nothing, the functions that must not run, and any extra
 check on the parsed outputs.  A run that prints nothing on stderr prints
-one strict JSON object on stdout, the object of its JSON file if it writes
+one strict JSON object on stdout, the bytes of its JSON file if it writes
 one; a run that fails prints nothing on stdout.
 
 ``test_row`` runs a row through ``cli.main`` in the test's temporary
@@ -17,6 +17,7 @@ landscapes, are ``slow``: ``python -m pytest -m slow tests/test_console.py``
 runs them.
 """
 
+import argparse
 import csv
 import hashlib
 import importlib
@@ -311,6 +312,14 @@ ROWS = {
     "infection-block-side-neg": Row(
         "infection --dims 8 --h 0.5 --beta 2,3 --block-side -4 --replicas 2 "
         "--out-dir out", 1, error()),
+    # summary.json's persistence keys are betas, which sort as numbers, so
+    # "3.0" comes before "10.0": stdout is the file, not a re-sorted copy
+    "infection-beta-3-10": Row(
+        "infection --dims 4 --h 0.5 --beta 3,10 --replicas 2 --block-side 2 "
+        "--caps-events 2000 --seed 3 --out-dir out",
+        files={"results.csv": 2 * 2, "summary.json": None},
+        check=lambda out: list(out["summary.json"]["persistence"])
+        == ["3.0", "10.0"]),
     "infection-config-rejection_free": Row(
         "infection --config c.json",
         config=config(mode="rejection_free", dims=[8], block_side=4,
@@ -361,11 +370,26 @@ ROWS = {
                               ("stc-audit", "nucleation"))},
     **{f"{command}-config-graphical": Row(
         f"{command} --config c.json --out-dir out", 1,
-        error(f"mode 'graphical' does not apply to "
-              f"{command.replace('-', '_')}, .*"),
+        error(re.escape(f"{command.replace('-', '_')} does not read "
+                        f"['mode']: each must keep its default")),
         config(mode="graphical", dims=[8], block_side=4, beta=[2],
                replicas=2), no_run=RUNS)
        for command in ("infection", "stc-audit")},
+    # a key the run does not read is refused unless it holds the default
+    **{f"{command}-config-{key}": Row(
+        f"{command} --config c.json --out-dir out", 1,
+        error(re.escape(f"{command.replace('-', '_')} does not read "
+                        f"['{key}']: each must keep its default")),
+        config(dims=[8], beta=[2], replicas=2, **{key: value}), no_run=RUNS)
+       for command, key, value in (("nucleation", "block_side", 5),
+                                   ("infection", "stc_threshold_D", 3),
+                                   ("stc-audit", "eligibility_defect", 0))},
+    "nucleation-config-experiment-bogus": Row(
+        "nucleation --config c.json --out-dir out", 1,
+        error(re.escape("config file c.json is for experiment 'bogus', not "
+                        "'nucleation'")),
+        config(experiment="bogus", dims=[8], beta=[2], replicas=2),
+        no_run=RUNS),
     # growth-model
     "growth-model": Row(
         "growth-model --d 2 --gamma 2 --kappa-prev 0.5 --L 0.7 --beta 4,6 "
@@ -499,14 +523,20 @@ def test_row(row, tmp_path, monkeypatch, capsys):
     assert code == row.code
     assert re.fullmatch(row.err, err), err
     printed = None
+    out_dir = tmp_path / "out"
+    json_files = [name for name in row.files or () if name.endswith(".json")]
     if err:
         assert out == ""
     else:
         printed = json.loads(out, parse_constant=reject)
         assert isinstance(printed, dict)
-        # indented, keys sorted, like every JSON file
-        assert out == json.dumps(printed, indent=2, sort_keys=True) + "\n"
-    out_dir = tmp_path / "out"
+        if json_files:
+            # the file as written, byte for byte
+            [name] = json_files
+            assert out.encode() == (out_dir / name).read_bytes() + b"\n"
+        else:
+            # indented, keys sorted, like every JSON file
+            assert out == json.dumps(printed, indent=2, sort_keys=True) + "\n"
     if row.files is not None:
         left.append("out")
         assert sorted(os.listdir(out_dir)) == sorted(row.files)
@@ -528,6 +558,42 @@ def test_row(row, tmp_path, monkeypatch, capsys):
         for name in row.files:
             assert (one / "out" / name).read_bytes() == \
                 (out_dir / name).read_bytes(), f"{name} depends on the CPUs"
+
+
+# every subcommand's options, in the order of its usage line, and the
+# top-level ones under "": a flag added or dropped fails the test below
+CLI_OPTIONS = {
+    "": "-h --help --version",
+    "constants": "--d --h",
+    "landscape": "--dims --bc --h --out-dir --partition",
+    "wgraph-check": "--count --max-states --seed",
+    "simulate": "--dims --bc --h --out-dir --seed --caps-events --caps-time "
+                "--beta --mode --stop",
+    "nucleation": "--dims --bc --h --out-dir --config --beta --replicas "
+                  "--seed --caps-events --caps-time --mode",
+    "infection": "--dims --bc --h --out-dir --config --beta --replicas "
+                 "--seed --caps-events --caps-time --block-side "
+                 "--eligibility-defect",
+    "growth-model": "--d --gamma --kappa-prev --L --beta --replicas --seed "
+                    "--out-dir",
+    "isoperimetry": "--d --vmax --out-dir",
+    "stc-audit": "--dims --bc --h --out-dir --config --beta --replicas "
+                 "--seed --caps-events --caps-time --stc-threshold-D",
+    "growth-threshold": "--d --h --L",
+}
+
+
+def test_cli_options_are_pinned():
+    def options(parser, skip=("-h", "--help")):
+        return " ".join(s for a in parser._actions for s in a.option_strings
+                        if s not in skip)
+
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    got = {"": options(parser, ()),
+           **{name: options(p) for name, p in sub.choices.items()}}
+    assert got == CLI_OPTIONS
 
 
 def pyproject(pattern):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -28,7 +29,7 @@ class TestRunConfig:
         assert cfg.caps_events == 100 and cfg.caps_time == 5.0
 
     def test_unknown_key_rejected(self):
-        inputs = [{"experiment": "x", "bogus": 1}]
+        inputs = [{"experiment": "nucleation", "bogus": 1}]
         # the growth model's own fields, set or null, in another run's file
         inputs += [{"experiment": experiment, key: value}
                    for experiment in ("nucleation", "infection", "stc_audit")
@@ -43,16 +44,43 @@ class TestRunConfig:
                                             "stc_audit"])
     @pytest.mark.parametrize("key", GROWTH_KEYS)
     def test_growth_fields_rejected_elsewhere(self, experiment, key):
-        with pytest.raises(ValueError, match=f"'{key}'.*growth_model"):
+        with pytest.raises(ValueError,
+                           match=f"{experiment} does not read .*'{key}'"):
             RunConfig(experiment=experiment, **{key: 2})
 
+    @pytest.mark.parametrize("experiment, field, value", [
+        ("growth_model", "caps_time", 5.0), ("growth_model", "dims", [9]),
+        ("growth_model", "block_side", 3), ("growth_model", "h", "0.1"),
+        ("nucleation", "block_side", 5), ("nucleation", "stc_threshold_D", 3),
+        ("infection", "mode", "graphical"),
+        ("stc_audit", "eligibility_defect", 0)])
+    def test_unread_fields_rejected(self, experiment, field, value):
+        growth = dict(d=1, gamma=1.5, kappa_prev=0.0, L=1.0) \
+            if experiment == "growth_model" else {}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{experiment} does not read ['{field}']")):
+            RunConfig(experiment=experiment, **growth, **{field: value})
+
+    def test_unread_fields_at_their_defaults_accepted(self):
+        # beta and dims compare with their default_factory values
+        RunConfig(experiment="growth_model", d=1, gamma=1.5, kappa_prev=0.0,
+                  L=1.0, dims=[3], bc="all_minus", caps_time=None,
+                  mode="rejection_free", block_side=4, out_dir="o")
+        RunConfig(experiment="stc_audit", beta=[3.0, 4.0, 5.0, 6.0],
+                  block_side=4, mode="rejection_free", d=None)
+
+    @pytest.mark.parametrize("experiment", ["bogus", "x", "stc-audit", None])
+    def test_unknown_experiment_rejected(self, experiment):
+        with pytest.raises(ValueError, match="unknown experiment"):
+            RunConfig(experiment=experiment)
+
     def test_replicas_positive(self):
-        with pytest.raises(ValueError):
-            RunConfig(experiment="x", replicas=0)
+        with pytest.raises(ValueError, match="replicas"):
+            RunConfig(experiment="nucleation", replicas=0)
 
     def test_unknown_bc_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig(experiment="x", bc="bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            RunConfig(experiment="nucleation", bc="bogus")
 
     @pytest.mark.parametrize("betas", [[1.0, 1.0], [2, 1.0, 2.0]])
     def test_repeated_beta_rejected(self, betas):
@@ -346,7 +374,9 @@ class TestGrowthModel:
         assert MAX_WINDOW_SITES < config.caps_events
 
     def test_graphical_mode_rejected(self):
-        with pytest.raises(ValueError, match="does not apply to growth_model"):
+        with pytest.raises(ValueError,
+                           match=re.escape("growth_model does not read "
+                                           "['mode']")):
             RunConfig(experiment="growth_model", d=1, gamma=1.5,
                       kappa_prev=0.0, L=1.0, mode="graphical")
 
@@ -688,8 +718,9 @@ def test_each_flag_reaches_the_run_config(monkeypatch, command, flag, value,
     with pytest.raises(Captured) as exc:
         cli.main([command, "--beta", "7", flag, value])
     config = exc.value.args[0]
+    assert config.experiment == command.replace("-", "_")
     assert getattr(config, field) == want
-    assert getattr(RunConfig(experiment="x"), field) != want
+    assert getattr(RunConfig(experiment=config.experiment), field) != want
 
 
 # the growth-model flags a run needs, each flag under test set otherwise
@@ -721,7 +752,8 @@ def test_each_growth_flag_reaches_the_run_config(monkeypatch, flag, value,
     assert config.experiment == "growth_model"
     assert getattr(config, field) == want
     assert GROWTH_ARGV.get(flag) != value
-    assert getattr(RunConfig(experiment="x"), field) != want
+    # the defaults, read off a run that needs no growth field
+    assert getattr(RunConfig(experiment="nucleation"), field) != want
 
 
 class TestCliConfigOverride:
@@ -837,4 +869,6 @@ def test_stdout_is_one_strict_json_object(tmp_path, monkeypatch, command):
                   if name.endswith(".json")]
     assert len(json_files) <= 1
     for name in json_files:
-        assert json.loads((tmp_path / "out" / name).read_text()) == printed
+        # the file as written, byte for byte
+        assert buf.getvalue().encode() == \
+            (tmp_path / "out" / name).read_bytes() + b"\n"

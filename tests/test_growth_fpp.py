@@ -22,8 +22,7 @@ from hypothesis import given, settings, strategies as st
 import growth_oracle as oracle
 from isingkit import experiments
 from isingkit.experiments import (RunConfig, _first_passage, _growth_single,
-                                  _padded, growth_model_files,
-                                  run_growth_model)
+                                  _padded, report_files, run_growth_model)
 
 growth_config = functools.partial(RunConfig, experiment="growth_model")
 
@@ -225,7 +224,7 @@ POOLED = dataclasses.replace(GROWTH, beta=[4.0, 5.0, 6.0], replicas=3)
 
 def run_with_cpus(monkeypatch, params, cpus):
     monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
-    return growth_model_files(run_growth_model(params))
+    return report_files("growth_model", run_growth_model(params))
 
 
 def test_outputs_independent_of_worker_count(monkeypatch):

@@ -169,13 +169,13 @@ class TestLevelOrder:
         """``order`` is the int32 stable argsort of the levels cut to the
         ``kept`` states, which it holds exactly: a truncation's dropped
         states read level ``n_levels``, sort last and are never placed."""
-        want = np.argsort(lv.level, kind="stable")
-        assert lv.level.dtype == np.int32
+        level = lv.level_of(np.arange(lv.n))
+        want = np.argsort(level, kind="stable")
         np.testing.assert_array_equal(lv.order, want[:len(kept)])
         np.testing.assert_array_equal(np.sort(lv.order), kept)
         assert np.all(lv.where[want[len(kept):]] == lv.n)
         np.testing.assert_array_equal(
-            lv.starts, np.searchsorted(lv.level[want], np.arange(lv.n_levels + 1)))
+            lv.starts, np.searchsorted(level[want], np.arange(lv.n_levels + 1)))
 
     @settings(max_examples=40, deadline=None)
     @given(g=landscapes())
@@ -207,14 +207,15 @@ def assert_placed_as_full_sort(lv, stop):
     and every other state unplaced (``where`` n, and not in ``order``)."""
     order, where = lv.place(stop)
     n = lv.n
-    want = np.argsort(lv.level, kind="stable")
+    level = lv.level_of(np.arange(n))
+    want = np.argsort(level, kind="stable")
     m = np.count_nonzero(where < n)
     assert m >= lv.starts[stop] and m in lv.starts
     np.testing.assert_array_equal(order, want[:m])
     np.testing.assert_array_equal(where[want[:m]], np.arange(m))
     assert np.all(where[want[m:]] == n)
     np.testing.assert_array_equal(
-        lv.starts, np.searchsorted(lv.level[want], np.arange(lv.n_levels + 1)))
+        lv.starts, np.searchsorted(level[want], np.arange(lv.n_levels + 1)))
 
 
 class TestPlacement:
@@ -270,12 +271,11 @@ def assert_same_index(lv, want, stops):
         np.testing.assert_array_equal(where, w)
     assert [v.pair() for v in lv.values] == [v.pair() for v in want.values]
     assert lv.level_rank == want.level_rank
-    for name in ("rank_level", "starts", "rank", "level"):
+    for name in ("rank_level", "starts", "rank"):
         got, ref = getattr(lv, name), getattr(want, name)
         assert got.dtype == ref.dtype
         np.testing.assert_array_equal(got, ref)
-    pos = np.arange(lv.n)[::3]
-    np.testing.assert_array_equal(lv.level_of(pos), want.level[pos])
+    np.testing.assert_array_equal(lv.level_of(np.arange(lv.n)), want.level)
 
 
 def both_indexes(bonds, pluses, field, n_sites, kept=None):

@@ -81,7 +81,7 @@ class TestLevelIndex:
             s, t = rng.randrange(g.n_states), rng.randrange(g.n_states)
             a, b = g.energy_pair(s), g.energy_pair(t)
             sign = field.compare_pair(a.bonds - b.bonds, a.pluses - b.pluses)
-            diff = int(lv.level[s]) - int(lv.level[t])
+            diff = int(lv.level_of(s)) - int(lv.level_of(t))
             assert (diff > 0) - (diff < 0) == sign
             assert lv.values[lv.rank[s]].pair() == a.pair()
 

@@ -23,12 +23,9 @@ import time
 import pytest
 
 from isingkit import experiments
-from isingkit.experiments import (RunConfig, growth_model_files,
-                                  infection_files,
-                                  json_text, nucleation_files,
+from isingkit.experiments import (RunConfig, json_text, report_files,
                                   run_growth_model, run_infection_microscopic,
-                                  run_nucleation, run_stc_audit,
-                                  stc_audit_files)
+                                  run_nucleation, run_stc_audit)
 
 # seconds a test may take before the alarm fails it
 POOL_TIMEOUT = 120
@@ -46,28 +43,28 @@ def alarm():
     signal.signal(signal.SIGALRM, previous)
 
 
-# (run, files, config) of each replicated experiment: six replicas each
+# (run, config) of each replicated experiment: six replicas each
 RUNS = {
-    "stc_audit": (run_stc_audit, stc_audit_files, RunConfig(
+    "stc_audit": (run_stc_audit, RunConfig(
         experiment="stc_audit", dims=[6, 6], h="sqrt2/2", beta=[2.0],
         replicas=6, seed=0)),
-    "nucleation_rejection_free": (run_nucleation, nucleation_files, RunConfig(
+    "nucleation_rejection_free": (run_nucleation, RunConfig(
         experiment="nucleation", dims=[4, 4], h="sqrt2/2", beta=[1.5, 2.0],
         replicas=3, seed=11)),
-    "nucleation_graphical": (run_nucleation, nucleation_files, RunConfig(
+    "nucleation_graphical": (run_nucleation, RunConfig(
         experiment="nucleation", dims=[3], h="0.5", beta=[2.0, 3.0],
         replicas=3, seed=12, mode="graphical")),
-    "infection": (run_infection_microscopic, infection_files, RunConfig(
+    "infection": (run_infection_microscopic, RunConfig(
         experiment="infection", dims=[8], h="0.5", beta=[2.0, 3.0],
         replicas=3, seed=13, block_side=4)),
 }
 
 
 def run_with_cpus(monkeypatch, name, cpus):
-    run, files, config = RUNS[name]
+    run, config = RUNS[name]
     monkeypatch.setattr(experiments, "_cpu_count", lambda: cpus)
     report = run(config)
-    return report["rows"], files(report)
+    return report["rows"], report_files(config.experiment, report)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -89,9 +86,9 @@ def test_rows_record_applied_flips(monkeypatch, name):
     assert header.endswith(",stop_reason,events")
 
 
-# every replicated experiment's (run, files, config), the growth model too
+# every replicated experiment's (run, config), the growth model too
 FILE_RUNS = {**RUNS, "growth_model": (
-    run_growth_model, growth_model_files, RunConfig(
+    run_growth_model, RunConfig(
         experiment="growth_model", d=1, gamma=1.5, kappa_prev=0.0, L=1.0,
         beta=[4.0, 6.0], replicas=2, seed=0))}
 
@@ -99,9 +96,9 @@ FILE_RUNS = {**RUNS, "growth_model": (
 @pytest.mark.parametrize("name", sorted(FILE_RUNS))
 def test_files_are_the_report(name):
     # the CSV header is the row keys, and the JSON file every other key
-    run, files, config = FILE_RUNS[name]
+    run, config = FILE_RUNS[name]
     report = run(config)
-    written = files(report)
+    written = report_files(config.experiment, report)
     [table] = [text for n, text in written.items() if n.endswith(".csv")]
     [summary] = [text for n, text in written.items() if n.endswith(".json")]
     assert len(written) == 2
@@ -133,7 +130,7 @@ def test_replaced_hitting_time_runs_in_workers(monkeypatch, tmp_path):
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_replica_error_raised_and_no_worker_left(monkeypatch, name, cpus):
-    seed = RUNS[name][2].seed + 1
+    seed = RUNS[name][1].seed + 1
     original = experiments.hitting_time
 
     def failing(*args, **kwargs):
